@@ -1,11 +1,12 @@
-// Runtime-dispatched SIMD kernels for the analytic hot paths.
+// Runtime-dispatched SIMD kernels for the analytic and simulation hot paths.
 //
 // The kernels here back the CTS scan (`RateFunction::evaluate`), the
-// Davies-Harte block scaling, and the Hosking/Durbin-Levinson inner
-// products.  Dispatch picks the best instruction set the host supports
-// (AVX2 > SSE2 > scalar, probed once via cpuid) and can be overridden for
-// testing with the `CTS_SIMD=scalar|sse2|avx2` environment variable or the
-// `force()` hook.
+// Davies-Harte block scaling, the Hosking/Durbin-Levinson inner products
+// and the fractal ON/OFF sojourn draws behind every FBNDP source.
+// Dispatch picks the best instruction set the host supports (AVX2 > SSE2 >
+// scalar, probed once via cpuid) and can be overridden for testing with
+// the `CTS_SIMD=scalar|sse2|avx2` environment variable or the `force()`
+// hook.
 //
 // Bit-identity contract: every kernel produces byte-identical results on
 // every dispatch kind.  Element-wise kernels (`scale_pairs`,
@@ -17,9 +18,11 @@
 // (acc0 + acc2) + (acc1 + acc3), and the tail is added sequentially --
 // which all three implementations realise exactly.  `scan_min` is an
 // argmin under strict `<` with lowest-m tie-breaking, which is independent
-// of evaluation order altogether.  Tests assert the contract kernel-by-
-// kernel and end-to-end at the curve level (test_simd_kernels,
-// test_curve_bit_identity).
+// of evaluation order altogether.  `fractal_sojourns` is element-wise too:
+// one generic lane body, instantiated per width, built from IEEE-754
+// add/sub/mul/div and integer bit operations only.  Tests assert the
+// contract kernel-by-kernel and end-to-end at the curve level
+// (test_simd_kernels, test_curve_bit_identity).
 
 #pragma once
 
@@ -97,5 +100,35 @@ void scale_pairs(const double* s, const double* z, double* out,
 /// interleaved complex array and applies the FFT normalisation.
 void scaled_real_stride2(const double* in, double norm, double* out,
                          std::size_t n);
+
+/// Constants of the fractal ON/OFF sojourn law (cts/proc/on_off.hpp) with
+/// gamma = 2 - alpha and crossover A.
+struct SojournConsts {
+  double body_mass = 0.0;  ///< 1 - e^{-gamma}: P(sojourn <= A)
+  double a = 0.0;          ///< A
+  double a_over_g = 0.0;   ///< A / gamma
+  double neg_g = 0.0;      ///< -gamma
+  double inv_g = 0.0;      ///< 1 / gamma
+};
+
+/// Inverse-CDF sojourn samples: out[i] is the sojourn of uniform u[i] in
+/// [0, 1).  With L = log(1 - u[i]) (1 - u is exact for 53-bit uniforms):
+///
+///   out[i] = -(A/gamma) L                  if u[i] <  body_mass,
+///            A exp((-gamma - L) / gamma)   otherwise,
+///
+/// selected branch-free (the kernel multiplies by the precomputed A/gamma
+/// and 1/gamma of `consts`).  `log` and `exp` are the kernel's own fdlibm-style
+/// polynomials (no libm, no FMA), each accurate to about 1 ulp, so every
+/// tier is byte-identical and out[i] lies within 1e-13 relative of the
+/// libm-based `OnOffParams::sample_sojourn`.  `out` must not alias `u`.
+void fractal_sojourns(const double* u, double* out, std::size_t n,
+                      const SojournConsts& consts);
+
+/// As above on an explicit `kind`, which must be one the host supports
+/// (e.g. a value `active()` returned); lets a caller resolve dispatch once
+/// and keep the per-batch call noexcept.
+void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
+                      const SojournConsts& consts) noexcept;
 
 }  // namespace cts::core::simd

@@ -14,8 +14,10 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 
+#include "cts/core/simd.hpp"
 #include "cts/util/rng.hpp"
 
 namespace cts::proc {
@@ -38,8 +40,12 @@ struct OnOffParams {
   /// Survival function P(T > t) of a sojourn.
   double sojourn_survival(double t) const noexcept;
 
-  /// Inverse-CDF sample of a sojourn duration.
+  /// Inverse-CDF sample of a sojourn duration (libm reference; the
+  /// simulator draws through `FractalOnOff`'s batched kernel instead).
   double sample_sojourn(util::Xoshiro256pp& rng) const noexcept;
+
+  /// This law's constants for core::simd::fractal_sojourns.
+  core::simd::SojournConsts sojourn_consts() const noexcept;
 
   /// Sample of the *equilibrium residual* sojourn (density S(t)/E[T]);
   /// used for stationary initialisation.
@@ -50,11 +56,17 @@ struct OnOffParams {
 ///
 /// The advance loop is the hot path of every FBNDP simulation (the paper's
 /// alpha = 0.9 parameterisations produce thousands of transitions per
-/// frame), so the distribution constants are precomputed at construction
-/// and sojourns are sampled inline.
+/// frame).  Sojourns are therefore drawn 16 at a time: the source takes 16
+/// uniforms from its own stream, in order, and one call to the SIMD kernel
+/// `core::simd::fractal_sojourns` turns them into a ring of sojourns that
+/// the next 16 transitions consume.  Draw i still uses uniform i, so the
+/// path is the one `OnOffParams::sample_sojourn` would give up to the
+/// kernel's ~1 ulp log/exp, and it is byte-identical on every SIMD tier.
 class FractalOnOff {
  public:
   /// Constructs in the stationary regime using `rng` for initialisation.
+  /// Resolves the SIMD dispatch kind, so it throws util::InvalidArgument
+  /// on a bad `CTS_SIMD` (see core::simd::active).
   FractalOnOff(const OnOffParams& params, util::Xoshiro256pp rng);
 
   /// Advances the process by `dt` seconds and returns the total time spent
@@ -63,23 +75,27 @@ class FractalOnOff {
 
   bool is_on() const noexcept { return on_; }
 
-  const OnOffParams& params() const noexcept { return params_; }
-
  private:
-  /// Inverse-CDF sojourn sample using the precomputed constants; identical
-  /// in distribution to OnOffParams::sample_sojourn.
-  double sample_sojourn_fast() noexcept;
+  /// Sojourns drawn per kernel call.
+  static constexpr std::uint8_t kBatch = 16;
 
-  OnOffParams params_;
+  /// Next sojourn from the ring, refilling it when empty.
+  double next_sojourn() noexcept {
+    if (next_ == kBatch) refill();
+    return ring_[next_++];
+  }
+  void refill() noexcept;
+
+  // Every FBNDP holds M of these, so the layout is kept tight: the three
+  // small fields share one word.
   util::Xoshiro256pp rng_;
-  bool on_ = false;
+  core::simd::SojournConsts consts_;
   /// Remaining time in the current sojourn (seconds).
   double residual_ = 0.0;
-  // Precomputed sampling constants.
-  double body_mass_ = 0.0;     ///< 1 - e^{-gamma}
-  double neg_a_over_g_ = 0.0;  ///< -A / gamma
-  double exp_neg_g_ = 0.0;     ///< e^{-gamma}
-  double inv_g_ = 0.0;         ///< 1 / gamma
+  core::simd::Kind kind_ = core::simd::Kind::kScalar;
+  bool on_ = false;
+  std::uint8_t next_ = kBatch;  ///< ring_ index of the next sojourn
+  std::array<double, kBatch> ring_{};
 };
 
 }  // namespace cts::proc

@@ -46,7 +46,18 @@ class Xoshiro256pp {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  /// Next 64-bit output.  Defined here so the hot sampling loops inline it.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Equivalent to 2^128 calls of operator(); yields a stream guaranteed
   /// non-overlapping with the parent for any realistic run length.
@@ -64,6 +75,10 @@ class Xoshiro256pp {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

@@ -10,7 +10,9 @@
 #include "cts/core/simd.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -94,6 +96,144 @@ void scaled_real_stride2_scalar(const double* in, double norm, double* out,
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = in[2 * j] * norm;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fractal ON/OFF sojourn kernel.  One lane body, generic over the lane type:
+// `double`/`uint64_t` for the scalar tier, GCC vector-extension types for
+// SSE2 and AVX2.  It is force-inlined into each tier's target-attributed
+// loop, so the same source compiles to scalar, 2-wide and 4-wide code whose
+// every operation is an element-wise IEEE-754 add/sub/mul/div or an integer
+// bit operation -- identical results on every tier by construction.  The
+// helpers transform their lanes in place and reinterpret bits with
+// __builtin_bit_cast: a 32-byte vector passed or returned by value (as
+// std::bit_cast would) trips GCC's -Wpsabi note on pre-AVX conventions.
+// ---------------------------------------------------------------------------
+
+typedef double V2d __attribute__((vector_size(16)));
+typedef std::uint64_t V2u __attribute__((vector_size(16)));
+typedef double V4d __attribute__((vector_size(32)));
+typedef std::uint64_t V4u __attribute__((vector_size(32)));
+
+// The log/exp algorithms and their coefficients follow fdlibm's e_log.c
+// and e_exp.c, which carry this notice:
+//   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//   Developed at SunSoft, a Sun Microsystems, Inc. business.
+//   Permission to use, copy, modify, and distribute this software is
+//   freely granted, provided that this notice is preserved.
+//
+// log: reduction to [sqrt(2)/2, sqrt(2)) and the Remez polynomial in
+// s = f / (2 + f).  ln2 split so k * kLn2Hi is exact.
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+constexpr double kLg1 = 6.666666666666735130e-01;
+constexpr double kLg2 = 3.999999999940941908e-01;
+constexpr double kLg3 = 2.857142874366239149e-01;
+constexpr double kLg4 = 2.222219843214978396e-01;
+constexpr double kLg5 = 1.818357216161805012e-01;
+constexpr double kLg6 = 1.531383769920937332e-01;
+constexpr double kLg7 = 1.479819860511658591e-01;
+// exp: reduction by k ln2 and the rational form of exp(r).
+constexpr double kInvLn2 = 1.44269504088896338700e+00;
+constexpr double kP1 = 1.66666666666666019037e-01;
+constexpr double kP2 = -2.77777777770155933842e-03;
+constexpr double kP3 = 6.61375632143793436117e-05;
+constexpr double kP4 = -1.65339022054652515390e-06;
+constexpr double kP5 = 4.13813679705723846039e-08;
+// 1.5 * 2^52: adding it rounds a double to an integer held in the low
+// mantissa bits (round-to-nearest-even, valid for |x| < 2^51).
+constexpr double kRoundShift = 0x1.8p52;
+constexpr std::uint64_t kRoundShiftBits = 0x4338000000000000ULL;
+constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ULL;  // 2^52
+
+/// x <- log(x) for x in [2^-53, 1] (positive and normal; the only inputs
+/// the kernel produces).  fdlibm's algorithm, branch-free: the exponent k
+/// and f = x / 2^k - 1 come from bit operations, k converts to double
+/// exactly through the 2^52 trick, and the final sum is fdlibm's order.
+template <class V, class U>
+[[gnu::always_inline]] inline void log_lanes(V& x) {
+  U bits = __builtin_bit_cast(U, x);
+  // Shift the mantissa range so the exponent field rounds 1+f into
+  // [sqrt(2)/2, sqrt(2)): 0x3fe6a09e is the high word of sqrt(2)/2.
+  bits += std::uint64_t{0x3ff00000 - 0x3fe6a09e} << 32;
+  const V biased =
+      __builtin_bit_cast(V, (bits >> 52) | kTwo52Bits) - 0x1p52;  // exact
+  const V dk = biased - 1023.0;
+  bits = (bits & 0x000fffffffffffffULL) + (std::uint64_t{0x3fe6a09e} << 32);
+  const V f = __builtin_bit_cast(V, bits) - 1.0;
+  const V hfsq = 0.5 * f * f;
+  const V s = f / (2.0 + f);
+  const V z = s * s;
+  const V w = z * z;
+  const V t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const V t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const V r = t2 + t1;
+  x = s * (hfsq + r) + dk * kLn2Lo - hfsq + f + dk * kLn2Hi;
+}
+
+/// x <- exp(x) for |x| < 708, where 2^k stays normal (the kernel's
+/// arguments lie in [-1, 37]).
+/// fdlibm's algorithm with round-to-nearest k; 2^k is built directly in
+/// the exponent field, so the final scaling is one exact multiply.
+template <class V, class U>
+[[gnu::always_inline]] inline void exp_lanes(V& x) {
+  const V shifted = x * kInvLn2 + kRoundShift;
+  const V k = shifted - kRoundShift;  // round(x / ln2), exact
+  const V hi = x - k * kLn2Hi;        // exact: kLn2Hi has trailing zeros
+  const V lo = k * kLn2Lo;
+  const V r = hi - lo;
+  const V t = r * r;
+  const V c = r - t * (kP1 + t * (kP2 + t * (kP3 + t * (kP4 + t * kP5))));
+  const V y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  // k + 1023 sits in the low bits of `shifted`; move it to the exponent.
+  const U scale =
+      (__builtin_bit_cast(U, shifted) - kRoundShiftBits + 1023ULL) << 52;
+  x = y * __builtin_bit_cast(V, scale);
+}
+
+/// u <- sojourn of each lane's uniform (see simd.hpp for the formula).
+template <class V, class U>
+[[gnu::always_inline]] inline void sojourn_lanes(V& u,
+                                                 const SojournConsts& c) {
+  V log_s = 1.0 - u;  // exact for 53-bit uniforms, so L = log S exactly
+  log_lanes<V, U>(log_s);
+  const V body = (0.0 - log_s) * c.a_over_g;  // 0 - L keeps +0 at u = 0
+  V tail = (c.neg_g - log_s) * c.inv_g;
+  exp_lanes<V, U>(tail);
+  tail = c.a * tail;
+  u = u < c.body_mass ? body : tail;
+}
+
+void fractal_sojourns_scalar(const double* u, double* out, std::size_t n,
+                             const SojournConsts& c) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double lane = u[i];
+    sojourn_lanes<double, std::uint64_t>(lane, c);
+    out[i] = lane;
+  }
+}
+
+/// Full vectors of W lanes, then the tail padded into one more vector, so
+/// every element goes through the same vector code.
+template <class V, class U>
+[[gnu::always_inline]] inline void fractal_sojourns_wide(
+    const double* u, double* out, std::size_t n, const SojournConsts& c) {
+  constexpr std::size_t kW = sizeof(V) / sizeof(double);
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    V lanes;
+    std::memcpy(&lanes, u + i, sizeof lanes);
+    sojourn_lanes<V, U>(lanes, c);
+    std::memcpy(out + i, &lanes, sizeof lanes);
+  }
+  if (i == n) return;
+  double pad[kW] = {};
+  std::memcpy(pad, u + i, (n - i) * sizeof(double));
+  V lanes;
+  std::memcpy(&lanes, pad, sizeof lanes);
+  sojourn_lanes<V, U>(lanes, c);
+  std::memcpy(pad, &lanes, sizeof lanes);
+  std::memcpy(out + i, pad, (n - i) * sizeof(double));
 }
 
 #if CTS_SIMD_X86
@@ -424,6 +564,16 @@ __attribute__((target("avx2"))) void scaled_real_stride2_avx2(
   }
 }
 
+__attribute__((target("sse2"))) void fractal_sojourns_sse2(
+    const double* u, double* out, std::size_t n, const SojournConsts& c) {
+  fractal_sojourns_wide<V2d, V2u>(u, out, n, c);
+}
+
+__attribute__((target("avx2"))) void fractal_sojourns_avx2(
+    const double* u, double* out, std::size_t n, const SojournConsts& c) {
+  fractal_sojourns_wide<V4d, V4u>(u, out, n, c);
+}
+
 #endif  // CTS_SIMD_X86
 
 std::atomic<int> g_forced{-1};
@@ -571,6 +721,27 @@ void scaled_real_stride2(const double* in, double norm, double* out,
 #endif
     default:
       scaled_real_stride2_scalar(in, norm, out, n);
+  }
+}
+
+void fractal_sojourns(const double* u, double* out, std::size_t n,
+                      const SojournConsts& consts) {
+  fractal_sojourns(active(), u, out, n, consts);
+}
+
+void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
+                      const SojournConsts& consts) noexcept {
+  switch (kind) {
+#if CTS_SIMD_X86
+    case Kind::kAvx2:
+      fractal_sojourns_avx2(u, out, n, consts);
+      return;
+    case Kind::kSse2:
+      fractal_sojourns_sse2(u, out, n, consts);
+      return;
+#endif
+    default:
+      fractal_sojourns_scalar(u, out, n, consts);
   }
 }
 

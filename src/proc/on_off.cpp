@@ -39,6 +39,17 @@ double OnOffParams::sample_sojourn(util::Xoshiro256pp& rng) const noexcept {
   return A * std::pow(std::exp(-g) / survival, 1.0 / g);
 }
 
+core::simd::SojournConsts OnOffParams::sojourn_consts() const noexcept {
+  const double g = gamma();
+  core::simd::SojournConsts c;
+  c.body_mass = 1.0 - std::exp(-g);
+  c.a = A;
+  c.a_over_g = A / g;
+  c.neg_g = -g;
+  c.inv_g = 1.0 / g;
+  return c;
+}
+
 double OnOffParams::sample_equilibrium_residual(
     util::Xoshiro256pp& rng) const noexcept {
   // Equilibrium residual CDF: G(t) = (1/E) \int_0^t S(s) ds with
@@ -64,27 +75,21 @@ double OnOffParams::sample_equilibrium_residual(
 }
 
 FractalOnOff::FractalOnOff(const OnOffParams& params, util::Xoshiro256pp rng)
-    : params_(params), rng_(rng) {
-  params_.validate();
-  const double g = params_.gamma();
-  body_mass_ = 1.0 - std::exp(-g);
-  neg_a_over_g_ = -params_.A / g;
-  exp_neg_g_ = std::exp(-g);
-  inv_g_ = 1.0 / g;
+    : rng_(rng),
+      consts_(params.sojourn_consts()),
+      kind_(core::simd::active()) {
+  params.validate();
   // Stationary start: ON/OFF symmetric, so ON with probability 1/2, and
   // the time to the next transition follows the equilibrium residual law.
   on_ = rng_.uniform01() < 0.5;
-  residual_ = params_.sample_equilibrium_residual(rng_);
+  residual_ = params.sample_equilibrium_residual(rng_);
 }
 
-double FractalOnOff::sample_sojourn_fast() noexcept {
-  const double u = rng_.uniform01();
-  if (u < body_mass_) {
-    // Exponential body: t = -(A/g) ln(1-u).
-    return neg_a_over_g_ * std::log1p(-u);
-  }
-  // Pareto tail: t = A (e^{-g}/(1-u))^{1/g} = A exp((-g - ln(1-u))/g).
-  return params_.A * std::exp((std::log(exp_neg_g_ / (1.0 - u))) * inv_g_);
+void FractalOnOff::refill() noexcept {
+  std::array<double, kBatch> u;
+  for (double& x : u) x = rng_.uniform01();
+  core::simd::fractal_sojourns(kind_, u.data(), ring_.data(), kBatch, consts_);
+  next_ = 0;
 }
 
 double FractalOnOff::on_time_in(double dt) noexcept {
@@ -99,7 +104,7 @@ double FractalOnOff::on_time_in(double dt) noexcept {
     if (on_) on_time += residual_;
     remaining -= residual_;
     on_ = !on_;
-    residual_ = sample_sojourn_fast();
+    residual_ = next_sojourn();
   }
   return on_time;
 }

@@ -7,29 +7,9 @@
 
 namespace cts::util {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : state_) word = sm.next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 void Xoshiro256pp::jump() noexcept {

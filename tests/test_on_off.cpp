@@ -3,9 +3,11 @@
 #include "cts/proc/on_off.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cts/core/simd.hpp"
 #include "cts/util/error.hpp"
 
 namespace cp = cts::proc;
@@ -69,6 +71,48 @@ TEST(OnOffParams, SampledSojournsMatchSurvival) {
     EXPECT_NEAR(observed, expected, 5.0 * std::sqrt(expected / n) + 1e-3)
         << "probe " << j;
   }
+}
+
+TEST(OnOffParams, KernelSojournsMatchSurvival) {
+  // The same quantile check on the path the simulator runs: batched
+  // uniforms through core::simd::fractal_sojourns on the dispatched tier,
+  // at the V^v law (alpha = 0.9, V^1.5's A ~ 1.5e-5 s) and the Z^a law
+  // (alpha = 0.8, calibrated A ~ 1.8e-3 s).
+  for (const cp::OnOffParams& p : {params(0.9, 1.5e-5), params(0.8, 1.8e-3)}) {
+    cu::Xoshiro256pp rng(123);
+    const std::size_t n = 200000;
+    std::vector<double> u(n), t(n);
+    for (auto& x : u) x = rng.uniform01();
+    cts::core::simd::fractal_sojourns(u.data(), t.data(), n,
+                                      p.sojourn_consts());
+    const double probes[] = {p.A / 2, p.A, 3 * p.A, 10 * p.A, 100 * p.A};
+    int counts[5] = {0, 0, 0, 0, 0};
+    for (const double x : t) {
+      ASSERT_GE(x, 0.0);
+      for (int j = 0; j < 5; ++j) {
+        if (x > probes[j]) ++counts[j];
+      }
+    }
+    for (int j = 0; j < 5; ++j) {
+      const double expected = p.sojourn_survival(probes[j]);
+      const double observed = static_cast<double>(counts[j]) / n;
+      EXPECT_NEAR(observed, expected, 5.0 * std::sqrt(expected / n) + 1e-3)
+          << "alpha " << p.alpha << " probe " << j;
+    }
+  }
+}
+
+TEST(OnOffParams, KernelSojournMeanMatchesClosedForm) {
+  const cp::OnOffParams p = params();
+  cu::Xoshiro256pp rng(77);
+  const std::size_t n = 2000000;
+  std::vector<double> u(n), t(n);
+  for (auto& x : u) x = rng.uniform01();
+  cts::core::simd::fractal_sojourns(u.data(), t.data(), n, p.sojourn_consts());
+  double sum = 0.0;
+  for (const double x : t) sum += x;
+  EXPECT_NEAR(sum / static_cast<double>(n), p.mean_sojourn(),
+              0.15 * p.mean_sojourn());
 }
 
 TEST(OnOffParams, SampledSojournMeanMatchesClosedForm) {

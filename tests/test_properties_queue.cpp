@@ -2,6 +2,8 @@
 // across the model zoo under randomised workloads.
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -38,8 +40,11 @@ class MeteredSource final : public cp::FrameSource {
 
 }  // namespace
 
+// The model is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a per-process address into
+// the discovered ctest names.
 class QueuePropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   cf::ModelSpec model() const {
     const std::string name = std::get<0>(GetParam());

@@ -6,10 +6,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cts/fit/model_zoo.hpp"
+#include "cts/proc/on_off.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/rng.hpp"
 
@@ -242,5 +245,128 @@ TEST(SimdScaledRealStride2, BitIdenticalAcrossKinds) {
       EXPECT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(double)), 0)
           << cs::kind_name(kind) << " n=" << n;
     }
+  }
+}
+
+namespace {
+
+/// The ON/OFF laws behind the zoo's FBNDP sources: V^v (alpha = 0.9, with
+/// V^1.5's crossover A ~ 1.5e-5 s), Z^a (alpha = 0.8) and L (alpha ~ 0.72).
+std::vector<cts::proc::OnOffParams> sojourn_laws() {
+  return {{0.9, 1.5e-5}, {0.8, 1.8e-3}, {0.72, 0.01}};
+}
+
+/// OnOffParams::sample_sojourn's formula on a given uniform.
+double reference_sojourn(const cts::proc::OnOffParams& p, double u) {
+  const double g = p.gamma();
+  if (u < 1.0 - std::exp(-g)) return -(p.A / g) * std::log1p(-u);
+  return p.A * std::pow(std::exp(-g) / (1.0 - u), 1.0 / g);
+}
+
+/// Byte equality; memcmp on an empty vector's data() would pass null.
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_close(double got, double ref, const std::string& what) {
+  EXPECT_LE(std::fabs(got - ref), 1e-13 * std::fabs(ref)) << what;
+  EXPECT_FALSE(std::signbit(got)) << what;
+}
+
+}  // namespace
+
+TEST(SimdFractalSojourns, BitIdenticalAcrossKindsAndBatchSizes) {
+  ForceGuard guard;
+  cu::Xoshiro256pp rng(1996);
+  for (const cts::proc::OnOffParams& law : sojourn_laws()) {
+    const cs::SojournConsts consts = law.sojourn_consts();
+    for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 16u, 257u}) {
+      std::vector<double> u(n);
+      for (auto& x : u) x = rng.uniform01();
+      std::vector<double> ref(n, -1.0);
+      cs::fractal_sojourns(cs::Kind::kScalar, u.data(), ref.data(), n,
+                           consts);
+      for (const cs::Kind kind : supported_kinds()) {
+        std::vector<double> out(n, -1.0);
+        cs::fractal_sojourns(kind, u.data(), out.data(), n, consts);
+        EXPECT_TRUE(same_bytes(out, ref)) << cs::kind_name(kind) << " n=" << n;
+        // The dispatching overload follows force().
+        cs::force(kind);
+        std::vector<double> forced(n, -1.0);
+        cs::fractal_sojourns(u.data(), forced.data(), n, consts);
+        EXPECT_TRUE(same_bytes(forced, ref))
+            << cs::kind_name(kind) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdFractalSojourns, DrawIConsumesUniformIWithinTolerance) {
+  // The reference sampler draws one uniform per sojourn, so a copy of the
+  // stream replays exactly the uniforms the kernel was handed.
+  for (const cts::proc::OnOffParams& law : sojourn_laws()) {
+    cu::Xoshiro256pp rng(42);
+    cu::Xoshiro256pp replay = rng;
+    const std::size_t n = 20000;
+    std::vector<double> u(n), out(n);
+    for (auto& x : u) x = rng.uniform01();
+    cs::fractal_sojourns(u.data(), out.data(), n, law.sojourn_consts());
+    for (std::size_t i = 0; i < n; ++i) {
+      expect_close(out[i], law.sample_sojourn(replay),
+                   "alpha=" + std::to_string(law.alpha) + " draw " +
+                       std::to_string(i));
+    }
+  }
+}
+
+TEST(SimdFractalSojourns, EdgeDrawsOnEveryKind) {
+  for (const cts::proc::OnOffParams& law : sojourn_laws()) {
+    const cs::SojournConsts consts = law.sojourn_consts();
+    const double mass = consts.body_mass;
+    const std::vector<double> u = {0.0,
+                                   0x1p-53,
+                                   std::nextafter(mass, 0.0),
+                                   mass,
+                                   std::nextafter(mass, 1.0),
+                                   0.5,
+                                   1.0 - 0x1p-53};
+    std::vector<double> ref(u.size());
+    cs::fractal_sojourns(cs::Kind::kScalar, u.data(), ref.data(), u.size(),
+                         consts);
+    EXPECT_EQ(ref[0], 0.0);
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      expect_close(ref[i], reference_sojourn(law, u[i]),
+                   "alpha=" + std::to_string(law.alpha) + " u=" +
+                       std::to_string(u[i]));
+    }
+    // Continuity at the body/tail crossover: both sides land near A.
+    EXPECT_NEAR(ref[2], law.A, 1e-12 * law.A);
+    EXPECT_NEAR(ref[4], law.A, 1e-12 * law.A);
+    for (const cs::Kind kind : supported_kinds()) {
+      std::vector<double> out(u.size());
+      cs::fractal_sojourns(kind, u.data(), out.data(), u.size(), consts);
+      EXPECT_TRUE(same_bytes(out, ref))
+          << cs::kind_name(kind) << " alpha=" << law.alpha;
+    }
+  }
+}
+
+TEST(SimdFractalSojourns, FbndpFramesIdenticalOnScalarAndBestTier) {
+  // Each FractalOnOff resolves its tier at construction, so the sources
+  // are built while the tier is forced.
+  ForceGuard guard;
+  for (const char* id : {"vv:1.5", "l"}) {
+    const cts::fit::ModelSpec spec = cts::fit::model_from_id(id);
+    std::vector<double> frames[2];
+    const cs::Kind kinds[2] = {cs::Kind::kScalar, cs::best_supported()};
+    for (int k = 0; k < 2; ++k) {
+      cs::force(kinds[k]);
+      auto source = spec.make_source(20260817);
+      for (int i = 0; i < 200; ++i) frames[k].push_back(source->next_frame());
+    }
+    EXPECT_TRUE(same_bytes(frames[0], frames[1]))
+        << id << " on " << cs::kind_name(kinds[1]);
   }
 }
