@@ -11,25 +11,18 @@
 // throughput ratio is the service's cache win; the committed BENCH_*.json
 // baselines track both via cts_benchd.
 
-#include <ctime>
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "cts/atm/cac_cache.hpp"
 #include "cts/obs/metrics.hpp"
+#include "cts/util/clock.hpp"
 
 namespace atm = cts::atm;
 namespace cu = cts::util;
 namespace obs = cts::obs;
 
 namespace {
-
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 /// One admission workload: the paper's link (Section 5.4) swept across a
 /// buffer grid, per model.
@@ -72,20 +65,20 @@ int main(int argc, char** argv) {
   for (const cts::fit::ModelSpec& model : models) {
     atm::CacCache cache;
 
-    const double cold_start = monotonic_s();
+    const double cold_start = cu::monotonic_s();
     for (const atm::CacProblem& p : problems) {
       (void)cache.admissible_br(model, p);
     }
-    const double cold_s = monotonic_s() - cold_start;
+    const double cold_s = cu::monotonic_s() - cold_start;
     const double cold_qps = static_cast<double>(problems.size()) / cold_s;
 
-    const double warm_start = monotonic_s();
+    const double warm_start = cu::monotonic_s();
     for (long long rep = 0; rep < warm_reps; ++rep) {
       for (const atm::CacProblem& p : problems) {
         (void)cache.admissible_br(model, p);
       }
     }
-    const double warm_s = monotonic_s() - warm_start;
+    const double warm_s = cu::monotonic_s() - warm_start;
     const double warm_qps =
         static_cast<double>(problems.size()) *
         static_cast<double>(warm_reps) / warm_s;

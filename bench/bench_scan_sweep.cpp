@@ -12,7 +12,6 @@
 // forced-scalar CI leg re-runs it under CTS_SIMD=scalar and diffs the two
 // files byte-for-byte.
 
-#include <ctime>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -20,6 +19,7 @@
 #include "cts/core/rate_function.hpp"
 #include "cts/core/simd.hpp"
 #include "cts/obs/metrics.hpp"
+#include "cts/util/clock.hpp"
 
 namespace cc = cts::core;
 namespace cds = cts::core::simd;
@@ -27,13 +27,6 @@ namespace cu = cts::util;
 namespace obs = cts::obs;
 
 namespace {
-
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 struct SweepResult {
   std::vector<std::size_t> critical_m;
@@ -53,7 +46,7 @@ SweepResult run_pass(const cc::RateFunction& rate,
   out.critical_m.reserve(buffers_per_source.size());
   out.log10_bop.reserve(buffers_per_source.size());
   out.rate.reserve(buffers_per_source.size());
-  const double start = monotonic_s();
+  const double start = cu::monotonic_s();
   for (long long sweep = 0; sweep < sweeps; ++sweep) {
     std::size_t hint = 1;
     for (std::size_t i = 0; i < buffers_per_source.size(); ++i) {
@@ -70,7 +63,7 @@ SweepResult run_pass(const cc::RateFunction& rate,
       }
     }
   }
-  out.seconds = monotonic_s() - start;
+  out.seconds = cu::monotonic_s() - start;
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,19 +14,13 @@
 #include <cstring>
 
 #include "cts/net/frame.hpp"
+#include "cts/util/clock.hpp"
 
 namespace cts::net {
 
 namespace {
 
 std::string errno_text() { return std::strerror(errno); }
-
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -38,7 +31,7 @@ void set_nonblocking(int fd) {
 /// NetError when poll itself fails.
 bool poll_until(int fd, short events, double deadline) {
   for (;;) {
-    const double remaining = deadline - monotonic_s();
+    const double remaining = deadline - util::monotonic_s();
     if (remaining <= 0) return false;
     pollfd pfd{};
     pfd.fd = fd;
@@ -136,7 +129,7 @@ Socket listen_on(std::uint16_t port, std::uint16_t* actual_port) {
 }
 
 Socket accept_connection(const Socket& listener, double timeout_s) {
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = util::monotonic_s() + timeout_s;
   for (;;) {
     if (!poll_until(listener.fd(), POLLIN, deadline)) return Socket();
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
@@ -153,7 +146,7 @@ Socket accept_connection(const Socket& listener, double timeout_s) {
 }
 
 Socket connect_to(const Endpoint& ep, double timeout_s) {
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = util::monotonic_s() + timeout_s;
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -206,7 +199,7 @@ Socket connect_to(const Endpoint& ep, double timeout_s) {
 void send_frame(const Socket& sock, const std::string& payload,
                 double timeout_s) {
   const std::string bytes = encode_frame(payload);
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = util::monotonic_s() + timeout_s;
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(sock.fd(), bytes.data() + sent,
@@ -229,7 +222,7 @@ void send_frame(const Socket& sock, const std::string& payload,
 }
 
 std::string recv_frame(const Socket& sock, double timeout_s) {
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = util::monotonic_s() + timeout_s;
   FrameDecoder decoder;
   std::string payload;
   char buf[1 << 16];

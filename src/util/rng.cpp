@@ -69,7 +69,13 @@ std::uint64_t poisson_small(Xoshiro256pp& rng, double mean) {
   return k;
 }
 
-double log_factorial(double k) { return std::lgamma(k + 1.0); }
+// lgamma_r, not std::lgamma: lgamma also writes the global signgam, a
+// data race when replication threads draw Poisson variates concurrently.
+// Both compute the same value.
+double log_factorial(double k) {
+  int sign = 0;
+  return ::lgamma_r(k + 1.0, &sign);
+}
 
 // PTRS transformed rejection (W. Hormann, "The transformed rejection method
 // for generating Poisson random variables", 1993).  Valid for mean >= 10.

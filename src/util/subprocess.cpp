@@ -8,16 +8,11 @@
 #include <cstdio>
 #include <cstring>
 
+#include "cts/util/clock.hpp"
+
 namespace cts::util {
 
 namespace {
-
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 void sleep_ms(long ms) {
   timespec ts{};

@@ -1,0 +1,298 @@
+// Unit tests for cts::net::Server, the daemon runtime behind cts_cacd and
+// cts_shardd, driven in-process with a fake handler over loopback:
+//
+//   * a client that connects and never sends does not hold up shutdown,
+//     and run() returns only after every running handler has finished;
+//   * a flood past kMaxConnections gets a parseable busy reply (not a
+//     crash, not an RST), and the server serves normally once it drains;
+//   * a client that disconnects before its reply counts as served+failed;
+//   * the stats endpoint's counters match the requests sent;
+//   * the shared serve flags are parsed strictly.
+
+#include <gtest/gtest.h>
+
+#include <sys/socket.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <functional>
+#include <future>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "cts/net/cac.hpp"
+#include "cts/net/server.hpp"
+#include "cts/net/socket.hpp"
+#include "cts/net/stats.hpp"
+#include "cts/util/clock.hpp"
+#include "cts/util/error.hpp"
+#include "cts/util/file.hpp"
+#include "cts/util/flags.hpp"
+
+namespace net = cts::net;
+namespace cu = cts::util;
+
+namespace {
+
+constexpr double kIoTimeoutS = 5.0;
+
+/// Replies in the cts.cacresult.v1 schema, so the existing response
+/// parser checks every reply the fake service sends.
+std::string cac_reply(bool ok, const std::string& error) {
+  net::CacResponse response;
+  response.ok = ok;
+  response.error = error;
+  return net::write_cac_response_json(response);
+}
+
+using Handler = std::function<net::Reply(const std::string&, net::Server&)>;
+
+/// A Server running on its own thread with the fake service.  `handle`
+/// stands in for a daemon's request handler.
+class RunningServer {
+ public:
+  RunningServer(const std::string& name, long long budget, Handler handle)
+      : port_file_(::testing::TempDir() + "/" + name + ".port") {
+    std::remove(port_file_.c_str());
+    net::ServerOptions opt;
+    opt.port_file = port_file_;
+    opt.budget_flag = "max-requests";
+    opt.max_served = budget;
+    opt.quiet = true;
+    server_ = std::make_unique<net::Server>(opt);
+    service_.name = name;
+    service_.metric_prefix = "srv";
+    service_.unit = "request";
+    service_.handle = [this, handle](const std::string& request) {
+      return handle(request, *server_);
+    };
+    service_.encode_error = [](const std::string& error) {
+      return cac_reply(false, error);
+    };
+    service_.add_gauges = [](cts::obs::MetricsShard* metrics) {
+      metrics->gauge("srv.extra", 7.0);
+    };
+    thread_ = std::thread([this] {
+      rc_ = server_->run(service_);
+      returned_at_ = cu::monotonic_s();
+    });
+  }
+
+  ~RunningServer() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// The bound port, once the server has written its port file.
+  net::Endpoint endpoint() {
+    for (int i = 0; i < 500; ++i) {
+      std::string text;
+      if (cu::read_text_file(port_file_, &text, nullptr) &&
+          text.find('\n') != std::string::npos) {
+        return {"127.0.0.1", static_cast<std::uint16_t>(std::stoi(text))};
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << "server never wrote " << port_file_;
+    return {};
+  }
+
+  /// Waits for run() to return; its exit code.
+  int join() {
+    thread_.join();
+    return rc_;
+  }
+
+  net::Server& server() { return *server_; }
+  double returned_at() const { return returned_at_; }
+
+ private:
+  std::string port_file_;
+  std::unique_ptr<net::Server> server_;
+  net::Service service_;
+  std::thread thread_;
+  int rc_ = -1;
+  double returned_at_ = 0;
+};
+
+/// One request/reply round trip on a fresh connection.
+std::string round_trip(const net::Endpoint& ep, const std::string& request) {
+  const net::Socket sock = net::connect_to(ep, kIoTimeoutS);
+  net::send_frame(sock, request, kIoTimeoutS);
+  return net::recv_frame(sock, kIoTimeoutS);
+}
+
+net::Reply ok_reply() { return {cac_reply(true, ""), true, false}; }
+
+TEST(NetServer, StalledClientDoesNotHoldUpShutdown) {
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::promise<void> slow_running;
+  RunningServer rs("stall", 1, [&](const std::string& request, net::Server&) {
+    ++started;
+    if (request == "slow") {
+      slow_running.set_value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    ++finished;
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  // Connects and never sends: without the read cut, its thread would sit
+  // in recv for the full 30 s request timeout.
+  const net::Socket stalled = net::connect_to(ep, kIoTimeoutS);
+  // A slow request still running when the budget is spent.
+  const net::Socket slow = net::connect_to(ep, kIoTimeoutS);
+  net::send_frame(slow, "slow", kIoTimeoutS);
+  slow_running.get_future().wait();
+
+  ASSERT_TRUE(net::parse_cac_response(round_trip(ep, "fast")).ok);
+  const double budget_spent_at = cu::monotonic_s();
+  EXPECT_EQ(rs.join(), 0);
+  EXPECT_LT(rs.returned_at() - budget_spent_at, 1.0);
+  // run() waited for the slow handler, and its reply still went out.
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(finished.load(), 2);
+  EXPECT_TRUE(net::parse_cac_response(net::recv_frame(slow, kIoTimeoutS)).ok);
+  // The stalled client was cut, not left hanging.
+  EXPECT_THROW((void)net::recv_frame(stalled, kIoTimeoutS), net::NetError);
+}
+
+TEST(NetServer, FloodPastTheCapGetsABusyReplyThenServesAgain) {
+  RunningServer rs("flood", 1, [](const std::string&, net::Server&) {
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  // Paced so the listen backlog never overflows: the server accepts the
+  // idle connections in order, each on its own reading thread.
+  std::vector<net::Socket> idle;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    idle.push_back(net::connect_to(ep, kIoTimeoutS));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // One over the cap.  The request is on the wire before the busy reply
+  // and the reply is read only after the server has closed: had the
+  // server closed with the request unread, its RST would destroy the
+  // reply.
+  {
+    const net::Socket extra = net::connect_to(ep, kIoTimeoutS);
+    net::send_frame(extra, "request", kIoTimeoutS);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const net::CacResponse busy =
+        net::parse_cac_response(net::recv_frame(extra, kIoTimeoutS));
+    EXPECT_FALSE(busy.ok);
+    EXPECT_NE(busy.error.find("busy"), std::string::npos) << busy.error;
+  }
+
+  idle.clear();
+  bool served = false;
+  const double deadline = cu::monotonic_s() + 10.0;
+  while (!served && cu::monotonic_s() < deadline) {
+    served = net::parse_cac_response(round_trip(ep, "request")).ok;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(served);
+  EXPECT_EQ(rs.join(), 0);
+}
+
+TEST(NetServer, DroppedClientCountsAsServedAndFailed) {
+  std::promise<void> entered;
+  std::promise<void> client_gone;
+  const std::future<void> gone = client_gone.get_future();
+  RunningServer rs("drop", 2, [&](const std::string& request, net::Server&) {
+    if (request == "drop") {
+      entered.set_value();
+      gone.wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  {
+    const net::Socket sock = net::connect_to(ep, kIoTimeoutS);
+    net::send_frame(sock, "drop", kIoTimeoutS);
+    entered.get_future().wait();
+    // Abortive close: the reset reaches the server before its reply does.
+    const linger abort_close{1, 0};
+    ASSERT_EQ(::setsockopt(sock.fd(), SOL_SOCKET, SO_LINGER, &abort_close,
+                           sizeof(abort_close)),
+              0);
+  }
+  client_gone.set_value();
+
+  const double deadline = cu::monotonic_s() + 10.0;
+  while (rs.server().served() < 1 && cu::monotonic_s() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const net::WorkerStats stats = net::query_stats(ep, kIoTimeoutS);
+  EXPECT_EQ(rs.server().served(), 1);
+  EXPECT_EQ(stats.jobs_ok, 0u);
+  EXPECT_EQ(stats.jobs_failed, 1u);
+  EXPECT_EQ(stats.jobs_in_flight, 0u);
+
+  EXPECT_TRUE(net::parse_cac_response(round_trip(ep, "request")).ok);
+  EXPECT_EQ(rs.join(), 0);
+}
+
+TEST(NetServer, StatsCountersMatchTheRequestsSent) {
+  RunningServer rs("stats", 4, [](const std::string& request,
+                                  net::Server& server) {
+    cts::obs::MetricsShard shard;
+    shard.add("srv.handled");
+    server.metrics().merge(shard);
+    return net::Reply{cac_reply(request != "bad", ""), request != "bad",
+                      request == "retry"};
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  for (const char* request : {"good", "bad", "retry"}) {
+    (void)round_trip(ep, request);
+  }
+  const net::WorkerStats stats = net::query_stats(ep, kIoTimeoutS);
+  EXPECT_EQ(stats.worker, "stats:" + std::to_string(ep.port));
+  EXPECT_EQ(stats.jobs_ok, 2u);
+  EXPECT_EQ(stats.jobs_failed, 1u);
+  EXPECT_EQ(stats.jobs_retried, 1u);
+  EXPECT_EQ(stats.jobs_in_flight, 0u);
+  EXPECT_EQ(stats.stats_served, 1u);
+  EXPECT_EQ(stats.metrics.counters().at("srv.handled"), 3u);
+  EXPECT_EQ(stats.metrics.gauges().at("srv.extra").value, 7.0);
+
+  const std::string om = net::query_stats_openmetrics(ep, kIoTimeoutS);
+  EXPECT_NE(om.find("srv_requests_in_flight"), std::string::npos) << om;
+  EXPECT_NE(om.find("srv_stats_served"), std::string::npos) << om;
+  EXPECT_NE(om.find("srv_extra"), std::string::npos) << om;
+  EXPECT_NE(om.find("# EOF"), std::string::npos) << om;
+
+  // Stats queries never spend the budget: the fourth request ends run().
+  (void)round_trip(ep, "good");
+  EXPECT_EQ(rs.join(), 0);
+  EXPECT_EQ(rs.server().served(), 4);
+}
+
+TEST(NetServer, ServeFlagsAreParsedStrictly) {
+  auto parse = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "daemon");
+    const cu::Flags flags(static_cast<int>(argv.size()), argv.data());
+    return net::parse_server_options(flags, "max-requests");
+  };
+  const net::ServerOptions defaults = parse({});
+  EXPECT_EQ(defaults.max_served, 0);
+  EXPECT_EQ(defaults.profile_hz, 97);
+  EXPECT_EQ(parse({"--max-requests=3", "--profile-hz=10000"}).max_served, 3);
+
+  EXPECT_THROW(parse({"--max-requests=-1"}), cu::InvalidArgument);
+  EXPECT_THROW(parse({"--profile-hz=4294967393"}), cu::InvalidArgument);
+  EXPECT_THROW(parse({"--profile-hz=0"}), cu::InvalidArgument);
+  EXPECT_THROW(parse({"--port=65536"}), cu::InvalidArgument);
+  EXPECT_THROW(parse({"--log-level=loud"}), cu::InvalidArgument);
+}
+
+}  // namespace

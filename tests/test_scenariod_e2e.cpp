@@ -42,9 +42,13 @@ std::string tmp(const std::string& name) {
   return ::testing::TempDir() + "/scenariod_" + name;
 }
 
-/// Runs cts_scenariod with `args`, captures stdout+stderr into *out.
+/// Runs cts_scenariod with `args`, captures stdout+stderr into *out.  The
+/// capture file is per test: ctest runs these tests as parallel processes.
 int run_tool(const std::string& args, std::string* out) {
-  const std::string path = tmp("out.txt");
+  const std::string path =
+      tmp(std::string(
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+          "_out.txt");
   const int rc = shell("'" + scenariod() + "' " + args + " >'" + path +
                        "' 2>&1");
   *out = cu::read_text_file(path);

@@ -491,6 +491,21 @@ TEST(ShardDE2E, DaemonRejectsAnUnknownBenchId) {
             0);
 }
 
+TEST(ShardDE2E, OutOfRangeServeFlagsExitTwoBeforeListening) {
+  const std::string dir = ::testing::TempDir() + "/shardd_flags";
+  ASSERT_EQ(fresh_dir(dir), 0);
+  const std::string port_file = dir + "/w.port";
+  // `timeout` turns a daemon that serves anyway into a failure, not a hang.
+  for (const std::string flag : {"--max-jobs=-1", "--profile-hz=4294967393"}) {
+    EXPECT_EQ(shell("timeout 10 '" + shardd() + "' --port=0 --port-file='" +
+                    port_file + "' --work-dir='" + dir + "/work' " + flag +
+                    " > '" + dir + "/w.log' 2>&1"),
+              2)
+        << flag;
+    EXPECT_FALSE(cu::read_text_file(port_file, nullptr, nullptr)) << flag;
+  }
+}
+
 #endif  // CTS_TOOLS_BIN_DIR && CTS_BENCH_BIN_DIR
 
 }  // namespace

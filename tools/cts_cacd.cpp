@@ -10,9 +10,10 @@
 //   cts_cacd eval [--model=ID] [--capacity=C] [--buffer=B] [--clr=L]
 //            [--kind=K,K,...] [--n=N]
 //
-// serve (the default) listens on a TCP port (0 = ephemeral; printed and,
-// with --port-file, written to a file a launcher can poll) and answers two
-// request schemas on the same port, each connection on its own thread:
+// serve (the default) runs on the shared daemon runtime
+// (cts/net/server.hpp): it listens on a TCP port (0 = ephemeral; printed
+// and, with --port-file, written to a file a launcher can poll) and
+// answers two request schemas on the same port:
 //
 //   * cts.cac.v1 — a batch of admission/BOP queries against one source
 //     model (zoo id or inline spec; see include/cts/net/cac.hpp).  Every
@@ -21,10 +22,15 @@
 //     CTS scan from the nearest cached buffer point, and opt-in "bop"
 //     probes may interpolate between cached grid points.  Admit answers
 //     are bit-identical to direct admissible_connections_br/_eb calls.
-//   * cts.statsreq.v1 — replies immediately with a cts.stats.v1 snapshot
-//     (requests in flight / ok / failed, the metrics registry including
-//     the cacd.query_wall_ms log-histogram and cache hit/miss counters,
-//     span self-times).  JSON by default, OpenMetrics on request.
+//   * cts.statsreq.v1 — answered by the runtime with a cts.stats.v1
+//     snapshot (requests in flight / ok / failed, the metrics registry
+//     including the cacd.query_wall_ms log-histogram, the cacd.cache_*
+//     gauges, span self-times).  JSON by default, OpenMetrics on request.
+//
+// Each connection carries one request and gets its own tracked thread;
+// at most 64 are live, and one more gets a {"ok":false} "busy" reply.
+// Once --max-requests replies are out, connections still waiting for a
+// request are cut and every running batch is finished before the exit.
 //
 // Operational events (request served/rejected, connection errors,
 // shutdown) are cts.events.v1 JSONL to --log, else stderr unless --quiet.
@@ -45,36 +51,22 @@
 // Exit codes: serve 0 on clean shutdown (--max-requests), 2 on
 // usage/setup errors; query/eval as above.
 
-#include <unistd.h>
-
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
-#include <fstream>
 #include <iostream>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "cts/atm/cac.hpp"
 #include "cts/atm/cac_cache.hpp"
 #include "cts/net/cac.hpp"
+#include "cts/net/server.hpp"
 #include "cts/net/socket.hpp"
-#include "cts/net/stats.hpp"
 #include "cts/obs/event_log.hpp"
-#include "cts/obs/expfmt.hpp"
-#include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/profiler.hpp"
-#include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/util/cli_registry.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
@@ -88,24 +80,6 @@ namespace cu = cts::util;
 namespace {
 
 constexpr double kDefaultDeadlineS = 30.0;
-constexpr double kRequestReadTimeoutS = 30.0;
-constexpr double kReplyWriteTimeoutS = 60.0;
-/// Accept poll interval: short enough that --max-requests exits promptly.
-constexpr double kAcceptTimeoutS = 0.25;
-/// How long a clean shutdown waits for in-flight connections to drain.
-constexpr double kDrainTimeoutS = 30.0;
-
-struct Options {
-  std::uint16_t port = 0;
-  std::string port_file;
-  long long max_requests = 0;  ///< 0: serve forever
-  double deadline_s = kDefaultDeadlineS;
-  bool quiet = false;
-  std::string profile_path;
-  std::string profile_folded;
-  int profile_hz = 97;
-  std::string profile_backend = "thread";
-};
 
 void usage() {
   std::printf(
@@ -133,38 +107,11 @@ void usage() {
       "error; query/eval 0 ok reply, 1 error reply, 2 usage/network.\n");
 }
 
-double monotonic_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Everything the connection threads share.  Counters are guarded by `mu`;
-/// `cache`, `metrics` and the global TraceRecorder / EventLog are
-/// internally synchronized.
-struct DaemonState {
-  const Options* opt = nullptr;
-  std::uint16_t port = 0;
-  double start_s = 0;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  long long served = 0;  ///< replies sent (--max-requests budget)
-  std::uint64_t requests_ok = 0;
-  std::uint64_t requests_failed = 0;
-  std::uint64_t stats_served = 0;
-  std::uint64_t in_flight = 0;
-  int active_conns = 0;
-
-  atm::CacCache cache;           ///< daemon-lifetime memo
-  obs::MetricsRegistry metrics;  ///< daemon-lifetime (stats endpoint)
-};
-
 /// Answers one query through the shared cache.  Analytic failures (LRD
 /// effective bandwidth, invalid problems) become per-query errors.
 net::CacAnswer answer_query(const fit::ModelSpec& model,
-                            const net::CacQuery& query, DaemonState* st) {
+                            const net::CacQuery& query,
+                            atm::CacCache& cache) {
   net::CacAnswer answer;
   try {
     atm::CacProblem problem;
@@ -173,13 +120,13 @@ net::CacAnswer answer_query(const fit::ModelSpec& model,
     problem.log10_target_clr = query.log10_clr;
     switch (query.kind) {
       case net::CacQueryKind::kAdmitBr: {
-        const atm::CacResult r = st->cache.admissible_br(model, problem);
+        const atm::CacResult r = cache.admissible_br(model, problem);
         answer.admissible = r.admissible;
         answer.log10_bop = r.log10_bop_at_max;
         break;
       }
       case net::CacQueryKind::kAdmitEb: {
-        const atm::CacResult r = st->cache.admissible_eb(model, problem);
+        const atm::CacResult r = cache.admissible_eb(model, problem);
         answer.admissible = r.admissible;
         answer.log10_bop = r.log10_bop_at_max;
         break;
@@ -187,13 +134,13 @@ net::CacAnswer answer_query(const fit::ModelSpec& model,
       case net::CacQueryKind::kBop: {
         problem.validate();
         if (query.interpolate) {
-          const atm::CacCache::Stats before = st->cache.stats();
+          const atm::CacCache::Stats before = cache.stats();
           answer.log10_bop =
-              st->cache.log10_bop_interpolated(model, problem, query.n);
+              cache.log10_bop_interpolated(model, problem, query.n);
           answer.interpolated =
-              st->cache.stats().interpolations > before.interpolations;
+              cache.stats().interpolations > before.interpolations;
         } else {
-          answer.log10_bop = st->cache.log10_bop(model, problem, query.n);
+          answer.log10_bop = cache.log10_bop(model, problem, query.n);
         }
         answer.admissible = 0;
         break;
@@ -209,10 +156,11 @@ net::CacAnswer answer_query(const fit::ModelSpec& model,
 
 /// Runs one request batch; fills in a cts.cacresult.v1 reply.
 net::CacResponse run_request(const std::string& request_text,
-                             DaemonState* st) {
+                             double default_deadline_s, atm::CacCache& cache,
+                             obs::MetricsRegistry& metrics) {
   obs::ScopedSpan request_span("cacd.request");
   net::CacResponse response;
-  const double start = monotonic_s();
+  const double start = cu::monotonic_s();
   net::CacRequest request;
   fit::ModelSpec model;
   try {
@@ -226,10 +174,10 @@ net::CacResponse run_request(const std::string& request_text,
   response.ok = true;
   response.model_name = model.name;
   const double deadline_s =
-      request.deadline_s > 0 ? request.deadline_s : st->opt->deadline_s;
+      request.deadline_s > 0 ? request.deadline_s : default_deadline_s;
   obs::MetricsShard batch_metrics;
   for (const net::CacQuery& query : request.queries) {
-    if (monotonic_s() - start > deadline_s) {
+    if (cu::monotonic_s() - start > deadline_s) {
       net::CacAnswer late;
       late.ok = false;
       late.error = "cacd: deadline of " + std::to_string(deadline_s) +
@@ -238,13 +186,13 @@ net::CacResponse run_request(const std::string& request_text,
       batch_metrics.add("cacd.queries_deadline");
       continue;
     }
-    const double query_start = monotonic_s();
+    const double query_start = cu::monotonic_s();
     net::CacAnswer answer;
     {
       obs::ScopedSpan query_span("cacd.query");
-      answer = answer_query(model, query, st);
+      answer = answer_query(model, query, cache);
     }
-    const double wall_ms = (monotonic_s() - query_start) * 1e3;
+    const double wall_ms = (cu::monotonic_s() - query_start) * 1e3;
     batch_metrics.add(answer.ok ? "cacd.queries_ok" : "cacd.queries_failed");
     batch_metrics.observe("cacd.query_wall_ms", wall_ms);
     // Log-bucketed twin carries the tail: cts_obstop renders
@@ -252,94 +200,31 @@ net::CacResponse run_request(const std::string& request_text,
     batch_metrics.observe_log("cacd.query_wall_ms", wall_ms);
     response.answers.push_back(answer);
   }
-  st->metrics.merge(batch_metrics);
-  response.elapsed_s = monotonic_s() - start;
+  metrics.merge(batch_metrics);
+  response.elapsed_s = cu::monotonic_s() - start;
   return response;
 }
 
-net::WorkerStats snapshot_stats(DaemonState* st) {
-  net::WorkerStats stats;
-  stats.worker = "cts_cacd:" + std::to_string(st->port);
-  stats.pid = static_cast<std::int64_t>(::getpid());
-  stats.uptime_s = monotonic_s() - st->start_s;
-  {
-    const std::lock_guard<std::mutex> lock(st->mu);
-    ++st->stats_served;  // this query counts itself
-    stats.jobs_in_flight = st->in_flight;
-    stats.jobs_ok = st->requests_ok;
-    stats.jobs_failed = st->requests_failed;
-    stats.stats_served = st->stats_served;
-  }
-  stats.metrics = st->metrics.snapshot();
-  // Cache effectiveness travels as gauges so a monitor sees hit ratios
-  // without a custom schema.
-  const atm::CacCache::Stats cache = st->cache.stats();
-  stats.metrics.gauge("cacd.cache_rate_hits",
-                      static_cast<double>(cache.rate_hits));
-  stats.metrics.gauge("cacd.cache_rate_misses",
-                      static_cast<double>(cache.rate_misses));
-  stats.metrics.gauge("cacd.cache_warm_starts",
-                      static_cast<double>(cache.warm_starts));
-  stats.metrics.gauge("cacd.cache_interpolations",
-                      static_cast<double>(cache.interpolations));
-  stats.metrics.gauge("cacd.cache_entries",
-                      static_cast<double>(cache.rate_entries));
-  stats.spans = obs::aggregate_spans(obs::TraceRecorder::global().events());
-  return stats;
+std::string error_reply(const std::string& error) {
+  net::CacResponse response;
+  response.ok = false;
+  response.error = error;
+  return net::write_cac_response_json(response);
 }
 
-/// One connection, on its own thread: read the request, discriminate by
-/// schema tag, reply.  All failure paths restore the shared counters.
-void handle_connection(net::Socket conn, DaemonState* st) {
-  bool counted_in_flight = false;
-  try {
-    const std::string request = net::recv_frame(conn, kRequestReadTimeoutS);
+int serve(const cu::Flags& flags) {
+  net::Server server(net::parse_server_options(flags, "max-requests"));
+  const double deadline_s = flags.get_double("deadline", kDefaultDeadlineS);
+  cu::require(deadline_s > 0, "--deadline must be > 0");
+  atm::CacCache cache;  // daemon-lifetime memo, internally synchronized
 
-    std::string schema;
-    try {
-      const obs::JsonValue doc = obs::json_parse(request);
-      const obs::JsonValue* tag = doc.find("schema");
-      if (tag != nullptr && tag->is_string()) schema = tag->as_string();
-    } catch (const cu::Error&) {
-      // Not JSON at all: falls through to the CAC path, whose strict
-      // parser produces the structured error reply.
-    }
-
-    if (schema == net::kStatsRequestSchema) {
-      net::StatsFormat format = net::StatsFormat::kJson;
-      try {
-        format = net::parse_stats_request(request);
-      } catch (const cu::Error& e) {
-        // Unknown format: answer in JSON rather than dropping the scrape.
-        obs::log_warn("stats.bad_format", {{"error", e.what()}});
-      }
-      const net::WorkerStats stats = snapshot_stats(st);
-      if (format == net::StatsFormat::kOpenMetrics) {
-        obs::MetricsShard shard = stats.metrics;
-        shard.gauge("cacd.uptime_s", stats.uptime_s);
-        shard.gauge("cacd.requests_in_flight",
-                    static_cast<double>(stats.jobs_in_flight));
-        shard.add("cacd.stats_served", stats.stats_served);
-        obs::OpenMetricsOptions om;
-        om.labels = {{"worker", stats.worker}};
-        std::ostringstream os;
-        obs::write_openmetrics(os, shard, om);
-        net::send_frame(conn, os.str(), kReplyWriteTimeoutS);
-      } else {
-        net::send_frame(conn, net::write_stats_json(stats),
-                        kReplyWriteTimeoutS);
-      }
-      obs::log_debug("stats.query", {});
-      return;
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      ++st->in_flight;
-      counted_in_flight = true;
-    }
-
-    const net::CacResponse response = run_request(request, st);
+  net::Service service;
+  service.name = "cts_cacd";
+  service.metric_prefix = "cacd";
+  service.unit = "request";
+  service.handle = [&](const std::string& request) {
+    const net::CacResponse response =
+        run_request(request, deadline_s, cache, server.metrics());
     if (response.ok) {
       obs::log_info(
           "request.done",
@@ -349,125 +234,26 @@ void handle_connection(net::Socket conn, DaemonState* st) {
     } else {
       obs::log_warn("request.reject", {{"error", response.error}});
     }
-    net::send_frame(conn, net::write_cac_response_json(response),
-                    kReplyWriteTimeoutS);
-
-    {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      ++st->served;
-      --st->in_flight;
-      counted_in_flight = false;
-      if (response.ok) {
-        ++st->requests_ok;
-      } else {
-        ++st->requests_failed;
-      }
-    }
-  } catch (const net::NetError& e) {
-    // A broken connection affects only that client; keep serving.
-    obs::log_warn("conn.error", {{"error", e.what()}});
-    if (counted_in_flight) {
-      const std::lock_guard<std::mutex> lock(st->mu);
-      --st->in_flight;
-      // The reply never went out, but the budget was spent: count the
-      // request as served so --max-requests stays deterministic.
-      ++st->served;
-      ++st->requests_failed;
-    }
-  }
-}
-
-int serve(const Options& opt) {
-  DaemonState st;
-  st.opt = &opt;
-  st.start_s = monotonic_s();
-  // Spans feed the stats endpoint's span table, so the recorder is always
-  // on in the daemon.
-  obs::TraceRecorder::global().enable();
-
-  const bool profiling =
-      !opt.profile_path.empty() || !opt.profile_folded.empty();
-  if (profiling) {
-    obs::Profiler::Options popts;
-    popts.hz = opt.profile_hz;
-    popts.backend = opt.profile_backend;
-    obs::Profiler::global().start(popts);
-  }
-
-  std::uint16_t port = 0;
-  net::Socket listener = net::listen_on(opt.port, &port);
-  st.port = port;
-  std::printf("cts_cacd: listening on port %u\n",
-              static_cast<unsigned>(port));
-  std::fflush(stdout);
-  if (!opt.port_file.empty()) {
-    std::ofstream pf(opt.port_file);
-    pf << port << "\n";
-    if (!pf) {
-      std::fprintf(stderr, "cts_cacd: cannot write port file %s\n",
-                   opt.port_file.c_str());
-      return 2;
-    }
-  }
-  obs::log_info("daemon.start", {{"port", static_cast<std::int64_t>(port)}});
-
-  for (;;) {
-    net::Socket conn = net::accept_connection(listener, kAcceptTimeoutS);
-    if (conn.valid()) {
-      {
-        const std::lock_guard<std::mutex> lock(st.mu);
-        ++st.active_conns;
-      }
-      std::thread([conn = std::move(conn), &st]() mutable {
-        handle_connection(std::move(conn), &st);
-        {
-          const std::lock_guard<std::mutex> lock(st.mu);
-          --st.active_conns;
-        }
-        st.cv.notify_all();
-      }).detach();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(st.mu);
-      if (opt.max_requests > 0 && st.served >= opt.max_requests) break;
-    }
-  }
-
-  // Drain: stats/straggler connections get a bounded grace period.
-  {
-    std::unique_lock<std::mutex> lock(st.mu);
-    st.cv.wait_for(lock, std::chrono::duration<double>(kDrainTimeoutS),
-                   [&st] { return st.active_conns == 0; });
-  }
-  if (profiling) {
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.stop();
-    if (!opt.profile_path.empty() && !prof.write(opt.profile_path)) {
-      std::fprintf(stderr, "cts_cacd: cannot write profile %s\n",
-                   opt.profile_path.c_str());
-    }
-    if (!opt.profile_folded.empty() &&
-        !prof.write_folded_file(opt.profile_folded)) {
-      std::fprintf(stderr, "cts_cacd: cannot write folded profile %s\n",
-                   opt.profile_folded.c_str());
-    }
-    obs::log_info("profile.write",
-                  {{"samples", static_cast<std::int64_t>(prof.sample_count())},
-                   {"path", opt.profile_path.empty() ? opt.profile_folded
-                                                     : opt.profile_path}});
-  }
-  const atm::CacCache::Stats cache = st.cache.stats();
-  obs::log_info("daemon.exit",
-                {{"served", static_cast<std::int64_t>(st.served)},
-                 {"cache_hits", static_cast<std::int64_t>(cache.rate_hits)},
-                 {"cache_misses",
-                  static_cast<std::int64_t>(cache.rate_misses)},
-                 {"reason", "max-requests"}});
-  if (!opt.quiet) {
-    std::fprintf(stderr, "[served %lld request(s); exiting (--max-requests)]\n",
-                 st.served);
-  }
-  return 0;
+    return net::Reply{net::write_cac_response_json(response), response.ok,
+                      false};
+  };
+  service.encode_error = error_reply;
+  // Cache effectiveness travels as gauges so a monitor sees hit ratios
+  // without a custom schema.
+  service.add_gauges = [&cache](obs::MetricsShard* metrics) {
+    const atm::CacCache::Stats stats = cache.stats();
+    metrics->gauge("cacd.cache_rate_hits",
+                   static_cast<double>(stats.rate_hits));
+    metrics->gauge("cacd.cache_rate_misses",
+                   static_cast<double>(stats.rate_misses));
+    metrics->gauge("cacd.cache_warm_starts",
+                   static_cast<double>(stats.warm_starts));
+    metrics->gauge("cacd.cache_interpolations",
+                   static_cast<double>(stats.interpolations));
+    metrics->gauge("cacd.cache_entries",
+                   static_cast<double>(stats.rate_entries));
+  };
+  return server.run(service);
 }
 
 /// Builds the cts.cac.v1 batch the query/eval modes share: one query per
@@ -542,7 +328,7 @@ int run_eval(const cu::Flags& flags) {
   net::CacResponse response;
   response.ok = true;
   response.model_name = model.name;
-  const double start = monotonic_s();
+  const double start = cu::monotonic_s();
   for (const net::CacQuery& query : request.queries) {
     net::CacAnswer answer;
     try {
@@ -581,7 +367,7 @@ int run_eval(const cu::Flags& flags) {
     }
     response.answers.push_back(answer);
   }
-  response.elapsed_s = monotonic_s() - start;
+  response.elapsed_s = cu::monotonic_s() - start;
   std::printf("%s\n", net::write_cac_response_json(response).c_str());
   return 0;
 }
@@ -608,39 +394,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    Options opt;
-    const std::int64_t port = flags.get_int("port", 0);
-    if (port < 0 || port > 65535) {
-      std::fprintf(stderr, "cts_cacd: --port must be in [0, 65535]\n");
-      return 2;
-    }
-    opt.port = static_cast<std::uint16_t>(port);
-    opt.port_file = flags.get_string("port-file", "");
-    opt.max_requests = flags.get_int("max-requests", 0);
-    opt.deadline_s = flags.get_double("deadline", kDefaultDeadlineS);
-    if (opt.deadline_s <= 0) {
-      std::fprintf(stderr, "cts_cacd: --deadline must be > 0\n");
-      return 2;
-    }
-    opt.quiet = flags.get_bool("quiet", false);
-    opt.profile_path = flags.get_string("profile", "");
-    opt.profile_folded = flags.get_string("profile-folded", "");
-    opt.profile_hz = static_cast<int>(flags.get_int("profile-hz", 97));
-    opt.profile_backend = flags.get_string("profile-backend", "thread");
-
-    // Event sink: --log beats stderr; --quiet silences the default stderr
-    // sink but an explicit --log file still receives events.
-    const std::string log_path = flags.get_string("log", "");
-    obs::EventLog& log = obs::EventLog::global();
-    if (!log_path.empty()) {
-      log.open(log_path);
-    } else if (!opt.quiet) {
-      log.to_stream(&std::cerr);
-    }
-    log.set_min_level(
-        obs::parse_log_level(flags.get_string("log-level", "info")));
-
-    return serve(opt);
+    return serve(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cts_cacd: %s\n", e.what());
     return 2;

@@ -78,6 +78,7 @@
 #include "cts/sim/replication.hpp"
 #include "cts/sim/shard.hpp"
 #include "cts/util/cli_registry.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
@@ -131,12 +132,6 @@ std::vector<std::string> positionals(int argc, char** argv) {
     out.push_back(token);
   }
   return out;
-}
-
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // -------------------------------------------------------------------------
@@ -265,11 +260,11 @@ int run_workers(const std::string& binary, std::size_t shard_count,
 
   // One shared deadline across all workers; a straggler past it is killed
   // and reported (the old code blocked in waitpid forever).
-  const double deadline = monotonic_s() + timeout_s;
+  const double deadline = cu::monotonic_s() + timeout_s;
   bool failed = false;
   for (std::size_t i = 0; i < pids.size(); ++i) {
     const double remaining =
-        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - monotonic_s());
+        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - cu::monotonic_s());
     const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
     if (!outcome.ok()) {
       std::fprintf(stderr, "cts_simd: worker %zu %s (see %s)\n", i,
@@ -475,14 +470,14 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
     job.env = std::move(env);
     job.timeout_s = opt.job_timeout_s;
     job.attempt = attempt;
-    const double start = monotonic_s();
+    const double start = cu::monotonic_s();
     std::string payload;
     std::string error;
     JobObsCapture capture;
     const bool ok =
         dispatch_one(ep, job, opt.job_timeout_s, &payload, &error, &capture);
     env = std::move(job.env);  // reused across this thread's jobs
-    const double wall_ms = (monotonic_s() - start) * 1e3;
+    const double wall_ms = (cu::monotonic_s() - start) * 1e3;
     dispatch->observe("simd.net.job_wall_ms", wall_ms);
     dispatch->observe(wtag + ".wall_ms", wall_ms);
     // Log-histogram twins carry the percentile view (p50..p999) that the
@@ -668,9 +663,9 @@ int run_networked(const NetRunOptions& opt) {
       if (pid < 0) return 1;
       pids.push_back(pid);
     }
-    const double deadline = monotonic_s() + opt.job_timeout_s;
+    const double deadline = cu::monotonic_s() + opt.job_timeout_s;
     for (std::size_t i = 0; i < pids.size(); ++i) {
-      const double remaining = std::max(0.0, deadline - monotonic_s());
+      const double remaining = std::max(0.0, deadline - cu::monotonic_s());
       const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
       if (!outcome.ok()) {
         if (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
