@@ -1,12 +1,17 @@
 // Thread-safe memoization cache for admission-control analytics.
 //
-// The expensive step of every CAC decision is the CTS scan inside
-// RateFunction::evaluate -- the Bahadur-Rao overflow probability is then
-// closed-form in (I, N).  The cache therefore memoizes at the rate level,
-// keyed on (model name, per-connection bandwidth c, per-connection buffer
-// b); every (model, b, c, N) BOP query the daemon serves maps onto one
-// such rate point plus O(1) arithmetic, so a single cached scan serves
-// all N sharing the same per-connection operating point.
+// Every CAC decision reduces to rate points I(c, b) -- the Bahadur-Rao
+// overflow probability is then closed-form in (I, N) -- and each rate
+// point is an argmin over m of (b + m(c - mu))^2 / (2 V(m)).  Correlations
+// enter only through V(m), which depends on the model alone, so the
+// expensive step is paid once per model: the cache keeps one V(m) table
+// per model (VarianceGrowth, grown to the largest horizon any probe has
+// needed), and a cache miss then costs only the SIMD argmin over that
+// table.  Rate points are memoized on top, keyed on (model name,
+// per-connection bandwidth c, per-connection buffer b); every
+// (model, b, c, N) BOP query the daemon serves maps onto one such rate
+// point plus O(1) arithmetic, so a single cached scan serves all N
+// sharing the same per-connection operating point.
 //
 // Two analytic facts make the cache more than a lookup table:
 //
@@ -19,14 +24,19 @@
 //    of paying for a fresh scan.  Interpolation is approximate and is
 //    never used for admit/reject decisions.
 //
-// Concurrency: lookups and inserts take a mutex; scans run outside the
-// lock.  Two threads missing on the same key compute the same
-// deterministic value and the second insert is a no-op.
+// Concurrency: lookups and inserts take the cache mutex; scans run outside
+// it.  A scan holds its model's table mutex instead, because the table
+// grows lazily inside the scan: scans of one model serialise, scans of
+// different models run in parallel.  The table is the same sequential
+// recurrence however far and in whatever order it was extended, so every
+// answer is bit-identical to a fresh computation.  Two threads missing on
+// the same key compute the same value and the second insert is a no-op.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -41,8 +51,8 @@ namespace cts::atm {
 /// names encode their parameters).
 class CacCache {
  public:
-  /// Monotone counters plus current size; readable while other threads
-  /// query the cache.
+  /// Monotone counters plus current sizes (rate_entries, table_lags);
+  /// readable while other threads query the cache.
   struct Stats {
     std::uint64_t rate_hits = 0;       ///< BOP served from a cached scan
     std::uint64_t rate_misses = 0;     ///< scans actually run
@@ -51,6 +61,8 @@ class CacCache {
     std::uint64_t eb_hits = 0;         ///< variance rates served from cache
     std::uint64_t eb_misses = 0;       ///< variance-rate summations run
     std::uint64_t rate_entries = 0;    ///< cached rate points
+    std::uint64_t table_lags = 0;      ///< V(m) lags held across all models
+    std::uint64_t table_extensions = 0;  ///< misses that grew a V(m) table
   };
 
   CacCache() = default;
@@ -86,7 +98,8 @@ class CacCache {
 
   Stats stats() const;
 
-  /// Drops every cached entry (counters are kept: they are monotone).
+  /// Drops every cached entry and V(m) table (counters are kept: they are
+  /// monotone).
   void clear();
 
  private:
@@ -111,11 +124,24 @@ class CacCache {
     std::string error;
   };
 
+  /// One model's V(m) table.  `mutex` serialises the scans that read and
+  /// grow `growth`; `lags` (guarded by the cache mutex) is the largest
+  /// table a finished scan left, summed into Stats::table_lags.
+  struct ModelTable {
+    ModelTable(std::shared_ptr<const core::AcfModel> acf, double variance)
+        : growth(std::make_shared<const core::VarianceGrowth>(std::move(acf),
+                                                              variance)) {}
+    std::mutex mutex;
+    std::shared_ptr<const core::VarianceGrowth> growth;
+    std::size_t lags = 0;
+  };
+
   core::RateResult rate_point(const fit::ModelSpec& model, double bandwidth,
                               double buffer);
 
   mutable std::mutex mutex_;
   std::map<RateKey, core::RateResult> rates_;
+  std::map<std::string, std::shared_ptr<ModelTable>> tables_;
   std::map<std::string, EbEntry> eb_;
   Stats stats_;
 };

@@ -32,12 +32,25 @@ struct RateResult {
 /// the scan runs to max(kMinScan, scan_margin * m_best_so_far) and at least
 /// to the LRD scaling prediction H b / ((1-H)(c-mu)) padded by the margin,
 /// so slowly-varying objectives near H -> 1 cannot stop the scan early.
+///
+/// V(m) depends on the model alone, not on (c, b), so the V(m) table may be
+/// shared: every RateFunction built on the same VarianceGrowth reuses (and
+/// extends) one table.  The table grows lazily inside `evaluate`, so
+/// evaluations that share a table must not run concurrently; the caller
+/// serialises them (atm::CacCache holds a per-model lock).
 class RateFunction {
  public:
   /// `acf` must describe a process with variance `variance` and mean `mean`.
   /// `bandwidth` is c (cells/frame) and must exceed `mean` (stability).
+  /// Builds a private V(m) table.
   RateFunction(std::shared_ptr<const AcfModel> acf, double mean,
                double variance, double bandwidth);
+
+  /// Borrows `growth`'s V(m) table (shared ownership).  Answers are
+  /// bit-identical to the private-table form: the table is the same
+  /// sequential recurrence however far it was extended before.
+  RateFunction(std::shared_ptr<const VarianceGrowth> growth, double mean,
+               double bandwidth);
 
   /// I(c, b) and m* for per-source buffer b >= 0 (cells).  Throws
   /// util::NumericalError when the required scan horizon (including the
@@ -55,14 +68,14 @@ class RateFunction {
 
   double mean() const noexcept { return mean_; }
   double bandwidth() const noexcept { return bandwidth_; }
-  const VarianceGrowth& variance_growth() const noexcept { return growth_; }
+  const VarianceGrowth& variance_growth() const noexcept { return *growth_; }
 
   /// Upper bound on the scanned m; evaluations requiring more throw
   /// util::NumericalError instead of silently returning a non-minimum.
   static constexpr std::size_t kMaxScan = 1u << 24;
 
  private:
-  VarianceGrowth growth_;
+  std::shared_ptr<const VarianceGrowth> growth_;
   double mean_;
   double bandwidth_;
 };

@@ -1,5 +1,6 @@
 #include "cts/atm/cac_cache.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cts/core/br_asymptotic.hpp"
@@ -12,6 +13,7 @@ core::RateResult CacCache::rate_point(const fit::ModelSpec& model,
                                       double bandwidth, double buffer) {
   const RateKey key{model.name, bandwidth, buffer};
   std::size_t hint = 1;
+  std::shared_ptr<ModelTable> table;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = rates_.find(key);
@@ -30,15 +32,29 @@ core::RateResult CacCache::rate_point(const fit::ModelSpec& model,
         hint = bound->second.critical_m;
       }
     }
+    std::shared_ptr<ModelTable>& slot = tables_[model.name];
+    if (!slot) slot = std::make_shared<ModelTable>(model.acf, model.variance);
+    table = slot;
   }
-  // The scan runs outside the lock; a concurrent miss on the same key
+  // The scan runs outside the cache lock, under its model's table lock
+  // (the table grows inside the scan); a concurrent miss on the same key
   // computes the same deterministic value.
-  core::RateFunction rate(model.acf, model.mean, model.variance, bandwidth);
-  const core::RateResult result = rate.evaluate(buffer, hint);
+  core::RateResult result;
+  std::size_t lags_before = 0;
+  std::size_t lags_after = 0;
+  {
+    std::lock_guard<std::mutex> lock(table->mutex);
+    lags_before = table->growth->table_size();
+    const core::RateFunction rate(table->growth, model.mean, bandwidth);
+    result = rate.evaluate(buffer, hint);
+    lags_after = table->growth->table_size();
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rate_misses;
     if (hint > 1) ++stats_.warm_starts;
+    if (lags_after > lags_before) ++stats_.table_extensions;
+    table->lags = std::max(table->lags, lags_after - 1);  // index 0 unused
     rates_.emplace(key, result);
     stats_.rate_entries = rates_.size();
   }
@@ -176,13 +192,16 @@ CacResult CacCache::admissible_eb(const fit::ModelSpec& model,
 
 CacCache::Stats CacCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats = stats_;
+  for (const auto& [name, table] : tables_) stats.table_lags += table->lags;
+  return stats;
 }
 
 void CacCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   rates_.clear();
   eb_.clear();
+  tables_.clear();
   stats_.rate_entries = 0;
 }
 

@@ -11,7 +11,14 @@ namespace cts::core {
 
 RateFunction::RateFunction(std::shared_ptr<const AcfModel> acf, double mean,
                            double variance, double bandwidth)
-    : growth_(std::move(acf), variance), mean_(mean), bandwidth_(bandwidth) {
+    : RateFunction(std::make_shared<const VarianceGrowth>(std::move(acf),
+                                                          variance),
+                   mean, bandwidth) {}
+
+RateFunction::RateFunction(std::shared_ptr<const VarianceGrowth> growth,
+                           double mean, double bandwidth)
+    : growth_(std::move(growth)), mean_(mean), bandwidth_(bandwidth) {
+  util::require(growth_ != nullptr, "RateFunction: V(m) table required");
   util::require(bandwidth > mean,
                 "RateFunction: bandwidth must exceed the mean (stability)");
 }
@@ -59,13 +66,13 @@ RateResult RateFunction::evaluate(double buffer_per_source,
   }
   std::size_t horizon = static_cast<std::size_t>(std::llround(wanted));
 
-  growth_.ensure(horizon);
+  growth_->ensure(horizon);
   RateResult best;
   best.critical_m = m_hint;
   {
     const double md = static_cast<double>(m_hint);
     const double numerator = b + md * drift;
-    best.rate = numerator * numerator * growth_.inv_table()[m_hint];
+    best.rate = numerator * numerator * growth_->inv_table()[m_hint];
   }
   // Windowed scan: each window [lo, hi] is an argmin over the dispatched
   // SIMD kernel.  Equivalent to the sequential scan-with-extension: within
@@ -77,7 +84,7 @@ RateResult RateFunction::evaluate(double buffer_per_source,
   while (lo <= horizon) {
     const std::size_t hi = horizon;
     const simd::ScanPoint point =
-        simd::scan_min(b, drift, growth_.inv_table(), lo, hi);
+        simd::scan_min(b, drift, growth_->inv_table(), lo, hi);
     if (point.value < best.rate) {
       best.rate = point.value;
       best.critical_m = point.m;
@@ -91,7 +98,7 @@ RateResult RateFunction::evaluate(double buffer_per_source,
       }
       if (extended > horizon) {
         horizon = extended;
-        growth_.ensure(horizon);
+        growth_->ensure(horizon);
       }
     }
     lo = hi + 1;

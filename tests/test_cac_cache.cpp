@@ -1,18 +1,23 @@
 // Unit tests for the admission-control memoization cache: bit-identity
-// with the direct library entry points, warm-started CTS scans, opt-in
+// with the direct library entry points, warm-started CTS scans, the
+// per-model V(m) table shared across query orders and threads, opt-in
 // interpolation, and the hit/miss accounting the daemon's stats endpoint
 // exposes.
 
 #include "cts/atm/cac_cache.hpp"
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cts/atm/cac.hpp"
+#include "cts/core/br_asymptotic.hpp"
 #include "cts/core/simd.hpp"
 #include "cts/util/error.hpp"
+#include "cts/util/rng.hpp"
 
 namespace ca = cts::atm;
 namespace cf = cts::fit;
@@ -26,6 +31,56 @@ ca::CacProblem paper_problem() {
   p.buffer_cells = 4035.0;               // 10 ms at that drain rate
   p.log10_target_clr = -6.0;
   return p;
+}
+
+ca::CacProblem link(double capacity, double buffer) {
+  ca::CacProblem p = paper_problem();
+  p.capacity_cells_per_frame = capacity;
+  p.buffer_cells = buffer;
+  return p;
+}
+
+/// log10 BOP the uncached way: a private V(m) table and a cold scan.
+double fresh_log10_bop(const cf::ModelSpec& model, const ca::CacProblem& p,
+                       std::size_t n) {
+  const double c = p.capacity_cells_per_frame / static_cast<double>(n);
+  if (c <= model.mean) return 0.0;
+  const double b = p.buffer_cells / static_cast<double>(n);
+  const cts::core::RateFunction rate(model.acf, model.mean, model.variance,
+                                     c);
+  return cts::core::br_log10_bop(rate, b, n).log10_bop;
+}
+
+/// One admission-service query: admit_br when n == 0, else log10 BOP at n.
+struct Query {
+  const cf::ModelSpec* model = nullptr;
+  ca::CacProblem problem;
+  std::size_t n = 0;
+};
+
+/// Answer as one double: the admissible count for admit_br, else the BOP.
+/// Admit answers are also checked against the fresh BOP at the answer.
+double run(ca::CacCache& cache, const Query& q) {
+  if (q.n > 0) return cache.log10_bop(*q.model, q.problem, q.n);
+  const ca::CacResult r = cache.admissible_br(*q.model, q.problem);
+  EXPECT_GT(r.admissible, 0u);
+  if (r.admissible > 0) {
+    EXPECT_EQ(r.log10_bop_at_max,
+              fresh_log10_bop(*q.model, q.problem, r.admissible));
+  }
+  return static_cast<double>(r.admissible);
+}
+
+double run_fresh(const Query& q) {
+  if (q.n > 0) return fresh_log10_bop(*q.model, q.problem, q.n);
+  return static_cast<double>(
+      ca::admissible_connections_br(*q.model, q.problem).admissible);
+}
+
+std::uint64_t lags_needed(const Query& q) {
+  ca::CacCache alone;
+  (void)run(alone, q);
+  return alone.stats().table_lags;
 }
 
 }  // namespace
@@ -223,12 +278,125 @@ TEST(CacCache, ClearDropsEntriesAndKeepsMonotoneCounters) {
   ca::CacCache cache;
   (void)cache.log10_bop(model, paper_problem(), 20);
   EXPECT_EQ(cache.stats().rate_entries, 1u);
+  const std::uint64_t lags = cache.stats().table_lags;
+  EXPECT_GE(lags, 512u);  // the minimum scan horizon
+  EXPECT_EQ(cache.stats().table_extensions, 1u);
   cache.clear();
   ca::CacCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.rate_entries, 0u);
+  EXPECT_EQ(stats.table_lags, 0u);   // the V(m) table went too
   EXPECT_EQ(stats.rate_misses, 1u);  // history survives the flush
+  EXPECT_EQ(stats.table_extensions, 1u);
   (void)cache.log10_bop(model, paper_problem(), 20);
   stats = cache.stats();
   EXPECT_EQ(stats.rate_misses, 2u);  // cleared means re-scan, not hit
   EXPECT_EQ(stats.rate_hits, 0u);
+  EXPECT_EQ(stats.table_lags, lags);  // rebuilt from scratch
+  EXPECT_EQ(stats.table_extensions, 2u);
+}
+
+TEST(CacCache, SharedTableIsBitIdenticalInAnyQueryOrder) {
+  // One V(m) table per model serves every (c, b).  Whether the table is
+  // grown step by step (short -> long horizons), built once up front
+  // (long -> short) or grown in a shuffled order across capacities, every
+  // answer equals the uncached computation bit for bit.  Two models ride
+  // in the stream: each keeps a table of its own.
+  const cf::ModelSpec za = cf::make_za(0.9);
+  const cf::ModelSpec dar = cf::make_dar_matched_to_za(0.9, 1);
+  std::vector<Query> stream;
+  for (const double capacity : {16140.0, 12000.0, 20000.0}) {
+    for (const double buffer : {500.0, 4035.0, 16000.0}) {
+      stream.push_back({&za, link(capacity, buffer), 0});
+      stream.push_back({&za, link(capacity, buffer), 20});
+      stream.push_back({&dar, link(capacity, buffer), 20});
+    }
+  }
+  std::vector<std::uint64_t> lags;
+  std::vector<double> expected;
+  std::uint64_t za_lags = 0;
+  std::uint64_t dar_lags = 0;
+  for (const Query& q : stream) {
+    lags.push_back(lags_needed(q));
+    expected.push_back(run_fresh(q));
+    std::uint64_t& model_lags = q.model == &za ? za_lags : dar_lags;
+    model_lags = std::max(model_lags, lags.back());
+  }
+
+  std::vector<std::size_t> ascending(stream.size());
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = i;
+  std::stable_sort(ascending.begin(), ascending.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return lags[a] < lags[b];
+                   });
+  const std::vector<std::size_t> descending(ascending.rbegin(),
+                                            ascending.rend());
+  std::vector<std::size_t> shuffled = ascending;
+  cu::Xoshiro256pp rng(2026);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng() % (i + 1)]);
+  }
+
+  for (const auto& [label, order] :
+       {std::make_pair("short->long", ascending),
+        std::make_pair("long->short", descending),
+        std::make_pair("shuffled", shuffled)}) {
+    ca::CacCache cache;
+    const bool longest_first = std::string(label) == "long->short";
+    std::vector<const cf::ModelSpec*> seen;
+    for (const std::size_t i : order) {
+      const std::uint64_t before = cache.stats().table_extensions;
+      EXPECT_EQ(run(cache, stream[i]), expected[i])
+          << label << " query " << i;
+      const bool first_of_model =
+          std::find(seen.begin(), seen.end(), stream[i].model) == seen.end();
+      if (first_of_model) seen.push_back(stream[i].model);
+      if (longest_first && !first_of_model) {
+        // Built once: after its longest query, no miss grows a table.
+        EXPECT_EQ(cache.stats().table_extensions, before) << "query " << i;
+      }
+    }
+    const ca::CacCache::Stats stats = cache.stats();
+    // Each table ends at the longest horizon any query of its model
+    // needed, whatever the order, and only misses grew it.
+    EXPECT_EQ(stats.table_lags, za_lags + dar_lags) << label;
+    EXPECT_GE(stats.table_extensions, 2u) << label;
+    EXPECT_LE(stats.table_extensions, stats.rate_misses) << label;
+  }
+}
+
+TEST(CacCache, ConcurrentQueriesShareOneTableBitIdentically) {
+  // Eight threads, distinct capacities, one model: scans serialise on the
+  // model's table lock while hits and inserts go through the cache lock.
+  const cf::ModelSpec model = cf::make_za(0.9);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<Query>> work(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const double capacity = 12000.0 + 1000.0 * static_cast<double>(t);
+    for (const double buffer : {4035.0, 500.0, 16000.0}) {
+      work[t].push_back({&model, link(capacity, buffer), 0});
+      work[t].push_back({&model, link(capacity, buffer), 18});
+    }
+  }
+  ca::CacCache cache;
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Query& q : work[t]) got[t].push_back(run(cache, q));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ca::CacCache sequential;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), work[t].size());
+    for (std::size_t i = 0; i < work[t].size(); ++i) {
+      EXPECT_EQ(got[t][i], run_fresh(work[t][i]))
+          << "thread " << t << " query " << i;
+      (void)run(sequential, work[t][i]);
+    }
+  }
+  // The table's final size depends only on the set of scanned points.
+  EXPECT_EQ(cache.stats().table_lags, sequential.stats().table_lags);
+  EXPECT_EQ(cache.stats().rate_entries, sequential.stats().rate_entries);
 }

@@ -247,6 +247,14 @@ TEST(CacdE2E, StatsEndpointExposesLatencyHistogramAndCacheCounters) {
   EXPECT_GE(gauges.at("cacd.cache_rate_hits").at("value").as_number(), 1.0);
   EXPECT_GE(gauges.at("cacd.cache_rate_misses").at("value").as_number(), 1.0);
   EXPECT_GE(gauges.at("cacd.cache_entries").at("value").as_number(), 1.0);
+  // One admit_br on a cold daemon builds the model's V(m) table: it holds
+  // at least the 512-lag minimum scan horizon, and the first miss grew it.
+  EXPECT_GE(gauges.at("cacd.cache_table_lags").at("value").as_number(),
+            512.0);
+  EXPECT_GE(gauges.at("cacd.cache_table_extensions").at("value").as_number(),
+            1.0);
+  EXPECT_LE(gauges.at("cacd.cache_table_extensions").at("value").as_number(),
+            gauges.at("cacd.cache_rate_misses").at("value").as_number());
 
   // The snapshot passes the shipped validator.
   EXPECT_EQ(shell("'" + obstop() + "' --validate '" + stats_path +

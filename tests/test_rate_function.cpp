@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cts/fit/model_zoo.hpp"
 #include "cts/util/error.hpp"
 
 namespace cc = cts::core;
+namespace cf = cts::fit;
 namespace cu = cts::util;
 
 namespace {
@@ -159,6 +162,39 @@ TEST(RateFunction, WarmStartChainIsBitIdenticalToColdScan) {
       EXPECT_EQ(warm.rate, cold.rate) << acf->name() << " b=" << b;
       hint = warm.critical_m;
     }
+  }
+}
+
+TEST(RateFunction, SharedTableIsBitIdenticalToPrivateTableOnZooModels) {
+  // V(m) depends on the model alone, so one table serves every (c, b).  A
+  // rate function on a shared table -- pre-extended past some horizons,
+  // short of others, and grown by every evaluation before -- must answer
+  // exactly like a freshly built one, cold (m_hint = 1) and warm-started.
+  const std::vector<cf::ModelSpec> zoo = {
+      cf::make_vv(1.5),  cf::make_vv(1.0),   cf::make_za(0.975),
+      cf::make_za(0.9),  cf::make_l(),       cf::make_dar_matched_to_za(0.9, 1),
+      cf::make_ar1(0.8), cf::make_farima(0.3)};
+  for (const cf::ModelSpec& model : zoo) {
+    const auto table =
+        std::make_shared<const cc::VarianceGrowth>(model.acf, model.variance);
+    table->ensure(4096);
+    for (const double c : {600.0, 538.0, 510.0}) {
+      const cc::RateFunction shared(table, model.mean, c);
+      for (const double b : {0.0, 40.0, 400.0, 2000.0}) {
+        const cc::RateFunction fresh(model.acf, model.mean, model.variance, c);
+        const cc::RateResult cold = fresh.evaluate(b);
+        for (const std::size_t hint :
+             {std::size_t{1}, (cold.critical_m + 1) / 2, cold.critical_m}) {
+          const cc::RateResult got = shared.evaluate(b, hint);
+          EXPECT_EQ(got.critical_m, cold.critical_m)
+              << model.name << " c=" << c << " b=" << b << " hint=" << hint;
+          EXPECT_EQ(got.rate, cold.rate)
+              << model.name << " c=" << c << " b=" << b << " hint=" << hint;
+        }
+      }
+    }
+    // The grid outgrew the pre-extension: the shared table grew in place.
+    EXPECT_GT(table->table_size(), 4097u) << model.name;
   }
 }
 

@@ -21,6 +21,13 @@ namespace cu = cts::util;
 
 namespace {
 
+/// Byte equality; memcmp on an empty vector's data() would pass null.
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 /// Restores auto dispatch when a test that pins a kind exits.
 struct ForceGuard {
   ~ForceGuard() { cs::clear_force(); }
@@ -189,8 +196,7 @@ TEST(SimdAxpyReversed, BitIdenticalAcrossKinds) {
       std::vector<double> out(n, 0.0);
       cs::axpy_reversed(a.data(), n > 0 ? &a[n - 1] : nullptr, r, out.data(),
                         n);
-      EXPECT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(double)), 0)
-          << cs::kind_name(kind) << " n=" << n;
+      EXPECT_TRUE(same_bytes(out, ref)) << cs::kind_name(kind) << " n=" << n;
     }
   }
 }
@@ -209,17 +215,14 @@ TEST(SimdScalePairs, BitIdenticalAcrossKinds) {
       cs::force(kind);
       std::vector<double> out(2 * n, 0.0);
       cs::scale_pairs(s.data(), z.data(), out.data(), n);
-      EXPECT_EQ(
-          std::memcmp(out.data(), ref.data(), 2 * n * sizeof(double)), 0)
-          << cs::kind_name(kind) << " n=" << n;
+      EXPECT_TRUE(same_bytes(out, ref)) << cs::kind_name(kind) << " n=" << n;
     }
     // In-place use (out aliases z), as the Davies-Harte refill does.
     for (const cs::Kind kind : supported_kinds()) {
       cs::force(kind);
       std::vector<double> inplace = z;
       cs::scale_pairs(s.data(), inplace.data(), inplace.data(), n);
-      EXPECT_EQ(
-          std::memcmp(inplace.data(), ref.data(), 2 * n * sizeof(double)), 0)
+      EXPECT_TRUE(same_bytes(inplace, ref))
           << cs::kind_name(kind) << " n=" << n;
     }
   }
@@ -242,8 +245,7 @@ TEST(SimdScaledRealStride2, BitIdenticalAcrossKinds) {
       cs::force(kind);
       std::vector<double> out(n, 0.0);
       cs::scaled_real_stride2(in.data(), norm, out.data(), n);
-      EXPECT_EQ(std::memcmp(out.data(), ref.data(), n * sizeof(double)), 0)
-          << cs::kind_name(kind) << " n=" << n;
+      EXPECT_TRUE(same_bytes(out, ref)) << cs::kind_name(kind) << " n=" << n;
     }
   }
 }
@@ -261,13 +263,6 @@ double reference_sojourn(const cts::proc::OnOffParams& p, double u) {
   const double g = p.gamma();
   if (u < 1.0 - std::exp(-g)) return -(p.A / g) * std::log1p(-u);
   return p.A * std::pow(std::exp(-g) / (1.0 - u), 1.0 / g);
-}
-
-/// Byte equality; memcmp on an empty vector's data() would pass null.
-bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 void expect_close(double got, double ref, const std::string& what) {

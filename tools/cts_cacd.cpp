@@ -17,11 +17,13 @@
 //
 //   * cts.cac.v1 — a batch of admission/BOP queries against one source
 //     model (zoo id or inline spec; see include/cts/net/cac.hpp).  Every
-//     decision goes through a daemon-lifetime atm::CacCache: rate-function
-//     scans are memoized per (model, c, b), cache misses warm-start their
-//     CTS scan from the nearest cached buffer point, and opt-in "bop"
-//     probes may interpolate between cached grid points.  Admit answers
-//     are bit-identical to direct admissible_connections_br/_eb calls.
+//     decision goes through a daemon-lifetime atm::CacCache: each model's
+//     V(m) table is built once and shared by every later scan,
+//     rate-function scans are memoized per (model, c, b), cache misses
+//     warm-start their CTS scan from the nearest cached buffer point, and
+//     opt-in "bop" probes may interpolate between cached grid points.
+//     Admit answers are bit-identical to direct
+//     admissible_connections_br/_eb calls.
 //   * cts.statsreq.v1 — answered by the runtime with a cts.stats.v1
 //     snapshot (requests in flight / ok / failed, the metrics registry
 //     including the cacd.query_wall_ms log-histogram, the cacd.cache_*
@@ -252,6 +254,10 @@ int serve(const cu::Flags& flags) {
                    static_cast<double>(stats.interpolations));
     metrics->gauge("cacd.cache_entries",
                    static_cast<double>(stats.rate_entries));
+    metrics->gauge("cacd.cache_table_lags",
+                   static_cast<double>(stats.table_lags));
+    metrics->gauge("cacd.cache_table_extensions",
+                   static_cast<double>(stats.table_extensions));
   };
   return server.run(service);
 }
