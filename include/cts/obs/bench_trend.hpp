@@ -1,23 +1,24 @@
-// Perf-trajectory analysis across a chain of BENCH_*.json baselines
-// (cts.bench.v1 documents emitted by tools/cts_benchd).
+// The perf gate: reading cts.bench.v1 documents (BENCH_*.json, emitted by
+// tools/cts_benchd) and the one regression rule every bench gate applies.
 //
-// cts_benchcmp answers "did THIS run regress against ONE baseline?".
-// This module answers the ROADMAP's trajectory question: order every
-// committed baseline by date, build per-bench metric series (median with
-// MAD and the t-corrected 95% CI cts_benchd already records), and flag
-// *sustained* drift — the last `window` consecutive baselines all beyond
-// the noise band around the first baseline — rather than a single noisy
-// last-vs-previous delta.  The same gates as bench_compare apply per
-// point:
+// Baselines are ordered by date and turned into per-bench metric series
+// (median with the MAD and t-corrected 95% CI cts_benchd records).  Each
+// point is measured against the first baseline:
 //
 //   excess_i = median_i - median_0
 //   band_i   = max(k_mad * max(MAD_i, MAD_0, abs_floor),
 //                  min_rel * |median_0|)
 //
-// and a series drifts when excess_i > band_i for every one of the last
-// `window` points (an improvement drift, all below -band_i, is reported
-// but never gates).  A Theil-Sen slope per series summarises the overall
-// direction robustly.  tools/cts_benchtrend renders the result as a
+// so a 2% wobble on a noisy metric and a 20-microsecond jitter on a
+// sub-millisecond one both stay inside the band.  A series drifts when
+// excess_i > band_i for every one of the last `window` points: a
+// sustained trend, not a single noisy delta.  An improvement drift (all
+// below -band_i) is reported but never gates.  A Theil-Sen slope per
+// series summarises the overall direction robustly.
+//
+// A two-point trajectory with window = 1 is the classic "did THIS run
+// regress against ONE baseline?" gate: cts_benchd --compare builds
+// exactly that.  tools/cts_benchtrend renders any trajectory as a
 // markdown table, a CSV mirror and a self-contained SVG sparkline chart.
 
 #pragma once
@@ -29,6 +30,15 @@
 #include "cts/obs/json.hpp"
 
 namespace cts::obs {
+
+/// Schema identifier stamped into BENCH_*.json by cts_benchd.
+inline constexpr const char* kBenchSchema = "cts.bench.v1";
+
+/// Throws util::InvalidArgument unless `doc` carries the cts.bench.v1
+/// schema tag and a "benches" object.  The message names what was
+/// actually found (missing field, non-string, unknown schema string) so
+/// a stray JSON file is rejected loudly instead of best-effort parsed.
+void require_bench_schema(const JsonValue& doc);
 
 /// One parsed baseline document in the trajectory.
 struct BaselineDoc {
@@ -52,12 +62,13 @@ void sort_baselines(std::vector<BaselineDoc>& docs);
 struct TrendOptions {
   double k_mad = 3.0;       ///< noise gate in MAD multiples
   double min_rel = 0.05;    ///< relative gate (fraction of first median)
-  double abs_floor = 1e-4;  ///< MAD floor, as in CompareOptions
+  double abs_floor = 1e-4;  ///< MAD floor against zero-MAD hair-triggers
   std::size_t window = 2;   ///< trailing points that must all drift
   std::vector<std::string> metrics = {"wall_s"};
 };
 
-/// One baseline's contribution to a series.
+/// One baseline's contribution to a series.  Only median and mad feed
+/// the gate; n and the CI are display-only and read as 0 when absent.
 struct TrendPoint {
   std::string label;      ///< baseline label
   std::string generated;  ///< baseline date
@@ -95,9 +106,9 @@ struct TrendReport {
 /// Robust to a single outlier baseline; 0 for fewer than two points.
 double theil_sen_slope(const std::vector<double>& y);
 
-/// Builds the trajectory over `docs` (all of one suite; sorted oldest
-/// first — see sort_baselines).  Throws util::InvalidArgument when fewer
-/// than two baselines are given.
+/// Builds the trajectory over `docs` in the given order: oldest first
+/// (see sort_baselines), all of one suite.  Throws
+/// util::InvalidArgument when fewer than two baselines are given.
 TrendReport build_trend(const std::vector<BaselineDoc>& docs,
                         const TrendOptions& options = {});
 

@@ -8,7 +8,7 @@
 // recursive-descent validator used by the tests and the ctest smoke test
 // to confirm the emitted files actually parse; json_parse builds a small
 // DOM (JsonValue) from the same grammar, so cts_benchd can aggregate
-// per-run perf reports and cts_benchcmp can diff two BENCH_*.json files.
+// per-run perf reports and the bench gate can read BENCH_*.json files.
 
 #pragma once
 

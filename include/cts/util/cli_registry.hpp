@@ -68,8 +68,8 @@ inline constexpr FlagDoc kBenchdFlags[] = {
     {"frames", "N", "pin REPRO_FRAMES for every child (default 2000)"},
     {"date", "YYYY-MM-DD", "override the document date (default: today UTC)"},
     {"compare", "BASE.json",
-     "one-shot gate: after writing the document, compare it against this "
-     "baseline and exit like cts_benchcmp (0 ok, 1 regression, 2 error)"},
+     "one-shot gate: after writing the document, gate it against this "
+     "baseline as a two-point trajectory (0 ok, 1 regression, 2 error)"},
     {"k", "K", "--compare noise gate in MAD multiples (default 3)"},
     {"pct", "P", "--compare relative gate in percent (default 5)"},
     {"json-lines", "PATH",
@@ -82,19 +82,6 @@ inline constexpr FlagDoc kBenchdFlags[] = {
     {"keep-runs", "", "keep the per-run perf reports in the temp run dir"},
     {"list", "", "print the bench registry and exit"},
     {"quiet", "", "suppress progress on stderr"},
-    {"help", "", "print usage and exit"},
-};
-
-/// tools/cts_benchcmp.
-inline constexpr FlagDoc kBenchcmpFlags[] = {
-    {"k", "K", "noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "relative gate in percent of the baseline (default 5)"},
-    {"metrics", "CSV",
-     "comma-separated metrics to gate (default wall_s,user_s,sys_s,"
-     "max_rss_kb)"},
-    {"validate", "FILE.json",
-     "only validate FILE: strict RFC 8259 plus the cts.bench.v1 schema tag"},
-    {"quiet", "", "suppress the delta table"},
     {"help", "", "print usage and exit"},
 };
 
@@ -311,8 +298,6 @@ inline constexpr ToolDoc kTools[] = {
     {"bench binaries", kBenchSharedFlags,
      sizeof(kBenchSharedFlags) / sizeof(kBenchSharedFlags[0])},
     {"cts_benchd", kBenchdFlags, sizeof(kBenchdFlags) / sizeof(kBenchdFlags[0])},
-    {"cts_benchcmp", kBenchcmpFlags,
-     sizeof(kBenchcmpFlags) / sizeof(kBenchcmpFlags[0])},
     {"cts_benchtrend", kBenchtrendFlags,
      sizeof(kBenchtrendFlags) / sizeof(kBenchtrendFlags[0])},
     {"cts_simd", kSimdFlags, sizeof(kSimdFlags) / sizeof(kSimdFlags[0])},

@@ -3,7 +3,8 @@
 // Experiments accept overrides like --frames=500000 --reps=60 and honour
 // the REPRO_FULL=1 environment switch that selects the paper's full
 // simulation scale.  This parser supports only what the harness needs:
-// --key=value and --key value pairs plus boolean --key.
+// --key=value and --key value pairs plus boolean --key; every other token
+// is a positional argument.
 
 #pragma once
 
@@ -18,11 +19,16 @@ namespace cts::util {
 /// Parsed command-line flags with typed accessors and defaults.
 class Flags {
  public:
-  /// Parses argv; unknown positional arguments are ignored.  Throws
+  /// Parses argv, collecting positional arguments in order.  Throws
   /// InvalidArgument on a malformed flag token (e.g. "--=3").
   Flags(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
+
+  /// The tokens that are neither a flag nor a flag's value.  A bare
+  /// "--key" followed by a non-flag token takes it as its value, so pass
+  /// boolean flags after the positionals or use --key=value.
+  const std::vector<std::string>& positionals() const { return positionals_; }
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
@@ -51,6 +57,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> positionals_;
 };
 
 /// Strict full-string double parse: `text` must be exactly one finite

@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 
-#include "cts/obs/bench_compare.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/table.hpp"
 
@@ -43,7 +42,32 @@ std::string rel_pct(double excess, double reference) {
   return buf;
 }
 
+/// `summary[key]` as a number, or 0 when the display-only field is absent.
+double optional_number(const JsonValue& summary, const char* key) {
+  const JsonValue* value = summary.find(key);
+  return value != nullptr ? value->as_number() : 0.0;
+}
+
 }  // namespace
+
+void require_bench_schema(const JsonValue& doc) {
+  util::require(doc.is_object(), "bench report: top level must be an object");
+  const JsonValue* schema = doc.find("schema");
+  util::require(schema != nullptr,
+                std::string("bench report: missing \"schema\" field "
+                            "(expected \"") +
+                    kBenchSchema + "\") — not a cts_benchd document");
+  util::require(schema->is_string(),
+                std::string("bench report: \"schema\" must be a string "
+                            "(expected \"") +
+                    kBenchSchema + "\")");
+  util::require(schema->string == kBenchSchema,
+                "bench report: unknown schema \"" + schema->string +
+                    "\" (this tool understands \"" + kBenchSchema + "\")");
+  const JsonValue* benches = doc.find("benches");
+  util::require(benches != nullptr && benches->is_object(),
+                "bench report: missing \"benches\" object");
+}
 
 BaselineDoc parse_baseline(const std::string& path, const std::string& text) {
   BaselineDoc doc;
@@ -144,11 +168,11 @@ TrendReport build_trend(const std::vector<BaselineDoc>& docs,
         TrendPoint point;
         point.label = doc.label;
         point.generated = doc.generated;
-        point.n = static_cast<std::size_t>(summary->at("n").as_number());
+        point.n = static_cast<std::size_t>(optional_number(*summary, "n"));
         point.median = summary->at("median").as_number();
         point.mad = summary->at("mad").as_number();
-        point.ci95_lo = summary->at("ci95_lo").as_number();
-        point.ci95_hi = summary->at("ci95_hi").as_number();
+        point.ci95_lo = optional_number(*summary, "ci95_lo");
+        point.ci95_hi = optional_number(*summary, "ci95_hi");
         series.points.push_back(point);
       }
       if (missing > 0 && !series.points.empty()) {

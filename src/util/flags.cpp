@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "cts/util/error.hpp"
 
@@ -13,7 +14,10 @@ namespace cts::util {
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;  // ignore positionals
+    if (token.rfind("--", 0) != 0) {
+      positionals_.push_back(std::move(token));
+      continue;
+    }
     token.erase(0, 2);
     const auto eq = token.find('=');
     if (eq != std::string::npos) {

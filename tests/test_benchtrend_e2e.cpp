@@ -1,14 +1,18 @@
 // End-to-end cts_benchtrend tests: a synthetic three-baseline chain with
 // injected drift must produce the markdown/CSV/SVG artefacts and trip the
-// --gate exit code, a stable chain must stay green, and --validate must
-// accept only cts.bench.v1 documents.
+// --gate exit code, a stable chain must stay green, the two-file window-1
+// gate must fail only a regressed candidate, --validate must accept only
+// cts.bench.v1 documents, and bad gate flags must be usage errors; the
+// CtsBenchcmp cases cover the offline two-file validate/gate surface.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -48,9 +52,11 @@ std::string baseline_doc(const std::string& date, double median) {
   return os.str();
 }
 
-/// Writes a three-baseline chain into `dir` and returns the file list.
+/// Writes a three-baseline chain into `dir` (created if needed; one per
+/// test, as ctest runs them in parallel) and returns the file list.
 std::string write_chain(const std::string& dir, double m1, double m2,
                         double m3) {
+  std::filesystem::create_directories(dir);
   const std::string f1 = dir + "/BENCH_2026-08-01.json";
   const std::string f2 = dir + "/BENCH_2026-08-02.json";
   const std::string f3 = dir + "/BENCH_2026-08-03.json";
@@ -64,7 +70,7 @@ std::string write_chain(const std::string& dir, double m1, double m2,
 TEST(CtsBenchtrend, InjectedDriftProducesArtifactsAndTripsGate) {
   const std::string dir = ::testing::TempDir();
   // Last two baselines +50% over the first: sustained drift.
-  const std::string files = write_chain(dir, 1.0, 1.5, 1.55);
+  const std::string files = write_chain(dir + "/trend_drift", 1.0, 1.5, 1.55);
   const std::string md = dir + "/trend_drift.md";
   const std::string csv = dir + "/trend_drift.csv";
   const std::string svg = dir + "/trend_drift.svg";
@@ -90,10 +96,43 @@ TEST(CtsBenchtrend, InjectedDriftProducesArtifactsAndTripsGate) {
 
 TEST(CtsBenchtrend, StableChainStaysGreenEvenWithGate) {
   const std::string dir = ::testing::TempDir();
-  const std::string files = write_chain(dir, 1.0, 1.001, 0.999);
+  const std::string files =
+      write_chain(dir + "/trend_stable", 1.0, 1.001, 0.999);
   EXPECT_EQ(shell("'" + benchtrend() + "' " + files +
                   " --gate --quiet >/dev/null"),
             0);
+}
+
+TEST(CtsBenchtrend, TwoFileGateFailsOnlyARegressedCandidate) {
+  // The offline form of cts_benchd --compare: a two-point trajectory with
+  // a window of one, gating the same metrics.  The summaries carry only
+  // median and mad, like the --compare fixtures; the "generated" dates
+  // order the pair, whatever the argv order.
+  const std::string dir = ::testing::TempDir();
+  const auto write_doc = [&dir](const std::string& name,
+                                const std::string& date, double median) {
+    std::ostringstream os;
+    os << R"({"schema":"cts.bench.v1","generated":")" << date
+       << R"(","benches":{"fig9_sim_markov":{"metrics":{"wall_s":)"
+       << R"({"median":)" << median << R"(,"mad":0.01}}}}})";
+    const std::string path = dir + "/trend_pair_" + name + ".json";
+    write_file(path, os.str());
+    return path;
+  };
+  const auto gate = [](const std::string& a, const std::string& b) {
+    return shell("'" + benchtrend() +
+                 "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb '" +
+                 a + "' '" + b + "' --quiet 2>/dev/null");
+  };
+  const std::string base = write_doc("base", "2026-08-01", 1.0);
+  // +50%, far beyond 3 x MAD and 5%.
+  const std::string worse = write_doc("worse", "2026-08-02", 1.5);
+  const std::string better = write_doc("better", "2026-08-02", 0.5);
+  EXPECT_EQ(gate(base, base), 0);
+  EXPECT_EQ(gate(base, worse), 1);
+  EXPECT_EQ(gate(worse, base), 1);
+  // The improvement direction never fails.
+  EXPECT_EQ(gate(base, better), 0);
 }
 
 TEST(CtsBenchtrend, ValidateAcceptsOnlyBenchDocuments) {
@@ -107,8 +146,7 @@ TEST(CtsBenchtrend, ValidateAcceptsOnlyBenchDocuments) {
             0);
   EXPECT_EQ(shell("'" + benchtrend() + "' --validate '" + bad +
                   "' --quiet 2>/dev/null"),
-            2);
-}
+            2);}
 
 TEST(CtsBenchtrend, UsageErrorsExitTwo) {
   const std::string dir = ::testing::TempDir();
@@ -121,6 +159,79 @@ TEST(CtsBenchtrend, UsageErrorsExitTwo) {
                   "/no_such_dir' 2>/dev/null"),
             2);
   EXPECT_EQ(shell("'" + benchtrend() + "' --help >/dev/null"), 0);
+  // Gate flags that would silently switch a gate off, or (for a negative
+  // window) mean "every point", are rejected with the flag and value.
+  const std::string other = dir + "/trend_lone2.json";
+  write_file(other, baseline_doc("2026-08-02", 1.0));
+  const std::string files = "'" + lone + "' '" + other + "'";
+  const std::string err = dir + "/trend_usage.err";
+  using FlagAndMessage = std::pair<std::string, std::string>;
+  for (const auto& [flag, message] :
+       {FlagAndMessage{"--k=-1", "--k must be >= 0, got -1"},
+        {"--pct=-5", "--pct must be >= 0, got -5"},
+        {"--window=-1", "--window must be >= 1, got -1"},
+        {"--window=0", "--window must be >= 1, got 0"}}) {
+    EXPECT_EQ(shell("'" + benchtrend() + "' " + flag + " " + files +
+                    " --quiet 2>'" + err + "'"),
+              2)
+        << flag;
+    EXPECT_NE(read_file(err).find(message), std::string::npos) << flag;
+  }
+}
+
+// CtsBenchcmp: the offline two-file compare and validate surface
+// (`cts_benchtrend --gate --window=1 A B`, `cts_benchtrend --validate`).
+
+/// The offline two-file gate: the metrics cts_benchd --compare gates.
+std::string two_file_gate() {
+  return "'" + benchtrend() +
+         "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb";
+}
+
+TEST(CtsBenchcmp, ValidateRejectsMalformedJson) {
+  const std::string good = ::testing::TempDir() + "/validate_good.json";
+  const std::string bad = ::testing::TempDir() + "/validate_bad.json";
+  write_file(good, baseline_doc("2026-08-01", 1.0));
+  write_file(bad, "{\"schema\":\"cts.bench.v1\",}");
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + good +
+                  "' --quiet >/dev/null"),
+            0);
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + bad +
+                  "' --quiet 2>/dev/null"),
+            2);
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='/no/such/file.json' "
+                  "--quiet 2>/dev/null"),
+            2);
+}
+
+TEST(CtsBenchcmp, UsageErrorsExitTwo) {
+  // The two-file gate with no files (it then scans the working directory,
+  // here an empty one), or only one, has nothing to gate.
+  const std::string empty = ::testing::TempDir() + "/benchcmp_empty";
+  std::filesystem::create_directories(empty);
+  const std::string lone = ::testing::TempDir() + "/benchcmp_lone.json";
+  write_file(lone, baseline_doc("2026-08-01", 1.0));
+  EXPECT_EQ(shell("cd '" + empty + "' && " + two_file_gate() +
+                  " 2>/dev/null >/dev/null"),
+            2);
+  EXPECT_EQ(shell(two_file_gate() + " '" + lone + "' 2>/dev/null >/dev/null"),
+            2);
+  EXPECT_EQ(shell(two_file_gate() + " --help >/dev/null"), 0);
+}
+
+TEST(CtsBenchcmp, ValidateRejectsMissingAndUnknownSchema) {
+  // Valid JSON is not enough: a schema-less or foreign document must be
+  // rejected so a stray file can never pass as a perf baseline.
+  const std::string no_schema = ::testing::TempDir() + "/validate_noschema.json";
+  const std::string wrong = ::testing::TempDir() + "/validate_wrong.json";
+  write_file(no_schema, R"({"benches":{}})");
+  write_file(wrong, R"({"schema":"cts.perf.v1","benches":{}})");
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + no_schema +
+                  "' --quiet 2>/dev/null"),
+            2);
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + wrong +
+                  "' --quiet 2>/dev/null"),
+            2);
 }
 
 #else

@@ -1,7 +1,8 @@
 // Docs-drift guard: docs/cli.md documents the CLI registry
 // (cts/util/cli_registry.hpp), which is also what every tool's --help and
 // warn_unknown use.  A flag added to the registry without a docs/cli.md
-// mention fails here, so the reference cannot rot silently.
+// mention fails here, and so does a section for a tool that is no longer
+// registered, so the reference cannot rot silently.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,21 @@ TEST(CliDocs, DocExistsAndNamesEveryTool) {
     EXPECT_NE(doc.find(std::string("## ") + tool.tool), std::string::npos)
         << "docs/cli.md does not have a section heading for '" << tool.tool
         << "'";
+  }
+  // And the reverse: a section for a tool that is gone from the registry
+  // (a deleted binary) is stale.
+  for (std::size_t at = doc.find("\n## "); at != std::string::npos;
+       at = doc.find("\n## ", at + 1)) {
+    const std::size_t start = at + 4;
+    const std::string heading =
+        doc.substr(start, doc.find('\n', start) - start);
+    if (heading == "Environment variables") continue;
+    bool registered = false;
+    for (const cli::ToolDoc& tool : cli::kTools) {
+      registered = registered || heading == tool.tool;
+    }
+    EXPECT_TRUE(registered) << "docs/cli.md has a section '" << heading
+                            << "' for a tool missing from cli_registry.hpp";
   }
 }
 

@@ -1,11 +1,15 @@
-// Perf-trajectory analysis across BENCH_*.json baselines: ordering,
-// Theil-Sen slopes, sustained-drift gating (not last-vs-previous), and
-// the markdown / CSV / SVG renderers.
+// Perf-trajectory analysis across BENCH_*.json baselines: schema checks,
+// ordering, Theil-Sen slopes, sustained-drift gating (not
+// last-vs-previous), the two-point window-1 gate cts_benchd --compare
+// runs (CompareBench, plus exact band-edge ties), and the markdown / CSV /
+// SVG renderers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cts/obs/bench_trend.hpp"
@@ -26,6 +30,29 @@ std::string doc(const std::string& generated, double median, double mad) {
          R"(,"ci95_lo":0.9,"ci95_hi":1.1}}}}})";
 }
 
+/// The summary shape the cts_benchd --compare fixtures use: median and
+/// mad only (n and the CI are display-only, so they may be absent).
+/// Printed with %.17g so band-edge ties survive the JSON round trip.
+std::string bare_doc(double median, double mad,
+                     const std::string& metric = "wall_s") {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                R"({"schema":"cts.bench.v1","benches":{"fig9":)"
+                R"({"metrics":{"%s":{"median":%.17g,"mad":%.17g}}}}})",
+                metric.c_str(), median, mad);
+  return buf;
+}
+
+/// The two-point, window-1 gate of `candidate` against `baseline`.
+obs::TrendReport gate(const std::string& baseline,
+                      const std::string& candidate,
+                      obs::TrendOptions options = {}) {
+  options.window = 1;
+  return obs::build_trend({obs::parse_baseline("base.json", baseline),
+                           obs::parse_baseline("cand.json", candidate)},
+                          options);
+}
+
 std::vector<obs::BaselineDoc> chain(const std::vector<double>& medians,
                                     double mad = 0.01) {
   std::vector<obs::BaselineDoc> docs;
@@ -35,6 +62,18 @@ std::vector<obs::BaselineDoc> chain(const std::vector<double>& medians,
         obs::parse_baseline("BENCH_" + date + ".json", doc(date, medians[i], mad)));
   }
   return docs;
+}
+
+TEST(RequireBenchSchema, AcceptsAndRejects) {
+  EXPECT_NO_THROW(obs::require_bench_schema(obs::json_parse(doc("d", 1, 0.1))));
+  EXPECT_THROW(obs::require_bench_schema(obs::json_parse("[1,2]")),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::require_bench_schema(
+                   obs::json_parse(R"({"schema":"other.v9","benches":{}})")),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::require_bench_schema(
+                   obs::json_parse(R"({"schema":"cts.bench.v1"})")),
+               cts::util::InvalidArgument);
 }
 
 TEST(ParseBaseline, ExtractsLabelSuiteAndDate) {
@@ -128,6 +167,25 @@ TEST(BuildTrend, DriftWithinNoiseBandStaysQuiet) {
       obs::build_trend(chain({1.0, 1.08, 1.08}, 0.1));
   ASSERT_EQ(report.series.size(), 1u);
   EXPECT_EQ(report.series[0].verdict(), "ok");
+
+  // Two points, window 1 (the cts_benchd --compare gate): exact band-edge
+  // ties sit inside the band, in both directions:
+  // delta == 3 x MAD (0.375), delta == 5% of a median of 20 (1.0), and a
+  // zero baseline median, where only the MAD gate is left.
+  for (const auto& [base, mad, delta] :
+       {std::tuple{1.0, 0.125, 0.375}, std::tuple{20.0, 0.0001, 1.0},
+        std::tuple{0.0, 0.125, 0.375}}) {
+    SCOPED_TRACE(base);
+    for (const double sign : {1.0, -1.0}) {
+      const obs::TrendReport tie =
+          gate(bare_doc(base, mad), bare_doc(base + sign * delta, mad));
+      ASSERT_EQ(tie.series.size(), 1u);
+      EXPECT_DOUBLE_EQ(tie.series[0].points[1].band, delta);
+      EXPECT_EQ(tie.series[0].verdict(), "ok");
+    }
+  }
+  // One step past the zero-median MAD edge drifts.
+  EXPECT_TRUE(gate(bare_doc(0.0, 0.125), bare_doc(0.5, 0.125)).has_drift());
 }
 
 TEST(BuildTrend, BenchMissingFromSomeBaselinesIsNoted) {
@@ -145,6 +203,87 @@ TEST(BuildTrend, BenchMissingFromSomeBaselinesIsNoted) {
   ASSERT_EQ(report.notes.size(), 2u);
   EXPECT_NE(report.notes[0].find("fig9"), std::string::npos);
   EXPECT_NE(report.notes[1].find("table1"), std::string::npos);
+}
+
+// CompareBench: one baseline document against one candidate, through the
+// two-point, window-1 gate that cts_benchd --compare and the offline
+// `cts_benchtrend --gate --window=1 A B` run.  A regression trips only when
+// a metric moves beyond BOTH the k x MAD gate and the relative gate, in
+// the worse direction.
+
+TEST(CompareBench, IdenticalFilesHaveNoRegression) {
+  const obs::TrendReport same = gate(bare_doc(1.0, 0.05), bare_doc(1.0, 0.05));
+  ASSERT_EQ(same.series.size(), 1u);
+  EXPECT_EQ(same.series[0].verdict(), "ok");
+  EXPECT_FALSE(same.has_drift());
+  EXPECT_DOUBLE_EQ(same.series[0].points[1].excess, 0.0);
+  // n and the CI are optional; absent, they read as zero.
+  EXPECT_EQ(same.series[0].points[1].n, 0u);
+  EXPECT_DOUBLE_EQ(same.series[0].points[1].ci95_hi, 0.0);
+}
+
+TEST(CompareBench, RegressionBeyondBothGates) {
+  // +50% with MAD 0.05: delta 0.5 > 3*0.05 and > 5% -> regression.
+  const obs::TrendReport pair = gate(bare_doc(1.0, 0.05), bare_doc(1.5, 0.05));
+  ASSERT_EQ(pair.series.size(), 1u);
+  EXPECT_TRUE(pair.series[0].drift_regression);
+  EXPECT_TRUE(pair.has_drift());
+  EXPECT_NEAR(pair.series[0].points[1].excess, 0.5, 1e-12);
+}
+
+TEST(CompareBench, NoiseWithinMadGateStaysQuiet) {
+  // +8% relative but within 3 x MAD (MAD 0.1 -> gate 0.3): not significant.
+  EXPECT_FALSE(gate(bare_doc(1.0, 0.1), bare_doc(1.08, 0.1)).has_drift());
+}
+
+TEST(CompareBench, SmallRelativeChangeStaysQuietEvenWithTinyMad) {
+  // +2% with near-zero MAD: trips the MAD gate but not the 5% gate.
+  const obs::TrendReport small =
+      gate(bare_doc(1.0, 0.0001), bare_doc(1.02, 0.0001));
+  ASSERT_EQ(small.series.size(), 1u);
+  EXPECT_FALSE(small.has_drift());
+  EXPECT_FALSE(small.series[0].points[1].beyond_band);
+}
+
+TEST(CompareBench, ImprovementNeverFails) {
+  const obs::TrendReport pair = gate(bare_doc(1.5, 0.05), bare_doc(1.0, 0.05));
+  ASSERT_EQ(pair.series.size(), 1u);
+  EXPECT_TRUE(pair.series[0].drift_improvement);
+  EXPECT_FALSE(pair.has_drift());
+}
+
+TEST(CompareBench, ThresholdsAreConfigurable) {
+  // +8% within default gates becomes a regression at k=0.5, pct=2%.
+  obs::TrendOptions tight;
+  tight.k_mad = 0.5;
+  tight.min_rel = 0.02;
+  EXPECT_TRUE(gate(bare_doc(1.0, 0.1), bare_doc(1.08, 0.1), tight).has_drift());
+}
+
+TEST(CompareBench, SysTimeIsInformationalByDefault) {
+  // A 10x sys_s blow-up at the tens-of-milliseconds scale is kernel noise
+  // on small benches: it is outside the default metric list, so it never
+  // gates.  Naming it in an explicit metric list restores gating.
+  const std::string baseline = bare_doc(0.01, 0.001, "sys_s");
+  const std::string candidate = bare_doc(0.1, 0.001, "sys_s");
+  const obs::TrendReport report = gate(baseline, candidate);
+  EXPECT_TRUE(report.series.empty());
+  EXPECT_FALSE(report.has_drift());
+  obs::TrendOptions gate_sys;
+  gate_sys.metrics = {"sys_s"};
+  EXPECT_TRUE(gate(baseline, candidate, gate_sys).has_drift());
+}
+
+TEST(CompareBench, MissingBenchesAreNotedNotFatal) {
+  const obs::TrendReport pair = gate(
+      R"({"schema":"cts.bench.v1","benches":{)"
+      R"("fig9":{"metrics":{"wall_s":{"median":1.0,"mad":0.1}}},)"
+      R"("table1":{"metrics":{"wall_s":{"median":0.5,"mad":0.01}}}}})",
+      bare_doc(1.0, 0.1));
+  EXPECT_FALSE(pair.has_drift());
+  ASSERT_EQ(pair.series.size(), 1u);
+  ASSERT_EQ(pair.notes.size(), 1u);
+  EXPECT_NE(pair.notes[0].find("table1"), std::string::npos);
 }
 
 TEST(TrendRenderers, MarkdownCsvAndSvgCarryTheSeries) {

@@ -1,8 +1,8 @@
 // JsonValue DOM parser (json_parse) and JsonWriter edge cases: the parser
-// backs cts_benchd's aggregation of per-run perf reports and cts_benchcmp's
-// BENCH_*.json diffing, so schema navigation errors must surface as typed
-// exceptions; the writer must map non-finite doubles to null or our own
-// validator would reject our own reports.
+// backs cts_benchd's aggregation of per-run perf reports and the bench
+// gate's BENCH_*.json reading, so schema navigation errors must surface as
+// typed exceptions; the writer must map non-finite doubles to null or our
+// own validator would reject our own reports.
 
 #include <gtest/gtest.h>
 

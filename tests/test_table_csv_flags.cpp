@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,14 @@ TEST(Flags, ParsesKeyEqualsValue) {
   cu::Flags flags(3, argv);
   EXPECT_EQ(flags.get_int("frames", 0), 500);
   EXPECT_EQ(flags.get_string("model", ""), "Z");
+  EXPECT_TRUE(flags.positionals().empty());
+
+  // "--k=v" never consumes the next token: a positional after it stays one.
+  const char* files[] = {"prog", "a.json", "--k=v", "b.json"};
+  const cu::Flags with_files(4, files);
+  EXPECT_EQ(with_files.get_string("k", ""), "v");
+  EXPECT_EQ(with_files.positionals(),
+            (std::vector<std::string>{"a.json", "b.json"}));
 }
 
 TEST(Flags, ParsesKeySpaceValueAndBooleans) {
@@ -70,6 +79,16 @@ TEST(Flags, ParsesKeySpaceValueAndBooleans) {
   EXPECT_EQ(flags.get_int("reps", 0), 60);
   EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_DOUBLE_EQ(flags.get_double("x", 0.0), 1.5);
+  EXPECT_TRUE(flags.positionals().empty());  // "--reps 60" consumed 60
+
+  // "--a --b x": --a is boolean, x is --b's value; the rest, in order,
+  // are positionals.
+  const char* mixed[] = {"prog", "run", "--a", "--b", "x", "fig9", "--c"};
+  const cu::Flags parsed(7, mixed);
+  EXPECT_TRUE(parsed.get_bool("a", false));
+  EXPECT_EQ(parsed.get_string("b", ""), "x");
+  EXPECT_TRUE(parsed.get_bool("c", false));
+  EXPECT_EQ(parsed.positionals(), (std::vector<std::string>{"run", "fig9"}));
 }
 
 TEST(Flags, FallbacksForMissingKeys) {

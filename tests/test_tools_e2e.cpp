@@ -1,8 +1,8 @@
 // End-to-end harness tests: cts_benchd must produce a cts.bench.v1 document
 // that carries median/MAD/CI, peak RSS, CPU time and a per-phase self-time
-// table for every smoke bench; cts_benchcmp must exit 0 on an identical
-// pair, 1 on a perturbed candidate, and validate files against the strict
-// RFC 8259 parser; and every bench binary must honour --help with exit 0.
+// table for every smoke bench, which cts_benchtrend validates and gates
+// green against itself; cts_benchd --compare must gate in one invocation;
+// and every bench binary must honour --help with exit 0.
 
 #include <gtest/gtest.h>
 
@@ -41,16 +41,8 @@ int shell(const std::string& command) {
 #if defined(CTS_TOOLS_BIN_DIR) && defined(CTS_BENCH_BIN_DIR)
 
 std::string benchd() { return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchd"; }
-std::string benchcmp() {
-  return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchcmp";
-}
-
-/// A minimal cts.bench.v1 document for cts_benchcmp tests.
-std::string mini_bench_doc(double wall_median) {
-  std::ostringstream os;
-  os << R"({"schema":"cts.bench.v1","benches":{"fig9_sim_markov":{"metrics":{)"
-     << R"("wall_s":{"median":)" << wall_median << R"(,"mad":0.01}}}}})";
-  return os.str();
+std::string benchtrend() {
+  return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchtrend";
 }
 
 TEST(CtsBenchd, SmokeSuiteProducesValidBenchDocument) {
@@ -115,67 +107,18 @@ TEST(CtsBenchd, SmokeSuiteProducesValidBenchDocument) {
   }
 
   // An identical pair never regresses.
-  EXPECT_EQ(shell("'" + benchcmp() + "' '" + out + "' '" + out + "' --quiet"),
+  EXPECT_EQ(shell("'" + benchtrend() +
+                  "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb '" +
+                  out + "' '" + out + "' --quiet"),
             0);
   // The emitted document passes --validate.
-  EXPECT_EQ(shell("'" + benchcmp() + "' --validate='" + out + "' --quiet"), 0);
-}
-
-TEST(CtsBenchcmp, FlagsPerturbedCandidateAsRegression) {
-  const std::string base = ::testing::TempDir() + "/bench_base.json";
-  const std::string worse = ::testing::TempDir() + "/bench_worse.json";
-  write_file(base, mini_bench_doc(1.0));
-  write_file(worse, mini_bench_doc(1.5));  // +50%, far beyond 3 x MAD and 5%
-  EXPECT_EQ(shell("'" + benchcmp() + "' '" + base + "' '" + base +
-                  "' --quiet"),
+  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + out + "' --quiet"),
             0);
-  EXPECT_EQ(shell("'" + benchcmp() + "' '" + base + "' '" + worse +
-                  "' --quiet"),
-            1);
-  // The improvement direction never fails.
-  EXPECT_EQ(shell("'" + benchcmp() + "' '" + worse + "' '" + base +
-                  "' --quiet"),
-            0);
-}
-
-TEST(CtsBenchcmp, ValidateRejectsMalformedJson) {
-  const std::string good = ::testing::TempDir() + "/validate_good.json";
-  const std::string bad = ::testing::TempDir() + "/validate_bad.json";
-  write_file(good, mini_bench_doc(1.0));
-  write_file(bad, "{\"schema\":\"cts.bench.v1\",}");
-  EXPECT_EQ(shell("'" + benchcmp() + "' --validate='" + good + "' --quiet"),
-            0);
-  EXPECT_EQ(
-      shell("'" + benchcmp() + "' --validate='" + bad + "' --quiet 2>/dev/null"),
-      2);
-  EXPECT_EQ(shell("'" + benchcmp() + "' --validate='/no/such/file.json' "
-                  "--quiet 2>/dev/null"),
-            2);
-}
-
-TEST(CtsBenchcmp, UsageErrorsExitTwo) {
-  EXPECT_EQ(shell("'" + benchcmp() + "' 2>/dev/null >/dev/null"), 2);
-  EXPECT_EQ(shell("'" + benchcmp() + "' --help >/dev/null"), 0);
-}
-
-TEST(CtsBenchcmp, ValidateRejectsMissingAndUnknownSchema) {
-  // Valid JSON is not enough: a schema-less or foreign document must be
-  // rejected so a stray file can never pass as a perf baseline.
-  const std::string no_schema = ::testing::TempDir() + "/validate_noschema.json";
-  const std::string wrong = ::testing::TempDir() + "/validate_wrong.json";
-  write_file(no_schema, R"({"benches":{}})");
-  write_file(wrong, R"({"schema":"cts.perf.v1","benches":{}})");
-  EXPECT_EQ(shell("'" + benchcmp() + "' --validate='" + no_schema +
-                  "' --quiet 2>/dev/null"),
-            2);
-  EXPECT_EQ(shell("'" + benchcmp() + "' --validate='" + wrong +
-                  "' --quiet 2>/dev/null"),
-            2);
 }
 
 TEST(CtsBenchd, CompareModeGatesInOneInvocation) {
-  // One-shot run-and-gate: the exit code must match what a separate
-  // cts_benchcmp invocation would produce against the same baseline.
+  // One-shot run-and-gate: 0 when the fresh document holds the baseline,
+  // 1 when it regresses, 2 when there is nothing valid to gate against.
   const std::string dir = ::testing::TempDir();
   const std::string fast = dir + "/compare_fast_base.json";   // unbeatable
   const std::string slow = dir + "/compare_slow_base.json";   // unloseable
@@ -258,6 +201,17 @@ TEST(CtsBenchd, ListAndUsageModes) {
   EXPECT_NE(text.find("table1"), std::string::npos);
   EXPECT_EQ(shell("'" + benchd() + "' --suite=bogus 2>/dev/null >/dev/null"),
             2);
+  // A negative gate threshold would silently switch that gate off.
+  const std::string err = ::testing::TempDir() + "/benchd_usage.err";
+  EXPECT_EQ(shell("'" + benchd() + "' --k=-1 --list >/dev/null 2>'" + err +
+                  "'"),
+            2);
+  EXPECT_NE(read_file(err).find("--k must be >= 0, got -1"), std::string::npos);
+  EXPECT_EQ(shell("'" + benchd() + "' --pct=-5 --list >/dev/null 2>'" + err +
+                  "'"),
+            2);
+  EXPECT_NE(read_file(err).find("--pct must be >= 0, got -5"),
+            std::string::npos);
 }
 
 TEST(BenchBinaries, HelpPrintsFlagListAndExitsZero) {

@@ -7,8 +7,8 @@
 // self-time table) is parsed back and aggregated into median / MAD / 95%
 // CI per metric.  The result is one canonical, schema-versioned
 // cts.bench.v1 document — BENCH_<ISO-date>.json at the invocation
-// directory by default — that tools/cts_benchcmp can diff against a
-// committed baseline with noise-aware thresholds.
+// directory by default — that can be gated against a committed baseline
+// with noise-aware thresholds.
 //
 //   cts_benchd --suite=smoke --repeats=5            # the usual call
 //   cts_benchd --suite=full --repeats=3 --warmup=1  # everything (slow)
@@ -17,11 +17,11 @@
 //   cts_benchd --list                               # show the registry
 //
 // --compare runs the suite, writes the document, then gates it against
-// the given baseline with the same noise-aware rules (and exit codes) as
-// cts_benchcmp: 0 no regression, 1 regression, 2 errors (including a
-// bench that failed to run).  --json-lines appends one RFC 8259 JSON
-// object per run (schema cts.benchrun.v1, warmup runs flagged) as the
-// suite executes, so a soak loop can be tailed live.
+// the given baseline as the two-point trajectory {baseline, document}
+// with window 1 (cts/obs/bench_trend.hpp): 0 no regression, 1 regression,
+// 2 errors (including a bench that failed to run).  --json-lines appends
+// one RFC 8259 JSON object per run (schema cts.benchrun.v1, warmup runs
+// flagged) as the suite executes, so a soak loop can be tailed live.
 //
 // The simulation scale of every child is pinned via REPRO_REPS /
 // REPRO_FRAMES (defaults: 2 x 2000, override with --reps/--frames) so two
@@ -35,6 +35,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -45,8 +46,8 @@
 #include <unistd.h>
 
 #include "bench_suite.hpp"
-#include "cts/obs/bench_compare.hpp"
 #include "cts/obs/bench_stats.hpp"
+#include "cts/obs/bench_trend.hpp"
 #include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
@@ -65,6 +66,10 @@ constexpr const char* kMetricNames[] = {
     "wall_s",         "user_s",          "sys_s",
     "max_rss_kb",     "ctx_voluntary",   "ctx_involuntary",
 };
+/// The metrics --compare gates on.  sys_s stays out: at the
+/// tens-of-milliseconds scale it measures kernel scheduling and page-cache
+/// state rather than the code under test.
+constexpr const char* kGateMetrics[] = {"wall_s", "user_s", "max_rss_kb"};
 constexpr const char* kHwCounterNames[] = {
     "cycles",      "instructions",  "cache_references",
     "cache_misses", "branches",     "branch_misses",
@@ -129,8 +134,8 @@ void usage() {
       "in the current directory) with median/MAD/95%% CI per metric, peak\n"
       "RSS, user/sys CPU time, hardware counters when available, and a\n"
       "per-phase span self-time table.  --compare=BASE.json then gates the\n"
-      "fresh document against BASE in the same invocation, with\n"
-      "cts_benchcmp's rules and exit codes (0 ok, 1 regression, 2 error);\n"
+      "fresh document against BASE in the same invocation as a two-point\n"
+      "trajectory (exit codes: 0 ok, 1 regression, 2 error);\n"
       "--json-lines=PATH streams one cts.benchrun.v1 JSON object per run\n"
       "for soak monitoring.\n");
 }
@@ -280,7 +285,7 @@ int run(const Options& opt) {
   std::ostringstream body;
   obs::JsonWriter w(body);
   w.begin_object();
-  w.key("schema").value("cts.bench.v1");
+  w.key("schema").value(obs::kBenchSchema);
   w.key("generated").value(date);
   w.key("suite").value(opt.suite);
   w.key("repeats").value(static_cast<std::int64_t>(opt.repeats));
@@ -462,10 +467,10 @@ int run(const Options& opt) {
                  run_dir.string().c_str());
   }
 
-  // One-shot gate: compare the document we just wrote against the given
-  // baseline with cts_benchcmp's rules and exit codes.  A bench that
-  // failed to run is an error (2), not a pass — a gate must never go
-  // green because the regressed bench crashed out of the measurement.
+  // One-shot gate: the two-point trajectory {baseline, document} with a
+  // window of one.  A bench that failed to run is an error (2), not a
+  // pass — a gate must never go green because the regressed bench crashed
+  // out of the measurement.
   if (!opt.compare.empty()) {
     if (failures != 0) {
       std::fprintf(stderr,
@@ -481,18 +486,32 @@ int run(const Options& opt) {
                    read_error.c_str());
       return 2;
     }
-    obs::CompareOptions options;
+    obs::TrendOptions options;
     options.k_mad = opt.k_mad;
     options.min_rel = opt.min_rel;
-    const obs::JsonValue baseline = obs::json_parse(base_text);
-    const obs::JsonValue candidate = obs::json_parse(body.str());
-    const obs::CompareReport report =
-        obs::compare_bench_reports(baseline, candidate, options);
+    options.window = 1;
+    options.metrics.assign(std::begin(kGateMetrics), std::end(kGateMetrics));
+    const obs::TrendReport report = obs::build_trend(
+        {obs::parse_baseline(opt.compare, base_text),
+         obs::parse_baseline(out_path, body.str())},
+        options);
     if (!opt.quiet) {
-      std::printf("%s", obs::format_compare_report(report).c_str());
+      std::printf("%s", obs::trend_markdown(report, options).c_str());
     }
-    if (report.has_regression()) {
-      std::fputs(obs::format_regressions(report, options).c_str(), stderr);
+    if (report.has_drift()) {
+      for (const obs::TrendSeries& series : report.series) {
+        if (!series.drift_regression) continue;
+        const obs::TrendPoint& base = series.points.front();
+        const obs::TrendPoint& cand = series.points.back();
+        std::fprintf(stderr,
+                     "REGRESSION: %s %s %+.1f%% (median %.6g -> %.6g, > "
+                     "%.1f x MAD and > %.1f%%)\n",
+                     series.bench.c_str(), series.metric.c_str(),
+                     base.median != 0.0 ? cand.excess / base.median * 100.0
+                                        : 0.0,
+                     base.median, cand.median, options.k_mad,
+                     options.min_rel * 100.0);
+      }
       return 1;
     }
     if (!opt.quiet) std::printf("no regressions beyond threshold\n");
@@ -539,6 +558,11 @@ int main(int argc, char** argv) {
     opt.repro_frames = flags.get_int("frames", opt.repro_frames);
     opt.k_mad = flags.get_double("k", opt.k_mad);
     opt.min_rel = flags.get_double("pct", opt.min_rel * 100.0) / 100.0;
+    // A negative --k or --pct would silently switch its gate off.
+    cu::require(opt.k_mad >= 0.0,
+                "--k must be >= 0, got " + flags.get_string("k", ""));
+    cu::require(opt.min_rel >= 0.0,
+                "--pct must be >= 0, got " + flags.get_string("pct", ""));
     opt.keep_runs = flags.get_bool("keep-runs", false);
     opt.quiet = flags.get_bool("quiet", false);
     cu::require(opt.repeats >= 1, "cts_benchd: --repeats must be >= 1");

@@ -5,6 +5,8 @@
 //   cts_benchtrend BENCH_a.json BENCH_b.json  # explicit chain
 //   cts_benchtrend --md=trend.md --csv=trend.csv --svg=trend.svg
 //   cts_benchtrend --gate                     # exit 1 on sustained drift
+//   cts_benchtrend --gate --window=1 --metrics=wall_s,user_s,max_rss_kb
+//                  BASE.json NEW.json         # offline two-file gate
 //   cts_benchtrend --validate FILE.json...    # schema check only
 //
 // Loads every baseline (strict JSON + the cts.bench.v1 schema tag — a
@@ -26,6 +28,7 @@
 // that follow a bare boolean flag would otherwise be consumed as its value.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -67,23 +70,6 @@ void usage() {
       "sustained-drift detection (the last --window baselines all beyond\n"
       "the noise band around the first).  Exit codes: 0 ok, 1 drift (only\n"
       "with --gate), 2 usage/parse errors.\n");
-}
-
-/// Tokens not consumed by the flag parser (same rule as cts_benchcmp).
-std::vector<std::string> positionals(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      if (token.find('=') == std::string::npos && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;  // "--key value"
-      }
-      continue;
-    }
-    out.push_back(token);
-  }
-  return out;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -162,7 +148,7 @@ int main(int argc, char** argv) {
     flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kBenchtrendFlags));
     const bool quiet = flags.get_bool("quiet", false);
 
-    std::vector<std::string> files = positionals(argc, argv);
+    std::vector<std::string> files = flags.positionals();
     if (flags.has("validate")) {
       // --validate FILE... or --validate=FILE.
       const std::string value = flags.get_string("validate", "");
@@ -179,12 +165,20 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // A negative --k or --pct would silently switch its gate off, and a
+    // negative --window must not wrap to "every point".
     obs::TrendOptions options;
     options.k_mad = flags.get_double("k", options.k_mad);
-    options.min_rel = flags.get_double("pct", options.min_rel * 100.0) / 100.0;
-    options.window =
-        static_cast<std::size_t>(flags.get_int("window", 2));
-    cu::require(options.window >= 1, "cts_benchtrend: --window must be >= 1");
+    cu::require(options.k_mad >= 0.0,
+                "--k must be >= 0, got " + flags.get_string("k", ""));
+    const double pct = flags.get_double("pct", options.min_rel * 100.0);
+    cu::require(pct >= 0.0,
+                "--pct must be >= 0, got " + flags.get_string("pct", ""));
+    options.min_rel = pct / 100.0;
+    const std::int64_t window = flags.get_int("window", 2);
+    cu::require(window >= 1,
+                "--window must be >= 1, got " + std::to_string(window));
+    options.window = static_cast<std::size_t>(window);
     if (flags.has("metrics")) {
       options.metrics = split_csv(flags.get_string("metrics", ""));
       cu::require(!options.metrics.empty(),

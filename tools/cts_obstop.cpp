@@ -91,24 +91,6 @@ void usage() {
       "3 SLO breach under --check.\n");
 }
 
-/// Tokens not consumed by the flag parser, mirroring Flags' rule that a
-/// bare "--key" followed by a non-flag token takes it as its value.
-std::vector<std::string> positionals(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      if (token.find('=') == std::string::npos && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;  // "--key value"
-      }
-      continue;
-    }
-    out.push_back(token);
-  }
-  return out;
-}
-
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -495,7 +477,7 @@ int main(int argc, char** argv) {
     if (flags.has("validate")) {
       // --validate FILE... or --validate=FILE: the flag's own value (when
       // it consumed the first file) joins the positional file list.
-      std::vector<std::string> files = positionals(argc, argv);
+      std::vector<std::string> files = flags.positionals();
       const std::string value = flags.get_string("validate", "");
       if (value != "true" && !value.empty()) {
         files.insert(files.begin(), value);

@@ -72,26 +72,6 @@ void usage() {
   }
 }
 
-/// Positional arguments under the same grammar as util::Flags: a token
-/// not starting with "--" is positional unless it is the value of a
-/// preceding bare "--key" token.
-std::vector<std::string> positionals(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      const bool bare = token.find('=') == std::string::npos;
-      if (bare && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;  // the next token is this flag's value
-      }
-      continue;
-    }
-    out.push_back(token);
-  }
-  return out;
-}
-
 std::uint64_t parse_u64_flag(const cu::Flags& flags, const std::string& key,
                              std::uint64_t fallback) {
   if (!flags.has(key)) return fallback;
@@ -274,7 +254,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     flags.warn_unknown(std::cerr, cli::flag_names(cli::kScenariodFlags));
-    std::vector<std::string> args = positionals(argc, argv);
+    std::vector<std::string> args = flags.positionals();
     if (args.empty()) {
       usage();
       return 2;

@@ -116,24 +116,6 @@ void usage() {
       "error.\n");
 }
 
-/// Tokens not consumed by the flag parser, mirroring Flags' rule that a
-/// bare "--key" followed by a non-flag token takes it as its value.
-std::vector<std::string> positionals(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      if (token.find('=') == std::string::npos && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;  // "--key value"
-      }
-      continue;
-    }
-    out.push_back(token);
-  }
-  return out;
-}
-
 // -------------------------------------------------------------------------
 // merge + report emission (shared by `run` and `merge`)
 
@@ -915,7 +897,7 @@ int main(int argc, char** argv) {
     if (!log_path.empty()) obs::EventLog::global().open(log_path);
     obs::EventLog::global().set_min_level(
         obs::parse_log_level(flags.get_string("log-level", "info")));
-    const std::vector<std::string> args = positionals(argc, argv);
+    const std::vector<std::string>& args = flags.positionals();
     if (args.empty()) {
       usage();
       return 2;
