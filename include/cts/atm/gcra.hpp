@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -27,6 +28,12 @@ class Gcra {
   /// `limit` is tau (seconds of tolerance).
   Gcra(double increment, double limit);
 
+  /// True iff a cell arriving at `t` would conform: the conformance test
+  /// of conforms() without its commit.  The first cell always conforms.
+  bool admits(double t) const noexcept {
+    return first_ || !(t < tat_ - limit_);
+  }
+
   /// Processes a cell arriving at absolute time `t` (seconds, must be
   /// non-decreasing across calls).  Returns true iff the cell conforms;
   /// non-conforming cells do NOT advance the scheduler state.
@@ -37,8 +44,12 @@ class Gcra {
 
   double increment() const noexcept { return increment_; }
   double limit() const noexcept { return limit_; }
+  /// Theoretical arrival time of the next cell (0 before the first cell).
+  double tat() const noexcept { return tat_; }
 
  private:
+  friend class FramePolicer;  // advances tat_ over closed-form runs
+
   double increment_;
   double limit_;
   double tat_ = 0.0;
@@ -62,7 +73,12 @@ class DualLeakyBucket {
   /// MBS = 1 + floor(BT / (1/SCR - 1/PCR)).
   double max_burst_size() const;
 
+  const Gcra& peak() const noexcept { return peak_; }
+  const Gcra& sustainable() const noexcept { return sustainable_; }
+
  private:
+  friend class FramePolicer;
+
   Gcra peak_;
   Gcra sustainable_;
 };
@@ -71,6 +87,9 @@ class DualLeakyBucket {
 struct PolicingResult {
   std::uint64_t cells = 0;
   std::uint64_t nonconforming = 0;
+  /// Cells FramePolicer resolved by a per-cell GCRA step rather than in a
+  /// closed-form run.
+  std::uint64_t stepped = 0;
 
   double violation_ratio() const {
     return cells > 0
@@ -80,15 +99,28 @@ struct PolicingResult {
   }
 };
 
-/// Frame-level UPC: quantizes a frame's fluid cell count to whole cells,
-/// replays them through a GCRA (or dual leaky bucket) at the deterministic
-/// smoothing schedule (cell j of frame n at (n + (j + 1/2)/k) Ts), and
-/// drops non-conforming cells.  This is the per-source policing stage of
-/// the scenario pipeline (cts/sim/scenario_run.hpp).
+/// A frame's fluid cell count as whole cells: rounded to nearest (halves
+/// away from zero), negatives to 0.  Throws util::InvalidArgument, naming
+/// the value, for a non-finite count or one of 2^53 cells or more.
+std::uint64_t whole_cells(double frame_cells);
+
+/// Frame-level UPC: quantizes a frame's fluid cell count to whole cells
+/// (whole_cells), replays them through a GCRA (or dual leaky bucket) at the
+/// deterministic smoothing schedule (cell j of frame n at
+/// t_j = n Ts + (j + 1/2) gap, gap = Ts/k), and drops non-conforming cells.
+/// This is the per-source policing stage of the scenario pipeline
+/// (cts/sim/scenario_run.hpp).
+///
+/// A frame is applied as a few runs of cells in which every bucket keeps
+/// one mode (rejecting, caught up, draining, filling or saturating), each
+/// in closed form; whatever no mode covers takes one per-cell Gcra step.  TATs and
+/// tallies are bit-identical to stepping every cell (docs/architecture.md,
+/// "Frame-level GCRA").
 ///
 /// Obs-aware in the accumulate-then-reduce idiom: police() only updates a
 /// local PolicingResult; flush() folds it into a MetricsShard as
-/// atm.gcra.cells / atm.gcra.nonconforming and resets it.
+/// atm.gcra.cells / atm.gcra.nonconforming / atm.gcra.stepped_cells and
+/// resets it.
 class FramePolicer {
  public:
   /// Single-bucket GCRA(1/sustainable_rate, burst_tolerance); rates in
@@ -104,6 +136,12 @@ class FramePolicer {
   double police(std::uint64_t frame_index, double frame_cells);
 
   const PolicingResult& tally() const noexcept { return tally_; }
+
+  /// Number of buckets: 1 (SCR) or 2 (PCR, SCR).
+  std::size_t bucket_count() const noexcept { return single_ ? 1 : 2; }
+  /// Bucket `i` < bucket_count(): the SCR bucket of a single-bucket
+  /// policer, else 0 = PCR and 1 = SCR.
+  const Gcra& bucket(std::size_t i) const;
 
   /// Folds and resets the tallies accumulated since the last flush.
   void flush(obs::MetricsShard& shard);

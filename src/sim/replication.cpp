@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -90,12 +92,16 @@ ShardSliceRange run_replication_slice(
   obs::ProgressReporter reporter(std::move(popts));
 
   std::atomic<std::size_t> next_local{0};
+  // The first exception a replication throws, rethrown on the calling
+  // thread once every worker has joined; it also stops the hand-out.
+  std::mutex failure_mu;
+  std::exception_ptr failure;
   auto worker = [&]() {
     while (true) {
       const std::size_t local = next_local.fetch_add(1);
       if (local >= slice) return;
       const std::size_t rep = range.lo + local;  // global index
-      {
+      try {
         CTS_TRACE_SPAN("replication");
         const auto t0 = std::chrono::steady_clock::now();
         body(rep, local, reporter);
@@ -105,6 +111,11 @@ ShardSliceRange run_replication_slice(
                 .count();
         registry.observe("sim.replication.wall_ms", wall_ms,
                          rep_wall_ms_edges());
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mu);
+        if (!failure) failure = std::current_exception();
+        next_local.store(slice);
+        return;
       }
       reporter.unit_done();
     }
@@ -115,6 +126,7 @@ ShardSliceRange run_replication_slice(
   for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
   reporter.finish();
+  if (failure) std::rethrow_exception(failure);
   return range;
 }
 

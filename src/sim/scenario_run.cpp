@@ -143,8 +143,7 @@ ScenarioRepSample run_scenario_rep(
       if (rt.smoother) x = rt.smoother->push(x);
       if (rt.framer) x = rt.framer->add(x);
       if (rt.policer) {
-        const double quantized =
-            static_cast<double>(std::llround(std::max(x, 0.0)));
+        const double quantized = static_cast<double>(atm::whole_cells(x));
         const double conforming = rt.policer->police(n, x);
         if (measured) {
           sample.sources[rt.group].policed += quantized - conforming;

@@ -6,15 +6,20 @@
 // bucket GCRA into one mux.  The policer, the smoother and the mux tallies
 // are exact cell arithmetic, so the document must match byte for byte,
 // with no ulp slack.  Regenerate on purpose only (tests/golden/README.md).
+// The same run checks that the GCRA policer keeps covering these cells
+// with closed-form runs (atm.gcra.stepped_cells).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
+#include "cts/obs/metrics.hpp"
 #include "cts/sim/scenario.hpp"
 #include "cts/sim/scenario_run.hpp"
 #include "cts/util/file.hpp"
 
+namespace obs = cts::obs;
 namespace sim = cts::sim;
 namespace cu = cts::util;
 
@@ -28,4 +33,13 @@ TEST(GoldenScenario, PolicedSmoothedMatchesCommittedDocument) {
   const std::string golden = cu::read_text_file(
       std::string(CTS_GOLDEN_DIR) + "/scenario_policed_smoothed.json");
   EXPECT_EQ(now, golden);
+
+  // The policer resolves all but a sliver of these cells in closed-form
+  // runs; a per-cell share above 1% means the input mix defeats them.
+  const obs::MetricsShard snap = obs::MetricsRegistry::global().snapshot();
+  const std::uint64_t cells = snap.counters().at("atm.gcra.cells");
+  const std::uint64_t stepped = snap.counters().at("atm.gcra.stepped_cells");
+  EXPECT_GT(cells, 0u);
+  EXPECT_LT(static_cast<double>(stepped), 0.01 * static_cast<double>(cells))
+      << stepped << " of " << cells << " cells took a per-cell step";
 }

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "cts/atm/gcra.hpp"
 #include "cts/obs/metrics.hpp"
 #include "cts/sim/scenario.hpp"
 #include "cts/sim/scenario_run.hpp"
+#include "cts/util/error.hpp"
+#include "cts/util/rng.hpp"
 
 namespace sim = cts::sim;
 namespace obs = cts::obs;
@@ -232,6 +237,65 @@ TEST(ScenarioRun, AnalyticsOnlyForUnshapedSourceFedFifoHops) {
   ASSERT_TRUE(ok[0].available);
   EXPECT_LT(ok[0].log10_bop, 0.0);
   EXPECT_GE(ok[0].critical_m, 1u);
+}
+
+// A policed white source whose four frames average `mean` cells each.
+std::string huge_frame_spec(const std::string& mean) {
+  return "cts.scenario.v1\n"
+         "[scenario]\n"
+         "frames = 4\n"
+         "warmup = 0\n"
+         "replications = 1\n"
+         "[source big]\n"
+         "kind = white\n"
+         "mean = " + mean + "\n"
+         "variance = 1\n"
+         "police_scr = 13750\n"
+         "[hop m]\n"
+         "input = big\n"
+         "capacity = 1e13\n"
+         "buffer = 1e12\n";
+}
+
+TEST(ScenarioRun, HugePolicedFramesFinishAndKeepWholeCells) {
+  // 4e12 cells: a cell-by-cell policer would run for hours.
+  const sim::Scenario sc = sim::parse_scenario(huge_frame_spec("1e12"));
+  const auto start = std::chrono::steady_clock::now();
+  const sim::ScenarioRunResult result = run_slice(sc, 0, 1);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0);
+
+  // The same frames, regenerated from the run's seed stream.
+  cts::util::SplitMix64 seeder(sim::replication_seed_root(sc.seed, 0));
+  const auto source =
+      sim::resolve_scenario_model(sc.sources[0].model).make_source(
+          seeder.next());
+  double whole = 0.0;
+  for (std::uint64_t n = 0; n < sc.warmup + sc.frames; ++n) {
+    const double x = std::max(source->next_frame(), 0.0);
+    if (n >= sc.warmup) whole += static_cast<double>(cts::atm::whole_cells(x));
+  }
+  ASSERT_EQ(result.samples.size(), 1u);
+  const sim::ScenarioSourceTally& tally = result.samples[0].sources[0];
+  EXPECT_GE(tally.policed, 0.0);
+  EXPECT_GT(tally.offered, 0.0);
+  EXPECT_EQ(tally.policed + tally.offered, whole);
+}
+
+TEST(ScenarioRun, PolicedFrameBeyondTwoTo53CellsIsAStructuredError) {
+  // Several replications on two threads: the first one to throw is
+  // rethrown on the caller once both workers have joined.
+  sim::Scenario sc = sim::parse_scenario(huge_frame_spec("1e20"));
+  sc.replications = 4;
+  try {
+    (void)run_slice(sc, 0, 1, 2);
+    FAIL() << "a 1e20-cell frame was policed";
+  } catch (const cts::util::InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("frame of 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("e+20 cells"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -160,6 +160,24 @@ TEST(ScenariodE2e, IncompleteMergeExitsTwo) {
   EXPECT_NE(out.find("error"), std::string::npos) << out;
 }
 
+TEST(ScenariodE2e, PolicedFrameBeyondTwoTo53CellsExitsTwo) {
+  const std::string huge = tmp("huge.scn");
+  {
+    std::ofstream out(huge);
+    out << "cts.scenario.v1\n[scenario]\nframes = 4\nreplications = 1\n"
+           "[source big]\nkind = white\nmean = 1e20\nvariance = 1\n"
+           "police_scr = 13750\n[hop m]\ninput = big\ncapacity = 1e13\n"
+           "buffer = 1e12\n";
+    ASSERT_TRUE(out.good());
+  }
+  std::string out;
+  EXPECT_EQ(run_tool("run '" + huge + "' --quiet --out='" +
+                         tmp("huge.json") + "'",
+                     &out),
+            2);
+  EXPECT_NE(out.find("error: frame of 1"), std::string::npos) << out;
+}
+
 TEST(ScenariodE2e, UnknownModeAndMissingSpecExitTwo) {
   std::string out;
   EXPECT_EQ(run_tool("frobnicate", &out), 2);
