@@ -10,25 +10,32 @@
 // turns one request into a Reply, an encoder for an {"ok":false} reply in
 // its own schema, and optionally extra gauges for the stats snapshot.
 //
-// Connections: each accepted connection gets its own thread, which reads
-// one framed request, answers it and closes.  Threads are tracked, not
-// detached: finished ones are joined before each accept.  At most
-// kMaxConnections are live; the accept thread answers one more with the
-// service's "busy" error reply and closes it.  Once the budget is spent,
-// shutdown cuts the reads of connections that have not delivered a
+// Connections: a pool of acceptor threads, each of which blocks in
+// accept(2), serves the connection it takes on its own thread (read one
+// framed request, answer it, close) and goes back to accept.  A
+// connection is never handed to another thread.  run()'s thread is the
+// first acceptor; a thread that takes a connection while no other thread
+// waits in accept first starts one more, so a stats scrape during a long
+// handler always finds an acceptor.  At most kMaxConnections are live and
+// at most kMaxConnections + 1 threads exist; they persist until shutdown.
+// A thread that accepts over the cap answers with the service's "busy"
+// error reply and closes.  Once the budget is spent, shutdown stops
+// accepting, cuts the reads of connections that have not delivered a
 // request yet, then joins every thread.  A handler still running (a shard
-// job, a slow batch) is waited for, however long it takes: nothing a
-// connection thread touches can go out of scope under it.
+// job, a slow batch) is waited for, however long it takes: nothing an
+// acceptor touches can go out of scope under it.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <mutex>
 #include <string>
 
+#include "cts/net/socket.hpp"
 #include "cts/obs/event_log.hpp"
 #include "cts/obs/metrics.hpp"
 #include "cts/util/flags.hpp"
@@ -39,6 +46,8 @@ namespace cts::net {
 /// traffic is one closed-loop caller plus a stats scrape, or one job per
 /// dispatcher worker, so the cap is far above need; it exists to turn a
 /// connection flood into busy replies instead of a thread-creation crash.
+/// The acceptor pool holds at most kMaxConnections + 1 threads: one per
+/// live connection and one to answer the next with the busy reply.
 inline constexpr std::size_t kMaxConnections = 64;
 
 /// The serve flags every daemon shares.
@@ -76,8 +85,9 @@ struct Service {
   std::string metric_prefix;  ///< "cacd": OpenMetrics liveness gauges
   std::string unit;           ///< "request": "cacd.requests_in_flight"
   /// Answers one request that is not a stats query.  Runs on the
-  /// connection's thread, concurrently with other connections.  If it
-  /// throws, the connection closes without a reply, counted as failed.
+  /// acceptor thread that took the connection, concurrently with other
+  /// connections.  If it throws, the connection closes without a reply,
+  /// counted as failed.
   std::function<Reply(const std::string& request)> handle;
   /// Encodes an {"ok":false} reply carrying `error`: the busy reply.
   std::function<std::string(const std::string& error)> encode_error;
@@ -101,34 +111,40 @@ class Server {
 
   /// Listens and serves until the budget is spent; returns the exit code
   /// (0 clean shutdown, 2 when the port file cannot be written).  Every
-  /// connection thread has been joined when it returns or throws.
+  /// acceptor thread has been joined when it returns or throws; an
+  /// acceptor's exception is rethrown here.
   int run(const Service& service);
 
  private:
-  struct Conn;
+  struct Acceptor;
 
-  void serve_connection(Conn& conn, const Service& service);
+  void accept_loop(Acceptor& self, const Service& service);
+  bool serve_connection(Acceptor& self, Socket& sock, const Service& service);
   std::string stats_reply(const std::string& request, const Service& service);
-  void reap_finished();
-  void stop_connections();
+  void start_acceptor_locked(const Service& service);
+  void stop_locked();
 
   ServerOptions opt_;
   std::uint16_t port_ = 0;
   double start_s_ = 0;
   obs::MetricsRegistry metrics_;
 
-  mutable std::mutex mu_;  ///< guards the counters and each Conn's flags
+  Socket listener_;
+  mutable std::mutex mu_;  ///< guards everything below
   long long served_ = 0;
   std::uint64_t ok_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t retried_ = 0;
   std::uint64_t stats_served_ = 0;
-  std::uint64_t in_flight_ = 0;  ///< request read, reply not yet sent
+  std::uint64_t in_flight_ = 0;  ///< request read, handler not yet done
+  std::size_t idle_ = 0;  ///< acceptors in accept, or back on their way
+  std::size_t live_ = 0;  ///< connections taken and under the cap
+  bool stopping_ = false;
+  std::exception_ptr error_;  ///< the first exception an acceptor threw
 
-  /// Live connections, each with its thread; the list itself is touched
-  /// by the accept thread only.  Declared last: the threads use all of the
-  /// above.
-  std::list<Conn> conns_;
+  /// Every acceptor, run()'s own first.  Grows under mu_ until stopping_;
+  /// declared last: the threads use all of the above.
+  std::list<Acceptor> acceptors_;
 };
 
 }  // namespace cts::net

@@ -4,8 +4,10 @@
 // receives all take a timeout and fail with a NetError naming the peer
 // and the operation instead of blocking forever — a wedged or vanished
 // worker must surface as a retryable error in the dispatcher, never as a
-// hung orchestrator.  Sockets are kept non-blocking internally and driven
-// with poll(2); frames use the 4-byte length prefix from frame.hpp.
+// hung orchestrator.  Connected sockets are non-blocking and driven with
+// poll(2); frames use the 4-byte length prefix from frame.hpp.  Every fd
+// here is close-on-exec, so a forked child (a cts_shardd job) holds no
+// listener or connection of its parent.
 
 #pragma once
 
@@ -62,12 +64,21 @@ std::vector<Endpoint> parse_worker_list(const std::string& csv);
 
 /// Opens a listening TCP socket on `port` (0 picks an ephemeral port) on
 /// all interfaces; the actually bound port is stored in *actual_port.
+/// The listener itself blocks, so threads can wait in accept_blocking.
 /// Throws NetError on failure.
 Socket listen_on(std::uint16_t port, std::uint16_t* actual_port);
 
 /// Accepts one connection; an invalid Socket when the deadline passes
-/// without one.  Throws NetError on listener failure.
+/// without one.  For a listener with one accepting thread: a connection
+/// another thread takes between the poll and the accept would block it.
+/// Throws NetError on listener failure.
 Socket accept_connection(const Socket& listener, double timeout_s);
+
+/// Blocks in accept(2) until a connection arrives.  Any number of threads
+/// may wait on one listener; the kernel wakes one per connection.  Returns
+/// an invalid Socket once the listener is shut down (shutdown(2) with
+/// SHUT_RD wakes every waiter).  Throws NetError on listener failure.
+Socket accept_blocking(const Socket& listener);
 
 /// Connects to `ep` within the deadline.  Throws NetTimeout / NetError.
 Socket connect_to(const Endpoint& ep, double timeout_s);

@@ -27,10 +27,13 @@ namespace {
 
 constexpr double kRequestReadTimeoutS = 30.0;
 constexpr double kReplyWriteTimeoutS = 60.0;
-/// Accept poll interval: short enough that the budget stop is prompt.
-constexpr double kAcceptTimeoutS = 0.25;
-/// How long the accept thread spends on a connection over the cap.
+/// How long an acceptor spends on a connection over the cap.
 constexpr double kBusyTimeoutS = 0.25;
+/// A reply this small fits a fresh connection's send buffer, so sending
+/// it cannot block: its thread counts as back on the way to accept from
+/// before the send.  Counted after it, the client's next connection can
+/// reach the spare acceptor first and start a needless thread.
+constexpr std::size_t kPromptReplyBytes = 1024;
 
 /// The request's schema tag, or "" when it is not a JSON object with one.
 std::string schema_of(const std::string& request) {
@@ -60,11 +63,9 @@ void reply_busy(const Socket& sock, const std::string& reply) {
 
 }  // namespace
 
-struct Server::Conn {
-  Socket sock;
-  std::thread thread;
-  bool reading = true;  ///< no request delivered yet (guarded by mu_)
-  bool done = false;    ///< thread body finished (guarded by mu_)
+struct Server::Acceptor {
+  std::thread thread;   ///< not joinable for run()'s own thread
+  int reading_fd = -1;  ///< its connection, until the request is in (mu_)
 };
 
 ServerOptions parse_server_options(const util::Flags& flags,
@@ -114,7 +115,7 @@ int Server::run(const Service& service) {
   // captures), so the recorder is always on in a daemon.
   obs::TraceRecorder::global().enable();
 
-  Socket listener = listen_on(opt_.port, &port_);
+  listener_ = listen_on(opt_.port, &port_);
   std::printf("%s: listening on port %u\n", service.name.c_str(),
               static_cast<unsigned>(port_));
   std::fflush(stdout);
@@ -138,30 +139,17 @@ int Server::run(const Service& service) {
   }
   obs::log_info("daemon.start", {{"port", static_cast<std::int64_t>(port_)}});
 
-  try {
-    for (;;) {
-      Socket sock = accept_connection(listener, kAcceptTimeoutS);
-      reap_finished();
-      if (sock.valid() && conns_.size() >= kMaxConnections) {
-        obs::log_warn("conn.busy",
-                      {{"live", static_cast<std::int64_t>(conns_.size())}});
-        reply_busy(sock, service.encode_error(
-                             service.name + ": busy: " +
-                             std::to_string(kMaxConnections) +
-                             " connections open, retry later"));
-      } else if (sock.valid()) {
-        Conn& conn = conns_.emplace_back();
-        conn.sock = std::move(sock);
-        conn.thread = std::thread(
-            [this, &conn, &service] { serve_connection(conn, service); });
-      }
-      if (opt_.max_served > 0 && served() >= opt_.max_served) break;
-    }
-  } catch (...) {
-    stop_connections();
-    throw;
+  // run()'s thread is the first acceptor.  Once it leaves the loop,
+  // shutdown has begun and the pool no longer grows.
+  Acceptor& first = acceptors_.emplace_back();
+  idle_ = 1;
+  accept_loop(first, service);
+  for (Acceptor& acceptor : acceptors_) {
+    if (acceptor.thread.joinable()) acceptor.thread.join();
   }
-  stop_connections();
+  acceptors_.clear();
+  listener_.close();
+  if (error_) std::rethrow_exception(error_);
 
   if (profiling) {
     prof.stop();
@@ -188,53 +176,138 @@ int Server::run(const Service& service) {
   return 0;
 }
 
-/// One connection on its own thread: read the request, answer stats
-/// queries here and everything else through the service, reply.  Every
-/// failure path restores the shared counters.
-void Server::serve_connection(Conn& conn, const Service& service) {
-  bool counted_in_flight = false;
+/// One acceptor thread: take a connection, serve it here, go back to
+/// accept.  Entered counted in idle_; returns once shutdown has begun.  An
+/// exception stops the server and is kept for run() to rethrow.
+void Server::accept_loop(Acceptor& self, const Service& service) {
   try {
-    const std::string request = recv_frame(conn.sock, kRequestReadTimeoutS);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      conn.reading = false;
-    }
-    if (schema_of(request) == kStatsRequestSchema) {
-      send_frame(conn.sock, stats_reply(request, service),
-                 kReplyWriteTimeoutS);
-      obs::log_debug("stats.query", {});
-    } else {
+    for (bool accepting = true; accepting;) {
+      Socket sock = accept_blocking(listener_);
+      bool busy = false;
       {
         const std::lock_guard<std::mutex> lock(mu_);
-        ++in_flight_;
-        counted_in_flight = true;
+        --idle_;
+        if (!sock.valid()) stop_locked();  // the listener was shut down
+        if (stopping_) return;
+        busy = live_ >= kMaxConnections;
+        if (!busy) {
+          ++live_;
+          self.reading_fd = sock.fd();
+        }
+        if (idle_ == 0 && acceptors_.size() <= kMaxConnections) {
+          start_acceptor_locked(service);
+        }
       }
-      const Reply reply = service.handle(request);
-      send_frame(conn.sock, reply.text, kReplyWriteTimeoutS);
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++served_;
-      --in_flight_;
-      counted_in_flight = false;
-      ++(reply.ok ? ok_ : failed_);
-      if (reply.retried) ++retried_;
+      if (busy) {
+        obs::log_warn("conn.busy",
+                      {{"live", static_cast<std::int64_t>(kMaxConnections)}});
+        reply_busy(sock, service.encode_error(
+                             service.name + ": busy: " +
+                             std::to_string(kMaxConnections) +
+                             " connections open, retry later"));
+        const std::lock_guard<std::mutex> lock(mu_);
+        accepting = !stopping_;
+        if (accepting) ++idle_;
+      } else {
+        accepting = serve_connection(self, sock, service);
+      }
     }
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    self.reading_fd = -1;  // unwinding has closed the connection
+    if (!error_) error_ = std::current_exception();
+    stop_locked();
+  }
+}
+
+/// One connection on the acceptor that took it: read the request, answer
+/// stats queries here and everything else through the service, reply.
+/// Every path restores the shared counters.  Returns whether the thread
+/// goes back to accept: false once shutdown has begun.
+bool Server::serve_connection(Acceptor& self, Socket& sock,
+                              const Service& service) {
+  // What the shared counters hold for this request.  The answer is
+  // counted before its send, so a client that has its reply finds it in
+  // its next stats scrape; a send that fails moves it to failed_.
+  enum class Counted { kNone, kInFlight, kAnswered, kReplied };
+  Counted counted = Counted::kNone;  // kNone: reading, or a stats query
+  bool idle = false;  // counted in idle_ ahead of a prompt reply
+  Reply reply;
+  double t0 = 0.0, t1 = 0.0, t2 = 0.0;
+  try {
+    t0 = util::monotonic_s();
+    const std::string request = recv_frame(sock, kRequestReadTimeoutS);
+    t1 = util::monotonic_s();
+    const bool stats = schema_of(request) == kStatsRequestSchema;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      self.reading_fd = -1;
+      if (!stats) {
+        ++in_flight_;
+        counted = Counted::kInFlight;
+      }
+    }
+    if (stats) {
+      reply.text = stats_reply(request, service);
+      obs::log_debug("stats.query", {});
+    } else {
+      reply = service.handle(request);
+      t2 = util::monotonic_s();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (counted == Counted::kInFlight) {
+        --in_flight_;
+        ++(reply.ok ? ok_ : failed_);
+        if (reply.retried) ++retried_;
+        counted = Counted::kAnswered;
+      }
+      idle = reply.text.size() <= kPromptReplyBytes;
+      if (idle) ++idle_;
+    }
+    send_frame(sock, reply.text, kReplyWriteTimeoutS);
+    if (counted == Counted::kAnswered) counted = Counted::kReplied;
   } catch (const std::exception& e) {
     // A broken connection (or a failed handler) affects only that client;
     // keep serving.
     obs::log_warn("conn.error", {{"error", e.what()}});
-    if (counted_in_flight) {
-      const std::lock_guard<std::mutex> lock(mu_);
+  }
+  bool accepting = false;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    self.reading_fd = -1;
+    if (counted == Counted::kInFlight) {  // the handler threw
       --in_flight_;
-      // The reply never went out, but the budget was spent: count the
+      ++failed_;
+    } else if (counted == Counted::kAnswered) {  // the send failed
+      if (reply.ok) {
+        --ok_;
+        ++failed_;
+      }
+      if (reply.retried) --retried_;
+    }
+    if (counted != Counted::kNone) {
+      // A reply that never went out still spent the budget: count the
       // request as served so the budget and fault drills stay
       // deterministic.
       ++served_;
-      ++failed_;
+      if (opt_.max_served > 0 && served_ >= opt_.max_served) stop_locked();
     }
+    --live_;
+    if (idle) --idle_;
+    accepting = !stopping_;
+    if (accepting) ++idle_;
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  conn.sock.close();
-  conn.done = true;
+  sock.close();
+  if (counted == Counted::kReplied) {
+    const std::string& prefix = service.metric_prefix;
+    obs::MetricsShard stages;
+    stages.observe_log(prefix + ".recv_ms", (t1 - t0) * 1e3);
+    stages.observe_log(prefix + ".handle_ms", (t2 - t1) * 1e3);
+    stages.observe_log(prefix + ".send_ms", (util::monotonic_s() - t2) * 1e3);
+    metrics_.merge(stages);
+  }
+  return accepting;
 }
 
 std::string Server::stats_reply(const std::string& request,
@@ -248,6 +321,7 @@ std::string Server::stats_reply(const std::string& request,
     obs::log_warn("stats.bad_format", {{"error", e.what()}});
   }
   WorkerStats stats;
+  std::size_t threads = 0;
   stats.worker = service.name + ":" + std::to_string(port_);
   stats.pid = static_cast<std::int64_t>(::getpid());
   stats.uptime_s = util::monotonic_s() - start_s_;
@@ -259,8 +333,11 @@ std::string Server::stats_reply(const std::string& request,
     stats.jobs_failed = failed_;
     stats.jobs_retried = retried_;
     stats.stats_served = stats_served_;
+    threads = acceptors_.size();
   }
   stats.metrics = metrics_.snapshot();
+  stats.metrics.gauge(service.metric_prefix + ".threads",
+                      static_cast<double>(threads));
   if (service.add_gauges) service.add_gauges(&stats.metrics);
   stats.spans = obs::aggregate_spans(obs::TraceRecorder::global().events());
   if (format == StatsFormat::kJson) return write_stats_json(stats);
@@ -280,29 +357,21 @@ std::string Server::stats_reply(const std::string& request,
   return os.str();
 }
 
-void Server::reap_finished() {
-  // A done thread has left its last critical section, so joining it under
-  // the lock cannot deadlock.
-  const std::lock_guard<std::mutex> lock(mu_);
-  conns_.remove_if([](Conn& conn) {
-    if (conn.done) conn.thread.join();
-    return conn.done;
-  });
+void Server::start_acceptor_locked(const Service& service) {
+  Acceptor& acceptor = acceptors_.emplace_back();
+  acceptor.thread = std::thread(
+      [this, &acceptor, &service] { accept_loop(acceptor, service); });
+  ++idle_;
 }
 
-void Server::stop_connections() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (Conn& conn : conns_) {
-      if (conn.reading && conn.sock.valid()) {
-        ::shutdown(conn.sock.fd(), SHUT_RD);
-      }
-    }
+void Server::stop_locked() {
+  if (stopping_) return;
+  stopping_ = true;
+  // Wakes every acceptor blocked in accept(2); accept fails from now on.
+  ::shutdown(listener_.fd(), SHUT_RD);
+  for (const Acceptor& acceptor : acceptors_) {
+    if (acceptor.reading_fd >= 0) ::shutdown(acceptor.reading_fd, SHUT_RD);
   }
-  for (Conn& conn : conns_) {
-    if (conn.thread.joinable()) conn.thread.join();
-  }
-  conns_.clear();
 }
 
 }  // namespace cts::net

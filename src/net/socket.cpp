@@ -1,7 +1,6 @@
 #include "cts/net/socket.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -22,9 +21,19 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+/// accept4(2) of one connection, non-blocking and close-on-exec: an fd a
+/// daemon's fork+exec child inherits keeps the port bound and the peer's
+/// connection open after the daemon dies.  Invalid when the call should
+/// be retried (a pending connection vanished, a signal, a spurious
+/// wakeup); errno says why.
+Socket accept_one(const Socket& listener) {
+  return Socket(::accept4(listener.fd(), nullptr, nullptr,
+                          SOCK_NONBLOCK | SOCK_CLOEXEC));
+}
+
+bool accept_retryable() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+         errno == ECONNABORTED;
 }
 
 /// Polls `fd` for `events` until `deadline`; false on expiry.  Throws
@@ -99,7 +108,7 @@ std::vector<Endpoint> parse_worker_list(const std::string& csv) {
 }
 
 Socket listen_on(std::uint16_t port, std::uint16_t* actual_port) {
-  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!sock.valid()) throw NetError("socket: " + errno_text());
   const int one = 1;
   ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -124,7 +133,6 @@ Socket listen_on(std::uint16_t port, std::uint16_t* actual_port) {
     }
     *actual_port = ntohs(bound.sin_port);
   }
-  set_nonblocking(sock.fd());
   return sock;
 }
 
@@ -132,16 +140,18 @@ Socket accept_connection(const Socket& listener, double timeout_s) {
   const double deadline = util::monotonic_s() + timeout_s;
   for (;;) {
     if (!poll_until(listener.fd(), POLLIN, deadline)) return Socket();
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      set_nonblocking(fd);
-      return Socket(fd);
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
-        errno == ECONNABORTED) {
-      continue;  // the pending connection vanished; keep waiting
-    }
-    throw NetError("accept: " + errno_text());
+    Socket sock = accept_one(listener);
+    if (sock.valid()) return sock;
+    if (!accept_retryable()) throw NetError("accept: " + errno_text());
+  }
+}
+
+Socket accept_blocking(const Socket& listener) {
+  for (;;) {
+    Socket sock = accept_one(listener);
+    if (sock.valid()) return sock;
+    if (errno == EINVAL) return Socket();  // the listener was shut down
+    if (!accept_retryable()) throw NetError("accept: " + errno_text());
   }
 }
 
@@ -159,12 +169,13 @@ Socket connect_to(const Endpoint& ep, double timeout_s) {
   }
   std::string last_error = "no addresses";
   for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    Socket sock(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
+    Socket sock(::socket(ai->ai_family,
+                         ai->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                         ai->ai_protocol));
     if (!sock.valid()) {
       last_error = "socket: " + errno_text();
       continue;
     }
-    set_nonblocking(sock.fd());
     if (::connect(sock.fd(), ai->ai_addr, ai->ai_addrlen) == 0) {
       ::freeaddrinfo(res);
       return sock;

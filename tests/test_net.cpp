@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -299,6 +302,40 @@ TEST(SocketLoopback, PeerClosingMidFrameIsANetError) {
   // Server closed after one frame: the next recv sees EOF, not a timeout.
   EXPECT_THROW(net::recv_frame(client, 2.0), net::NetError);
   server.join();
+}
+
+// A cts_shardd job child is fork+exec'd from a daemon thread: an fd it
+// inherits would keep the daemon's port bound and its peers' connections
+// open after the daemon dies.
+TEST(SocketLoopback, EverySocketIsCloseOnExecAndConnectionsNonBlocking) {
+  std::uint16_t port = 0;
+  const net::Socket listener = net::listen_on(0, &port);
+  const net::Socket client = net::connect_to({"127.0.0.1", port}, 10.0);
+  const net::Socket conn = net::accept_connection(listener, 10.0);
+  ASSERT_TRUE(conn.valid());
+  for (const net::Socket* sock : {&listener, &conn, &client}) {
+    const int fd_flags = ::fcntl(sock->fd(), F_GETFD);
+    ASSERT_GE(fd_flags, 0);
+    EXPECT_NE(fd_flags & FD_CLOEXEC, 0) << "fd " << sock->fd();
+  }
+  for (const net::Socket* sock : {&conn, &client}) {
+    EXPECT_NE(::fcntl(sock->fd(), F_GETFL) & O_NONBLOCK, 0)
+        << "fd " << sock->fd();
+  }
+}
+
+TEST(SocketLoopback, BlockingAcceptWakesWhenTheListenerShutsDown) {
+  std::uint16_t port = 0;
+  const net::Socket listener = net::listen_on(0, &port);
+  const net::Socket client = net::connect_to({"127.0.0.1", port}, 10.0);
+  const net::Socket conn = net::accept_blocking(listener);
+  ASSERT_TRUE(conn.valid());
+  EXPECT_NE(::fcntl(conn.fd(), F_GETFD) & FD_CLOEXEC, 0);
+
+  std::thread waiter([&] { EXPECT_FALSE(net::accept_blocking(listener).valid()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(::shutdown(listener.fd(), SHUT_RD), 0);
+  waiter.join();
 }
 
 TEST(SocketLoopback, ConnectToClosedPortFails) {

@@ -7,18 +7,26 @@
 //     crash, not an RST), and the server serves normally once it drains;
 //   * a client that disconnects before its reply counts as served+failed;
 //   * the stats endpoint's counters match the requests sent;
-//   * the shared serve flags are parsed strictly.
+//   * the shared serve flags are parsed strictly;
+//   * the acceptor pool: sequential clients reuse the same two threads,
+//     and a flood past the cap never grows the process by more than the
+//     pool's kMaxConnections + 1 threads.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +133,13 @@ std::string round_trip(const net::Endpoint& ep, const std::string& request) {
 }
 
 net::Reply ok_reply() { return {cac_reply(true, ""), true, false}; }
+
+/// Threads in this process right now.
+std::size_t process_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
 
 TEST(NetServer, StalledClientDoesNotHoldUpShutdown) {
   std::atomic<int> started{0};
@@ -293,6 +308,83 @@ TEST(NetServer, ServeFlagsAreParsedStrictly) {
   EXPECT_THROW(parse({"--profile-hz=0"}), cu::InvalidArgument);
   EXPECT_THROW(parse({"--port=65536"}), cu::InvalidArgument);
   EXPECT_THROW(parse({"--log-level=loud"}), cu::InvalidArgument);
+}
+
+TEST(NetServer, SequentialRoundTripsAreServedByAtMostTwoThreads) {
+  std::mutex mu;
+  std::set<pid_t> tids;
+  RunningServer rs("reuse", 100, [&](const std::string&, net::Server&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    tids.insert(::gettid());
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  // The thread that accepts a connection serves it and goes back to
+  // accept: one closed-loop caller needs that thread plus the spare it
+  // started, never a thread per request.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(net::parse_cac_response(round_trip(ep, "request")).ok);
+  }
+  EXPECT_EQ(rs.join(), 0);
+  EXPECT_GE(tids.size(), 1u);
+  EXPECT_LE(tids.size(), 2u);
+}
+
+TEST(NetServer, ThreadCountStaysBoundedPastTheCap) {
+  std::atomic<bool> sampling{true};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      const std::size_t now = process_threads();
+      if (now > peak.load()) peak.store(now);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const std::size_t before = process_threads();
+  RunningServer rs("bound", 1, [](const std::string&, net::Server&) {
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+
+  // kMaxConnections idle connections, each holding an acceptor in recv.
+  // Their acceptors plus the spare that answers the next connection are
+  // the pool's kMaxConnections + 1 threads.
+  std::vector<net::Socket> held;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    held.push_back(net::connect_to(ep, kIoTimeoutS));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const double deadline = cu::monotonic_s() + 10.0;
+  while (process_threads() < before + net::kMaxConnections + 1 &&
+         cu::monotonic_s() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Eight more, all held open at once: each gets the busy reply.
+  for (int i = 0; i < 8; ++i) {
+    net::Socket extra = net::connect_to(ep, kIoTimeoutS);
+    net::send_frame(extra, "request", kIoTimeoutS);
+    const net::CacResponse busy =
+        net::parse_cac_response(net::recv_frame(extra, kIoTimeoutS));
+    EXPECT_FALSE(busy.ok);
+    EXPECT_NE(busy.error.find("busy"), std::string::npos) << busy.error;
+    held.push_back(std::move(extra));
+  }
+  EXPECT_EQ(held.size(), net::kMaxConnections + 8);
+
+  held.clear();
+  bool served = false;
+  const double serve_deadline = cu::monotonic_s() + 10.0;
+  while (!served && cu::monotonic_s() < serve_deadline) {
+    served = net::parse_cac_response(round_trip(ep, "request")).ok;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(served);
+  EXPECT_EQ(rs.join(), 0);
+  sampling.store(false);
+  sampler.join();
+  EXPECT_LE(peak.load(), before + net::kMaxConnections + 2);
 }
 
 }  // namespace

@@ -26,13 +26,16 @@
 //     admissible_connections_br/_eb calls.
 //   * cts.statsreq.v1 — answered by the runtime with a cts.stats.v1
 //     snapshot (requests in flight / ok / failed, the metrics registry
-//     including the cacd.query_wall_ms log-histogram, the cacd.cache_*
-//     gauges, span self-times).  JSON by default, OpenMetrics on request.
+//     including the cacd.query_wall_ms log-histogram, the runtime's
+//     cacd.recv_ms / handle_ms / send_ms stage histograms and cacd.threads
+//     gauge, the cacd.cache_* gauges, span self-times).  JSON by default,
+//     OpenMetrics on request.
 //
-// Each connection carries one request and gets its own tracked thread;
-// at most 64 are live, and one more gets a {"ok":false} "busy" reply.
-// Once --max-requests replies are out, connections still waiting for a
-// request are cut and every running batch is finished before the exit.
+// Each connection carries one request and is served by the pool thread
+// that accepted it; at most 64 are live, and one more gets a
+// {"ok":false} "busy" reply.  Once --max-requests replies are out,
+// connections still waiting for a request are cut and every running batch
+// is finished before the exit.
 //
 // Operational events (request served/rejected, connection errors,
 // shutdown) are cts.events.v1 JSONL to --log, else stderr unless --quiet.

@@ -26,10 +26,12 @@
 //     do not trigger --fault-exit-after: a monitor must never eat the job
 //     budget or trip a fault drill.
 //
-// Each connection carries one request and gets its own tracked thread; at
-// most 64 are live, and one more gets a {"ok":false} "busy" reply.  Once
-// --max-jobs replies are out, connections still waiting for a request are
-// cut and the exit waits for every running job, however long it takes.
+// Each connection carries one request and is served by the pool thread
+// that accepted it; at most 64 are live, and one more gets a
+// {"ok":false} "busy" reply.  Once --max-jobs replies are out,
+// connections still waiting for a request are cut and the exit waits for
+// every running job, however long it takes.  Every socket is
+// close-on-exec, so a job child holds neither the port nor a connection.
 //
 // Operational events (job start/done/fail, connection errors, shutdown)
 // are emitted as cts.events.v1 JSONL — to --log=PATH when given, else to
