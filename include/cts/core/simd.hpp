@@ -19,8 +19,8 @@
 // which all three implementations realise exactly.  `scan_min` is an
 // argmin under strict `<` with lowest-m tie-breaking, which is independent
 // of evaluation order altogether.  `fractal_sojourns` is element-wise too:
-// one generic lane body, instantiated per width, built from IEEE-754
-// add/sub/mul/div and integer bit operations only.  Tests assert the
+// generic log and exp lane bodies, instantiated per width, built from
+// IEEE-754 add/sub/mul/div and integer bit operations only.  Tests assert the
 // contract kernel-by-kernel and end-to-end at the curve level
 // (test_simd_kernels, test_curve_bit_identity).
 
@@ -117,11 +117,14 @@ struct SojournConsts {
 ///   out[i] = -(A/gamma) L                  if u[i] <  body_mass,
 ///            A exp((-gamma - L) / gamma)   otherwise,
 ///
-/// selected branch-free (the kernel multiplies by the precomputed A/gamma
-/// and 1/gamma of `consts`).  `log` and `exp` are the kernel's own fdlibm-style
-/// polynomials (no libm, no FMA), each accurate to about 1 ulp, so every
-/// tier is byte-identical and out[i] lies within 1e-13 relative of the
-/// libm-based `OnOffParams::sample_sojourn`.  `out` must not alias `u`.
+/// (the kernel multiplies by the precomputed A/gamma and 1/gamma of
+/// `consts`).  Every draw takes the log and only tail draws take the exp:
+/// the vector tiers pack the tail draws' logs densely, exponentiate them as
+/// vectors and scatter the results back.  `log` and `exp` are the kernel's
+/// own fdlibm-style polynomials (no libm, no FMA), each accurate to about
+/// 1 ulp, so every tier is byte-identical and out[i] lies within 1e-13
+/// relative of the libm-based `OnOffParams::sample_sojourn`.  `out` must
+/// not alias `u`.
 void fractal_sojourns(const double* u, double* out, std::size_t n,
                       const SojournConsts& consts);
 

@@ -29,6 +29,9 @@ class FractalBinomialNoise {
   /// Number of sources currently ON.
   std::uint32_t on_count() const noexcept;
 
+  /// Sojourns drawn so far by all M sources (their ON/OFF transitions).
+  std::uint64_t sojourns_drawn() const noexcept;
+
   std::uint32_t m() const noexcept {
     return static_cast<std::uint32_t>(sources_.size());
   }

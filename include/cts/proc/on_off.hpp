@@ -56,12 +56,16 @@ struct OnOffParams {
 ///
 /// The advance loop is the hot path of every FBNDP simulation (the paper's
 /// alpha = 0.9 parameterisations produce thousands of transitions per
-/// frame).  Sojourns are therefore drawn 16 at a time: the source takes 16
+/// frame).  Sojourns are therefore drawn 32 at a time: the source takes 32
 /// uniforms from its own stream, in order, and one call to the SIMD kernel
 /// `core::simd::fractal_sojourns` turns them into a ring of sojourns that
-/// the next 16 transitions consume.  Draw i still uses uniform i, so the
-/// path is the one `OnOffParams::sample_sojourn` would give up to the
-/// kernel's ~1 ulp log/exp, and it is byte-identical on every SIMD tier.
+/// the next 32 transitions consume.  After construction the stream feeds
+/// nothing but these draws, so draw i uses uniform i whatever the ring
+/// size, the path is the one `OnOffParams::sample_sojourn` would give up
+/// to the kernel's ~1 ulp log/exp, and it is byte-identical on every SIMD
+/// tier.  The ring is large enough to amortise the kernel's packing of
+/// tail draws and small enough that M sources per FBNDP stay cheap to
+/// hold.
 class FractalOnOff {
  public:
   /// Constructs in the stationary regime using `rng` for initialisation.
@@ -75,9 +79,15 @@ class FractalOnOff {
 
   bool is_on() const noexcept { return on_; }
 
+  /// Sojourns consumed so far (one per ON/OFF transition), counted from
+  /// the refills and the ring index rather than per transition.
+  std::uint64_t sojourns_drawn() const noexcept {
+    return refills_ * kBatch - (kBatch - next_);
+  }
+
  private:
   /// Sojourns drawn per kernel call.
-  static constexpr std::uint8_t kBatch = 16;
+  static constexpr std::uint8_t kBatch = 32;
 
   /// Next sojourn from the ring, refilling it when empty.
   double next_sojourn() noexcept {
@@ -92,6 +102,7 @@ class FractalOnOff {
   core::simd::SojournConsts consts_;
   /// Remaining time in the current sojourn (seconds).
   double residual_ = 0.0;
+  std::uint64_t refills_ = 0;  ///< kernel calls so far
   core::simd::Kind kind_ = core::simd::Kind::kScalar;
   bool on_ = false;
   std::uint8_t next_ = kBatch;  ///< ring_ index of the next sojourn

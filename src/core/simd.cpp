@@ -99,12 +99,14 @@ void scaled_real_stride2_scalar(const double* in, double norm, double* out,
 }
 
 // ---------------------------------------------------------------------------
-// Fractal ON/OFF sojourn kernel.  One lane body, generic over the lane type:
-// `double`/`uint64_t` for the scalar tier, GCC vector-extension types for
-// SSE2 and AVX2.  It is force-inlined into each tier's target-attributed
-// loop, so the same source compiles to scalar, 2-wide and 4-wide code whose
-// every operation is an element-wise IEEE-754 add/sub/mul/div or an integer
-// bit operation -- identical results on every tier by construction.  The
+// Fractal ON/OFF sojourn kernel.  The log and exp lane bodies are generic
+// over the lane type: `double`/`uint64_t` for the scalar tier, GCC
+// vector-extension types for SSE2 and AVX2.  They are force-inlined into
+// each tier's target-attributed loop, so the same source compiles to
+// scalar, 2-wide and 4-wide code whose every operation is an element-wise
+// IEEE-754 add/sub/mul/div or an integer bit operation -- identical results
+// on every tier by construction, however the tiers group the draws into
+// vectors.  Every draw takes the log; only tail draws take the exp.  The
 // helpers transform their lanes in place and reinterpret bits with
 // __builtin_bit_cast: a 32-byte vector passed or returned by value (as
 // std::bit_cast would) trips GCC's -Wpsabi note on pre-AVX conventions.
@@ -191,49 +193,89 @@ template <class V, class U>
   x = y * __builtin_bit_cast(V, scale);
 }
 
-/// u <- sojourn of each lane's uniform (see simd.hpp for the formula).
+/// x <- A exp((-gamma - x) / gamma): the tail sojourn of a draw whose
+/// L = log(1 - u) is x.
 template <class V, class U>
-[[gnu::always_inline]] inline void sojourn_lanes(V& u,
-                                                 const SojournConsts& c) {
-  V log_s = 1.0 - u;  // exact for 53-bit uniforms, so L = log S exactly
-  log_lanes<V, U>(log_s);
-  const V body = (0.0 - log_s) * c.a_over_g;  // 0 - L keeps +0 at u = 0
-  V tail = (c.neg_g - log_s) * c.inv_g;
-  exp_lanes<V, U>(tail);
-  tail = c.a * tail;
-  u = u < c.body_mass ? body : tail;
+[[gnu::always_inline]] inline void tail_lanes(V& x, const SojournConsts& c) {
+  x = (c.neg_g - x) * c.inv_g;
+  exp_lanes<V, U>(x);
+  x = c.a * x;
 }
 
 void fractal_sojourns_scalar(const double* u, double* out, std::size_t n,
                              const SojournConsts& c) {
   for (std::size_t i = 0; i < n; ++i) {
-    double lane = u[i];
-    sojourn_lanes<double, std::uint64_t>(lane, c);
-    out[i] = lane;
+    double log_s = 1.0 - u[i];  // exact for 53-bit uniforms, so L = log S
+    log_lanes<double, std::uint64_t>(log_s);
+    if (u[i] < c.body_mass) {
+      out[i] = (0.0 - log_s) * c.a_over_g;  // 0 - L keeps +0 at u = 0
+    } else {
+      tail_lanes<double, std::uint64_t>(log_s, c);
+      out[i] = log_s;
+    }
   }
 }
 
-/// Full vectors of W lanes, then the tail padded into one more vector, so
-/// every element goes through the same vector code.
+/// One vector of draws: log_out <- L = log(1 - u), body_out <- -(A/gamma) L.
+template <class V, class U>
+[[gnu::always_inline]] inline void body_vector(const double* u,
+                                               double* body_out,
+                                               double* log_out,
+                                               const SojournConsts& c) {
+  V lanes;
+  std::memcpy(&lanes, u, sizeof lanes);
+  lanes = 1.0 - lanes;
+  log_lanes<V, U>(lanes);
+  std::memcpy(log_out, &lanes, sizeof lanes);
+  lanes = (0.0 - lanes) * c.a_over_g;
+  std::memcpy(body_out, &lanes, sizeof lanes);
+}
+
+/// Blocks of up to kBlock draws in three passes: log and the body sojourn on
+/// every lane; the logs of the tail draws (about a third of them) packed
+/// densely; exp over the packed logs, scattered back over the body values.
+/// The last vector of the first and third pass is padded (u = 0, L = 0),
+/// so every element goes through the same operations as on the scalar
+/// tier.
 template <class V, class U>
 [[gnu::always_inline]] inline void fractal_sojourns_wide(
     const double* u, double* out, std::size_t n, const SojournConsts& c) {
   constexpr std::size_t kW = sizeof(V) / sizeof(double);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    V lanes;
-    std::memcpy(&lanes, u + i, sizeof lanes);
-    sojourn_lanes<V, U>(lanes, c);
-    std::memcpy(out + i, &lanes, sizeof lanes);
+  constexpr std::size_t kBlock = 64;
+  // Left uninitialised on the hot path: every slot read below is written
+  // earlier in the same block.
+  double logs[kBlock + kW];    // L per draw
+  double tails[kBlock + kW];   // packed L of the tail draws, then sojourns
+  std::uint8_t where[kBlock];  // block index of each packed draw
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const double* ub = u + base;
+    double* ob = out + base;
+    const std::size_t len = n - base < kBlock ? n - base : kBlock;
+    std::size_t i = 0;
+    for (; i + kW <= len; i += kW) {
+      body_vector<V, U>(ub + i, ob + i, logs + i, c);
+    }
+    if (i < len) {
+      double pad[kW] = {};
+      std::memcpy(pad, ub + i, (len - i) * sizeof(double));
+      body_vector<V, U>(pad, pad, logs + i, c);
+      std::memcpy(ob + i, pad, (len - i) * sizeof(double));
+    }
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      tails[k] = logs[j];
+      where[k] = static_cast<std::uint8_t>(j);
+      k += ub[j] < c.body_mass ? 0 : 1;
+    }
+    for (std::size_t j = k; j % kW != 0; ++j) tails[j] = 0.0;
+    for (std::size_t j = 0; j < k; j += kW) {
+      V lanes;
+      std::memcpy(&lanes, tails + j, sizeof lanes);
+      tail_lanes<V, U>(lanes, c);
+      std::memcpy(tails + j, &lanes, sizeof lanes);
+    }
+    for (std::size_t j = 0; j < k; ++j) ob[where[j]] = tails[j];
   }
-  if (i == n) return;
-  double pad[kW] = {};
-  std::memcpy(pad, u + i, (n - i) * sizeof(double));
-  V lanes;
-  std::memcpy(&lanes, pad, sizeof lanes);
-  sojourn_lanes<V, U>(lanes, c);
-  std::memcpy(pad, &lanes, sizeof lanes);
-  std::memcpy(out + i, pad, (n - i) * sizeof(double));
 }
 
 #if CTS_SIMD_X86

@@ -26,4 +26,10 @@ std::uint32_t FractalBinomialNoise::on_count() const noexcept {
   return count;
 }
 
+std::uint64_t FractalBinomialNoise::sojourns_drawn() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& source : sources_) total += source.sojourns_drawn();
+  return total;
+}
+
 }  // namespace cts::proc

@@ -11,10 +11,15 @@ namespace cts::proc {
 void FbndpParams::validate() const {
   util::require(alpha > 0.0 && alpha < 1.0,
                 "FbndpParams: alpha must be in (0,1)");
-  util::require(A > 0.0, "FbndpParams: A must be > 0");
+  // The scales must be finite: with Ts = +inf, next_frame would never
+  // finish advancing the ON/OFF processes.
+  util::require(A > 0.0 && std::isfinite(A),
+                "FbndpParams: A must be finite and > 0");
   util::require(M >= 1, "FbndpParams: M must be >= 1");
-  util::require(R > 0.0, "FbndpParams: R must be > 0");
-  util::require(Ts > 0.0, "FbndpParams: Ts must be > 0");
+  util::require(R > 0.0 && std::isfinite(R),
+                "FbndpParams: R must be finite and > 0");
+  util::require(Ts > 0.0 && std::isfinite(Ts),
+                "FbndpParams: Ts must be finite and > 0");
 }
 
 double FbndpParams::fractal_onset_time() const {
@@ -54,8 +59,10 @@ FbndpSource::~FbndpSource() {
   // per (replication, source) — never on the per-frame path.
   if (frames_generated_ == 0) return;
   try {
-    obs::MetricsRegistry::global().add("proc.fbndp.frames",
-                                       frames_generated_);
+    obs::MetricsShard shard;
+    shard.add("proc.fbndp.frames", frames_generated_);
+    shard.add("proc.fbndp.sojourns", fbn_.sojourns_drawn());
+    obs::MetricsRegistry::global().merge(shard);
   } catch (...) {
     // Metrics flushing must never throw from a destructor.
   }

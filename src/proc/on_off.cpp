@@ -89,6 +89,7 @@ void FractalOnOff::refill() noexcept {
   std::array<double, kBatch> u;
   for (double& x : u) x = rng_.uniform01();
   core::simd::fractal_sojourns(kind_, u.data(), ring_.data(), kBatch, consts_);
+  ++refills_;
   next_ = 0;
 }
 

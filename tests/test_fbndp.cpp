@@ -3,10 +3,13 @@
 #include "cts/proc/fbndp.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "cts/fit/fbndp_calibration.hpp"
+#include "cts/obs/metrics.hpp"
 #include "cts/stats/acf.hpp"
 #include "cts/util/accumulator.hpp"
 #include "cts/util/error.hpp"
@@ -42,6 +45,46 @@ TEST(FbndpParams, ValidatesRanges) {
   p = paper_component();
   p.R = -1.0;
   EXPECT_THROW(p.validate(), cu::InvalidArgument);
+}
+
+TEST(FbndpParams, RejectsNonFiniteScales) {
+  // An infinite frame window would never finish advancing the ON/OFF
+  // processes, so next_frame would never return.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double cp::FbndpParams::*field :
+       {&cp::FbndpParams::Ts, &cp::FbndpParams::R, &cp::FbndpParams::A}) {
+    for (const double bad : {inf, std::numeric_limits<double>::quiet_NaN()}) {
+      cp::FbndpParams p = paper_component();
+      p.*field = bad;
+      EXPECT_THROW(p.validate(), cu::InvalidArgument) << bad;
+      EXPECT_THROW(cp::FbndpSource(p, 1), cu::InvalidArgument) << bad;
+    }
+  }
+}
+
+TEST(FbndpSource, FlushesSojournCountOnDestruction) {
+  // The source's ON/OFF processes take their stream from the first split of
+  // the seed's generator; a bare FractalBinomialNoise on the same split
+  // makes the same transitions over the same frame windows.
+  const cp::FbndpParams p = paper_component();
+  const std::uint64_t seed = 11;
+  auto& registry = cts::obs::MetricsRegistry::global();
+  const std::uint64_t frames_before = registry.counter("proc.fbndp.frames");
+  const std::uint64_t before = registry.counter("proc.fbndp.sojourns");
+  const int frames = 300;
+  {
+    cp::FbndpSource source(p, seed);
+    for (int i = 0; i < frames; ++i) source.next_frame();
+  }
+  cu::Xoshiro256pp rng(seed);
+  cp::FractalBinomialNoise fbn(cp::OnOffParams{p.alpha, p.A}, p.M,
+                               rng.split());
+  for (int i = 0; i < frames; ++i) fbn.aggregate_on_time(p.Ts);
+  EXPECT_GT(fbn.sojourns_drawn(), 0u);
+  EXPECT_EQ(registry.counter("proc.fbndp.sojourns") - before,
+            fbn.sojourns_drawn());
+  EXPECT_EQ(registry.counter("proc.fbndp.frames") - frames_before,
+            static_cast<std::uint64_t>(frames));
 }
 
 TEST(FbndpParams, DerivedStatisticsMatchPaper) {

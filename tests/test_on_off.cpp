@@ -3,6 +3,7 @@
 #include "cts/proc/on_off.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,4 +175,42 @@ TEST(FractalOnOff, ZeroWindowConsumesNothing) {
   const bool was_on = source.is_on();
   EXPECT_DOUBLE_EQ(source.on_time_in(0.0), 0.0);
   EXPECT_EQ(source.is_on(), was_on);
+}
+
+TEST(FractalOnOff, WindowsMatchOneDrawAtATimeReference) {
+  // The ring only batches the draws: the source's stream feeds nothing but
+  // its sojourns, so a reference loop that takes one uniform per sojourn
+  // from a copy of the stream and maps it through the scalar kernel
+  // reproduces every window exactly, whatever the ring size and the tier.
+  const cp::OnOffParams p = params(0.9, 1.5e-5);
+  const cu::Xoshiro256pp stream(2024);
+  cp::FractalOnOff source(p, stream);
+  cu::Xoshiro256pp rng = stream;
+  bool on = rng.uniform01() < 0.5;
+  double residual = p.sample_equilibrium_residual(rng);
+  const cts::core::simd::SojournConsts consts = p.sojourn_consts();
+  std::uint64_t drawn = 0;
+  for (int w = 0; w < 400; ++w) {
+    const double dt = 1e-4 * static_cast<double>(1 + w % 7);
+    double on_time = 0.0;
+    double remaining = dt;
+    while (remaining > 0.0) {
+      if (residual > remaining) {
+        if (on) on_time += remaining;
+        residual -= remaining;
+        break;
+      }
+      if (on) on_time += residual;
+      remaining -= residual;
+      on = !on;
+      const double u = rng.uniform01();
+      cts::core::simd::fractal_sojourns(cts::core::simd::Kind::kScalar, &u,
+                                        &residual, 1, consts);
+      ++drawn;
+    }
+    ASSERT_EQ(source.on_time_in(dt), on_time) << "window " << w;
+    ASSERT_EQ(source.is_on(), on) << "window " << w;
+  }
+  EXPECT_EQ(source.sojourns_drawn(), drawn);
+  EXPECT_GT(drawn, 2000u);  // dozens of ring refills
 }

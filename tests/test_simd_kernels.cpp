@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -344,6 +346,65 @@ TEST(SimdFractalSojourns, EdgeDrawsOnEveryKind) {
       cs::fractal_sojourns(kind, u.data(), out.data(), u.size(), consts);
       EXPECT_TRUE(same_bytes(out, ref))
           << cs::kind_name(kind) << " alpha=" << law.alpha;
+    }
+  }
+}
+
+TEST(SimdFractalSojourns, PackedTailPatternsOnEveryKindAndLength) {
+  // The vector tiers exponentiate only the tail draws, packed densely and
+  // scattered back, in blocks of 64 draws.  Every body/tail pattern and
+  // every length up to two blocks plus a partial vector (which covers
+  // twice FractalOnOff's 32-draw ring plus three) must still match the
+  // scalar tier byte for byte and the libm reference within 1e-13.
+  for (const cts::proc::OnOffParams& law : sojourn_laws()) {
+    const cs::SojournConsts consts = law.sojourn_consts();
+    const double mass = consts.body_mass;
+    const double below = std::nextafter(mass, 0.0);
+    const double above = std::nextafter(mass, 1.0);
+    // Rejection keeps the draws 53-bit uniforms, so 1 - u stays exact.
+    cu::Xoshiro256pp rng(7);
+    const auto body = [&] {
+      double x = rng.uniform01();
+      while (!(x < mass)) x = rng.uniform01();
+      return x;
+    };
+    const auto tail = [&] {
+      double x = rng.uniform01();
+      while (x < mass) x = rng.uniform01();
+      return x;
+    };
+    using Draw = std::function<double(std::size_t)>;
+    const std::vector<std::pair<std::string, Draw>> patterns = {
+        {"all-body", [&](std::size_t) { return body(); }},
+        {"all-tail", [&](std::size_t) { return tail(); }},
+        {"alternating",
+         [&](std::size_t i) { return i % 2 == 0 ? body() : tail(); }},
+        {"at-mass",
+         [&](std::size_t i) {
+           const double edge[3] = {below, mass, above};
+           return edge[i % 3];
+         }},
+    };
+    for (const auto& [name, draw] : patterns) {
+      for (std::size_t n = 0; n <= 2 * 64 + 3; ++n) {
+        std::vector<double> u(n);
+        for (std::size_t i = 0; i < n; ++i) u[i] = draw(i);
+        std::vector<double> ref(n, -1.0);
+        cs::fractal_sojourns(cs::Kind::kScalar, u.data(), ref.data(), n,
+                             consts);
+        for (std::size_t i = 0; i < n; ++i) {
+          expect_close(ref[i], reference_sojourn(law, u[i]),
+                       name + " n=" + std::to_string(n) + " i=" +
+                           std::to_string(i));
+        }
+        for (const cs::Kind kind : supported_kinds()) {
+          std::vector<double> out(n, -1.0);
+          cs::fractal_sojourns(kind, u.data(), out.data(), n, consts);
+          EXPECT_TRUE(same_bytes(out, ref))
+              << cs::kind_name(kind) << " " << name << " n=" << n
+              << " alpha=" << law.alpha;
+        }
+      }
     }
   }
 }
