@@ -13,10 +13,10 @@
 // metrics), --perf=<path> (cts.perf.v1 report: getrusage, hardware
 // counters when permitted, per-phase span self-time table — the file
 // tools/cts_benchd aggregates into BENCH_*.json), --profile=<path>
-// (cts.profile.v1 span-stack sampling profile; --profile-folded,
-// --profile-hz and --profile-backend tune it), --quiet (suppress the
-// stderr progress line; CTS_QUIET=1 equivalent) and --help, via the
-// ObsGuard each main() constructs right after flag parsing.
+// (cts.profile.v1 span-path profile; --profile-folded writes it as
+// collapsed stacks), --quiet (suppress the stderr progress line;
+// CTS_QUIET=1 equivalent) and --help, via the ObsGuard each main()
+// constructs right after flag parsing.
 
 #pragma once
 
@@ -33,7 +33,6 @@
 #include "bench_suite.hpp"
 #include "cts/fit/model_zoo.hpp"
 #include "cts/obs/perf.hpp"
-#include "cts/obs/profiler.hpp"
 #include "cts/obs/progress.hpp"
 #include "cts/obs/run_report.hpp"
 #include "cts/obs/span_stats.hpp"
@@ -150,33 +149,20 @@ class ObsGuard {
     }
     if (flags_.has("perf")) {
       perf_path_ = flags_.get_string("perf", run_id_ + "_perf.json");
-      // Span self-time attribution needs the recorder even without --trace.
-      cts::obs::TraceRecorder::global().enable();
       probe_.emplace();
       counters_ = std::make_unique<cts::obs::PerfCounterGroup>();
       counters_->start();
     }
-    if (flags_.has("profile") || flags_.has("profile-folded")) {
-      if (flags_.has("profile")) {
-        profile_path_ =
-            flags_.get_string("profile", run_id_ + "_profile.json");
-      }
-      if (flags_.has("profile-folded")) {
-        profile_folded_path_ =
-            flags_.get_string("profile-folded", run_id_ + "_profile.folded");
-      }
-      cts::obs::Profiler::Options popts;
-      popts.hz = static_cast<int>(flags_.get_int("profile-hz", 97));
-      popts.backend = flags_.get_string("profile-backend", "thread");
-      try {
-        cts::obs::Profiler::global().start(popts);
-      } catch (const cts::util::InvalidArgument& e) {
-        std::fprintf(stderr, "%s: --profile: %s\n", run_id_.c_str(),
-                     e.what());
-        std::exit(2);
-      }
+    if (flags_.has("profile")) {
+      profile_path_ = flags_.get_string("profile", run_id_ + "_profile.json");
     }
-    main_start_us_ = cts::obs::TraceRecorder::global().now_us();
+    if (flags_.has("profile-folded")) {
+      profile_folded_path_ =
+          flags_.get_string("profile-folded", run_id_ + "_profile.folded");
+    }
+    // Root span covering the bench body, so every bench — including the
+    // purely analytic ones — has a phase table with at least "bench".
+    main_span_.emplace("bench.main");
   }
 
   ~ObsGuard() {
@@ -216,13 +202,8 @@ class ObsGuard {
   }
 
   void write_reports() {
-    cts::obs::TraceRecorder& recorder = cts::obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-      // Root span covering the bench body, so every bench — including the
-      // purely analytic ones — has a phase table with at least "bench".
-      recorder.record("bench.main", main_start_us_,
-                      recorder.now_us() - main_start_us_);
-    }
+    main_span_.reset();
+    const cts::obs::SpanTable& spans = cts::obs::SpanTable::global();
     if (!metrics_path_.empty()) {
       cts::obs::RunReport report;
       report.set("run_id", run_id_);
@@ -275,7 +256,7 @@ class ObsGuard {
       if (!title_.empty()) report.info.emplace_back("bench_title", title_);
       report.resources = probe_->sample();
       report.hw = counters_->stop();
-      report.spans = cts::obs::aggregate_spans(recorder.events());
+      report.spans = cts::obs::spans_by_name(spans.paths());
       if (report.write(perf_path_)) {
         std::printf("[perf report written to %s]\n", perf_path_.c_str());
       } else {
@@ -283,27 +264,23 @@ class ObsGuard {
                     perf_path_.c_str());
       }
     }
-    if (!profile_path_.empty() || !profile_folded_path_.empty()) {
-      cts::obs::Profiler& prof = cts::obs::Profiler::global();
-      prof.stop();
-      if (!profile_path_.empty()) {
-        if (prof.write(profile_path_)) {
-          std::printf("[profile written to %s (%llu samples)]\n",
-                      profile_path_.c_str(),
-                      static_cast<unsigned long long>(prof.sample_count()));
-        } else {
-          std::printf("[warning: could not write profile to %s]\n",
-                      profile_path_.c_str());
-        }
+    if (!profile_path_.empty()) {
+      if (spans.write_profile(profile_path_)) {
+        std::printf("[profile written to %s (%llu spans)]\n",
+                    profile_path_.c_str(),
+                    static_cast<unsigned long long>(spans.spans()));
+      } else {
+        std::printf("[warning: could not write profile to %s]\n",
+                    profile_path_.c_str());
       }
-      if (!profile_folded_path_.empty()) {
-        if (prof.write_folded_file(profile_folded_path_)) {
-          std::printf("[folded profile written to %s]\n",
-                      profile_folded_path_.c_str());
-        } else {
-          std::printf("[warning: could not write folded profile to %s]\n",
-                      profile_folded_path_.c_str());
-        }
+    }
+    if (!profile_folded_path_.empty()) {
+      if (spans.write_folded_file(profile_folded_path_)) {
+        std::printf("[folded profile written to %s]\n",
+                    profile_folded_path_.c_str());
+      } else {
+        std::printf("[warning: could not write folded profile to %s]\n",
+                    profile_folded_path_.c_str());
       }
     }
   }
@@ -322,7 +299,7 @@ class ObsGuard {
   std::string shard_path_;
   std::string profile_path_;
   std::string profile_folded_path_;
-  std::int64_t main_start_us_ = 0;
+  std::optional<cts::obs::ScopedSpan> main_span_;
   std::optional<cts::obs::ResourceProbe> probe_;
   std::unique_ptr<cts::obs::PerfCounterGroup> counters_;
 };

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -110,6 +111,12 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const noexcept;
   /// Object member lookup; throws InvalidArgument when absent.
   const JsonValue& at(const std::string& key) const;
+  /// Object member `key` as an integer in [lo, hi]; throws InvalidArgument
+  /// naming the key when it is absent, not a number, not integral or out
+  /// of range (so a wire value is never truncated or cast out of range).
+  std::int64_t int_at(
+      const std::string& key, std::int64_t lo = 0,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   /// Array element; throws InvalidArgument when out of range.
   const JsonValue& at(std::size_t index) const;
   /// Array / object element count (0 for scalars).

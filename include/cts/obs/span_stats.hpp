@@ -1,22 +1,37 @@
-// Span-time attribution: turns the flat Chrome-trace span list recorded by
-// TraceRecorder into a per-span-name aggregate table with *self* time, i.e.
-// each span's duration minus the time spent in spans nested inside it on
-// the same thread.  Self time answers "which phase actually burned the
-// wall-clock" — a replication span that spends 95% of its time inside
-// fluid_mux.run contributes only 5% self time.
+// Span-time attribution: one exact, bounded table of every span that has
+// closed, keyed by span path.
 //
-// A second rollup groups span names into coarse phases by their prefix up
-// to the first '.' ("fluid_mux.run" -> "fluid_mux"), giving the
-// generator-vs-mux-vs-stats table embedded in perf reports (--perf=) and
-// aggregated by cts_benchd into BENCH_*.json.
+// A ScopedSpan (cts/obs/trace.hpp) folds into the table as it closes.  Its
+// path is the names of the spans open on its thread when it opened,
+// outermost first, joined with ';' ("replication.run;fluid_mux.run").  An
+// entry holds the span count, the total (inclusive) wall time, the self
+// time — duration minus the durations of the spans directly nested in it —
+// the shortest and longest span and the thread-CPU self time, all in
+// integer microseconds.  Because self = duration − Σ children, the self
+// times of one thread's spans add up to exactly the duration of its root
+// spans.  Nesting is per thread: a span opened on a pool thread is a root
+// there, whoever submitted the work.
+//
+// Folding is always on; spans are per run, per replication or per request,
+// never per frame.  The table grows with the number of distinct paths,
+// which the code fixes, not with how long a process runs.
+//
+// Readers:
+//   * the per-name roll-up (SpanAgg) behind the cts.stats.v1 span table and
+//     the --perf phase table, where a second roll-up groups names into
+//     coarse phases by their prefix before the first '.'
+//     ("fluid_mux.run" -> "fluid_mux");
+//   * the cts.profile.v1 document (--profile) and the collapsed-stack text
+//     (--profile-folded, flamegraph.pl / speedscope ready).
 
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
-
-#include "cts/obs/trace.hpp"
 
 namespace cts::obs {
 
@@ -30,6 +45,18 @@ struct SpanAgg {
   std::int64_t max_us = 0;    ///< longest single span
 };
 
+/// Aggregate over all spans that closed under one path.
+struct SpanPathAgg {
+  std::string path;  ///< "outer;inner", outermost first
+  std::string name;  ///< the innermost span's name
+  std::uint64_t count = 0;
+  std::int64_t total_us = 0;
+  std::int64_t self_us = 0;
+  std::int64_t min_us = 0;
+  std::int64_t max_us = 0;
+  std::int64_t cpu_self_us = 0;  ///< thread-CPU time minus the children's
+};
+
 /// Coarse per-phase rollup (phase = span name prefix before the first '.').
 struct PhaseSelfTime {
   std::string phase;
@@ -37,14 +64,53 @@ struct PhaseSelfTime {
   std::uint64_t spans = 0;
 };
 
+/// The process-wide span table.
+class SpanTable {
+ public:
+  SpanTable() = default;
+  SpanTable(const SpanTable&) = delete;
+  SpanTable& operator=(const SpanTable&) = delete;
+
+  /// Process-wide table.  Deliberately leaked (see MetricsRegistry).
+  static SpanTable& global();
+
+  /// Adds one closed span under `path`.  Thread-safe.
+  void fold(const std::string& path, const char* name, std::int64_t dur_us,
+            std::int64_t self_us, std::int64_t cpu_self_us);
+
+  /// Every path's totals, sorted by path.
+  std::vector<SpanPathAgg> paths() const;
+
+  /// Spans folded since the last reset.
+  std::uint64_t spans() const;
+
+  /// cts.profile.v1 JSON: {"schema","backend":"spans","samples",
+  /// "stacks":[{"stack","count","cpu_us"},...]}, where "samples" is the
+  /// number of spans folded and each stack's "count" its wall self time in
+  /// microseconds.
+  void write_profile_json(std::ostream& os) const;
+  bool write_profile(const std::string& path) const;
+
+  /// Collapsed-stack text, one "path self_us" line per path.
+  void write_folded(std::ostream& os) const;
+  bool write_folded_file(const std::string& path) const;
+
+  /// Drops every entry (tests; between phases).  Spans open across the
+  /// reset fold into the emptied table when they close.
+  void reset();
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, SpanPathAgg> paths_;
+};
+
 /// The phase a span name belongs to: everything before the first '.', the
 /// whole name when there is no dot ("replication" -> "replication").
 std::string span_phase(const std::string& name);
 
-/// Aggregates completed spans into per-name totals with self time.
-/// Nesting is inferred per thread from interval containment (RAII spans
-/// nest properly by construction).  Result is sorted by self_us descending.
-std::vector<SpanAgg> aggregate_spans(const std::vector<TraceEvent>& events);
+/// Rolls a path table up into per-name totals, sorted by self_us
+/// descending.
+std::vector<SpanAgg> spans_by_name(const std::vector<SpanPathAgg>& paths);
 
 /// Rolls span aggregates up into phases, sorted by self_us descending.
 std::vector<PhaseSelfTime> phase_self_times(const std::vector<SpanAgg>& spans);

@@ -1,4 +1,5 @@
-// Scoped wall-time tracing spans, exportable as Chrome trace format.
+// Scoped wall-time spans, folded into the span table and optionally
+// recorded as a Chrome-format trace.
 //
 // Usage on a hot-ish path (per run / per replication, never per frame):
 //
@@ -7,10 +8,12 @@
 //     ...
 //   }
 //
-// Spans are no-ops (one relaxed atomic load, no clock read) until the
-// recorder is enabled — benches enable it when --trace=<path> is passed.
-// Completed spans are appended under a mutex once at scope exit; the
-// resulting file loads in chrome://tracing or https://ui.perfetto.dev.
+// Every span folds into the always-on SpanTable (cts/obs/span_stats.hpp)
+// as it closes: two steady-clock and two thread-CPU-clock reads plus one
+// mutex-guarded table update.  The raw TraceRecorder keeps individual
+// spans only while it is enabled — benches enable it when --trace=<path>
+// is passed; the resulting file loads in chrome://tracing or
+// https://ui.perfetto.dev.
 
 #pragma once
 
@@ -72,23 +75,29 @@ class TraceRecorder {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII span: captures the clock on construction when the global recorder
-/// is enabled, records one TraceEvent on destruction.  While the sampling
-/// profiler (cts/obs/profiler.hpp) is armed, also pushes the span name
-/// onto the per-thread span stack so profiles attribute samples to the
-/// active span chain — with or without tracing.  Never throws.
+/// RAII span.  Keeps a thread-local pointer to the enclosing open span, so
+/// on close it knows its path and hands the enclosing span its duration;
+/// then it folds into SpanTable::global() and, when the recorder was
+/// enabled at open and still is, records one TraceEvent.  Spans on one
+/// thread must close in reverse order of opening, which scopes guarantee.
+/// `name` must outlive the span (a literal, in practice).  Never throws.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string name) noexcept;
+  explicit ScopedSpan(const char* name) noexcept;
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  std::string name_;
-  std::int64_t start_us_ = -1;  ///< -1: recorder was disabled at entry
-  bool pushed_ = false;         ///< frame pushed onto the profiler stack
+  const char* name_;
+  ScopedSpan* parent_;           ///< enclosing open span on this thread
+  std::size_t path_len_ = 0;     ///< the thread's path length before ours
+  std::int64_t start_us_ = 0;
+  std::int64_t cpu_start_us_ = 0;
+  std::int64_t child_us_ = 0;      ///< wall time of direct children
+  std::int64_t child_cpu_us_ = 0;  ///< thread-CPU time of direct children
+  bool traced_ = false;            ///< the recorder was enabled at open
 };
 
 }  // namespace cts::obs

@@ -38,13 +38,10 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"perf", "PATH",
      "write the cts.perf.v1 report (rusage, hw counters, span self-times)"},
     {"profile", "PATH",
-     "write a cts.profile.v1 span-stack sampling profile (default "
-     "<run_id>_profile.json)"},
+     "write a cts.profile.v1 span-path profile: exact wall and CPU self "
+     "time per span path (default <run_id>_profile.json)"},
     {"profile-folded", "PATH",
      "write the profile as collapsed-stack text (flamegraph.pl ready)"},
-    {"profile-hz", "N", "profiler sampling rate in Hz (default 97)"},
-    {"profile-backend", "NAME",
-     "profiler backend: thread (wall clock) or itimer (SIGPROF, CPU time)"},
     {"shard", "I/N",
      "run only replication shard I of N (REPRO_SHARD equivalent)"},
     {"shard-out", "PATH",
@@ -136,12 +133,9 @@ inline constexpr FlagDoc kSimdFlags[] = {
      "write a merged Chrome-trace timeline: dispatcher spans plus one "
      "clock-corrected lane per worker (from the jobs' obs captures)"},
     {"profile", "PATH",
-     "write the dispatcher's cts.profile.v1 span-stack sampling profile"},
+     "write the dispatcher's cts.profile.v1 span-path profile"},
     {"profile-folded", "PATH",
      "write the dispatcher profile as collapsed-stack text"},
-    {"profile-hz", "N", "profiler sampling rate in Hz (default 97)"},
-    {"profile-backend", "NAME",
-     "profiler backend: thread (wall clock) or itimer (SIGPROF, CPU time)"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events (dispatch lifecycle) to PATH"},
     {"log-level", "LEVEL",
@@ -164,12 +158,9 @@ inline constexpr FlagDoc kShardDFlags[] = {
      "fault-injection hook: die abruptly (no reply) on the job after N "
      "served — simulates a worker killed mid-shard (default off)"},
     {"profile", "PATH",
-     "write a cts.profile.v1 span-stack sampling profile on clean exit"},
+     "write a cts.profile.v1 span-path profile on clean exit"},
     {"profile-folded", "PATH",
      "write the profile as collapsed-stack text on clean exit"},
-    {"profile-hz", "N", "profiler sampling rate in Hz (default 97)"},
-    {"profile-backend", "NAME",
-     "profiler backend: thread (wall clock) or itimer (SIGPROF, CPU time)"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events to PATH instead of stderr"},
     {"log-level", "LEVEL",
@@ -210,13 +201,9 @@ inline constexpr FlagDoc kCacdFlags[] = {
      "query: send this file verbatim as the request instead of building "
      "one from flags"},
     {"profile", "PATH",
-     "serve: write a cts.profile.v1 span-stack sampling profile on clean "
-     "exit"},
+     "serve: write a cts.profile.v1 span-path profile on clean exit"},
     {"profile-folded", "PATH",
      "serve: write the profile as collapsed-stack text on clean exit"},
-    {"profile-hz", "N", "profiler sampling rate in Hz (default 97)"},
-    {"profile-backend", "NAME",
-     "profiler backend: thread (wall clock) or itimer (SIGPROF, CPU time)"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events to PATH instead of stderr"},
     {"log-level", "LEVEL",

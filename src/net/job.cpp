@@ -1,5 +1,6 @@
 #include "cts/net/job.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "cts/obs/json.hpp"
@@ -48,8 +49,8 @@ JobRequest parse_job(const std::string& text) {
   job.bench_id = doc.at("bench").as_string();
   cu::require(!job.bench_id.empty(), "job: empty bench id");
   const obs::JsonValue& shard = doc.at("shard");
-  job.shard_index = static_cast<std::size_t>(shard.at("index").as_number());
-  job.shard_count = static_cast<std::size_t>(shard.at("count").as_number());
+  job.shard_index = static_cast<std::size_t>(shard.int_at("index"));
+  job.shard_count = static_cast<std::size_t>(shard.int_at("count"));
   cu::require(job.shard_count >= 1 && job.shard_index < job.shard_count,
               "job: invalid shard " + std::to_string(job.shard_index) + "/" +
                   std::to_string(job.shard_count));
@@ -67,10 +68,9 @@ JobRequest parse_job(const std::string& text) {
   job.timeout_s = doc.at("timeout_s").as_number();
   cu::require(job.timeout_s >= 0, "job: negative timeout_s");
   // Optional: absent on pre-obs clients, which parse as attempt 0.
-  const obs::JsonValue* attempt = doc.find("attempt");
-  if (attempt != nullptr) {
-    job.attempt = static_cast<int>(attempt->as_number());
-    cu::require(job.attempt >= 0, "job: negative attempt");
+  if (doc.find("attempt") != nullptr) {
+    job.attempt = static_cast<int>(
+        doc.int_at("attempt", 0, std::numeric_limits<int>::max()));
   }
   return job;
 }
@@ -124,10 +124,8 @@ JobResult parse_job_result(const std::string& text) {
   if (job_obs != nullptr) {
     cu::require(job_obs->is_object(), "job result: obs must be an object");
     result.has_obs = true;
-    result.obs.recv_us =
-        static_cast<std::int64_t>(job_obs->at("recv_us").as_number());
-    result.obs.send_us =
-        static_cast<std::int64_t>(job_obs->at("send_us").as_number());
+    result.obs.recv_us = job_obs->int_at("recv_us");
+    result.obs.send_us = job_obs->int_at("send_us");
     cu::require(result.obs.send_us >= result.obs.recv_us,
                 "job result: obs send_us before recv_us");
     result.obs.metrics = obs::metrics_snapshot_from_json(job_obs->at("metrics"));

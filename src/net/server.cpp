@@ -15,9 +15,7 @@
 #include "cts/net/stats.hpp"
 #include "cts/obs/expfmt.hpp"
 #include "cts/obs/json.hpp"
-#include "cts/obs/profiler.hpp"
 #include "cts/obs/span_stats.hpp"
-#include "cts/obs/trace.hpp"
 #include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 
@@ -84,10 +82,6 @@ ServerOptions parse_server_options(const util::Flags& flags,
   opt.log_level = obs::parse_log_level(flags.get_string("log-level", "info"));
   opt.profile_path = flags.get_string("profile", "");
   opt.profile_folded = flags.get_string("profile-folded", "");
-  const std::int64_t hz = flags.get_int("profile-hz", 97);
-  util::require(hz >= 1 && hz <= 10000, "--profile-hz must be in [1, 10000]");
-  opt.profile_hz = static_cast<int>(hz);
-  opt.profile_backend = flags.get_string("profile-backend", "thread");
   return opt;
 }
 
@@ -111,9 +105,6 @@ int Server::run(const Service& service) {
     log.to_stream(&std::cerr);
   }
   log.set_min_level(opt_.log_level);
-  // Spans feed the stats endpoint's span table (and shard jobs' obs
-  // captures), so the recorder is always on in a daemon.
-  obs::TraceRecorder::global().enable();
 
   listener_ = listen_on(opt_.port, &port_);
   std::printf("%s: listening on port %u\n", service.name.c_str(),
@@ -127,15 +118,6 @@ int Server::run(const Service& service) {
                    service.name.c_str(), opt_.port_file.c_str());
       return 2;
     }
-  }
-  const bool profiling =
-      !opt_.profile_path.empty() || !opt_.profile_folded.empty();
-  obs::Profiler& prof = obs::Profiler::global();
-  if (profiling) {
-    obs::Profiler::Options popts;
-    popts.hz = opt_.profile_hz;
-    popts.backend = opt_.profile_backend;
-    prof.start(popts);
   }
   obs::log_info("daemon.start", {{"port", static_cast<std::int64_t>(port_)}});
 
@@ -151,19 +133,20 @@ int Server::run(const Service& service) {
   listener_.close();
   if (error_) std::rethrow_exception(error_);
 
-  if (profiling) {
-    prof.stop();
-    if (!opt_.profile_path.empty() && !prof.write(opt_.profile_path)) {
+  if (!opt_.profile_path.empty() || !opt_.profile_folded.empty()) {
+    const obs::SpanTable& spans = obs::SpanTable::global();
+    if (!opt_.profile_path.empty() &&
+        !spans.write_profile(opt_.profile_path)) {
       std::fprintf(stderr, "%s: cannot write profile %s\n",
                    service.name.c_str(), opt_.profile_path.c_str());
     }
     if (!opt_.profile_folded.empty() &&
-        !prof.write_folded_file(opt_.profile_folded)) {
+        !spans.write_folded_file(opt_.profile_folded)) {
       std::fprintf(stderr, "%s: cannot write folded profile %s\n",
                    service.name.c_str(), opt_.profile_folded.c_str());
     }
     obs::log_info("profile.write",
-                  {{"samples", static_cast<std::int64_t>(prof.sample_count())},
+                  {{"samples", spans.spans()},
                    {"path", opt_.profile_path.empty() ? opt_.profile_folded
                                                       : opt_.profile_path}});
   }
@@ -339,7 +322,7 @@ std::string Server::stats_reply(const std::string& request,
   stats.metrics.gauge(service.metric_prefix + ".threads",
                       static_cast<double>(threads));
   if (service.add_gauges) service.add_gauges(&stats.metrics);
-  stats.spans = obs::aggregate_spans(obs::TraceRecorder::global().events());
+  stats.spans = obs::spans_by_name(obs::SpanTable::global().paths());
   if (format == StatsFormat::kJson) return write_stats_json(stats);
 
   // Exposition view: the lossless snapshot plus the liveness fields that

@@ -82,22 +82,20 @@ WorkerStats parse_stats(const std::string& text) {
   WorkerStats stats;
   stats.worker = doc.at("worker").as_string();
   cu::require(!stats.worker.empty(), "stats: empty worker identity");
-  stats.pid = static_cast<std::int64_t>(doc.at("pid").as_number());
+  stats.pid = doc.int_at("pid");
   stats.uptime_s = doc.at("uptime_s").as_number();
   cu::require(stats.uptime_s >= 0, "stats: negative uptime_s");
   const obs::JsonValue& jobs = doc.at("jobs");
   cu::require(jobs.is_object(), "stats: jobs must be an object");
   const auto count_of = [&jobs](const char* key) {
-    const double v = jobs.at(key).as_number();
-    cu::require(v >= 0, std::string("stats: negative jobs.") + key);
-    return static_cast<std::uint64_t>(v);
+    return static_cast<std::uint64_t>(jobs.int_at(key));
   };
   stats.jobs_in_flight = count_of("in_flight");
   stats.jobs_ok = count_of("ok");
   stats.jobs_failed = count_of("failed");
   stats.jobs_retried = count_of("retried");
   stats.stats_served =
-      static_cast<std::uint64_t>(doc.at("stats_served").as_number());
+      static_cast<std::uint64_t>(doc.int_at("stats_served"));
   stats.metrics = obs::metrics_snapshot_from_json(doc.at("metrics"));
   const obs::JsonValue& spans = doc.at("spans");
   cu::require(spans.is_array(), "stats: spans must be an array");
@@ -106,11 +104,11 @@ WorkerStats parse_stats(const std::string& text) {
     obs::SpanAgg agg;
     agg.name = item.at("name").as_string();
     cu::require(!agg.name.empty(), "stats: empty span name");
-    agg.count = static_cast<std::uint64_t>(item.at("count").as_number());
-    agg.total_us = static_cast<std::int64_t>(item.at("total_us").as_number());
-    agg.self_us = static_cast<std::int64_t>(item.at("self_us").as_number());
-    agg.min_us = static_cast<std::int64_t>(item.at("min_us").as_number());
-    agg.max_us = static_cast<std::int64_t>(item.at("max_us").as_number());
+    agg.count = static_cast<std::uint64_t>(item.int_at("count"));
+    agg.total_us = item.int_at("total_us");
+    agg.self_us = item.int_at("self_us");
+    agg.min_us = item.int_at("min_us");
+    agg.max_us = item.int_at("max_us");
     stats.spans.push_back(std::move(agg));
   }
   return stats;

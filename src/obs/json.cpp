@@ -448,6 +448,19 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *v;
 }
 
+std::int64_t JsonValue::int_at(const std::string& key, std::int64_t lo,
+                               std::int64_t hi) const {
+  const double v = at(key).as_number();
+  // 2^63: every integral double in [-2^63, 2^63) converts exactly.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const bool integral = v == std::floor(v) && v >= -kTwo63 && v < kTwo63;
+  util::require(integral && static_cast<std::int64_t>(v) >= lo &&
+                    static_cast<std::int64_t>(v) <= hi,
+                "JsonValue: member '" + key + "' must be an integer in [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<std::int64_t>(v);
+}
+
 const JsonValue& JsonValue::at(std::size_t index) const {
   util::require(is_array() && index < items.size(),
                 "JsonValue: array index out of range");

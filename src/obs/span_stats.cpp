@@ -1,64 +1,126 @@
 #include "cts/obs/span_stats.hpp"
 
 #include <algorithm>
-#include <map>
+#include <fstream>
+
+#include "cts/obs/json.hpp"
 
 namespace cts::obs {
+
+namespace {
+
+std::uint64_t total_count(const std::vector<SpanPathAgg>& paths) {
+  std::uint64_t n = 0;
+  for (const SpanPathAgg& p : paths) n += p.count;
+  return n;
+}
+
+template <typename Write>
+bool write_file(const std::string& path, Write write) {
+  std::ofstream out(path);
+  if (!out) return false;
+  write(out);
+  out.flush();
+  return static_cast<bool>(out);
+}
+
+}  // namespace
+
+SpanTable& SpanTable::global() {
+  static SpanTable* instance = new SpanTable();
+  return *instance;
+}
+
+void SpanTable::fold(const std::string& path, const char* name,
+                     std::int64_t dur_us, std::int64_t self_us,
+                     std::int64_t cpu_self_us) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  auto it = paths_.find(path);
+  if (it == paths_.end()) {
+    SpanPathAgg fresh;
+    fresh.path = path;
+    fresh.name = name;
+    fresh.min_us = dur_us;
+    fresh.max_us = dur_us;
+    it = paths_.emplace(path, std::move(fresh)).first;
+  }
+  SpanPathAgg& agg = it->second;
+  ++agg.count;
+  agg.total_us += dur_us;
+  agg.self_us += self_us;
+  agg.min_us = std::min(agg.min_us, dur_us);
+  agg.max_us = std::max(agg.max_us, dur_us);
+  agg.cpu_self_us += cpu_self_us;
+}
+
+std::vector<SpanPathAgg> SpanTable::paths() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<SpanPathAgg> out;
+  out.reserve(paths_.size());
+  for (const auto& [path, agg] : paths_) out.push_back(agg);
+  return out;
+}
+
+std::uint64_t SpanTable::spans() const { return total_count(paths()); }
+
+void SpanTable::write_profile_json(std::ostream& os) const {
+  const std::vector<SpanPathAgg> snapshot = paths();
+  JsonWriter w(os);
+  w.begin_object();
+  w.key("schema").value("cts.profile.v1");
+  w.key("backend").value("spans");
+  w.key("samples").value(total_count(snapshot));
+  w.key("stacks").begin_array();
+  for (const SpanPathAgg& p : snapshot) {
+    w.begin_object();
+    w.key("stack").value(p.path);
+    w.key("count").value(p.self_us);
+    w.key("cpu_us").value(p.cpu_self_us);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  os << "\n";
+}
+
+bool SpanTable::write_profile(const std::string& path) const {
+  return write_file(path, [this](std::ostream& os) { write_profile_json(os); });
+}
+
+void SpanTable::write_folded(std::ostream& os) const {
+  for (const SpanPathAgg& p : paths()) os << p.path << " " << p.self_us << "\n";
+}
+
+bool SpanTable::write_folded_file(const std::string& path) const {
+  return write_file(path, [this](std::ostream& os) { write_folded(os); });
+}
+
+void SpanTable::reset() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  paths_.clear();
+}
 
 std::string span_phase(const std::string& name) {
   const auto dot = name.find('.');
   return dot == std::string::npos ? name : name.substr(0, dot);
 }
 
-std::vector<SpanAgg> aggregate_spans(const std::vector<TraceEvent>& events) {
-  // Sort by (tid, start, duration desc) so that within a thread a parent
-  // span precedes the spans nested inside it, even when they start on the
-  // same microsecond tick.
-  std::vector<const TraceEvent*> order;
-  order.reserve(events.size());
-  for (const TraceEvent& e : events) order.push_back(&e);
-  std::sort(order.begin(), order.end(),
-            [](const TraceEvent* a, const TraceEvent* b) {
-              if (a->tid != b->tid) return a->tid < b->tid;
-              if (a->ts_us != b->ts_us) return a->ts_us < b->ts_us;
-              return a->dur_us > b->dur_us;
-            });
-
+std::vector<SpanAgg> spans_by_name(const std::vector<SpanPathAgg>& paths) {
   std::map<std::string, SpanAgg> by_name;
-  struct Open {
-    std::int64_t end_us;
-    SpanAgg* agg;
-  };
-  std::vector<Open> stack;
-  int current_tid = 0;
-  bool first = true;
-
-  for (const TraceEvent* e : order) {
-    if (first || e->tid != current_tid) {
-      stack.clear();
-      current_tid = e->tid;
-      first = false;
-    }
-    // Close finished ancestors; anything still open encloses this span.
-    while (!stack.empty() && stack.back().end_us <= e->ts_us) stack.pop_back();
-
-    SpanAgg& agg = by_name[e->name];
+  for (const SpanPathAgg& p : paths) {
+    SpanAgg& agg = by_name[p.name];
     if (agg.count == 0) {
-      agg.name = e->name;
-      agg.min_us = e->dur_us;
-      agg.max_us = e->dur_us;
+      agg.name = p.name;
+      agg.min_us = p.min_us;
+      agg.max_us = p.max_us;
     } else {
-      agg.min_us = std::min(agg.min_us, e->dur_us);
-      agg.max_us = std::max(agg.max_us, e->dur_us);
+      agg.min_us = std::min(agg.min_us, p.min_us);
+      agg.max_us = std::max(agg.max_us, p.max_us);
     }
-    ++agg.count;
-    agg.total_us += e->dur_us;
-    agg.self_us += e->dur_us;
-    // Nested time belongs to the child: subtract from the immediate parent.
-    if (!stack.empty()) stack.back().agg->self_us -= e->dur_us;
-    stack.push_back({e->ts_us + e->dur_us, &agg});
+    agg.count += p.count;
+    agg.total_us += p.total_us;
+    agg.self_us += p.self_us;
   }
-
   std::vector<SpanAgg> out;
   out.reserve(by_name.size());
   for (auto& [name, agg] : by_name) out.push_back(std::move(agg));

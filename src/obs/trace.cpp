@@ -1,11 +1,13 @@
 #include "cts/obs/trace.hpp"
 
+#include <time.h>
+
 #include <chrono>
 #include <fstream>
 #include <sstream>
 
 #include "cts/obs/json.hpp"
-#include "cts/obs/profiler.hpp"
+#include "cts/obs/span_stats.hpp"
 
 namespace cts::obs {
 
@@ -23,6 +25,17 @@ int current_tid() noexcept {
   thread_local const int tid = next.fetch_add(1, std::memory_order_relaxed);
   return tid;
 }
+
+std::int64_t thread_cpu_us() noexcept {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
+/// The innermost open span on this thread, and the ';'-joined names of
+/// every open span on it, outermost first.
+thread_local ScopedSpan* t_open = nullptr;
+thread_local std::string t_path;
 
 }  // namespace
 
@@ -92,39 +105,43 @@ void TraceRecorder::reset() {
   events_.clear();
 }
 
-ScopedSpan::ScopedSpan(std::string name) noexcept {
-  TraceRecorder& recorder = TraceRecorder::global();
-  const bool tracing = recorder.enabled();
-  const bool profiling = Profiler::global().armed();
-  if (!tracing && !profiling) return;  // cold span: two relaxed loads only
-  if (profiling) {
-    // push copies the name into a fixed per-thread slot; the profiler
-    // never dereferences this object's storage.
-    profiler_push_frame(name.c_str());
-    pushed_ = true;
-  }
-  if (!tracing) return;
+ScopedSpan::ScopedSpan(const char* name) noexcept
+    : name_(name), parent_(t_open), path_len_(t_path.size()) {
   try {
-    name_ = std::move(name);
-    start_us_ = recorder.now_us();
+    if (!t_path.empty()) t_path += ';';
+    t_path += name;
   } catch (...) {
-    start_us_ = -1;  // allocation failure: drop the span, never throw
+    t_path.resize(path_len_);  // allocation failure: this span stays inert
+    return;
   }
+  t_open = this;
+  TraceRecorder& recorder = TraceRecorder::global();
+  traced_ = recorder.enabled();
+  start_us_ = recorder.now_us();
+  cpu_start_us_ = thread_cpu_us();
 }
 
 ScopedSpan::~ScopedSpan() {
-  // Pop even when the profiler disarmed mid-span, so stacks stay balanced
-  // across a stop()/start() cycle.
-  if (pushed_) profiler_pop_frame();
-  if (start_us_ < 0) return;
+  if (t_open != this) return;  // inert
   TraceRecorder& recorder = TraceRecorder::global();
-  if (!recorder.enabled()) return;  // disabled mid-span: drop it
-  try {
-    recorder.record(std::move(name_), start_us_,
-                    recorder.now_us() - start_us_);
-  } catch (...) {
-    // Tracing must never take down a run.
+  const std::int64_t dur_us = recorder.now_us() - start_us_;
+  const std::int64_t cpu_us = thread_cpu_us() - cpu_start_us_;
+  t_open = parent_;
+  if (parent_ != nullptr) {
+    parent_->child_us_ += dur_us;
+    parent_->child_cpu_us_ += cpu_us;
   }
+  try {
+    SpanTable::global().fold(t_path, name_, dur_us, dur_us - child_us_,
+                             cpu_us - child_cpu_us_);
+    // Enabled mid-span: no half span; disabled mid-span: dropped.
+    if (traced_ && recorder.enabled()) {
+      recorder.record(name_, start_us_, dur_us);
+    }
+  } catch (...) {
+    // Accounting must never take down a run.
+  }
+  t_path.resize(path_len_);
 }
 
 }  // namespace cts::obs

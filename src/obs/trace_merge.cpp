@@ -1,6 +1,7 @@
 #include "cts/obs/trace_merge.hpp"
 
 #include <fstream>
+#include <limits>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
@@ -80,10 +81,10 @@ std::vector<TraceEvent> trace_events_from_json(const JsonValue& v) {
     TraceEvent e;
     e.name = item.at("name").as_string();
     cu::require(!e.name.empty(), "trace events: empty span name");
-    e.tid = static_cast<int>(item.at("tid").as_number());
-    e.ts_us = static_cast<std::int64_t>(item.at("ts_us").as_number());
-    e.dur_us = static_cast<std::int64_t>(item.at("dur_us").as_number());
-    cu::require(e.dur_us >= 0, "trace events: negative duration");
+    e.tid = static_cast<int>(
+        item.int_at("tid", 0, std::numeric_limits<int>::max()));
+    e.ts_us = item.int_at("ts_us");
+    e.dur_us = item.int_at("dur_us");
     events.push_back(std::move(e));
   }
   return events;

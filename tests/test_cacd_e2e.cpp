@@ -329,11 +329,10 @@ TEST(CacdE2E, OutOfRangeServeFlagsExitTwoBeforeListening) {
   const std::string dir = ::testing::TempDir() + "/cacd_flags";
   ASSERT_EQ(fresh_dir(dir), 0);
   const std::string port_file = dir + "/cacd.port";
-  // A negative budget once meant "serve forever", and --profile-hz was
-  // truncated to int (4294967393 became 97).  Both are usage errors now;
-  // `timeout` turns a daemon that serves anyway into a failure, not a hang.
-  for (const std::string flag :
-       {"--max-requests=-1", "--profile-hz=4294967393"}) {
+  // A negative budget once meant "serve forever".  It is a usage error
+  // now; `timeout` turns a daemon that serves anyway into a failure, not a
+  // hang.
+  for (const std::string flag : {"--max-requests=-1"}) {
     EXPECT_EQ(shell("timeout 10 '" + cacd() + "' --port=0 --port-file='" +
                     port_file + "' " + flag + " > '" + dir +
                     "/cacd.log' 2>&1"),

@@ -72,6 +72,34 @@ TEST(CliDocs, EveryRegisteredFlagIsDocumented) {
   }
 }
 
+// And the reverse: a flag-table row for a flag the tool no longer has
+// (a removed option) is stale.
+TEST(CliDocs, EveryDocumentedFlagIsRegistered) {
+  const std::string doc = cli_doc();
+  ASSERT_FALSE(doc.empty());
+  for (const cli::ToolDoc& tool : cli::kTools) {
+    const std::size_t section = doc.find(std::string("## ") + tool.tool);
+    ASSERT_NE(section, std::string::npos) << tool.tool;
+    std::size_t section_end = doc.find("\n## ", section);
+    if (section_end == std::string::npos) section_end = doc.size();
+    const std::string row = "\n| `--";
+    for (std::size_t at = doc.find(row, section);
+         at != std::string::npos && at < section_end;
+         at = doc.find(row, at + 1)) {
+      const std::size_t start = at + row.size();
+      const std::string name =
+          doc.substr(start, doc.find_first_of("=` ", start) - start);
+      bool registered = false;
+      for (std::size_t i = 0; i < tool.count; ++i) {
+        registered = registered || name == tool.flags[i].name;
+      }
+      EXPECT_TRUE(registered) << "docs/cli.md section '" << tool.tool
+                              << "' documents --" << name
+                              << ", which cli_registry.hpp does not list";
+    }
+  }
+}
+
 TEST(CliDocs, EveryEnvironmentVariableIsDocumented) {
   const std::string doc = cli_doc();
   ASSERT_FALSE(doc.empty());

@@ -137,6 +137,43 @@ TEST(JobSchema, RejectsShardIndexOutOfRange) {
                cu::InvalidArgument);
 }
 
+// Integer fields off the wire are integers in range, or the job is
+// refused: never truncated, never cast out of range.
+TEST(JobSchema, RejectsNonIntegralNegativeAndHugeIntegers) {
+  const auto job = [](const std::string& shard, const std::string& attempt) {
+    return R"({"schema":"cts.job.v1","bench":"x","shard":)" + shard +
+           R"(,"env":{},"timeout_s":1,"attempt":)" + attempt + "}";
+  };
+  EXPECT_NO_THROW(net::parse_job(job(R"({"index":0,"count":1})", "2")));
+  for (const char* shard :
+       {R"({"index":0.5,"count":1})", R"({"index":0,"count":1.5})",
+        R"({"index":-1,"count":1})", R"({"index":0,"count":-1})",
+        R"({"index":0,"count":9223372036854775808})",
+        R"({"index":0,"count":1e300})"}) {
+    EXPECT_THROW(net::parse_job(job(shard, "1")), cu::InvalidArgument)
+        << shard;
+  }
+  for (const char* attempt : {"2.5", "-1", "2147483648", "1e300"}) {
+    EXPECT_THROW(net::parse_job(job(R"({"index":0,"count":1})", attempt)),
+                 cu::InvalidArgument)
+        << attempt;
+  }
+  const auto result = [](const std::string& recv, const std::string& send) {
+    return R"({"schema":"cts.jobresult.v1","ok":false,"error":"e",)"
+           R"("elapsed_s":0,"obs":{"recv_us":)" +
+           recv + R"(,"send_us":)" + send +
+           R"(,"metrics":{"counters":{},"sums":{},"gauges":{},)"
+           R"("histograms":{}},"spans":[]}})";
+  };
+  EXPECT_NO_THROW(net::parse_job_result(result("100", "150")));
+  EXPECT_THROW(net::parse_job_result(result("100.5", "150")),
+               cu::InvalidArgument);
+  EXPECT_THROW(net::parse_job_result(result("-100", "150")),
+               cu::InvalidArgument);
+  EXPECT_THROW(net::parse_job_result(result("100", "9223372036854775808")),
+               cu::InvalidArgument);
+}
+
 TEST(JobSchema, ResultRoundTripsShardTextVerbatim) {
   net::JobResult result;
   result.ok = true;

@@ -8,6 +8,7 @@
 //   * a client that disconnects before its reply counts as served+failed;
 //   * the stats endpoint's counters match the requests sent;
 //   * the shared serve flags are parsed strictly;
+//   * request spans fold into the stats span table, with no raw span log;
 //   * the acceptor pool: sequential clients reuse the same two threads,
 //     and a flood past the cap never grows the process by more than the
 //     pool's kMaxConnections + 1 threads.
@@ -35,6 +36,8 @@
 #include "cts/net/server.hpp"
 #include "cts/net/socket.hpp"
 #include "cts/net/stats.hpp"
+#include "cts/obs/span_stats.hpp"
+#include "cts/obs/trace.hpp"
 #include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
@@ -300,14 +303,42 @@ TEST(NetServer, ServeFlagsAreParsedStrictly) {
   };
   const net::ServerOptions defaults = parse({});
   EXPECT_EQ(defaults.max_served, 0);
-  EXPECT_EQ(defaults.profile_hz, 97);
-  EXPECT_EQ(parse({"--max-requests=3", "--profile-hz=10000"}).max_served, 3);
+  EXPECT_EQ(parse({"--max-requests=3"}).max_served, 3);
 
   EXPECT_THROW(parse({"--max-requests=-1"}), cu::InvalidArgument);
-  EXPECT_THROW(parse({"--profile-hz=4294967393"}), cu::InvalidArgument);
-  EXPECT_THROW(parse({"--profile-hz=0"}), cu::InvalidArgument);
   EXPECT_THROW(parse({"--port=65536"}), cu::InvalidArgument);
   EXPECT_THROW(parse({"--log-level=loud"}), cu::InvalidArgument);
+}
+
+// A daemon keeps no raw span log: spans fold into the bounded table, which
+// the stats endpoint reports per name.
+TEST(NetServer, SpansFoldIntoTheStatsTableWithoutARawLog) {
+  cts::obs::SpanTable::global().reset();
+  cts::obs::TraceRecorder::global().reset();
+  constexpr int kRequests = 2000;
+  RunningServer rs("spans", kRequests + 1, [](const std::string& request,
+                                              net::Server&) {
+    if (request == "span") {
+      cts::obs::ScopedSpan parent("srv.request");
+      cts::obs::ScopedSpan child("srv.query");
+    }
+    return ok_reply();
+  });
+  const net::Endpoint ep = rs.endpoint();
+  for (int i = 0; i < kRequests; ++i) (void)round_trip(ep, "span");
+
+  const net::WorkerStats stats = net::query_stats(ep, kIoTimeoutS);
+  EXPECT_EQ(cts::obs::TraceRecorder::global().event_count(), 0u);
+  for (const char* name : {"srv.request", "srv.query"}) {
+    const auto it = std::find_if(
+        stats.spans.begin(), stats.spans.end(),
+        [name](const cts::obs::SpanAgg& s) { return s.name == name; });
+    ASSERT_NE(it, stats.spans.end()) << name;
+    EXPECT_EQ(it->count, static_cast<std::uint64_t>(kRequests)) << name;
+  }
+  (void)round_trip(ep, "last");
+  EXPECT_EQ(rs.join(), 0);
+  EXPECT_EQ(cts::obs::TraceRecorder::global().event_count(), 0u);
 }
 
 TEST(NetServer, SequentialRoundTripsAreServedByAtMostTwoThreads) {

@@ -87,4 +87,40 @@ TEST(Stats, ParserRejectsMalformedDocuments) {
       cts::util::InvalidArgument);
 }
 
+// Counts and microsecond totals off the wire are integers in range, or
+// the document is refused: a count of 1e300 must not reach a cast.
+TEST(Stats, ParserRejectsNonIntegralNegativeAndHugeIntegers) {
+  net::WorkerStats stats;
+  stats.worker = "w";
+  stats.spans.push_back({"s", 5, 40, 30, 7, 9});
+  const std::string good = net::write_stats_json(stats);
+  EXPECT_NO_THROW(net::parse_stats(good));
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    const std::size_t at = good.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string text = good;
+    return text.replace(at, from.size(), to);
+  };
+  for (const std::string bad :
+       {"1e300", "-1", "2.5", "9223372036854775808", "18446744073709551616"}) {
+    EXPECT_THROW(net::parse_stats(with("\"count\":5", "\"count\":" + bad)),
+                 cts::util::InvalidArgument)
+        << bad;
+    EXPECT_THROW(
+        net::parse_stats(with("\"total_us\":40", "\"total_us\":" + bad)),
+        cts::util::InvalidArgument)
+        << bad;
+    EXPECT_THROW(net::parse_stats(with("\"pid\":0", "\"pid\":" + bad)),
+                 cts::util::InvalidArgument)
+        << bad;
+    EXPECT_THROW(net::parse_stats(with("\"ok\":0", "\"ok\":" + bad)),
+                 cts::util::InvalidArgument)
+        << bad;
+    EXPECT_THROW(net::parse_stats(with("\"stats_served\":0",
+                                       "\"stats_served\":" + bad)),
+                 cts::util::InvalidArgument)
+        << bad;
+  }
+}
+
 }  // namespace

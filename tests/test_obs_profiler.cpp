@@ -1,27 +1,30 @@
-#include "cts/obs/profiler.hpp"
+// Span-path profiles (--profile / --profile-folded): the cts.profile.v1
+// document and the collapsed-stack text written from the span table, with
+// exact wall and thread-CPU self time per span path.
+
+#include "cts/obs/span_stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "cts/obs/json.hpp"
 #include "cts/obs/trace.hpp"
-#include "cts/util/error.hpp"
 
 namespace obs = cts::obs;
 
 namespace {
 
-// The profiler global is process-wide state; serialize tests through a
-// fixture that always leaves it stopped and empty.
+// The span table and the recorder are process-wide state; every case
+// starts and leaves them empty.
 class ProfilerTest : public ::testing::Test {
  protected:
+  void SetUp() override { TearDown(); }
   void TearDown() override {
-    obs::Profiler::global().stop();
-    obs::Profiler::global().reset();
+    obs::SpanTable::global().reset();
     obs::TraceRecorder::global().disable();
     obs::TraceRecorder::global().reset();
   }
@@ -36,159 +39,122 @@ void spin_ms(int ms) {
   }
 }
 
-TEST_F(ProfilerTest, RejectsBadOptions) {
-  obs::Profiler::Options opts;
-  opts.hz = 0;
-  EXPECT_THROW(obs::Profiler::global().start(opts),
-               cts::util::InvalidArgument);
-  opts.hz = 100;
-  opts.backend = "quantum";
-  EXPECT_THROW(obs::Profiler::global().start(opts),
-               cts::util::InvalidArgument);
-}
-
-TEST_F(ProfilerTest, RejectsDoubleStart) {
-  obs::Profiler& prof = obs::Profiler::global();
-  prof.start({});
-  EXPECT_THROW(prof.start({}), cts::util::InvalidArgument);
-  prof.stop();
-}
-
-TEST_F(ProfilerTest, DisarmedSpansCostNothingAndCollectNothing) {
-  {
-    CTS_TRACE_SPAN("never.sampled");
-    spin_ms(5);
+std::map<std::string, obs::SpanPathAgg> folded() {
+  std::map<std::string, obs::SpanPathAgg> out;
+  for (obs::SpanPathAgg& p : obs::SpanTable::global().paths()) {
+    out[p.path] = p;
   }
-  EXPECT_TRUE(obs::Profiler::global().folded().empty());
-  EXPECT_EQ(obs::Profiler::global().sample_count(), 0u);
+  return out;
 }
 
-// Wall-clock backend: nested spans on two threads must show up as folded
-// stacks with parent;child chains.
+// Nested spans on two threads show up as their own parent;child chains.
 TEST_F(ProfilerTest, ThreadBackendCapturesNestedStacksAcrossThreads) {
-  obs::Profiler& prof = obs::Profiler::global();
-  obs::Profiler::Options opts;
-  opts.hz = 997;  // fast tick so 150 ms of work yields plenty of samples
-  prof.start(opts);
-  ASSERT_TRUE(prof.armed());
-
   std::thread worker([] {
-    obs::ScopedSpan outer(std::string("worker.outer"));
-    spin_ms(50);
+    obs::ScopedSpan outer("worker.outer");
+    spin_ms(5);
     {
-      obs::ScopedSpan inner(std::string("worker.inner"));
-      spin_ms(100);
+      obs::ScopedSpan inner("worker.inner");
+      spin_ms(10);
     }
   });
   {
-    obs::ScopedSpan main_span(std::string("main.work"));
-    spin_ms(150);
+    obs::ScopedSpan main_span("main.work");
+    spin_ms(15);
   }
   worker.join();
-  prof.stop();
-  EXPECT_FALSE(prof.armed());
 
-  const auto folded = prof.folded();
-  EXPECT_GT(prof.sample_count(), 10u);
-  EXPECT_GT(folded.count("main.work"), 0u);
-  EXPECT_GT(folded.count("worker.outer;worker.inner"), 0u);
-  // The pure outer frame was live for ~50 ms; at ~1 kHz it must appear.
-  EXPECT_GT(folded.count("worker.outer"), 0u);
+  const auto stacks = folded();
+  ASSERT_EQ(stacks.size(), 3u);
+  ASSERT_EQ(stacks.count("main.work"), 1u);
+  ASSERT_EQ(stacks.count("worker.outer"), 1u);
+  ASSERT_EQ(stacks.count("worker.outer;worker.inner"), 1u);
+  EXPECT_GE(stacks.at("main.work").self_us, 15000);
+  EXPECT_GE(stacks.at("worker.outer").self_us, 5000);
+  EXPECT_GE(stacks.at("worker.outer;worker.inner").self_us, 10000);
 }
 
+// A reset while a span is open drops what was folded so far; the open
+// span folds into the emptied table when it closes, and nesting stays
+// balanced for the spans after it.
 TEST_F(ProfilerTest, StopMidSpanStaysBalanced) {
-  obs::Profiler& prof = obs::Profiler::global();
   {
-    obs::Profiler::Options opts;
-    opts.hz = 500;
-    prof.start(opts);
-    obs::ScopedSpan span(std::string("half.open"));
-    spin_ms(20);
-    prof.stop();
-    // Span destructs after stop: pop must not crash or underflow.
+    obs::ScopedSpan span("half.open");
+    { CTS_TRACE_SPAN("before.reset"); }
+    obs::SpanTable::global().reset();
+    { CTS_TRACE_SPAN("after.reset"); }
   }
-  prof.reset();
-  // A fresh profiling session still sees a clean stack.
-  prof.start({});
-  {
-    obs::ScopedSpan span(std::string("fresh.span"));
-    spin_ms(30);
-  }
-  prof.stop();
-  for (const auto& [stack, count] : prof.folded()) {
-    (void)count;
-    EXPECT_EQ(stack.find("half.open"), std::string::npos) << stack;
-  }
+  { CTS_TRACE_SPAN("fresh.span"); }
+  const auto stacks = folded();
+  ASSERT_EQ(stacks.size(), 3u);
+  EXPECT_EQ(stacks.count("half.open"), 1u);
+  EXPECT_EQ(stacks.count("half.open;after.reset"), 1u);
+  EXPECT_EQ(stacks.count("fresh.span"), 1u);
 }
 
 TEST_F(ProfilerTest, FoldedTextAndJsonExports) {
-  obs::Profiler& prof = obs::Profiler::global();
-  obs::Profiler::Options opts;
-  opts.hz = 997;
-  prof.start(opts);
   {
-    obs::ScopedSpan span(std::string("export.work"));
-    spin_ms(60);
-  }
-  prof.stop();
-
-  std::ostringstream folded;
-  prof.write_folded(folded);
-  EXPECT_NE(folded.str().find("export.work "), std::string::npos);
-
-  std::ostringstream json;
-  prof.write_json(json);
-  const obs::JsonValue doc = obs::json_parse(json.str());
-  EXPECT_EQ(doc.at("schema").as_string(), "cts.profile.v1");
-  EXPECT_EQ(doc.at("backend").as_string(), "thread");
-  EXPECT_EQ(doc.at("hz").as_number(), 997.0);
-  EXPECT_GT(doc.at("samples").as_number(), 0.0);
-  bool found = false;
-  for (const obs::JsonValue& entry : doc.at("stacks").items) {
-    if (entry.at("stack").as_string() == "export.work") {
-      EXPECT_GT(entry.at("count").as_number(), 0.0);
-      found = true;
+    obs::ScopedSpan span("export.work");
+    spin_ms(2);
+    {
+      obs::ScopedSpan inner("export.inner");
+      spin_ms(2);
     }
   }
-  EXPECT_TRUE(found) << json.str();
-}
 
-// CPU backend: SIGPROF ticks only while burning CPU inside the span.
-TEST_F(ProfilerTest, ItimerBackendSamplesCpuWork) {
-  obs::Profiler& prof = obs::Profiler::global();
-  obs::Profiler::Options opts;
-  opts.backend = "itimer";
-  opts.hz = 250;
-  prof.start(opts);
-  {
-    obs::ScopedSpan span(std::string("cpu.burn"));
-    spin_ms(400);  // ~100 expected ITIMER_PROF ticks at 250 Hz
-  }
-  prof.stop();
-  EXPECT_GT(prof.sample_count(), 0u);
-  const auto folded = prof.folded();
-  EXPECT_GT(folded.count("cpu.burn"), 0u)
-      << "samples=" << prof.sample_count();
+  std::ostringstream folded_text;
+  obs::SpanTable::global().write_folded(folded_text);
+  EXPECT_NE(folded_text.str().find("export.work "), std::string::npos);
+  EXPECT_NE(folded_text.str().find("export.work;export.inner "),
+            std::string::npos);
 
   std::ostringstream json;
-  prof.write_json(json);
-  EXPECT_EQ(obs::json_parse(json.str()).at("backend").as_string(), "itimer");
+  obs::SpanTable::global().write_profile_json(json);
+  std::string error;
+  ASSERT_TRUE(obs::json_parse_check(json.str(), &error)) << error;
+  const obs::JsonValue doc = obs::json_parse(json.str());
+  EXPECT_EQ(doc.at("schema").as_string(), "cts.profile.v1");
+  EXPECT_EQ(doc.at("backend").as_string(), "spans");
+  EXPECT_EQ(doc.int_at("samples"), 2);
+  EXPECT_EQ(doc.find("hz"), nullptr);
+  EXPECT_EQ(doc.find("dropped"), nullptr);
+  const auto stacks = folded();
+  ASSERT_EQ(doc.at("stacks").size(), 2u);
+  for (const obs::JsonValue& entry : doc.at("stacks").items) {
+    const obs::SpanPathAgg& p = stacks.at(entry.at("stack").as_string());
+    EXPECT_EQ(entry.int_at("count"), p.self_us);
+    EXPECT_EQ(entry.int_at("cpu_us"), p.cpu_self_us);
+    EXPECT_GE(p.self_us, 2000) << p.path;
+  }
 }
 
 TEST_F(ProfilerTest, ProfilesWorkWithoutTracingEnabled) {
   ASSERT_FALSE(obs::TraceRecorder::global().enabled());
-  obs::Profiler& prof = obs::Profiler::global();
-  obs::Profiler::Options opts;
-  opts.hz = 997;
-  prof.start(opts);
   {
     CTS_TRACE_SPAN("untraced.span");
-    spin_ms(50);
+    spin_ms(5);
   }
-  prof.stop();
-  EXPECT_GT(prof.folded().count("untraced.span"), 0u);
+  EXPECT_EQ(folded().count("untraced.span"), 1u);
   // And no trace events were recorded (recorder stayed disabled).
   EXPECT_EQ(obs::TraceRecorder::global().event_count(), 0u);
+}
+
+// Thread-CPU self time counts what the span burned, not what it slept.
+TEST_F(ProfilerTest, CpuSelfTimeCountsOnlyBurnedCpu) {
+  {
+    obs::ScopedSpan burn("cpu.burn");
+    spin_ms(30);
+  }
+  {
+    obs::ScopedSpan idle("cpu.idle");
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  const auto stacks = folded();
+  const obs::SpanPathAgg& burn = stacks.at("cpu.burn");
+  const obs::SpanPathAgg& idle = stacks.at("cpu.idle");
+  EXPECT_GT(burn.cpu_self_us, 1000);
+  EXPECT_LE(burn.cpu_self_us, burn.total_us + 100);
+  EXPECT_GE(idle.total_us, 30000);
+  EXPECT_LT(idle.cpu_self_us, 10000);
 }
 
 }  // namespace

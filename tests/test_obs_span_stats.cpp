@@ -1,25 +1,48 @@
-// Span-time attribution: self time must equal inclusive time minus the
-// time of directly nested spans, per thread, and the phase rollup must
-// group by the name prefix before the first dot.
+// Span-time attribution: every span folds into the path table as it
+// closes.  Self time must equal the span's duration minus the durations of
+// the spans directly nested in it on the same thread — exactly, in integer
+// microseconds — and the roll-ups must group by name and by the name
+// prefix before the first dot.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "cts/obs/json.hpp"
 #include "cts/obs/span_stats.hpp"
+#include "cts/obs/trace.hpp"
 
 namespace obs = cts::obs;
 
 namespace {
 
-obs::TraceEvent ev(const char* name, int tid, std::int64_t ts,
-                   std::int64_t dur) {
-  obs::TraceEvent e;
-  e.name = name;
-  e.tid = tid;
-  e.ts_us = ts;
-  e.dur_us = dur;
-  return e;
+/// The global table is process-wide state: every case starts it empty.
+class AggregateSpans : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::SpanTable::global().reset(); }
+  void TearDown() override { obs::SpanTable::global().reset(); }
+};
+
+void spin_us(int us) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+const obs::SpanPathAgg* find_path(const std::vector<obs::SpanPathAgg>& paths,
+                                  const std::string& path) {
+  for (const obs::SpanPathAgg& p : paths) {
+    if (p.path == path) return &p;
+  }
+  return nullptr;
 }
 
 const obs::SpanAgg* find(const std::vector<obs::SpanAgg>& aggs,
@@ -30,94 +53,252 @@ const obs::SpanAgg* find(const std::vector<obs::SpanAgg>& aggs,
   return nullptr;
 }
 
+obs::SpanPathAgg path_agg(const char* path, const char* name,
+                          std::uint64_t count, std::int64_t total,
+                          std::int64_t self) {
+  obs::SpanPathAgg p;
+  p.path = path;
+  p.name = name;
+  p.count = count;
+  p.total_us = total;
+  p.self_us = self;
+  p.min_us = total;
+  p.max_us = total;
+  return p;
+}
+
 TEST(SpanPhase, PrefixBeforeFirstDot) {
   EXPECT_EQ(obs::span_phase("fluid_mux.run"), "fluid_mux");
   EXPECT_EQ(obs::span_phase("replication"), "replication");
   EXPECT_EQ(obs::span_phase("proc.dar.generate"), "proc");
 }
 
-TEST(AggregateSpans, SelfTimeSubtractsNestedChildren) {
-  // parent [0,100) with children [10,40) and [50,80); grandchild [12,20).
-  const std::vector<obs::TraceEvent> events = {
-      ev("parent", 1, 0, 100),
-      ev("child", 1, 10, 30),
-      ev("grandchild", 1, 12, 8),
-      ev("child", 1, 50, 30),
-  };
-  const std::vector<obs::SpanAgg> aggs = obs::aggregate_spans(events);
-  ASSERT_EQ(aggs.size(), 3u);
-
-  const obs::SpanAgg* parent = find(aggs, "parent");
+TEST_F(AggregateSpans, SelfTimeSubtractsNestedChildren) {
+  {
+    obs::ScopedSpan parent("parent");
+    spin_us(100);
+    {
+      obs::ScopedSpan child("child");
+      spin_us(100);
+      {
+        obs::ScopedSpan grandchild("grandchild");
+        spin_us(100);
+      }
+    }
+    {
+      obs::ScopedSpan child("child");
+      spin_us(100);
+    }
+  }
+  const std::vector<obs::SpanPathAgg> paths =
+      obs::SpanTable::global().paths();
+  ASSERT_EQ(paths.size(), 3u);
+  const obs::SpanPathAgg* parent = find_path(paths, "parent");
+  const obs::SpanPathAgg* child = find_path(paths, "parent;child");
+  const obs::SpanPathAgg* grandchild =
+      find_path(paths, "parent;child;grandchild");
   ASSERT_NE(parent, nullptr);
-  EXPECT_EQ(parent->count, 1u);
-  EXPECT_EQ(parent->total_us, 100);
-  EXPECT_EQ(parent->self_us, 40);  // 100 - 30 - 30; grandchild hits child
-
-  const obs::SpanAgg* child = find(aggs, "child");
   ASSERT_NE(child, nullptr);
-  EXPECT_EQ(child->count, 2u);
-  EXPECT_EQ(child->total_us, 60);
-  EXPECT_EQ(child->self_us, 52);  // 60 - 8
-  EXPECT_EQ(child->min_us, 30);
-  EXPECT_EQ(child->max_us, 30);
-
-  const obs::SpanAgg* grandchild = find(aggs, "grandchild");
   ASSERT_NE(grandchild, nullptr);
-  EXPECT_EQ(grandchild->self_us, 8);
+
+  EXPECT_EQ(parent->count, 1u);
+  EXPECT_EQ(child->count, 2u);
+  EXPECT_EQ(grandchild->count, 1u);
+  // The grandchild's time comes off the child, not the parent.
+  EXPECT_EQ(parent->self_us, parent->total_us - child->total_us);
+  EXPECT_EQ(child->self_us, child->total_us - grandchild->total_us);
+  EXPECT_EQ(grandchild->self_us, grandchild->total_us);
+  EXPECT_GE(grandchild->total_us, 100);
+  EXPECT_GE(child->min_us, 100);
+  EXPECT_EQ(child->min_us + child->max_us, child->total_us);
+  EXPECT_GE(parent->self_us, 100);
+
+  const std::vector<obs::SpanAgg> aggs = obs::spans_by_name(paths);
+  ASSERT_EQ(aggs.size(), 3u);
+  EXPECT_EQ(find(aggs, "child")->self_us, child->self_us);
+  EXPECT_EQ(find(aggs, "child")->count, 2u);
 }
 
-TEST(AggregateSpans, ThreadsDoNotNestAcrossEachOther) {
-  // Identical intervals on different tids must not subtract.
-  const std::vector<obs::TraceEvent> events = {
-      ev("a", 1, 0, 100),
-      ev("b", 2, 10, 50),
-  };
-  const std::vector<obs::SpanAgg> aggs = obs::aggregate_spans(events);
-  EXPECT_EQ(find(aggs, "a")->self_us, 100);
-  EXPECT_EQ(find(aggs, "b")->self_us, 50);
+TEST_F(AggregateSpans, ThreadsDoNotNestAcrossEachOther) {
+  // A span on another thread is a root there, even while one is open here.
+  {
+    obs::ScopedSpan a("a");
+    std::thread worker([] {
+      obs::ScopedSpan b("b");
+      spin_us(100);
+    });
+    worker.join();
+  }
+  const std::vector<obs::SpanPathAgg> paths =
+      obs::SpanTable::global().paths();
+  ASSERT_EQ(paths.size(), 2u);
+  ASSERT_NE(find_path(paths, "a"), nullptr);
+  ASSERT_NE(find_path(paths, "b"), nullptr);
+  EXPECT_EQ(find_path(paths, "a")->self_us, find_path(paths, "a")->total_us);
+  EXPECT_EQ(find_path(paths, "b")->self_us, find_path(paths, "b")->total_us);
 }
 
-TEST(AggregateSpans, SiblingsAtSameStartSortLongerFirst) {
-  // Same start: the longer span is the parent.
-  const std::vector<obs::TraceEvent> events = {
-      ev("inner", 1, 0, 40),
-      ev("outer", 1, 0, 100),
-  };
-  const std::vector<obs::SpanAgg> aggs = obs::aggregate_spans(events);
-  EXPECT_EQ(find(aggs, "outer")->self_us, 60);
-  EXPECT_EQ(find(aggs, "inner")->self_us, 40);
+TEST_F(AggregateSpans, SiblingsAtSameStartSortLongerFirst) {
+  // A child opened on the same microsecond tick as its parent still nests
+  // under it: the enclosing (longer) span is the parent because it is the
+  // open one, not because of timestamps.
+  {
+    obs::ScopedSpan outer("outer");
+    {
+      obs::ScopedSpan inner("inner");
+      spin_us(50);
+    }
+    spin_us(50);
+  }
+  const std::vector<obs::SpanPathAgg> paths =
+      obs::SpanTable::global().paths();
+  const obs::SpanPathAgg* outer = find_path(paths, "outer");
+  const obs::SpanPathAgg* inner = find_path(paths, "outer;inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->self_us, outer->total_us - inner->total_us);
+  EXPECT_EQ(inner->self_us, inner->total_us);
 }
 
-TEST(AggregateSpans, SortedBySelfTimeDescending) {
-  const std::vector<obs::TraceEvent> events = {
-      ev("small", 1, 0, 10),
-      ev("big", 1, 100, 90),
-  };
-  const std::vector<obs::SpanAgg> aggs = obs::aggregate_spans(events);
+TEST_F(AggregateSpans, SortedBySelfTimeDescending) {
+  const std::vector<obs::SpanAgg> aggs =
+      obs::spans_by_name({path_agg("small", "small", 1, 10, 10),
+                          path_agg("big", "big", 1, 90, 90)});
   ASSERT_EQ(aggs.size(), 2u);
   EXPECT_EQ(aggs[0].name, "big");
   EXPECT_EQ(aggs[1].name, "small");
 }
 
-TEST(AggregateSpans, EmptyInput) {
-  EXPECT_TRUE(obs::aggregate_spans({}).empty());
+TEST_F(AggregateSpans, EmptyInput) {
+  EXPECT_TRUE(obs::SpanTable::global().paths().empty());
+  EXPECT_EQ(obs::SpanTable::global().spans(), 0u);
+  EXPECT_TRUE(obs::spans_by_name({}).empty());
   EXPECT_TRUE(obs::phase_self_times({}).empty());
 }
 
+TEST(SpanNames, OneNameUnderTwoPathsRollsUpIntoOneRow) {
+  const std::vector<obs::SpanAgg> aggs =
+      obs::spans_by_name({path_agg("a;scan", "scan", 2, 30, 20),
+                          path_agg("b;scan", "scan", 1, 50, 50)});
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_EQ(aggs[0].count, 3u);
+  EXPECT_EQ(aggs[0].total_us, 80);
+  EXPECT_EQ(aggs[0].self_us, 70);
+  EXPECT_EQ(aggs[0].min_us, 30);
+  EXPECT_EQ(aggs[0].max_us, 50);
+}
+
 TEST(PhaseSelfTimes, RollsUpByPrefix) {
-  const std::vector<obs::TraceEvent> events = {
-      ev("fluid_mux.run", 1, 0, 60),
-      ev("fluid_mux.drain", 1, 70, 20),
-      ev("replication", 2, 0, 50),
-  };
+  obs::SpanTable table;
+  table.fold("fluid_mux.run", "fluid_mux.run", 60, 60, 0);
+  table.fold("fluid_mux.drain", "fluid_mux.drain", 20, 20, 0);
+  table.fold("replication", "replication", 50, 50, 0);
   const std::vector<obs::PhaseSelfTime> phases =
-      obs::phase_self_times(obs::aggregate_spans(events));
+      obs::phase_self_times(obs::spans_by_name(table.paths()));
   ASSERT_EQ(phases.size(), 2u);
   EXPECT_EQ(phases[0].phase, "fluid_mux");
   EXPECT_EQ(phases[0].self_us, 80);
   EXPECT_EQ(phases[0].spans, 2u);
   EXPECT_EQ(phases[1].phase, "replication");
   EXPECT_EQ(phases[1].self_us, 50);
+}
+
+/// One thread's workload: `rounds` root spans, each with nested children
+/// and a repeated child name under two parents.
+void nested_work(const char* root, const char* a, const char* b,
+                 const char* c, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    obs::ScopedSpan r(root);
+    spin_us(20);
+    {
+      obs::ScopedSpan sa(a);
+      spin_us(20);
+      {
+        obs::ScopedSpan sb(b);
+        spin_us(20);
+      }
+    }
+    {
+      obs::ScopedSpan sc(c);
+      obs::ScopedSpan sb(b);
+      spin_us(20);
+    }
+  }
+}
+
+// Two threads with nested spans at once: on each thread the folded wall
+// self times add up to the root spans' total exactly, the per-name
+// roll-up matches the paths it came from, and the collapsed-stack text
+// parses back into the cts.profile.v1 stacks.
+TEST_F(AggregateSpans, TwoThreadSelfTimesAddUpToRootWallExactly) {
+  std::atomic<int> ready{0};
+  auto run = [&ready](const char* root, const char* a, const char* b,
+                      const char* c) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    nested_work(root, a, b, c, 50);
+  };
+  std::thread t1(run, "t1.root", "t1.a", "t1.b", "t1.c");
+  std::thread t2(run, "t2.root", "t2.a", "t2.b", "t2.c");
+  t1.join();
+  t2.join();
+
+  const std::vector<obs::SpanPathAgg> paths =
+      obs::SpanTable::global().paths();
+  ASSERT_EQ(paths.size(), 10u);  // 5 paths per thread
+  for (const std::string root : {"t1.root", "t2.root"}) {
+    std::int64_t self_sum = 0;
+    for (const obs::SpanPathAgg& p : paths) {
+      if (p.path.compare(0, root.size(), root) != 0) continue;
+      EXPECT_GE(p.self_us, 0) << p.path;
+      EXPECT_GE(p.cpu_self_us, 0) << p.path;
+      self_sum += p.self_us;
+    }
+    const obs::SpanPathAgg* r = find_path(paths, root);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->count, 50u);
+    EXPECT_EQ(self_sum, r->total_us) << root;
+  }
+
+  const std::vector<obs::SpanAgg> aggs = obs::spans_by_name(paths);
+  ASSERT_EQ(aggs.size(), 8u);
+  for (const obs::SpanAgg& agg : aggs) {
+    obs::SpanAgg sum;
+    for (const obs::SpanPathAgg& p : paths) {
+      if (p.name != agg.name) continue;
+      sum.min_us = sum.count == 0 ? p.min_us : std::min(sum.min_us, p.min_us);
+      sum.max_us = std::max(sum.max_us, p.max_us);
+      sum.count += p.count;
+      sum.total_us += p.total_us;
+      sum.self_us += p.self_us;
+    }
+    EXPECT_EQ(agg.count, sum.count) << agg.name;
+    EXPECT_EQ(agg.total_us, sum.total_us) << agg.name;
+    EXPECT_EQ(agg.self_us, sum.self_us) << agg.name;
+    EXPECT_EQ(agg.min_us, sum.min_us) << agg.name;
+    EXPECT_EQ(agg.max_us, sum.max_us) << agg.name;
+  }
+  EXPECT_EQ(find(aggs, "t1.b")->count, 100u);  // under t1.a and t1.c
+
+  std::ostringstream folded;
+  obs::SpanTable::global().write_folded(folded);
+  std::map<std::string, std::int64_t> from_text;
+  std::istringstream lines(folded.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    from_text[line.substr(0, space)] = std::stoll(line.substr(space + 1));
+  }
+  std::ostringstream json;
+  obs::SpanTable::global().write_profile_json(json);
+  const obs::JsonValue doc = obs::json_parse(json.str());
+  std::map<std::string, std::int64_t> from_json;
+  for (const obs::JsonValue& stack : doc.at("stacks").items) {
+    from_json[stack.at("stack").as_string()] = stack.int_at("count");
+  }
+  EXPECT_EQ(from_text, from_json);
+  EXPECT_EQ(doc.int_at("samples"), 500);  // 5 spans x 50 rounds x 2
 }
 
 }  // namespace

@@ -33,7 +33,11 @@ std::string obstop() {
 /// Runs cts_obstop with `args`, captures stderr, and returns the exit
 /// code; the captured stderr is stored in *err.
 int run_obstop(const std::string& args, std::string* err) {
-  const std::string err_path = ::testing::TempDir() + "/obstop_cli_err.txt";
+  // One file per test: ctest runs these cases as concurrent processes.
+  const std::string err_path =
+      ::testing::TempDir() + "/obstop_cli_err_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   const int rc = shell("'" + obstop() + "' " + args + " > /dev/null 2>'" +
                        err_path + "'");
   *err = cu::read_text_file(err_path);

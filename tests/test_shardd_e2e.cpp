@@ -363,12 +363,12 @@ TEST(ShardDE2E, AllWorkersDownFallsBackToLocalExecution) {
   EXPECT_EQ(counters.find("simd.net.jobs_ok"), nullptr);
 }
 
-// The always-on profiling & SLO layer end to end: a loopback run with the
-// profiler armed on both sides must still merge bit-identically to a
-// profiler-off single-process run, the worker must answer latency-SLO
-// queries (pass AND breach) from its log-bucketed histograms, the
-// OpenMetrics exposition must pass the shipped strict validator, and both
-// processes must emit cts.profile.v1 documents on clean exit.
+// The profiling & SLO layer end to end: a loopback run with --profile on
+// both sides must still merge bit-identically to a single-process run
+// without it, the worker must answer latency-SLO queries (pass AND breach)
+// from its log-bucketed histograms, the OpenMetrics exposition must pass
+// the shipped strict validator, and both processes must emit
+// cts.profile.v1 documents on clean exit.
 TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
   const std::string dir = ::testing::TempDir() + "/shardd_profile";
   ASSERT_EQ(fresh_dir(dir), 0);
@@ -395,7 +395,7 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
       0);
 
   // Profiling must not perturb the physics: the merged report still diffs
-  // clean against the profiler-off single-process reference.
+  // clean against the unprofiled single-process reference.
   EXPECT_EQ(
       shell("'" + simd() + "' diff '" + single + "' '" + merged + "' --quiet"),
       0);
@@ -447,8 +447,8 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
   }
   ASSERT_FALSE(profile_text.empty()) << "worker never wrote its profile";
 
-  // Both profiles are strict-JSON cts.profile.v1 documents with the
-  // sampler having actually ticked.
+  // Both profiles are strict-JSON cts.profile.v1 documents with folded
+  // spans in them; the worker's carries its job span.
   for (const std::string& path : {worker_profile, dispatch_profile}) {
     const std::string doc_text = cu::read_text_file(path);
     std::string error;
@@ -462,6 +462,13 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
                     "' --quiet > /dev/null 2>&1"),
               0);
   }
+  const obs::JsonValue worker_doc =
+      obs::json_parse(cu::read_text_file(worker_profile));
+  bool job_stack = false;
+  for (const obs::JsonValue& stack : worker_doc.at("stacks").items) {
+    job_stack = job_stack || stack.at("stack").as_string() == "shardd.job";
+  }
+  EXPECT_TRUE(job_stack) << cu::read_text_file(worker_profile);
   // The dispatcher's folded export exists alongside the JSON document.
   std::string folded_text;
   EXPECT_TRUE(cu::read_text_file(dispatch_folded, &folded_text, nullptr));
@@ -496,7 +503,7 @@ TEST(ShardDE2E, OutOfRangeServeFlagsExitTwoBeforeListening) {
   ASSERT_EQ(fresh_dir(dir), 0);
   const std::string port_file = dir + "/w.port";
   // `timeout` turns a daemon that serves anyway into a failure, not a hang.
-  for (const std::string flag : {"--max-jobs=-1", "--profile-hz=4294967393"}) {
+  for (const std::string flag : {"--max-jobs=-1"}) {
     EXPECT_EQ(shell("timeout 10 '" + shardd() + "' --port=0 --port-file='" +
                     port_file + "' --work-dir='" + dir + "/work' " + flag +
                     " > '" + dir + "/w.log' 2>&1"),

@@ -2,8 +2,7 @@
 //
 //   cts_cacd [serve] [--port=N] [--port-file=PATH] [--max-requests=N]
 //            [--deadline=SECS] [--log=PATH] [--log-level=LEVEL] [--quiet]
-//            [--profile=PATH] [--profile-folded=PATH] [--profile-hz=N]
-//            [--profile-backend=thread|itimer]
+//            [--profile=PATH] [--profile-folded=PATH]
 //   cts_cacd query --port=N [--host=H] [--model=ID] [--capacity=C]
 //            [--buffer=B] [--clr=L] [--kind=K,K,...] [--n=N] [--interp]
 //            [--deadline=SECS] [--timeout=SECS] [--request-file=PATH]
@@ -92,8 +91,6 @@ void usage() {
       "                [--max-requests=N] [--deadline=SECS] [--log=PATH]\n"
       "                [--log-level=debug|info|warn|error] [--quiet]\n"
       "                [--profile=PATH] [--profile-folded=PATH]\n"
-      "                [--profile-hz=N]\n"
-      "                [--profile-backend=thread|itimer]\n"
       "       cts_cacd query --port=N [--host=H] [--model=ID]\n"
       "                [--capacity=C] [--buffer=B] [--clr=L]\n"
       "                [--kind=admit_br,admit_eb,bop] [--n=N] [--interp]\n"

@@ -110,8 +110,7 @@ void usage() {
       "                  [--work-dir=DIR] [--max-jobs=N]\n"
       "                  [--fault-exit-after=N] [--log=PATH]\n"
       "                  [--log-level=debug|info|warn|error] [--quiet]\n"
-      "                  [--profile=PATH] [--profile-folded=PATH]\n"
-      "                  [--profile-hz=N] [--profile-backend=thread|itimer]\n\n"
+      "                  [--profile=PATH] [--profile-folded=PATH]\n\n"
       "TCP worker for `cts_simd run --workers=`: accepts cts.job.v1 shard\n"
       "jobs (bench registry id + shard spec + REPRO_* env + deadline), runs\n"
       "the shard as a child process, and streams the cts.shard.v1 payload\n"
@@ -120,21 +119,23 @@ void usage() {
       "cts_obstop); send {\"format\":\"openmetrics\"} in the request to get\n"
       "an OpenMetrics 1.0 text exposition instead of JSON.  Events go to\n"
       "--log as cts.events.v1 JSONL (default: stderr unless --quiet).\n"
-      "--profile samples the active span stacks while the daemon runs and\n"
-      "writes a cts.profile.v1 JSON document on clean exit\n"
+      "--profile writes the daemon's span-path self times as a\n"
+      "cts.profile.v1 JSON document on clean exit\n"
       "(--profile-folded: collapsed-stack text).  --port=0 picks an\n"
       "ephemeral port (printed, and written to --port-file when given).\n"
       "Exit codes: 0 clean shutdown (--max-jobs), 2 usage or setup error.\n");
 }
 
 /// Runs one shard job to completion; fills in a cts.jobresult.v1 reply
-/// including the per-job obs capture.  Called with the job mutex held, so the
-/// trace slice [event_count() at entry, end) belongs to this job alone.
+/// including the per-job obs capture.  Called with the job mutex held, so
+/// the raw spans recorded between entry and exit belong to this job alone;
+/// the recorder is on only meanwhile, so it never holds more than one job.
 net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
                        long long job_index, std::int64_t recv_us,
                        obs::MetricsRegistry& metrics) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-  const std::size_t span_begin = recorder.event_count();
+  recorder.reset();
+  recorder.enable();
   net::JobResult result;
   result.has_obs = true;
   result.obs.recv_us = recv_us;
@@ -244,11 +245,9 @@ net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
   metrics.merge(job_metrics);
   result.obs.metrics = std::move(job_metrics);
 
-  const std::vector<obs::TraceEvent> all = recorder.events();
-  result.obs.spans.assign(
-      all.begin() + static_cast<std::ptrdiff_t>(
-                        std::min(span_begin, all.size())),
-      all.end());
+  recorder.disable();
+  result.obs.spans = recorder.events();
+  recorder.reset();
   result.obs.send_us = recorder.now_us();
   return result;
 }

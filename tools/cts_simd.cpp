@@ -71,7 +71,7 @@
 #include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/profiler.hpp"
+#include "cts/obs/span_stats.hpp"
 #include "cts/obs/run_report.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/obs/trace_merge.hpp"
@@ -104,8 +104,6 @@ void usage() {
       "[--bench-dir=DIR]\n"
       "                    [--dispatch-metrics=PATH] [--trace=PATH]\n"
       "                    [--profile=PATH] [--profile-folded=PATH]\n"
-      "                    [--profile-hz=N] "
-      "[--profile-backend=thread|itimer]\n"
       "                    [--log=PATH] [--log-level=LEVEL] [...]\n"
       "       cts_simd merge SHARD.json... [--metrics=PATH] [--quiet]\n"
       "       cts_simd diff REPORT_A.json REPORT_B.json [--quiet]\n\n"
@@ -279,48 +277,36 @@ struct NetRunOptions {
   int retries = 3;
   std::string profile_path;            ///< cts.profile.v1 JSON ("" = off)
   std::string profile_folded;          ///< collapsed-stack text ("" = off)
-  int profile_hz = 97;
-  std::string profile_backend = "thread";
   bool keep_shards = false;
   bool quiet = false;
 };
 
-/// Arms the dispatcher's sampling profiler when --profile/--profile-folded
-/// asked for one, and flushes it on scope exit — the early error returns in
+/// Writes the dispatcher's span profile on scope exit when
+/// --profile/--profile-folded asked for one, so the early error returns in
 /// run_networked still leave a usable profile behind.
 class DispatchProfile {
  public:
-  explicit DispatchProfile(const NetRunOptions& opt) : opt_(opt) {
-    if (opt_.profile_path.empty() && opt_.profile_folded.empty()) return;
-    obs::Profiler::Options popts;
-    popts.hz = opt_.profile_hz;
-    popts.backend = opt_.profile_backend;
-    obs::Profiler::global().start(popts);
-    started_ = true;
-  }
+  explicit DispatchProfile(const NetRunOptions& opt) : opt_(opt) {}
   ~DispatchProfile() {
-    if (!started_) return;
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.stop();
-    if (!opt_.profile_path.empty() && !prof.write(opt_.profile_path)) {
+    if (opt_.profile_path.empty() && opt_.profile_folded.empty()) return;
+    const obs::SpanTable& spans = obs::SpanTable::global();
+    if (!opt_.profile_path.empty() && !spans.write_profile(opt_.profile_path)) {
       std::fprintf(stderr, "cts_simd: cannot write profile %s\n",
                    opt_.profile_path.c_str());
     }
     if (!opt_.profile_folded.empty() &&
-        !prof.write_folded_file(opt_.profile_folded)) {
+        !spans.write_folded_file(opt_.profile_folded)) {
       std::fprintf(stderr, "cts_simd: cannot write folded profile %s\n",
                    opt_.profile_folded.c_str());
     }
+    const std::string& path =
+        opt_.profile_path.empty() ? opt_.profile_folded : opt_.profile_path;
     obs::log_info("profile.write",
-                  {{"samples", prof.sample_count()},
-                   {"path", opt_.profile_path.empty() ? opt_.profile_folded
-                                                      : opt_.profile_path}});
+                  {{"samples", spans.spans()}, {"path", path}});
     if (!opt_.quiet) {
-      std::printf("[profile (%llu samples) written to %s]\n",
-                  static_cast<unsigned long long>(prof.sample_count()),
-                  (opt_.profile_path.empty() ? opt_.profile_folded
-                                             : opt_.profile_path)
-                      .c_str());
+      std::printf("[profile (%llu spans) written to %s]\n",
+                  static_cast<unsigned long long>(spans.spans()),
+                  path.c_str());
     }
   }
   DispatchProfile(const DispatchProfile&) = delete;
@@ -328,7 +314,6 @@ class DispatchProfile {
 
  private:
   const NetRunOptions& opt_;
-  bool started_ = false;
 };
 
 /// Consecutive failures after which a worker endpoint is declared down and
@@ -940,8 +925,6 @@ int main(int argc, char** argv) {
         opt.trace_path = flags.get_string("trace", "");
         opt.profile_path = flags.get_string("profile", "");
         opt.profile_folded = flags.get_string("profile-folded", "");
-        opt.profile_hz = static_cast<int>(flags.get_int("profile-hz", 97));
-        opt.profile_backend = flags.get_string("profile-backend", "thread");
         opt.bench_dir = flags.get_string("bench-dir", "");
         if (opt.bench_dir.empty()) {
           const char* env = std::getenv("CTS_BENCH_DIR");
