@@ -1,56 +1,16 @@
-// ATM cell framing (UNI format).
+// ATM cell geometry (UNI format).
 //
-// A 53-byte ATM cell: 5-byte header (GFC, VPI, VCI, PT, CLP, HEC) plus a
-// 48-byte payload.  The HEC byte is CRC-8 over the first four header bytes
-// with polynomial x^8 + x^2 + x + 1 and the ITU I.432 coset 0x55.  This is
-// the concrete wire substrate under the abstract "cells" counted everywhere
-// else in the library.
+// A 53-byte ATM cell is a 5-byte header plus a 48-byte payload.  The
+// library counts cells, never bytes on the wire: these constants turn a
+// link rate into cells per second and an AAL5 PDU into whole cells.
 
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 
 namespace cts::atm {
 
 inline constexpr std::size_t kCellBytes = 53;
-inline constexpr std::size_t kHeaderBytes = 5;
 inline constexpr std::size_t kPayloadBytes = 48;
-
-/// Decoded UNI cell header fields.
-struct CellHeader {
-  std::uint8_t gfc = 0;    ///< Generic Flow Control, 4 bits
-  std::uint8_t vpi = 0;    ///< Virtual Path Identifier, 8 bits (UNI)
-  std::uint16_t vci = 0;   ///< Virtual Channel Identifier, 16 bits
-  std::uint8_t pt = 0;     ///< Payload Type, 3 bits
-  bool clp = false;        ///< Cell Loss Priority bit
-
-  /// Validates field ranges; throws util::InvalidArgument on violation.
-  void validate() const;
-};
-
-/// CRC-8 with generator x^8 + x^2 + x + 1 over `data`, ITU I.432 variant
-/// (initial remainder 0, coset 0x55 XORed into the result).
-std::uint8_t hec_crc8(const std::uint8_t* data, std::size_t len);
-
-/// Serialises the header (including computed HEC) into 5 bytes.
-std::array<std::uint8_t, kHeaderBytes> encode_header(const CellHeader& header);
-
-/// Parses and HEC-verifies 5 header bytes; std::nullopt on HEC mismatch.
-std::optional<CellHeader> decode_header(
-    const std::array<std::uint8_t, kHeaderBytes>& bytes);
-
-/// A full cell: header + payload.
-struct Cell {
-  CellHeader header;
-  std::array<std::uint8_t, kPayloadBytes> payload{};
-};
-
-/// Serialises a full cell to 53 bytes.
-std::array<std::uint8_t, kCellBytes> encode_cell(const Cell& cell);
-
-/// Parses 53 bytes; std::nullopt if the header fails HEC verification.
-std::optional<Cell> decode_cell(const std::array<std::uint8_t, kCellBytes>& bytes);
 
 }  // namespace cts::atm

@@ -11,10 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "cts/proc/frame_source.hpp"
 
 namespace cts::obs {
 class MetricsShard;
@@ -22,7 +18,7 @@ class MetricsShard;
 
 namespace cts::atm {
 
-/// Per-class tallies of a partial-buffer-sharing run.
+/// Per-class tallies of a partial-buffer-sharing hop.
 struct PrioritySharingResult {
   std::uint64_t frames = 0;
   double high_arrived = 0.0;
@@ -38,26 +34,6 @@ struct PrioritySharingResult {
   }
 };
 
-/// Configuration of the two-class fluid run.
-struct PrioritySharingConfig {
-  std::uint64_t frames = 100000;
-  std::uint64_t warmup_frames = 1000;
-  double capacity_cells = 16140.0;  ///< total service, cells/frame
-  double buffer_cells = 4000.0;     ///< B
-  double threshold_cells = 2000.0;  ///< S: low-priority admission cutoff
-
-  void validate() const;
-};
-
-/// Runs the two-class fluid recursion: within each frame, high-priority
-/// fluid is admitted up to B and low-priority fluid only while the queue
-/// is below S (low-priority fluid is clipped first, matching the
-/// cell-level policy where CLP=1 arrivals are dropped at queue >= S).
-PrioritySharingResult run_partial_buffer_sharing(
-    std::vector<std::unique_ptr<proc::FrameSource>>& high_sources,
-    std::vector<std::unique_ptr<proc::FrameSource>>& low_sources,
-    const PrioritySharingConfig& config);
-
 /// Exact within-frame outcome of the two-priority fluid policy.
 struct PriorityFrameOutcome {
   double q = 0.0;          ///< end-of-frame queue
@@ -69,16 +45,14 @@ struct PriorityFrameOutcome {
 /// with constant high/low arrival rates `ah`/`al` and service rate `c`
 /// (cells/frame), low fluid blocked while q >= `s` and high fluid while
 /// q >= `b`.  Piecewise-linear evolution with sliding modes at S and B.
-/// This is the exact kernel behind run_partial_buffer_sharing, exposed so
-/// the scenario executor's priority hops (cts/sim/scenario_run.hpp) share
-/// the same dynamics.
+/// The scenario executor's priority hops (cts/sim/scenario_run.hpp) run
+/// it once per frame.
 PriorityFrameOutcome evolve_priority_frame(double q0, double ah, double al,
                                            double c, double s, double b);
 
 /// Folds per-class arrival/loss tallies into `shard` as atm.priority.*
 /// metrics (counter atm.priority.frames, sums atm.priority.high_arrived /
-/// high_lost / low_arrived / low_lost, all in cells).  Used by both
-/// run_partial_buffer_sharing and the scenario executor's priority hops.
+/// high_lost / low_arrived / low_lost, all in cells).
 void record_priority_sharing(const PrioritySharingResult& result,
                              obs::MetricsShard& shard);
 

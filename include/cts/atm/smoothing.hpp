@@ -3,8 +3,8 @@
 // Real-time VBR video encoders emit a frame every Ts seconds; the ATM
 // adaptation layer spaces its cells evenly across the frame interval
 // ("deterministic smoothing", the paper's Section 5.5 assumption).  This
-// module computes the exact cell emission schedule used by the cell-level
-// simulator and any packetisation layer.
+// module computes the cell spacing of that schedule and the multi-frame
+// shaper the scenario pipeline applies before policing.
 
 #pragma once
 
@@ -17,16 +17,10 @@ class MetricsShard;
 
 namespace cts::atm {
 
-/// Emission times (seconds from frame start) for `cells` cells smoothed
-/// over a frame of `Ts` seconds: cell j departs at (j + 1/2) Ts / cells.
-std::vector<double> smoothing_schedule(std::uint64_t cells, double Ts);
-
-/// Inter-cell gap of the schedule (Ts / cells); 0 when cells == 0.
+/// Inter-cell gap of `cells` cells smoothed over a frame of `Ts` seconds
+/// (Ts / cells; cell j departs at (j + 1/2) Ts / cells); 0 when
+/// cells == 0.
 double smoothing_gap(std::uint64_t cells, double Ts);
-
-/// Number of whole cells needed to carry `payload_bytes` of AAL payload at
-/// 48 bytes per cell (ceiling division).
-std::uint64_t cells_for_payload(std::uint64_t payload_bytes);
 
 /// Multi-frame traffic shaper: emits the moving average of the last
 /// `window` frames' cell counts (fewer while the window fills), spreading

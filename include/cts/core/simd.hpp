@@ -124,13 +124,9 @@ struct SojournConsts {
 /// own fdlibm-style polynomials (no libm, no FMA), each accurate to about
 /// 1 ulp, so every tier is byte-identical and out[i] lies within 1e-13
 /// relative of the libm-based `OnOffParams::sample_sojourn`.  `out` must
-/// not alias `u`.
-void fractal_sojourns(const double* u, double* out, std::size_t n,
-                      const SojournConsts& consts);
-
-/// As above on an explicit `kind`, which must be one the host supports
-/// (e.g. a value `active()` returned); lets a caller resolve dispatch once
-/// and keep the per-batch call noexcept.
+/// not alias `u`.  `kind` must be one the host supports (e.g. a value
+/// `active()` returned), so a caller resolves dispatch once and keeps the
+/// per-batch call noexcept.
 void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
                       const SojournConsts& consts) noexcept;
 

@@ -34,14 +34,11 @@ class Spectrum {
   /// negative ripples).
   double density(double w) const;
 
-  /// Integrated spectrum P(w) = integral_0^w S(u) du, approximated on a
-  /// log-spaced grid; total power P(pi) ~ sigma^2 * pi (Parseval).
-  double integrated(double w, std::size_t grid_points = 512) const;
-
   /// The Li-Hwang-style cutoff frequency: the smallest w such that the
-  /// power below w is `fraction` of the total, found by bisection on the
-  /// integrated spectrum.  LRD models concentrate power near 0, giving a
-  /// small cutoff; SRD models spread it, giving a large one.
+  /// power below w is `fraction` of the total, read off the integrated
+  /// spectrum P(w) = integral_0^w S(u) du on a log-spaced grid.  LRD
+  /// models concentrate power near 0, giving a small cutoff; SRD models
+  /// spread it, giving a large one.
   double cutoff_frequency(double fraction = 0.5) const;
 
   double variance() const noexcept { return variance_; }

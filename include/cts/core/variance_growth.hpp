@@ -48,10 +48,6 @@ class VarianceGrowth {
   /// throughput would otherwise bound the SIMD speedup).
   const double* inv_table() const noexcept { return inv2v_.data(); }
 
-  /// Index-of-dispersion-style normalised growth V(m)/(sigma^2 m); tends to
-  /// 1 + 2*sum r(i) for SRD and grows like m^{2H-1} for LRD.
-  double normalized(std::size_t m) const;
-
   double variance() const noexcept { return variance_; }
   const AcfModel& acf() const noexcept { return *acf_; }
 
@@ -66,10 +62,5 @@ class VarianceGrowth {
   mutable double s1_ = 0.0;
   mutable double s2_ = 0.0;
 };
-
-/// Closed-form approximation for exact-LRD sources (paper appendix eq. 11):
-/// V(m) ~ sigma^2 g m^{2H}; exact enough even for small m.
-double lrd_variance_growth_approx(double variance, double weight, double hurst,
-                                  std::size_t m);
 
 }  // namespace cts::core

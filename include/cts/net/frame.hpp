@@ -27,7 +27,6 @@ class FrameDecoder {
  public:
   /// Appends `n` bytes to the internal buffer.
   void feed(const char* data, std::size_t n);
-  void feed(const std::string& bytes);
 
   /// Extracts the next complete payload into `*payload`; false when the
   /// buffered bytes do not yet hold a full frame.  Throws InvalidArgument

@@ -68,12 +68,6 @@ std::vector<Endpoint> parse_worker_list(const std::string& csv);
 /// Throws NetError on failure.
 Socket listen_on(std::uint16_t port, std::uint16_t* actual_port);
 
-/// Accepts one connection; an invalid Socket when the deadline passes
-/// without one.  For a listener with one accepting thread: a connection
-/// another thread takes between the poll and the accept would block it.
-/// Throws NetError on listener failure.
-Socket accept_connection(const Socket& listener, double timeout_s);
-
 /// Blocks in accept(2) until a connection arrives.  Any number of threads
 /// may wait on one listener; the kernel wakes one per connection.  Returns
 /// an invalid Socket once the listener is shut down (shutdown(2) with

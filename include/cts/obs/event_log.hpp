@@ -12,8 +12,9 @@
 //
 // Two consumers with different needs share one emit path:
 //   * the sink (a JSONL file via open(), or an ostream such as stderr)
-//     receives events at or above min_level(), flushed per line so a log
-//     of a SIGKILLed process is complete up to the last event;
+//     receives events at or above the set_min_level() threshold, flushed
+//     per line so a log of a SIGKILLed process is complete up to the last
+//     event;
 //   * the ring buffer receives EVERY event regardless of level — it is
 //     the flight recorder: when a job times out or a child is killed, the
 //     last ring_capacity() events (including debug detail that never hit
@@ -101,7 +102,6 @@ class EventLog {
   void to_stream(std::ostream* os);
 
   void set_min_level(LogLevel level);
-  LogLevel min_level() const;
 
   /// Resizes the flight-recorder ring (default 256); oldest events are
   /// evicted when the new capacity is smaller.  0 disables the ring.

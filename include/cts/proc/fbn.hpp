@@ -26,9 +26,6 @@ class FractalBinomialNoise {
   /// (in [0, M*dt]).
   double aggregate_on_time(double dt) noexcept;
 
-  /// Number of sources currently ON.
-  std::uint32_t on_count() const noexcept;
-
   /// Sojourns drawn so far by all M sources (their ON/OFF transitions).
   std::uint64_t sojourns_drawn() const noexcept;
 

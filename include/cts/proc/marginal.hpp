@@ -64,27 +64,4 @@ class NegativeBinomialMarginal final : public MarginalDistribution {
   double shape_;
 };
 
-/// Lognormal marginal with the given mean and variance.  Garrett &
-/// Willinger found MPEG frame sizes heavier-tailed than Gaussian and
-/// well-described by lognormal-type bodies; this marginal lets every
-/// experiment rerun under that assumption.  Parameters from moments:
-///   sigma_ln^2 = ln(1 + variance/mean^2),  mu_ln = ln(mean) - sigma_ln^2/2.
-class LogNormalMarginal final : public MarginalDistribution {
- public:
-  LogNormalMarginal(double mean, double variance);
-  double sample(util::Xoshiro256pp& rng) const override;
-  double mean() const override { return mean_; }
-  double variance() const override { return variance_; }
-  std::string name() const override;
-
-  double mu_log() const noexcept { return mu_log_; }
-  double sigma_log() const noexcept { return sigma_log_; }
-
- private:
-  double mean_;
-  double variance_;
-  double mu_log_;
-  double sigma_log_;
-};
-
 }  // namespace cts::proc

@@ -1,11 +1,10 @@
-// Frame-size trace I/O and replay.
+// Frame-size trace replay.
 //
 // The studies this paper argues with (Beran et al., Garrett & Willinger,
 // Heyman & Lakshman) all work from captured frame-size traces (Star Wars,
-// videoconference recordings).  This module lets users bring their own:
-// load a trace file (one frame size per line, '#' comments), replay it as
-// a FrameSource (with optional wraparound and a random start phase), and
-// write generated traces back out for external analysis.
+// videoconference recordings).  TraceSource replays a recorded trace as a
+// FrameSource (with wraparound and an optional random start phase); the
+// golden fluid-mux tallies replay the golden FBNDP frames through it.
 
 #pragma once
 
@@ -18,16 +17,6 @@
 #include "cts/util/rng.hpp"
 
 namespace cts::proc {
-
-/// Loads a whitespace/newline-separated trace of frame sizes.  Lines that
-/// are empty or start with '#' are skipped.  Throws util::InvalidArgument
-/// on unreadable files or unparsable tokens.
-std::vector<double> load_trace(const std::string& path);
-
-/// Writes a trace, one value per line, with an optional header comment.
-/// Returns false if the file cannot be written.
-bool save_trace(const std::string& path, const std::vector<double>& trace,
-                const std::string& comment = "");
 
 /// Replays a recorded trace as a FrameSource.
 ///

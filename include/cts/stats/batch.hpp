@@ -1,9 +1,8 @@
-// Batch-means and replication confidence intervals.
+// Replication confidence intervals.
 //
 // The simulated CLR points in Figs. 8-10 come from independent
 // replications; this module turns per-replication estimates into a mean
-// with a Student-t confidence interval, and also provides classical
-// batch-means intervals for single long runs.
+// with a Student-t confidence interval.
 
 #pragma once
 
@@ -24,13 +23,6 @@ struct IntervalEstimate {
 
 /// Mean and t-interval across independent replication estimates.
 IntervalEstimate replication_interval(const std::vector<double>& estimates,
-                                      double confidence = 0.95);
-
-/// Batch-means interval: splits `series` into `batches` equal batches, uses
-/// the batch means as pseudo-replications.  Requires batches >= 2 and
-/// series.size() >= batches.
-IntervalEstimate batch_means_interval(const std::vector<double>& series,
-                                      std::size_t batches,
                                       double confidence = 0.95);
 
 }  // namespace cts::stats

@@ -40,18 +40,4 @@ HurstEstimate hurst_rescaled_range(const std::vector<double>& series,
 HurstEstimate hurst_gph(const std::vector<double>& series,
                         double power = 0.5);
 
-/// Local Whittle estimator (Robinson 1995): minimises
-///   R(H) = log( (1/m) sum_j I_j lambda_j^{2H-1} ) - (2H-1) mean(log lambda_j)
-/// over the lowest m = floor(n^power) Fourier frequencies.  Semiparametric
-/// (no spectral model needed), more efficient than GPH.
-HurstEstimate hurst_local_whittle(const std::vector<double>& series,
-                                  double power = 0.65);
-
-/// Abry-Veitch-style wavelet (logscale diagram) estimator with the Haar
-/// wavelet: detail energies mu_j across dyadic scales j obey
-/// log2 mu_j ~ (2H - 1) j + c for LRD processes; weighted regression over
-/// scales [min_scale, max usable scale] yields H.
-HurstEstimate hurst_wavelet(const std::vector<double>& series,
-                            std::size_t min_scale = 3);
-
 }  // namespace cts::stats

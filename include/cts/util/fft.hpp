@@ -15,9 +15,6 @@ namespace cts::util {
 /// InvalidArgument otherwise).
 void fft(std::vector<std::complex<double>>& data);
 
-/// In-place inverse FFT (includes the 1/N normalisation).
-void ifft(std::vector<std::complex<double>>& data);
-
 /// Smallest power of two >= n.
 std::size_t next_pow2(std::size_t n);
 

@@ -1,9 +1,8 @@
-// Dense linear algebra for the model-fitting module.
+// Linear algebra for the model-fitting module.
 //
 // DAR(p) fitting solves a p-by-p Toeplitz system built from target
-// autocorrelations (p <= ~16 in practice), and the tail fit solves small
-// normal-equation systems, so a partial-pivoting Gaussian elimination and a
-// Levinson-Durbin Toeplitz solver cover every need without an external BLAS.
+// autocorrelations (p <= ~16 in practice), so a Levinson-Durbin Toeplitz
+// solver covers every need without an external BLAS.
 
 #pragma once
 
@@ -11,36 +10,6 @@
 #include <vector>
 
 namespace cts::util {
-
-/// Minimal dense row-major matrix of doubles.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-
-  double& operator()(std::size_t r, std::size_t c) noexcept {
-    return data_[r * cols_ + c];
-  }
-  double operator()(std::size_t r, std::size_t c) const noexcept {
-    return data_[r * cols_ + c];
-  }
-
-  /// Matrix-vector product; `v.size()` must equal `cols()`.
-  std::vector<double> multiply(const std::vector<double>& v) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// Solves A x = b by Gaussian elimination with partial pivoting.  Throws
-/// NumericalError when A is singular to working precision, InvalidArgument
-/// on shape mismatch.  A is taken by value (the elimination is in-place).
-std::vector<double> solve_dense(Matrix a, std::vector<double> b);
 
 /// Solves the symmetric Toeplitz system T x = b where T(i,j) = t[|i-j|],
 /// via the Levinson recursion in O(p^2).  `t[0]` must be nonzero and the

@@ -1,11 +1,9 @@
 // Small numerical helpers shared across the library.
 //
 // Everything here is pure and deterministic: second central differences
-// (used by exact-LRD autocorrelation formulas), stable log-space utilities
-// for probabilities that underflow double range (BOPs reach 1e-300 in the
-// wide-buffer sweeps), bisection/Brent-style root bracketing, and the
-// standard normal distribution functions used by quantisers and the
-// Kolmogorov-Smirnov test.
+// (used by exact-LRD autocorrelation formulas), bisection root bracketing,
+// least-squares line fits, and the standard normal distribution functions
+// used by quantisers and the Kolmogorov-Smirnov test.
 
 #pragma once
 
@@ -27,21 +25,11 @@ inline constexpr double kPi = 3.141592653589793238462643383279502884;
 /// expressed through it (paper eq. 2).
 double second_central_difference_pow(std::size_t k, double exponent);
 
-/// log(1 - exp(x)) for x < 0, computed without catastrophic cancellation.
-double log1mexp(double x);
-
-/// log(exp(a) + exp(b)) without overflow.
-double logaddexp(double a, double b);
-
 /// Standard normal probability density.
 double normal_pdf(double x);
 
 /// Standard normal cumulative distribution function (via std::erfc).
 double normal_cdf(double x);
-
-/// Inverse standard normal CDF (Acklam's rational approximation refined by
-/// one Halley step; absolute error < 1e-12 over (1e-300, 1-1e-16)).
-double normal_quantile(double p);
 
 /// Finds a root of `f` in [lo, hi] by bisection.  Requires f(lo) and f(hi)
 /// to have opposite signs (throws InvalidArgument otherwise).  Stops when
@@ -60,11 +48,5 @@ struct LinearFit {
 };
 LinearFit linear_least_squares(const std::vector<double>& x,
                                const std::vector<double>& y);
-
-/// Kahan-compensated sum of a range of doubles.
-double stable_sum(const std::vector<double>& values);
-
-/// True when `value` is finite (not NaN/inf).
-bool is_finite(double value);
 
 }  // namespace cts::util

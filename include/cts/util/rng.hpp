@@ -59,10 +59,6 @@ class Xoshiro256pp {
     return result;
   }
 
-  /// Equivalent to 2^128 calls of operator(); yields a stream guaranteed
-  /// non-overlapping with the parent for any realistic run length.
-  void jump() noexcept;
-
   /// Returns a child generator whose stream is decorrelated from this one.
   /// Used to hand independent streams to replications and sources; the
   /// derivation is deterministic so experiments are reproducible for any

@@ -2,35 +2,14 @@
 
 #include <algorithm>
 
-#include "cts/atm/cell.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/trace.hpp"
 #include "cts/util/error.hpp"
 
 namespace cts::atm {
 
-std::vector<double> smoothing_schedule(std::uint64_t cells, double Ts) {
-  CTS_TRACE_SPAN("atm.smoothing.schedule");
-  util::require(Ts > 0.0, "smoothing_schedule: Ts must be > 0");
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  registry.add("atm.smoothing.schedules");
-  registry.add("atm.smoothing.scheduled_cells", cells);
-  std::vector<double> times;
-  times.reserve(cells);
-  for (std::uint64_t j = 0; j < cells; ++j) {
-    times.push_back((static_cast<double>(j) + 0.5) * Ts /
-                    static_cast<double>(cells));
-  }
-  return times;
-}
-
 double smoothing_gap(std::uint64_t cells, double Ts) {
   util::require(Ts > 0.0, "smoothing_gap: Ts must be > 0");
   return cells == 0 ? 0.0 : Ts / static_cast<double>(cells);
-}
-
-std::uint64_t cells_for_payload(std::uint64_t payload_bytes) {
-  return (payload_bytes + kPayloadBytes - 1) / kPayloadBytes;
 }
 
 FrameSmoother::FrameSmoother(std::size_t window)

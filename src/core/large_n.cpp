@@ -8,12 +8,6 @@
 namespace cts::core {
 
 BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
-                           std::size_t n_sources) {
-  return large_n_log10_bop(rate.evaluate(buffer_per_source), buffer_per_source,
-                           n_sources);
-}
-
-BopPoint large_n_log10_bop(const RateFunction& rate, double buffer_per_source,
                            std::size_t n_sources, std::size_t m_hint) {
   return large_n_log10_bop(rate.evaluate(buffer_per_source, m_hint),
                            buffer_per_source, n_sources);

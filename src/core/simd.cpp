@@ -766,11 +766,6 @@ void scaled_real_stride2(const double* in, double norm, double* out,
   }
 }
 
-void fractal_sojourns(const double* u, double* out, std::size_t n,
-                      const SojournConsts& consts) {
-  fractal_sojourns(active(), u, out, n, consts);
-}
-
 void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
                       const SojournConsts& consts) noexcept {
   switch (kind) {

@@ -32,35 +32,11 @@ double Spectrum::density(double w) const {
   return std::max(variance_ * acc, 0.0);
 }
 
-double Spectrum::integrated(double w, std::size_t grid_points) const {
-  util::require(w > 0.0 && w <= util::kPi,
-                "Spectrum::integrated: w must be in (0, pi]");
-  util::require(grid_points >= 8, "Spectrum::integrated: grid too coarse");
-  // Log-spaced trapezoid from w_min to w: LRD densities vary over decades
-  // near zero, so uniform grids waste points.
-  const double w_min = w / 1e6;
-  const double ratio =
-      std::pow(w / w_min, 1.0 / static_cast<double>(grid_points));
-  double total = 0.0;
-  double prev_w = w_min;
-  double prev_s = density(prev_w);
-  for (std::size_t i = 1; i <= grid_points; ++i) {
-    // Clamp the last grid point: pow round-off can overshoot w (and pi).
-    const double cur_w =
-        std::min(w, w_min * std::pow(ratio, static_cast<double>(i)));
-    const double cur_s = density(cur_w);
-    total += 0.5 * (prev_s + cur_s) * (cur_w - prev_w);
-    prev_w = cur_w;
-    prev_s = cur_s;
-  }
-  return total;
-}
-
 double Spectrum::cutoff_frequency(double fraction) const {
   util::require(fraction > 0.0 && fraction < 1.0,
                 "Spectrum::cutoff_frequency: fraction must be in (0,1)");
   // One pass over a log grid builds the cumulative power curve; the cutoff
-  // is then interpolated.  (Bisecting on integrated() directly would
+  // is then interpolated.  (Bisecting on the integral directly would
   // re-evaluate the O(truncation) density thousands of times.)
   constexpr std::size_t kGrid = 1024;
   const double w_min = 1e-6 * util::kPi;

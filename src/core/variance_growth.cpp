@@ -38,16 +38,4 @@ double VarianceGrowth::at(std::size_t m) const {
   return v_[m];
 }
 
-double VarianceGrowth::normalized(std::size_t m) const {
-  return at(m) / (variance_ * static_cast<double>(m));
-}
-
-double lrd_variance_growth_approx(double variance, double weight, double hurst,
-                                  std::size_t m) {
-  util::require(hurst > 0.5 && hurst < 1.0,
-                "lrd_variance_growth_approx: H must be in (1/2,1)");
-  return variance * weight *
-         std::pow(static_cast<double>(m), 2.0 * hurst);
-}
-
 }  // namespace cts::core

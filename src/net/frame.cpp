@@ -26,10 +26,6 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
   buf_.append(data, n);
 }
 
-void FrameDecoder::feed(const std::string& bytes) {
-  buf_ += bytes;
-}
-
 bool FrameDecoder::next(std::string* payload) {
   if (buf_.size() < 4) return false;
   const auto b = [&](std::size_t i) {

@@ -136,16 +136,6 @@ Socket listen_on(std::uint16_t port, std::uint16_t* actual_port) {
   return sock;
 }
 
-Socket accept_connection(const Socket& listener, double timeout_s) {
-  const double deadline = util::monotonic_s() + timeout_s;
-  for (;;) {
-    if (!poll_until(listener.fd(), POLLIN, deadline)) return Socket();
-    Socket sock = accept_one(listener);
-    if (sock.valid()) return sock;
-    if (!accept_retryable()) throw NetError("accept: " + errno_text());
-  }
-}
-
 Socket accept_blocking(const Socket& listener) {
   for (;;) {
     Socket sock = accept_one(listener);

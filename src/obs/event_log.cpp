@@ -78,11 +78,6 @@ void EventLog::set_min_level(LogLevel level) {
   min_level_ = level;
 }
 
-LogLevel EventLog::min_level() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return min_level_;
-}
-
 void EventLog::set_ring_capacity(std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(mu_);
   ring_capacity_ = capacity;

@@ -20,12 +20,6 @@ double FractalBinomialNoise::aggregate_on_time(double dt) noexcept {
   return total;
 }
 
-std::uint32_t FractalBinomialNoise::on_count() const noexcept {
-  std::uint32_t count = 0;
-  for (const auto& source : sources_) count += source.is_on() ? 1u : 0u;
-  return count;
-}
-
 std::uint64_t FractalBinomialNoise::sojourns_drawn() const noexcept {
   std::uint64_t total = 0;
   for (const auto& source : sources_) total += source.sojourns_drawn();

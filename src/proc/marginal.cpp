@@ -50,30 +50,4 @@ std::string NegativeBinomialMarginal::name() const {
          std::to_string(variance_) + ")";
 }
 
-LogNormalMarginal::LogNormalMarginal(double mean, double variance)
-    : mean_(mean), variance_(variance) {
-  util::require(mean > 0.0, "LogNormalMarginal: mean must be > 0");
-  util::require(variance > 0.0, "LogNormalMarginal: variance must be > 0");
-  const double sigma2 = std::log1p(variance / (mean * mean));
-  sigma_log_ = std::sqrt(sigma2);
-  mu_log_ = std::log(mean) - 0.5 * sigma2;
-}
-
-double LogNormalMarginal::sample(util::Xoshiro256pp& rng) const {
-  // Stateless polar normal (see GaussianMarginal).
-  double u, v, s;
-  do {
-    u = 2.0 * rng.uniform01() - 1.0;
-    v = 2.0 * rng.uniform01() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double z = u * std::sqrt(-2.0 * std::log(s) / s);
-  return std::exp(mu_log_ + sigma_log_ * z);
-}
-
-std::string LogNormalMarginal::name() const {
-  return "lognormal(" + std::to_string(mean_) + "," +
-         std::to_string(variance_) + ")";
-}
-
 }  // namespace cts::proc

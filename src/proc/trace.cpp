@@ -1,53 +1,10 @@
 #include "cts/proc/trace.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "cts/util/error.hpp"
 
 namespace cts::proc {
-
-std::vector<double> load_trace(const std::string& path) {
-  std::ifstream file(path);
-  util::require(static_cast<bool>(file),
-                "load_trace: cannot open '" + path + "'");
-  std::vector<double> trace;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(file, line)) {
-    ++line_no;
-    // Strip comments and skip blanks.
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream tokens(line);
-    std::string token;
-    while (tokens >> token) {
-      try {
-        std::size_t consumed = 0;
-        const double value = std::stod(token, &consumed);
-        util::require(consumed == token.size(),
-                      "load_trace: bad token '" + token + "' at line " +
-                          std::to_string(line_no));
-        trace.push_back(value);
-      } catch (const std::invalid_argument&) {
-        throw util::InvalidArgument("load_trace: bad token '" + token +
-                                    "' at line " + std::to_string(line_no));
-      }
-    }
-  }
-  util::require(!trace.empty(), "load_trace: '" + path + "' has no samples");
-  return trace;
-}
-
-bool save_trace(const std::string& path, const std::vector<double>& trace,
-                const std::string& comment) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return false;
-  if (!comment.empty()) file << "# " << comment << '\n';
-  for (const double x : trace) file << x << '\n';
-  return static_cast<bool>(file);
-}
 
 TraceSource::TraceSource(std::vector<double> trace, std::uint64_t seed,
                          bool randomize_phase)

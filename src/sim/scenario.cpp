@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -56,9 +57,9 @@ const ScenarioSectionDoc& section_doc(const std::string& section) {
 double parse_number(int line, const std::string& key,
                     const std::string& value) {
   double out = 0.0;
-  cu::require(cu::try_parse_double(value, &out),
-              at_line(line) + "key '" + key + "' needs a number, got '" +
-                  value + "'");
+  cu::require(cu::try_parse_double(value, &out) && std::isfinite(out),
+              at_line(line) + "key '" + key + "' needs a finite number, " +
+                  "got '" + value + "'");
   return out;
 }
 

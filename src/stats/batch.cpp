@@ -26,19 +26,4 @@ IntervalEstimate replication_interval(const std::vector<double>& estimates,
   return out;
 }
 
-IntervalEstimate batch_means_interval(const std::vector<double>& series,
-                                      std::size_t batches, double confidence) {
-  util::require(batches >= 2, "batch_means_interval: need >= 2 batches");
-  util::require(series.size() >= batches,
-                "batch_means_interval: series shorter than batch count");
-  const std::size_t len = series.size() / batches;
-  std::vector<double> means(batches, 0.0);
-  for (std::size_t b = 0; b < batches; ++b) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < len; ++i) acc += series[b * len + i];
-    means[b] = acc / static_cast<double>(len);
-  }
-  return replication_interval(means, confidence);
-}
-
 }  // namespace cts::stats

@@ -136,137 +136,4 @@ HurstEstimate hurst_gph(const std::vector<double>& series, double power) {
   return est;
 }
 
-HurstEstimate hurst_local_whittle(const std::vector<double>& series,
-                                  double power) {
-  util::require(power > 0.0 && power < 1.0,
-                "hurst_local_whittle: power must be in (0,1)");
-  const std::size_t n = series.size();
-  util::require(n >= 128, "hurst_local_whittle: series too short");
-  const auto m = static_cast<std::size_t>(
-      std::floor(std::pow(static_cast<double>(n), power)));
-  const double mean = sample_mean(series);
-
-  // Periodogram at the lowest m Fourier frequencies (direct DFT: m ~ n^0.65
-  // frequencies keeps this O(n^1.65), trivial next to trace generation).
-  std::vector<double> lambda(m);
-  std::vector<double> periodogram(m);
-  for (std::size_t j = 1; j <= m; ++j) {
-    const double w = 2.0 * util::kPi * static_cast<double>(j) /
-                     static_cast<double>(n);
-    double re = 0.0;
-    double im = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double x = series[t] - mean;
-      const double phase = w * static_cast<double>(t);
-      re += x * std::cos(phase);
-      im += x * std::sin(phase);
-    }
-    lambda[j - 1] = w;
-    periodogram[j - 1] =
-        (re * re + im * im) / (2.0 * util::kPi * static_cast<double>(n));
-  }
-  double mean_log_lambda = 0.0;
-  for (const double l : lambda) mean_log_lambda += std::log(l);
-  mean_log_lambda /= static_cast<double>(m);
-
-  auto objective = [&](double h) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      acc += periodogram[j] * std::pow(lambda[j], 2.0 * h - 1.0);
-    }
-    return std::log(acc / static_cast<double>(m)) -
-           (2.0 * h - 1.0) * mean_log_lambda;
-  };
-
-  // Golden-section minimisation over H.
-  const double gr = (std::sqrt(5.0) - 1.0) / 2.0;
-  double lo = 0.01;
-  double hi = 0.99;
-  double x1 = hi - gr * (hi - lo);
-  double x2 = lo + gr * (hi - lo);
-  double f1 = objective(x1);
-  double f2 = objective(x2);
-  for (int iter = 0; iter < 100 && (hi - lo) > 1e-7; ++iter) {
-    if (f1 < f2) {
-      hi = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = hi - gr * (hi - lo);
-      f1 = objective(x1);
-    } else {
-      lo = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = lo + gr * (hi - lo);
-      f2 = objective(x2);
-    }
-  }
-  HurstEstimate est;
-  est.hurst = 0.5 * (lo + hi);
-  est.slope = 2.0 * est.hurst - 1.0;
-  est.r_squared = 1.0;  // not regression-based
-  est.points = m;
-  return est;
-}
-
-HurstEstimate hurst_wavelet(const std::vector<double>& series,
-                            std::size_t min_scale) {
-  util::require(series.size() >= 256, "hurst_wavelet: series too short");
-  util::require(min_scale >= 1, "hurst_wavelet: min_scale must be >= 1");
-  // Haar pyramid: at each level, details d_k = (a_{2k} - a_{2k+1})/sqrt(2),
-  // approximations a'_k = (a_{2k} + a_{2k+1})/sqrt(2).
-  std::vector<double> approx = series;
-  std::vector<double> log2_scale;
-  std::vector<double> log2_energy;
-  std::vector<double> weights;  // ~ coefficient count per scale
-  std::size_t scale = 1;
-  while (approx.size() >= 32) {
-    const std::size_t half = approx.size() / 2;
-    std::vector<double> next(half);
-    double energy = 0.0;
-    for (std::size_t k = 0; k < half; ++k) {
-      const double d = (approx[2 * k] - approx[2 * k + 1]) / std::sqrt(2.0);
-      next[k] = (approx[2 * k] + approx[2 * k + 1]) / std::sqrt(2.0);
-      energy += d * d;
-    }
-    energy /= static_cast<double>(half);
-    if (scale >= min_scale && energy > 0.0) {
-      log2_scale.push_back(static_cast<double>(scale));
-      log2_energy.push_back(std::log2(energy));
-      weights.push_back(static_cast<double>(half));
-    }
-    approx = std::move(next);
-    ++scale;
-  }
-  util::require(log2_scale.size() >= 3,
-                "hurst_wavelet: not enough usable scales (series too short "
-                "or min_scale too high)");
-  // Abry-Veitch weighted regression: Var(log2 mu_j) ~ 1/n_j, so weight each
-  // scale by its coefficient count (unweighted fits are dominated by the
-  // noisy coarse scales and biased low).
-  double sw = 0.0, swx = 0.0, swy = 0.0, swxx = 0.0, swxy = 0.0, swyy = 0.0;
-  for (std::size_t i = 0; i < log2_scale.size(); ++i) {
-    const double w = weights[i];
-    const double x = log2_scale[i];
-    const double y = log2_energy[i];
-    sw += w;
-    swx += w * x;
-    swy += w * y;
-    swxx += w * x * x;
-    swxy += w * x * y;
-    swyy += w * y * y;
-  }
-  const double sxx = swxx - swx * swx / sw;
-  const double sxy = swxy - swx * swy / sw;
-  const double syy = swyy - swy * swy / sw;
-  util::require(sxx > 0.0, "hurst_wavelet: degenerate scale grid");
-  HurstEstimate est;
-  est.slope = sxy / sxx;
-  est.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-  est.points = log2_scale.size();
-  // Detail energy of an LRD process scales as 2^{j(2H-1)}.
-  est.hurst = std::clamp((est.slope + 1.0) / 2.0, 0.01, 0.99);
-  return est;
-}
-
 }  // namespace cts::stats

@@ -11,7 +11,9 @@ namespace {
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
+}  // namespace
+
+void fft(std::vector<std::complex<double>>& data) {
   const std::size_t n = data.size();
   require(is_pow2(n), "fft: length must be a power of two");
   // Bit-reversal permutation.
@@ -23,7 +25,7 @@ void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
   }
   // Danielson-Lanczos butterflies.
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * kPi / static_cast<double>(len);
+    const double angle = -2.0 * kPi / static_cast<double>(len);
     const std::complex<double> wlen(std::cos(angle), std::sin(angle));
     for (std::size_t i = 0; i < n; i += len) {
       std::complex<double> w(1.0, 0.0);
@@ -36,17 +38,7 @@ void fft_impl(std::vector<std::complex<double>>& data, bool inverse) {
       }
     }
   }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x *= inv_n;
-  }
 }
-
-}  // namespace
-
-void fft(std::vector<std::complex<double>>& data) { fft_impl(data, false); }
-
-void ifft(std::vector<std::complex<double>>& data) { fft_impl(data, true); }
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;

@@ -6,62 +6,6 @@
 
 namespace cts::util {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-std::vector<double> Matrix::multiply(const std::vector<double>& v) const {
-  require(v.size() == cols_, "Matrix::multiply: dimension mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
-std::vector<double> solve_dense(Matrix a, std::vector<double> b) {
-  const std::size_t n = a.rows();
-  require(a.cols() == n, "solve_dense: matrix must be square");
-  require(b.size() == n, "solve_dense: rhs size mismatch");
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting: find the largest magnitude entry in this column.
-    std::size_t pivot = col;
-    double best = std::abs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double mag = std::abs(a(r, col));
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) {
-      throw NumericalError("solve_dense: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t c = col; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    const double inv = 1.0 / a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) * inv;
-      if (factor == 0.0) continue;
-      a(r, col) = 0.0;
-      for (std::size_t c = col + 1; c < n; ++c) a(r, c) -= factor * a(col, c);
-      b[r] -= factor * b[col];
-    }
-  }
-
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double acc = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= a(ri, c) * x[c];
-    x[ri] = acc / a(ri, ri);
-  }
-  return x;
-}
-
 std::vector<double> solve_toeplitz(const std::vector<double>& t,
                                    const std::vector<double>& b) {
   const std::size_t n = b.size();

@@ -1,8 +1,6 @@
 #include "cts/util/math.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "cts/util/error.hpp"
 
@@ -25,66 +23,11 @@ double second_central_difference_pow(std::size_t k, double exponent) {
          std::pow(kd - 1.0, exponent);
 }
 
-double log1mexp(double x) {
-  require(x < 0.0, "log1mexp: argument must be negative");
-  // Two-branch form from Maechler (2012): accurate for both tiny and large
-  // magnitude x.
-  static const double kLogHalf = std::log(0.5);
-  if (x > kLogHalf) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
-}
-
-double logaddexp(double a, double b) {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
-  const double hi = std::max(a, b);
-  const double lo = std::min(a, b);
-  return hi + std::log1p(std::exp(lo - hi));
-}
-
 double normal_pdf(double x) {
   return std::exp(-0.5 * x * x) / std::sqrt(2.0 * kPi);
 }
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-double normal_quantile(double p) {
-  require(p > 0.0 && p < 1.0, "normal_quantile: p must be in (0,1)");
-  // Acklam's rational approximation.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double plow = 0.02425;
-  double x;
-  if (p < plow) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= 1.0 - plow) {
-    const double q = p - 0.5;
-    const double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
-        q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    const double q = std::sqrt(-2.0 * std::log1p(-p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  // One Halley refinement step against the exact CDF.
-  const double e = normal_cdf(x) - p;
-  const double u = e * std::sqrt(2.0 * kPi) * std::exp(0.5 * x * x);
-  x = x - u / (1.0 + 0.5 * x * u);
-  return x;
-}
 
 double bisect(const std::function<double(double)>& f, double lo, double hi,
               double tol, int max_iter) {
@@ -139,19 +82,5 @@ LinearFit linear_least_squares(const std::vector<double>& x,
   fit.r_squared = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
   return fit;
 }
-
-double stable_sum(const std::vector<double>& values) {
-  double sum = 0.0;
-  double comp = 0.0;
-  for (const double v : values) {
-    const double y = v - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
-  }
-  return sum;
-}
-
-bool is_finite(double value) { return std::isfinite(value); }
 
 }  // namespace cts::util

@@ -12,25 +12,6 @@ Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = sm.next();
 }
 
-void Xoshiro256pp::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (const std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (std::uint64_t{1} << b)) {
-        s0 ^= state_[0];
-        s1 ^= state_[1];
-        s2 ^= state_[2];
-        s3 ^= state_[3];
-      }
-      operator()();
-    }
-  }
-  state_ = {s0, s1, s2, s3};
-}
-
 Xoshiro256pp Xoshiro256pp::split() noexcept {
   // Derive a child seed from fresh output, then perturb the child through
   // SplitMix64 so parent and child state words share no linear structure.

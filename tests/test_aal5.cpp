@@ -1,24 +1,10 @@
-// Unit tests for AAL5 segmentation and reassembly.
+// Unit tests for AAL5 cell accounting.
 
 #include "cts/atm/aal5.hpp"
 
 #include <gtest/gtest.h>
 
-#include "cts/util/error.hpp"
-#include "cts/util/rng.hpp"
-
 namespace ca = cts::atm;
-namespace cu = cts::util;
-
-TEST(Crc32, KnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3 check value).
-  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(ca::crc32_ieee(data, 9), 0xCBF43926u);
-}
-
-TEST(Crc32, EmptyInput) {
-  EXPECT_EQ(ca::crc32_ieee(nullptr, 0), 0x00000000u);
-}
 
 TEST(Aal5CellCount, TrailerAndPaddingAccounting) {
   // 8-byte trailer: payload 0 -> 1 cell; payload 40 -> 1 cell (40+8 = 48);
@@ -28,55 +14,4 @@ TEST(Aal5CellCount, TrailerAndPaddingAccounting) {
   EXPECT_EQ(ca::aal5_cells_for_payload(41), 2u);
   EXPECT_EQ(ca::aal5_cells_for_payload(88), 2u);
   EXPECT_EQ(ca::aal5_cells_for_payload(89), 3u);
-}
-
-TEST(Aal5, SegmentReassembleRoundTrip) {
-  cu::Xoshiro256pp rng(7);
-  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
-                                 std::size_t{40}, std::size_t{41},
-                                 std::size_t{48}, std::size_t{1000},
-                                 std::size_t{65535}}) {
-    std::vector<std::uint8_t> payload(size);
-    for (auto& b : payload) b = static_cast<std::uint8_t>(rng() & 0xFF);
-    const std::vector<ca::Cell> cells = ca::aal5_segment(payload, 3, 77);
-    EXPECT_EQ(cells.size(), ca::aal5_cells_for_payload(size));
-    // Only the last cell carries the end-of-PDU marker.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ((cells[i].header.pt & 1) != 0, i + 1 == cells.size());
-      EXPECT_EQ(cells[i].header.vci, 77);
-    }
-    const auto reassembled = ca::aal5_reassemble(cells);
-    ASSERT_TRUE(reassembled.has_value()) << "size=" << size;
-    EXPECT_EQ(*reassembled, payload) << "size=" << size;
-  }
-}
-
-TEST(Aal5, DetectsPayloadCorruption) {
-  std::vector<std::uint8_t> payload(100, 0xAB);
-  std::vector<ca::Cell> cells = ca::aal5_segment(payload, 0, 1);
-  cells[0].payload[10] ^= 0x01;
-  EXPECT_FALSE(ca::aal5_reassemble(cells).has_value());
-}
-
-TEST(Aal5, DetectsMissingLastCell) {
-  std::vector<std::uint8_t> payload(200, 0x5A);
-  std::vector<ca::Cell> cells = ca::aal5_segment(payload, 0, 1);
-  cells.pop_back();  // lose the end-of-PDU cell
-  EXPECT_FALSE(ca::aal5_reassemble(cells).has_value());
-}
-
-TEST(Aal5, DetectsDroppedMiddleCell) {
-  std::vector<std::uint8_t> payload(500, 0x33);
-  std::vector<ca::Cell> cells = ca::aal5_segment(payload, 0, 1);
-  cells.erase(cells.begin() + 2);  // simulate a lost cell
-  EXPECT_FALSE(ca::aal5_reassemble(cells).has_value());
-}
-
-TEST(Aal5, RejectsOversizedPayload) {
-  EXPECT_THROW(ca::aal5_segment(std::vector<std::uint8_t>(65536), 0, 1),
-               cu::InvalidArgument);
-}
-
-TEST(Aal5, EmptyCellListIsInvalid) {
-  EXPECT_FALSE(ca::aal5_reassemble({}).has_value());
 }

@@ -47,18 +47,3 @@ TEST(ReplicationInterval, CoversTrueMeanAtNominalRate) {
   }
   EXPECT_NEAR(static_cast<double>(covered) / trials, 0.95, 0.02);
 }
-
-TEST(BatchMeans, SplitsAndEstimates) {
-  std::vector<double> series(1000);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    series[i] = static_cast<double>(i % 10);  // mean 4.5
-  }
-  const cs::IntervalEstimate est = cs::batch_means_interval(series, 10);
-  EXPECT_NEAR(est.mean, 4.5, 1e-12);
-  EXPECT_EQ(est.samples, 10u);
-}
-
-TEST(BatchMeans, RejectsBadBatching) {
-  EXPECT_THROW(cs::batch_means_interval({1.0, 2.0}, 1), cu::InvalidArgument);
-  EXPECT_THROW(cs::batch_means_interval({1.0}, 2), cu::InvalidArgument);
-}

@@ -28,7 +28,8 @@ TEST(BrAsymptotic, TighterThanLargeN) {
   const cc::RateFunction rate = lrd_rate(0.9, 0.9);
   for (const double b : {10.0, 100.0, 500.0}) {
     const double br = cc::br_log10_bop(rate, b, 30).log10_bop;
-    const double ln = cc::large_n_log10_bop(rate, b, 30).log10_bop;
+    const double ln =
+        cc::large_n_log10_bop(rate.evaluate(b), b, 30).log10_bop;
     EXPECT_LT(br, ln) << "b=" << b;
   }
 }
@@ -37,7 +38,7 @@ TEST(BrAsymptotic, RefinementIsAboutHalfLogTerm) {
   const cc::RateFunction rate = lrd_rate(0.9, 0.9);
   const double b = 200.0;
   const cc::BopPoint br = cc::br_log10_bop(rate, b, 30);
-  const cc::BopPoint ln = cc::large_n_log10_bop(rate, b, 30);
+  const cc::BopPoint ln = cc::large_n_log10_bop(rate.evaluate(b), b, 30);
   const double expected_gap =
       0.5 * std::log(4.0 * cu::kPi * 30.0 * br.rate) / std::log(10.0);
   EXPECT_NEAR(ln.log10_bop - br.log10_bop, expected_gap, 1e-9);

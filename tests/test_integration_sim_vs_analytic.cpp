@@ -139,7 +139,8 @@ TEST(SimVsAnalytic, AsymptoticsAreConservativeAndOrdered) {
   cc::RateFunction rate(dar.acf, dar.mean, dar.variance,
                         g.bandwidth_per_source);
   const double br = cc::br_log10_bop(rate, b, g.n_sources).log10_bop;
-  const double ln = cc::large_n_log10_bop(rate, b, g.n_sources).log10_bop;
+  const double ln =
+      cc::large_n_log10_bop(rate.evaluate(b), b, g.n_sources).log10_bop;
   const double sim = cm::simulated_clr_curve(dar, g, {ms}, test_scale())
                          .clr[0];
   ASSERT_GT(sim, 0.0);

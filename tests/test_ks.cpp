@@ -1,59 +1,15 @@
-// Unit tests for histogram and Kolmogorov-Smirnov normality check.
+// Unit tests for the Kolmogorov-Smirnov normality check.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "cts/stats/histogram.hpp"
 #include "cts/stats/ks.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/rng.hpp"
 
 namespace cs = cts::stats;
 namespace cu = cts::util;
-
-TEST(Histogram, BinningAndBounds) {
-  cs::Histogram hist(0.0, 10.0, 5);
-  hist.add(0.5);   // bin 0
-  hist.add(9.99);  // bin 4
-  hist.add(-1.0);  // underflow
-  hist.add(10.0);  // overflow (hi-exclusive)
-  EXPECT_EQ(hist.count(0), 1u);
-  EXPECT_EQ(hist.count(4), 1u);
-  EXPECT_EQ(hist.underflow(), 1u);
-  EXPECT_EQ(hist.overflow(), 1u);
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_DOUBLE_EQ(hist.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bin_high(1), 4.0);
-}
-
-TEST(Histogram, DensityIntegratesToCoveredFraction) {
-  cs::Histogram hist(0.0, 1.0, 10);
-  cu::Xoshiro256pp rng(3);
-  for (int i = 0; i < 100000; ++i) hist.add(rng.uniform01());
-  double integral = 0.0;
-  for (std::size_t b = 0; b < hist.bin_count(); ++b) {
-    integral += hist.density(b) * (hist.bin_high(b) - hist.bin_low(b));
-  }
-  EXPECT_NEAR(integral, 1.0, 1e-9);
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(cs::Histogram(1.0, 1.0, 5), cu::InvalidArgument);
-  EXPECT_THROW(cs::Histogram(0.0, 1.0, 0), cu::InvalidArgument);
-  cs::Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.count(5), std::out_of_range);
-  EXPECT_THROW(h.bin_low(5), cu::InvalidArgument);
-}
-
-TEST(Histogram, RenderProducesBars) {
-  cs::Histogram hist(0.0, 2.0, 2);
-  hist.add(0.5);
-  hist.add(0.6);
-  hist.add(1.5);
-  const std::string out = hist.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
 
 TEST(KolmogorovQ, KnownValues) {
   EXPECT_DOUBLE_EQ(cs::kolmogorov_q(0.0), 1.0);

@@ -1,4 +1,4 @@
-// Unit tests for the dense/Toeplitz linear solvers.
+// Unit tests for the Toeplitz solver and its dense reference.
 
 #include "cts/util/linalg.hpp"
 
@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "cts/util/error.hpp"
+#include "dense_solve.hpp"
 
+namespace ct = cts::test;
 namespace cu = cts::util;
 
 TEST(Matrix, MultiplyBasics) {
-  cu::Matrix a(2, 3);
+  ct::Matrix a(2, 3);
   a(0, 0) = 1; a(0, 1) = 2; a(0, 2) = 3;
   a(1, 0) = 4; a(1, 1) = 5; a(1, 2) = 6;
   const std::vector<double> v = {1.0, 1.0, 1.0};
@@ -22,17 +24,17 @@ TEST(Matrix, MultiplyBasics) {
 }
 
 TEST(Matrix, MultiplyRejectsShapeMismatch) {
-  cu::Matrix a(2, 3);
+  ct::Matrix a(2, 3);
   EXPECT_THROW(a.multiply({1.0, 2.0}), cu::InvalidArgument);
 }
 
 TEST(SolveDense, KnownSystem) {
-  cu::Matrix a(3, 3);
+  ct::Matrix a(3, 3);
   a(0, 0) = 2; a(0, 1) = 1; a(0, 2) = -1;
   a(1, 0) = -3; a(1, 1) = -1; a(1, 2) = 2;
   a(2, 0) = -2; a(2, 1) = 1; a(2, 2) = 2;
   const std::vector<double> b = {8, -11, -3};
-  const std::vector<double> x = cu::solve_dense(a, b);
+  const std::vector<double> x = ct::solve_dense(a, b);
   ASSERT_EQ(x.size(), 3u);
   EXPECT_NEAR(x[0], 2.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
@@ -41,24 +43,24 @@ TEST(SolveDense, KnownSystem) {
 
 TEST(SolveDense, RequiresPivoting) {
   // Zero on the diagonal: solvable only with row exchange.
-  cu::Matrix a(2, 2);
+  ct::Matrix a(2, 2);
   a(0, 0) = 0; a(0, 1) = 1;
   a(1, 0) = 1; a(1, 1) = 0;
-  const std::vector<double> x = cu::solve_dense(a, {3.0, 5.0});
+  const std::vector<double> x = ct::solve_dense(a, {3.0, 5.0});
   EXPECT_NEAR(x[0], 5.0, 1e-14);
   EXPECT_NEAR(x[1], 3.0, 1e-14);
 }
 
 TEST(SolveDense, DetectsSingularity) {
-  cu::Matrix a(2, 2);
+  ct::Matrix a(2, 2);
   a(0, 0) = 1; a(0, 1) = 2;
   a(1, 0) = 2; a(1, 1) = 4;
-  EXPECT_THROW(cu::solve_dense(a, {1.0, 2.0}), cu::NumericalError);
+  EXPECT_THROW(ct::solve_dense(a, {1.0, 2.0}), cu::NumericalError);
 }
 
 TEST(SolveDense, RejectsShapeMismatch) {
-  cu::Matrix a(2, 3);
-  EXPECT_THROW(cu::solve_dense(a, {1.0, 2.0}), cu::InvalidArgument);
+  ct::Matrix a(2, 3);
+  EXPECT_THROW(ct::solve_dense(a, {1.0, 2.0}), cu::InvalidArgument);
 }
 
 TEST(SolveToeplitz, MatchesDenseSolveOnRandomSpdSystems) {
@@ -74,13 +76,13 @@ TEST(SolveToeplitz, MatchesDenseSolveOnRandomSpdSystems) {
     for (std::size_t i = 0; i < n; ++i) {
       b[i] = std::sin(static_cast<double>(i) + 1.0);
     }
-    cu::Matrix full(n, n);
+    ct::Matrix full(n, n);
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c < n; ++c) {
         full(r, c) = t[r > c ? r - c : c - r];
       }
     }
-    const std::vector<double> dense = cu::solve_dense(full, b);
+    const std::vector<double> dense = ct::solve_dense(full, b);
     const std::vector<double> toeplitz = cu::solve_toeplitz(t, b);
     ASSERT_EQ(toeplitz.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -93,7 +95,7 @@ TEST(SolveToeplitz, ResidualIsSmall) {
   const std::vector<double> t = {1.0, 0.8, 0.64, 0.512};
   const std::vector<double> b = {0.8, 0.64, 0.512, 0.4096};
   const std::vector<double> x = cu::solve_toeplitz(t, b);
-  cu::Matrix full(4, 4);
+  ct::Matrix full(4, 4);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       full(r, c) = t[r > c ? r - c : c - r];

@@ -47,30 +47,6 @@ TEST(SecondCentralDifference, RejectsLagZero) {
                cu::InvalidArgument);
 }
 
-TEST(Log1mExp, MatchesNaiveInSafeRange) {
-  for (const double x : {-0.5, -1.0, -2.0, -5.0}) {
-    EXPECT_NEAR(cu::log1mexp(x), std::log(1.0 - std::exp(x)), 1e-12);
-  }
-}
-
-TEST(Log1mExp, AccurateForTinyMagnitude) {
-  const double x = -1e-10;
-  // 1 - e^x ~ -x, so log1mexp ~ log(1e-10).
-  EXPECT_NEAR(cu::log1mexp(x), std::log(1e-10), 1e-6);
-}
-
-TEST(Log1mExp, RejectsNonNegative) {
-  EXPECT_THROW(cu::log1mexp(0.0), cu::InvalidArgument);
-  EXPECT_THROW(cu::log1mexp(1.0), cu::InvalidArgument);
-}
-
-TEST(LogAddExp, BasicIdentities) {
-  EXPECT_NEAR(cu::logaddexp(std::log(2.0), std::log(3.0)), std::log(5.0),
-              1e-12);
-  EXPECT_NEAR(cu::logaddexp(-1000.0, -1000.0), -1000.0 + std::log(2.0),
-              1e-9);
-}
-
 TEST(NormalCdf, KnownValues) {
   EXPECT_NEAR(cu::normal_cdf(0.0), 0.5, 1e-14);
   EXPECT_NEAR(cu::normal_cdf(1.0), 0.8413447460685429, 1e-12);
@@ -79,19 +55,6 @@ TEST(NormalCdf, KnownValues) {
 
 TEST(NormalPdf, PeakValue) {
   EXPECT_NEAR(cu::normal_pdf(0.0), 0.3989422804014327, 1e-14);
-}
-
-TEST(NormalQuantile, RoundTripsThroughCdf) {
-  for (const double p : {1e-10, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99,
-                         1.0 - 1e-6}) {
-    const double x = cu::normal_quantile(p);
-    EXPECT_NEAR(cu::normal_cdf(x), p, 1e-11) << "p=" << p;
-  }
-}
-
-TEST(NormalQuantile, RejectsBoundaries) {
-  EXPECT_THROW(cu::normal_quantile(0.0), cu::InvalidArgument);
-  EXPECT_THROW(cu::normal_quantile(1.0), cu::InvalidArgument);
 }
 
 TEST(Bisect, FindsKnownRoot) {
@@ -133,16 +96,4 @@ TEST(LinearLeastSquares, RejectsDegenerateInput) {
                cu::InvalidArgument);
   EXPECT_THROW(cu::linear_least_squares({1.0, 2.0}, {1.0}),
                cu::InvalidArgument);
-}
-
-TEST(StableSum, CancellingMagnitudes) {
-  // Naive summation loses the small terms entirely.
-  std::vector<double> values = {1e16, 1.0, 1.0, 1.0, 1.0, -1e16};
-  EXPECT_DOUBLE_EQ(cu::stable_sum(values), 4.0);
-}
-
-TEST(IsFinite, Classification) {
-  EXPECT_TRUE(cu::is_finite(1.0));
-  EXPECT_FALSE(cu::is_finite(std::nan("")));
-  EXPECT_FALSE(cu::is_finite(INFINITY));
 }

@@ -29,7 +29,8 @@ namespace {
 
 TEST(Frame, RoundTripsThroughTheDecoder) {
   net::FrameDecoder decoder;
-  decoder.feed(net::encode_frame("hello"));
+  const std::string frame = net::encode_frame("hello");
+  decoder.feed(frame.data(), frame.size());
   std::string payload;
   ASSERT_TRUE(decoder.next(&payload));
   EXPECT_EQ(payload, "hello");
@@ -53,7 +54,9 @@ TEST(Frame, DecodesBytewisePartialFeeds) {
 
 TEST(Frame, DecodesConcatenatedFramesInOrder) {
   net::FrameDecoder decoder;
-  decoder.feed(net::encode_frame("one") + net::encode_frame("two"));
+  const std::string frames =
+      net::encode_frame("one") + net::encode_frame("two");
+  decoder.feed(frames.data(), frames.size());
   std::string payload;
   ASSERT_TRUE(decoder.next(&payload));
   EXPECT_EQ(payload, "one");
@@ -300,7 +303,7 @@ TEST(SocketLoopback, FramedRequestReplyRoundTrip) {
   ASSERT_GT(port, 0);
 
   std::thread server([&] {
-    net::Socket conn = net::accept_connection(listener, 10.0);
+    net::Socket conn = net::accept_blocking(listener);
     ASSERT_TRUE(conn.valid());
     const std::string request = net::recv_frame(conn, 10.0);
     net::send_frame(conn, "echo:" + request, 10.0);
@@ -316,7 +319,7 @@ TEST(SocketLoopback, RecvTimesOutWhenNothingArrives) {
   std::uint16_t port = 0;
   net::Socket listener = net::listen_on(0, &port);
   std::thread server([&] {
-    net::Socket conn = net::accept_connection(listener, 10.0);
+    net::Socket conn = net::accept_blocking(listener);
     // Hold the connection open without sending: the client must time out
     // rather than block forever.
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -330,7 +333,7 @@ TEST(SocketLoopback, PeerClosingMidFrameIsANetError) {
   std::uint16_t port = 0;
   net::Socket listener = net::listen_on(0, &port);
   std::thread server([&] {
-    net::Socket conn = net::accept_connection(listener, 10.0);
+    net::Socket conn = net::accept_blocking(listener);
     // One good frame, then a hard close — a worker dying between replies.
     net::send_frame(conn, "", 10.0);
   });
@@ -348,7 +351,7 @@ TEST(SocketLoopback, EverySocketIsCloseOnExecAndConnectionsNonBlocking) {
   std::uint16_t port = 0;
   const net::Socket listener = net::listen_on(0, &port);
   const net::Socket client = net::connect_to({"127.0.0.1", port}, 10.0);
-  const net::Socket conn = net::accept_connection(listener, 10.0);
+  const net::Socket conn = net::accept_blocking(listener);
   ASSERT_TRUE(conn.valid());
   for (const net::Socket* sock : {&listener, &conn, &client}) {
     const int fd_flags = ::fcntl(sock->fd(), F_GETFD);

@@ -84,8 +84,8 @@ TEST(OnOffParams, KernelSojournsMatchSurvival) {
     const std::size_t n = 200000;
     std::vector<double> u(n), t(n);
     for (auto& x : u) x = rng.uniform01();
-    cts::core::simd::fractal_sojourns(u.data(), t.data(), n,
-                                      p.sojourn_consts());
+    cts::core::simd::fractal_sojourns(cts::core::simd::active(), u.data(),
+                                      t.data(), n, p.sojourn_consts());
     const double probes[] = {p.A / 2, p.A, 3 * p.A, 10 * p.A, 100 * p.A};
     int counts[5] = {0, 0, 0, 0, 0};
     for (const double x : t) {
@@ -109,7 +109,8 @@ TEST(OnOffParams, KernelSojournMeanMatchesClosedForm) {
   const std::size_t n = 2000000;
   std::vector<double> u(n), t(n);
   for (auto& x : u) x = rng.uniform01();
-  cts::core::simd::fractal_sojourns(u.data(), t.data(), n, p.sojourn_consts());
+  cts::core::simd::fractal_sojourns(cts::core::simd::active(), u.data(),
+                                    t.data(), n, p.sojourn_consts());
   double sum = 0.0;
   for (const double x : t) sum += x;
   EXPECT_NEAR(sum / static_cast<double>(n), p.mean_sojourn(),

@@ -1,19 +1,18 @@
-// Unit tests for CLP-aware partial buffer sharing.
+// Unit tests for CLP-aware partial buffer sharing: the two-class fluid
+// policy of evolve_priority_frame, which the scenario executor's priority
+// hops run, driven frame by frame over FrameSource arrivals.
 
 #include "cts/atm/priority_buffer.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "cts/fit/model_zoo.hpp"
 #include "cts/proc/ar1.hpp"
-#include "cts/util/error.hpp"
 
 namespace ca = cts::atm;
-namespace cf = cts::fit;
 namespace cp = cts::proc;
-namespace cu = cts::util;
 
 namespace {
 
@@ -32,19 +31,20 @@ class ConstantSource final : public cp::FrameSource {
   double value_;
 };
 
-std::vector<std::unique_ptr<cp::FrameSource>> constant(double v) {
-  std::vector<std::unique_ptr<cp::FrameSource>> out;
+using Sources = std::vector<std::unique_ptr<cp::FrameSource>>;
+
+Sources constant(double v) {
+  Sources out;
   out.push_back(std::make_unique<ConstantSource>(v));
   return out;
 }
 
-std::vector<std::unique_ptr<cp::FrameSource>> stochastic(int n, double phi,
-                                                         std::uint64_t seed) {
+Sources stochastic(int n, double phi, std::uint64_t seed) {
   cp::Ar1Params p;
   p.phi = phi;
   p.mean = 500.0;
   p.variance = 5000.0;
-  std::vector<std::unique_ptr<cp::FrameSource>> out;
+  Sources out;
   for (int i = 0; i < n; ++i) {
     out.push_back(std::make_unique<cp::Ar1Source>(
         p, seed + static_cast<std::uint64_t>(i)));
@@ -52,28 +52,42 @@ std::vector<std::unique_ptr<cp::FrameSource>> stochastic(int n, double phi,
   return out;
 }
 
-}  // namespace
-
-TEST(PrioritySharing, ValidatesConfig) {
-  ca::PrioritySharingConfig config;
-  config.threshold_cells = config.buffer_cells + 1.0;
-  EXPECT_THROW(config.validate(), cu::InvalidArgument);
-  config = ca::PrioritySharingConfig{};
-  config.capacity_cells = 0.0;
-  EXPECT_THROW(config.validate(), cu::InvalidArgument);
+/// One priority hop of capacity `c`, buffer `b` and low-priority threshold
+/// `s` (cells/frame): per-class tallies over `frames` frames after
+/// `warmup` frames, and the end-of-run queue in `*q_end`.
+ca::PrioritySharingResult run_hop(Sources& high, Sources& low,
+                                  std::uint64_t frames, std::uint64_t warmup,
+                                  double c, double b, double s,
+                                  double* q_end = nullptr) {
+  ca::PrioritySharingResult result;
+  result.frames = frames;
+  double q = 0.0;
+  for (std::uint64_t n = 0; n < warmup + frames; ++n) {
+    double ah = 0.0;
+    for (auto& src : high) ah += std::max(src->next_frame(), 0.0);
+    double al = 0.0;
+    for (auto& src : low) al += std::max(src->next_frame(), 0.0);
+    const ca::PriorityFrameOutcome out =
+        ca::evolve_priority_frame(q, ah, al, c, s, b);
+    q = out.q;
+    if (n >= warmup) {
+      result.high_arrived += ah;
+      result.low_arrived += al;
+      result.high_lost += out.high_lost;
+      result.low_lost += out.low_lost;
+    }
+  }
+  if (q_end != nullptr) *q_end = q;
+  return result;
 }
 
+}  // namespace
+
 TEST(PrioritySharing, UnderloadLosesNothing) {
-  auto high = constant(200.0);
-  auto low = constant(200.0);
-  ca::PrioritySharingConfig config;
-  config.frames = 1000;
-  config.warmup_frames = 0;
-  config.capacity_cells = 500.0;
-  config.buffer_cells = 100.0;
-  config.threshold_cells = 50.0;
+  Sources high = constant(200.0);
+  Sources low = constant(200.0);
   const ca::PrioritySharingResult result =
-      ca::run_partial_buffer_sharing(high, low, config);
+      run_hop(high, low, 1000, 0, 500.0, 100.0, 50.0);
   EXPECT_DOUBLE_EQ(result.high_lost, 0.0);
   EXPECT_DOUBLE_EQ(result.low_lost, 0.0);
   EXPECT_DOUBLE_EQ(result.high_arrived, 200.0 * 1000);
@@ -82,31 +96,19 @@ TEST(PrioritySharing, UnderloadLosesNothing) {
 TEST(PrioritySharing, SteadyOverloadDropsLowFirst) {
   // high 400 + low 300 into capacity 500: the 200 cells/frame excess must
   // come out of the LOW class while high passes untouched.
-  auto high = constant(400.0);
-  auto low = constant(300.0);
-  ca::PrioritySharingConfig config;
-  config.frames = 1000;
-  config.warmup_frames = 10;
-  config.capacity_cells = 500.0;
-  config.buffer_cells = 200.0;
-  config.threshold_cells = 100.0;
+  Sources high = constant(400.0);
+  Sources low = constant(300.0);
   const ca::PrioritySharingResult result =
-      ca::run_partial_buffer_sharing(high, low, config);
+      run_hop(high, low, 1000, 10, 500.0, 200.0, 100.0);
   EXPECT_DOUBLE_EQ(result.high_lost, 0.0);
   EXPECT_NEAR(result.low_clr(), 200.0 / 300.0, 0.01);
 }
 
 TEST(PrioritySharing, HighOverloadAloneLosesHigh) {
-  auto high = constant(700.0);
-  auto low = constant(0.0);
-  ca::PrioritySharingConfig config;
-  config.frames = 500;
-  config.warmup_frames = 10;
-  config.capacity_cells = 500.0;
-  config.buffer_cells = 100.0;
-  config.threshold_cells = 50.0;
+  Sources high = constant(700.0);
+  Sources low = constant(0.0);
   const ca::PrioritySharingResult result =
-      ca::run_partial_buffer_sharing(high, low, config);
+      run_hop(high, low, 500, 10, 500.0, 100.0, 50.0);
   EXPECT_NEAR(result.high_clr(), 200.0 / 700.0, 0.01);
 }
 
@@ -115,7 +117,6 @@ TEST(PrioritySharing, MatchesSingleClassRecursionWhenThresholdEqualsBuffer) {
   // plain fluid recursion: cross-check losses against the closed pattern
   // from test_fluid_mux (600/400 alternating, C=500, B=50 -> 50 lost per
   // burst frame).
-  std::vector<std::unique_ptr<cp::FrameSource>> high;
   class Alternator final : public cp::FrameSource {
    public:
     double next_frame() override {
@@ -132,31 +133,20 @@ TEST(PrioritySharing, MatchesSingleClassRecursionWhenThresholdEqualsBuffer) {
    private:
     bool flip_ = false;
   };
+  Sources high;
   high.push_back(std::make_unique<Alternator>());
-  auto low = constant(0.0);
-  ca::PrioritySharingConfig config;
-  config.frames = 1000;
-  config.warmup_frames = 0;
-  config.capacity_cells = 500.0;
-  config.buffer_cells = 50.0;
-  config.threshold_cells = 50.0;
+  Sources low = constant(0.0);
   const ca::PrioritySharingResult result =
-      ca::run_partial_buffer_sharing(high, low, config);
+      run_hop(high, low, 1000, 0, 500.0, 50.0, 50.0);
   EXPECT_NEAR(result.high_lost, 50.0 * 500, 100.0);
 }
 
 TEST(PrioritySharing, ThresholdTradesLowLossForHighProtection) {
   // Lowering S strictly protects the high class at the low class's expense.
   auto run_with_threshold = [&](double s) {
-    auto high = stochastic(10, 0.9, 100);
-    auto low = stochastic(10, 0.9, 900);
-    ca::PrioritySharingConfig config;
-    config.frames = 20000;
-    config.warmup_frames = 200;
-    config.capacity_cells = 20 * 515.0;
-    config.buffer_cells = 4000.0;
-    config.threshold_cells = s;
-    return ca::run_partial_buffer_sharing(high, low, config);
+    Sources high = stochastic(10, 0.9, 100);
+    Sources low = stochastic(10, 0.9, 900);
+    return run_hop(high, low, 20000, 200, 20 * 515.0, 4000.0, s);
   };
   const ca::PrioritySharingResult tight = run_with_threshold(500.0);
   const ca::PrioritySharingResult loose = run_with_threshold(4000.0);
@@ -167,20 +157,24 @@ TEST(PrioritySharing, ThresholdTradesLowLossForHighProtection) {
 }
 
 TEST(PrioritySharing, ConservationPerClass) {
-  auto high = stochastic(5, 0.8, 42);
-  auto low = stochastic(5, 0.8, 77);
-  ca::PrioritySharingConfig config;
-  config.frames = 10000;
-  config.warmup_frames = 0;
-  config.capacity_cells = 10 * 505.0;
-  config.buffer_cells = 1000.0;
-  config.threshold_cells = 400.0;
+  Sources high = stochastic(5, 0.8, 42);
+  Sources low = stochastic(5, 0.8, 77);
+  const double c = 10 * 505.0;
+  const double b = 1000.0;
+  double q_end = -1.0;
   const ca::PrioritySharingResult result =
-      ca::run_partial_buffer_sharing(high, low, config);
+      run_hop(high, low, 10000, 0, c, b, 400.0, &q_end);
   EXPECT_GE(result.high_lost, 0.0);
   EXPECT_GE(result.low_lost, 0.0);
   EXPECT_LE(result.high_lost, result.high_arrived);
   EXPECT_LE(result.low_lost, result.low_arrived);
+  // Fluid balance: what was admitted either left at rate <= c or is still
+  // queued, and the queue never exceeds B.
+  EXPECT_GE(q_end, 0.0);
+  EXPECT_LE(q_end, b);
+  const double admitted = result.high_arrived - result.high_lost +
+                          result.low_arrived - result.low_lost;
+  EXPECT_LE(admitted - q_end, c * 10000 * (1.0 + 1e-12));
   // Low class suffers more under the shared threshold.
   EXPECT_GE(result.low_clr(), result.high_clr());
 }

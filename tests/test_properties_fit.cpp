@@ -10,14 +10,9 @@
 #include "cts/core/weibull_lrd.hpp"
 #include "cts/fit/dar_fit.hpp"
 #include "cts/fit/model_zoo.hpp"
-#include "cts/proc/marginal.hpp"
-#include "cts/util/accumulator.hpp"
-#include "cts/util/rng.hpp"
 
 namespace cc = cts::core;
 namespace cf = cts::fit;
-namespace cp = cts::proc;
-namespace cu = cts::util;
 
 class DarFitRoundTripTest
     : public ::testing::TestWithParam<std::tuple<double, int>> {};
@@ -119,36 +114,3 @@ TEST_P(WeibullAgreementTest, TracksExactBrAtLargeBuffers) {
 
 INSTANTIATE_TEST_SUITE_P(HurstGrid, WeibullAgreementTest,
                          ::testing::Values(0.6, 0.7, 0.8, 0.9));
-
-TEST(LogNormalMarginal, MomentsAndTail) {
-  const cp::LogNormalMarginal marginal(500.0, 5000.0);
-  cu::Xoshiro256pp rng(3);
-  cu::MomentAccumulator acc;
-  for (int i = 0; i < 300000; ++i) acc.add(marginal.sample(rng));
-  EXPECT_NEAR(acc.mean(), 500.0, 2.0);
-  EXPECT_NEAR(acc.variance(), 5000.0, 200.0);
-  // Heavier right tail than Gaussian at matched moments.
-  const cp::GaussianMarginal gauss(500.0, 5000.0);
-  const double threshold = 500.0 + 4.5 * std::sqrt(5000.0);
-  int ln_exceed = 0;
-  int g_exceed = 0;
-  for (int i = 0; i < 300000; ++i) {
-    if (marginal.sample(rng) > threshold) ++ln_exceed;
-    if (gauss.sample(rng) > threshold) ++g_exceed;
-  }
-  EXPECT_GT(ln_exceed, g_exceed);
-  // All samples positive by construction.
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_GT(marginal.sample(rng), 0.0);
-  }
-}
-
-TEST(LogNormalMarginal, ParametersFromMoments) {
-  const cp::LogNormalMarginal marginal(500.0, 5000.0);
-  // Round-trip the closed forms.
-  const double s2 = marginal.sigma_log() * marginal.sigma_log();
-  EXPECT_NEAR(std::exp(marginal.mu_log() + 0.5 * s2), 500.0, 1e-9);
-  EXPECT_NEAR((std::exp(s2) - 1.0) *
-                  std::exp(2.0 * marginal.mu_log() + s2),
-              5000.0, 1e-6);
-}

@@ -62,13 +62,6 @@ TEST(Xoshiro, SplitStreamsAreDecorrelated) {
   EXPECT_LT(std::abs(corr), 0.02);
 }
 
-TEST(Xoshiro, JumpChangesState) {
-  cu::Xoshiro256pp a(5);
-  cu::Xoshiro256pp b(5);
-  b.jump();
-  EXPECT_NE(a(), b());
-}
-
 TEST(NormalSampler, MomentsMatchStandardNormal) {
   cu::Xoshiro256pp rng(2024);
   cu::NormalSampler normal;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,42 @@ TEST(ScenarioSpec, BadTypeNamesLineAndKey) {
                   "model = white\n"
                   "aal5 = maybe\n",
                   {"line 4", "'aal5'", "'maybe'"});
+}
+
+TEST(ScenarioSpec, RejectsNonFiniteNumbers) {
+  // strtod reads inf and nan, which pass every range check (inf > 0), so
+  // each number key must reject them by name.
+  struct Case {
+    const char* section;  ///< section body before the bad key
+    const char* key;
+  };
+  const Case cases[] = {
+      {"[scenario]\n", "Ts"},
+      {"[source s]\nkind = geometric\na = 0.5\n", "mean"},
+      {"[source s]\nkind = geometric\na = 0.5\n", "variance"},
+      {"[source s]\nkind = geometric\n", "a"},
+      {"[source s]\nkind = lrd\nweight = 0.5\n", "hurst"},
+      {"[source s]\nkind = lrd\nhurst = 0.9\n", "weight"},
+      {"[source s]\nmodel = white\n", "police_scr"},
+      {"[source s]\nmodel = white\npolice_scr = 100\n", "police_bt"},
+      {"[source s]\nmodel = white\npolice_scr = 100\n", "police_pcr"},
+      {"[source s]\nmodel = white\npolice_scr = 100\n", "police_cdvt"},
+      {"[hop m]\ninput = s\n", "capacity"},
+      {"[hop m]\ninput = s\n", "link_mbps"},
+      {"[hop m]\ninput = s\ncapacity = 600\n", "buffer"},
+      {"[hop m]\ninput = s\ncapacity = 600\nbuffer = 100\n", "threshold"},
+  };
+  for (const Case& c : cases) {
+    std::string head = std::string("cts.scenario.v1\n") + c.section;
+    const int line =
+        static_cast<int>(std::count(head.begin(), head.end(), '\n')) + 1;
+    for (const char* bad : {"inf", "-inf", "nan", "infinity"}) {
+      SCOPED_TRACE(std::string(c.key) + " = " + bad);
+      expect_rejected(head + c.key + " = " + bad + "\n",
+                      {"line " + std::to_string(line),
+                       "'" + std::string(c.key) + "'", "finite"});
+    }
+  }
 }
 
 TEST(ScenarioSpec, DuplicateKeyNamesBothLines) {

@@ -292,7 +292,8 @@ TEST(SimdFractalSojourns, BitIdenticalAcrossKindsAndBatchSizes) {
         // The dispatching overload follows force().
         cs::force(kind);
         std::vector<double> forced(n, -1.0);
-        cs::fractal_sojourns(u.data(), forced.data(), n, consts);
+        cs::fractal_sojourns(cs::active(), u.data(), forced.data(), n,
+                             consts);
         EXPECT_TRUE(same_bytes(forced, ref))
             << cs::kind_name(kind) << " n=" << n;
       }
@@ -309,7 +310,8 @@ TEST(SimdFractalSojourns, DrawIConsumesUniformIWithinTolerance) {
     const std::size_t n = 20000;
     std::vector<double> u(n), out(n);
     for (auto& x : u) x = rng.uniform01();
-    cs::fractal_sojourns(u.data(), out.data(), n, law.sojourn_consts());
+    cs::fractal_sojourns(cs::active(), u.data(), out.data(), n,
+                         law.sojourn_consts());
     for (std::size_t i = 0; i < n; ++i) {
       expect_close(out[i], law.sample_sojourn(replay),
                    "alpha=" + std::to_string(law.alpha) + " draw " +

@@ -11,36 +11,14 @@
 namespace ca = cts::atm;
 namespace cu = cts::util;
 
-TEST(Smoothing, ScheduleIsEquispacedWithinFrame) {
-  const std::vector<double> times = ca::smoothing_schedule(4, 0.04);
-  ASSERT_EQ(times.size(), 4u);
-  EXPECT_DOUBLE_EQ(times[0], 0.005);
-  EXPECT_DOUBLE_EQ(times[1], 0.015);
-  EXPECT_DOUBLE_EQ(times[3], 0.035);
-  // Constant gap Ts/cells.
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_NEAR(times[i] - times[i - 1], 0.01, 1e-15);
-  }
-  // All within [0, Ts).
-  EXPECT_LT(times.back(), 0.04);
-}
-
 TEST(Smoothing, EmptyFrameHasEmptySchedule) {
-  EXPECT_TRUE(ca::smoothing_schedule(0, 0.04).empty());
+  // No cells, no spacing: an empty frame schedules nothing.
   EXPECT_DOUBLE_EQ(ca::smoothing_gap(0, 0.04), 0.0);
 }
 
 TEST(Smoothing, GapMatchesScheduleSpacing) {
   EXPECT_DOUBLE_EQ(ca::smoothing_gap(500, 0.04), 0.04 / 500.0);
   EXPECT_THROW(ca::smoothing_gap(1, 0.0), cu::InvalidArgument);
-}
-
-TEST(Smoothing, CellsForPayloadCeilingDivision) {
-  EXPECT_EQ(ca::cells_for_payload(0), 0u);
-  EXPECT_EQ(ca::cells_for_payload(1), 1u);
-  EXPECT_EQ(ca::cells_for_payload(48), 1u);
-  EXPECT_EQ(ca::cells_for_payload(49), 2u);
-  EXPECT_EQ(ca::cells_for_payload(480), 10u);
 }
 
 TEST(Link, Oc3CellRate) {

@@ -1,9 +1,8 @@
-// Unit tests for trace I/O and replay.
+// Unit tests for trace replay.
 
 #include "cts/proc/trace.hpp"
 
 #include <cmath>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -11,54 +10,6 @@
 
 namespace cp = cts::proc;
 namespace cu = cts::util;
-
-namespace {
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-}  // namespace
-
-TEST(TraceIo, SaveLoadRoundTrip) {
-  const std::vector<double> trace = {500.0, 512.5, 488.0, 555.0};
-  const std::string path = temp_path("trace_roundtrip.txt");
-  ASSERT_TRUE(cp::save_trace(path, trace, "unit test"));
-  const std::vector<double> loaded = cp::load_trace(path);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded[i], trace[i]);
-  }
-}
-
-TEST(TraceIo, SkipsCommentsAndBlankLines) {
-  const std::string path = temp_path("trace_comments.txt");
-  {
-    std::ofstream f(path);
-    f << "# header\n\n100 200\n# mid comment\n300  # trailing comment\n";
-  }
-  const std::vector<double> loaded = cp::load_trace(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_DOUBLE_EQ(loaded[0], 100.0);
-  EXPECT_DOUBLE_EQ(loaded[2], 300.0);
-}
-
-TEST(TraceIo, RejectsMissingFileAndBadTokens) {
-  EXPECT_THROW(cp::load_trace(temp_path("nonexistent_trace.txt")),
-               cu::InvalidArgument);
-  const std::string path = temp_path("trace_bad.txt");
-  {
-    std::ofstream f(path);
-    f << "100 abc 200\n";
-  }
-  EXPECT_THROW(cp::load_trace(path), cu::InvalidArgument);
-  const std::string empty = temp_path("trace_empty.txt");
-  {
-    std::ofstream f(empty);
-    f << "# only comments\n";
-  }
-  EXPECT_THROW(cp::load_trace(empty), cu::InvalidArgument);
-}
 
 TEST(TraceSource, ReplaysCyclically) {
   cp::TraceSource source({1.0, 2.0, 3.0}, 0, /*randomize_phase=*/false);
