@@ -88,4 +88,8 @@ SimulatedCurve simulated_clr_curve(const fit::ModelSpec& model,
 std::vector<double> buffer_grid_ms(double lo_ms, double hi_ms,
                                    std::size_t points);
 
+/// Linear buffer grid in msec.
+std::vector<double> linear_grid_ms(double lo_ms, double hi_ms,
+                                   std::size_t points);
+
 }  // namespace cts::sim

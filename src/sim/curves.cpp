@@ -126,4 +126,16 @@ std::vector<double> buffer_grid_ms(double lo_ms, double hi_ms,
   return grid;
 }
 
+std::vector<double> linear_grid_ms(double lo_ms, double hi_ms,
+                                   std::size_t points) {
+  util::require(hi_ms > lo_ms && points >= 2,
+                "linear_grid_ms: need lo < hi and >= 2 points");
+  std::vector<double> grid(points);
+  const double step = (hi_ms - lo_ms) / static_cast<double>(points - 1);
+  for (std::size_t i = 0; i < points; ++i) {
+    grid[i] = lo_ms + step * static_cast<double>(i);
+  }
+  return grid;
+}
+
 }  // namespace cts::sim

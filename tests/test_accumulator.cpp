@@ -76,6 +76,26 @@ TEST(CompensatedSum, RecoversSmallAddends) {
   EXPECT_DOUBLE_EQ(sum.value(), 10.0);
 }
 
+TEST(StableSum, CancellingMagnitudes) {
+  // Naive summation loses the small terms entirely; the compensated sum
+  // keeps them, in one pass and across two merged partial sums.
+  const std::vector<double> values = {1e16, 1.0, 1.0, 1.0, 1.0, -1e16};
+  double naive = 0.0;
+  cu::CompensatedSum whole;
+  for (const double v : values) {
+    naive += v;
+    whole.add(v);
+  }
+  EXPECT_NE(naive, 4.0);
+  EXPECT_DOUBLE_EQ(whole.value(), 4.0);
+
+  cu::CompensatedSum head, tail;
+  for (std::size_t i = 0; i < 3; ++i) head.add(values[i]);
+  for (std::size_t i = 3; i < values.size(); ++i) tail.add(values[i]);
+  head.merge(tail);
+  EXPECT_DOUBLE_EQ(head.value(), 4.0);
+}
+
 TEST(CompensatedSum, MergePreservesTotal) {
   cu::CompensatedSum a, b;
   for (int i = 0; i < 100; ++i) a.add(0.1);

@@ -26,14 +26,19 @@ TEST(MuxGeometry, BufferConversionsRoundTrip) {
   EXPECT_DOUBLE_EQ(g.total_capacity(), 16140.0);
 }
 
-TEST(BufferGrids, GeometricEndpointsAndConstantRatio) {
+TEST(BufferGrids, GeometricAndLinear) {
   const std::vector<double> geo = cm::buffer_grid_ms(1.0, 100.0, 5);
   ASSERT_EQ(geo.size(), 5u);
   EXPECT_DOUBLE_EQ(geo.front(), 1.0);
   EXPECT_DOUBLE_EQ(geo.back(), 100.0);
   EXPECT_NEAR(geo[1] / geo[0], geo[2] / geo[1], 1e-9);
 
+  const std::vector<double> lin = cm::linear_grid_ms(0.0, 10.0, 6);
+  ASSERT_EQ(lin.size(), 6u);
+  EXPECT_DOUBLE_EQ(lin[1] - lin[0], 2.0);
+
   EXPECT_THROW(cm::buffer_grid_ms(0.0, 10.0, 5), cu::InvalidArgument);
+  EXPECT_THROW(cm::linear_grid_ms(5.0, 1.0, 5), cu::InvalidArgument);
 }
 
 TEST(BufferGrids, GeometricGridStaysMonotoneUnderUlpRounding) {
@@ -55,8 +60,7 @@ TEST(BufferGrids, GeometricGridStaysMonotoneUnderUlpRounding) {
 TEST(BrCurve, MonotoneDecreasingInBuffer) {
   const cf::ModelSpec model = cf::make_za(0.9);
   cm::MuxGeometry g;
-  const std::vector<double> grid = {0.5,  3.0,  6.0,  9.0,
-                                    12.0, 15.0, 18.0, 20.0};
+  const std::vector<double> grid = cm::linear_grid_ms(0.5, 20.0, 8);
   const cm::AnalyticCurve curve = cm::br_curve(model, g, grid);
   ASSERT_EQ(curve.log10_bop.size(), grid.size());
   for (std::size_t i = 1; i < curve.log10_bop.size(); ++i) {
@@ -71,7 +75,7 @@ TEST(BrCurve, MonotoneDecreasingInBuffer) {
 TEST(LargeNCurve, AlwaysAboveBr) {
   const cf::ModelSpec model = cf::make_dar_matched_to_za(0.975, 1);
   cm::MuxGeometry g;
-  const std::vector<double> grid = {1.0, 4.0, 7.0, 10.0};
+  const std::vector<double> grid = cm::linear_grid_ms(1.0, 10.0, 4);
   const cm::AnalyticCurve br = cm::br_curve(model, g, grid);
   const cm::AnalyticCurve ln = cm::large_n_curve(model, g, grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {

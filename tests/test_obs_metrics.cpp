@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -62,6 +63,38 @@ TEST(Histogram, UpperInclusiveBucketsAndStats) {
   EXPECT_EQ(h.stats().count(), 5u);
   EXPECT_DOUBLE_EQ(h.stats().min(), 0.5);
   EXPECT_DOUBLE_EQ(h.stats().max(), 1e6);
+}
+
+TEST(Histogram, BinningAndBounds) {
+  obs::HistogramCell h({0.0, 2.0, 4.0});
+  ASSERT_EQ(h.edges().size(), 3u);
+  ASSERT_EQ(h.buckets().size(), 4u);  // one per edge plus overflow
+  h.observe(-HUGE_VAL);  // bucket 0: everything <= the first edge
+  h.observe(-1.0);       // bucket 0
+  h.observe(0.0);        // bucket 0 (upper-inclusive)
+  h.observe(0.5);        // bucket 1
+  h.observe(2.0);        // bucket 1 (upper-inclusive)
+  h.observe(3.999);      // bucket 2
+  h.observe(4.0);        // bucket 2: the last edge is still in range
+  h.observe(HUGE_VAL);   // overflow
+  EXPECT_EQ(h.buckets()[0], 3u);
+  EXPECT_EQ(h.buckets()[1], 2u);
+  EXPECT_EQ(h.buckets()[2], 2u);
+  EXPECT_EQ(h.buckets()[3], 1u);
+  EXPECT_EQ(h.stats().count(), 8u);
+}
+
+TEST(Histogram, RejectsBadConfig) {
+  EXPECT_THROW(obs::HistogramCell(std::vector<double>{}),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::HistogramCell({1.0, 3.0, 2.0}),
+               cts::util::InvalidArgument);
+  // A snapshot must carry one bucket per edge plus the overflow bucket.
+  EXPECT_THROW(obs::HistogramCell::from_state({1.0, 2.0}, {0, 0}, {}),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::HistogramCell::from_state({2.0, 1.0}, {0, 0, 0}, {}),
+               cts::util::InvalidArgument);
+  EXPECT_NO_THROW(obs::HistogramCell::from_state({1.0, 2.0}, {1, 0, 2}, {}));
 }
 
 TEST(Histogram, MergeRequiresMatchingEdges) {

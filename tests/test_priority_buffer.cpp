@@ -6,13 +6,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "cts/proc/ar1.hpp"
+#include "cts/sim/scenario.hpp"
+#include "cts/util/error.hpp"
 
 namespace ca = cts::atm;
 namespace cp = cts::proc;
+namespace cs = cts::sim;
+namespace cu = cts::util;
 
 namespace {
 
@@ -81,7 +86,43 @@ ca::PrioritySharingResult run_hop(Sources& high, Sources& low,
   return result;
 }
 
+/// A two-class scenario whose one hop has the given capacity, buffer and
+/// threshold (cells/frame).
+std::string priority_spec(const std::string& capacity,
+                          const std::string& buffer,
+                          const std::string& threshold) {
+  return "cts.scenario.v1\n"
+         "[source hi]\n"
+         "model = white\n"
+         "[source lo]\n"
+         "model = white\n"
+         "priority = low\n"
+         "[hop m]\n"
+         "input = hi, lo\n"
+         "capacity = " + capacity + "\n"
+         "buffer = " + buffer + "\n"
+         "threshold = " + threshold + "\n";
+}
+
 }  // namespace
+
+TEST(PrioritySharing, ValidatesConfig) {
+  // A priority hop's S, B and C are checked where a scenario declares
+  // them, before evolve_priority_frame runs: 0 <= S <= B and C > 0.
+  EXPECT_THROW(cs::parse_scenario(priority_spec("1200", "100", "101")),
+               cu::InvalidArgument);
+  EXPECT_THROW(cs::parse_scenario(priority_spec("1200", "100", "-1")),
+               cu::InvalidArgument);
+  EXPECT_THROW(cs::parse_scenario(priority_spec("0", "100", "50")),
+               cu::InvalidArgument);
+  // S = B (the single-class recursion) and S = 0 are both legal.
+  for (const char* s : {"100", "0"}) {
+    const cs::Scenario sc = cs::parse_scenario(priority_spec("1200", "100", s));
+    ASSERT_EQ(sc.hops.size(), 1u);
+    EXPECT_TRUE(sc.hops[0].priority()) << "S = " << s;
+    EXPECT_DOUBLE_EQ(sc.hops[0].threshold_cells, std::stod(s));
+  }
+}
 
 TEST(PrioritySharing, UnderloadLosesNothing) {
   Sources high = constant(200.0);

@@ -1,9 +1,11 @@
 // Unit tests for deterministic smoothing and the link model.
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "cts/atm/gcra.hpp"
 #include "cts/atm/link.hpp"
 #include "cts/atm/smoothing.hpp"
 #include "cts/util/error.hpp"
@@ -14,6 +16,26 @@ namespace cu = cts::util;
 TEST(Smoothing, EmptyFrameHasEmptySchedule) {
   // No cells, no spacing: an empty frame schedules nothing.
   EXPECT_DOUBLE_EQ(ca::smoothing_gap(0, 0.04), 0.0);
+}
+
+TEST(Smoothing, ScheduleIsEquispacedWithinFrame) {
+  // FramePolicer replays a frame's cells at the smoothing schedule: 4
+  // cells in a Ts = 1/16 s frame depart at (j + 1/2)/64 s (all times
+  // exact in binary).  A zero-tolerance GCRA at exactly one cell per
+  // 1/64 s passes them all, frame after frame, so the gap is a constant
+  // Ts/cells, also across the frame boundary.
+  const double Ts = 0.0625;
+  ca::FramePolicer exact(64.0, 0.0, Ts);
+  exact.police(0, 4.0);
+  // The last cell departs at 3.5/64 s, half a gap before the frame ends.
+  EXPECT_EQ(exact.bucket(0).tat(), 3.5 / 64.0 + 1.0 / 64.0);
+  for (std::uint64_t n = 1; n < 5; ++n) {
+    EXPECT_DOUBLE_EQ(exact.police(n, 4.0), 4.0) << "frame " << n;
+  }
+  EXPECT_EQ(exact.tally().nonconforming, 0u);
+  // A contract a hair slower than the gap rejects every other cell.
+  ca::FramePolicer slower(64.0 * (1.0 - 1e-9), 0.0, Ts);
+  EXPECT_DOUBLE_EQ(slower.police(0, 4.0), 2.0);
 }
 
 TEST(Smoothing, GapMatchesScheduleSpacing) {
