@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernels for the analytic and simulation hot paths.
 //
 // The kernels here back the CTS scan (`RateFunction::evaluate`), the
-// Davies-Harte block scaling, the Hosking/Durbin-Levinson inner products
-// and the fractal ON/OFF sojourn draws behind every FBNDP source.
+// Davies-Harte block scaling, the Hosking/Durbin-Levinson inner products,
+// the fractal ON/OFF sojourn draws behind every FBNDP source and the
+// finite-buffer sweep of the fluid multiplexer (`FluidMux::run`).
 // Dispatch picks the best instruction set the host supports (AVX2 > SSE2 >
 // scalar, probed once via cpuid) and can be overridden for testing with
 // the `CTS_SIMD=scalar|sse2|avx2` environment variable or the `force()`
@@ -20,13 +21,19 @@
 // argmin under strict `<` with lowest-m tie-breaking, which is independent
 // of evaluation order altogether.  `fractal_sojourns` is element-wise too:
 // generic log and exp lane bodies, instantiated per width, built from
-// IEEE-754 add/sub/mul/div and integer bit operations only.  Tests assert the
+// IEEE-754 add/sub/mul/div and integer bit operations only.  `fifo_step`
+// is element-wise over its queue lanes: one generic lane body of IEEE-754
+// add/sub, compares and bitwise blends.  Its clamp is a blend of bit
+// patterns, not arithmetic: a lane with w > B takes B, a lane with w < 0
+// takes the all-zero pattern (+0), and every other lane keeps w's own bits,
+// so a -0.0 workload stays -0.0 on every tier.  Tests assert the
 // contract kernel-by-kernel and end-to-end at the curve level
-// (test_simd_kernels, test_curve_bit_identity).
+// (test_simd_kernels, test_curve_bit_identity, test_golden_fluid_mux).
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace cts::core::simd {
@@ -129,5 +136,34 @@ struct SojournConsts {
 /// per-batch call noexcept.
 void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
                       const SojournConsts& consts) noexcept;
+
+/// Structure-of-arrays state of `count` finite-buffer fluid queues fed by
+/// one shared arrival stream: lane i is the queue of buffer size buffer[i].
+/// The caller owns the arrays; `fifo_step` updates all but `buffer`.
+struct FifoLanes {
+  double* workload = nullptr;            ///< W_i, cells (start at 0)
+  const double* buffer = nullptr;        ///< B_i >= 0, cells (+inf allowed)
+  double* lost = nullptr;                ///< Kahan sum of cells lost
+  double* comp = nullptr;                ///< its Kahan compensation
+  std::uint64_t* loss_frames = nullptr;  ///< measured frames with a loss
+  std::size_t count = 0;
+};
+
+/// One frame of the finite-buffer Lindley recursion on every lane, with
+/// net = A - C the frame's arrivals minus the service capacity:
+///
+///   w = W_i + net;  W_i <- B_i if w > B_i,  +0 if w < 0,  w otherwise,
+///
+/// and, only where w > B_i and only while `measuring`, the Kahan update of
+/// lost_i by the loss w - B_i (y = loss - comp_i, t = lost_i + y,
+/// comp_i = (t - lost_i) - y, lost_i = t) and ++loss_frames_i.  Branch-free
+/// masked lanes; byte-identical on every kind (see the file comment).
+/// Lanes must enter with W_i <= B_i, as the recursion leaves them from
+/// W_i = 0: a frame with net <= 0 then cannot overflow any lane, and the
+/// kernel skips its tally pass.  `kind` must be one the host supports
+/// (e.g. a value `active()` returned), so a caller resolves dispatch once
+/// per run.
+void fifo_step(Kind kind, const FifoLanes& lanes, double net,
+               bool measuring) noexcept;
 
 }  // namespace cts::core::simd

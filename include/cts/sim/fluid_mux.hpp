@@ -14,7 +14,9 @@
 // workload used for buffer-overflow probabilities.  Because the recursion
 // for every buffer size consumes the same arrival sequence, one pass
 // evaluates a whole vector of buffer sizes (and BOP thresholds) at once --
-// this is what makes the paper-scale sweeps affordable.
+// this is what makes the paper-scale sweeps affordable.  The buffers run as
+// the lanes of the SIMD kernel core::simd::fifo_step; each measured frame
+// bins the infinite-buffer workload once against the sorted thresholds.
 
 #pragma once
 

@@ -62,8 +62,9 @@ class Flags {
 
 /// Strict full-string double parse: `text` must be exactly one finite
 /// decimal/scientific number ("1.5", "-2e3").  Returns false on empty
-/// input, trailing junk ("1.5abc"), or overflow ("1e999").  Underflow to
-/// zero/denormal is accepted.  Stores the value in *out on success.
+/// input, trailing junk ("1.5abc"), non-finite values ("inf", "nan",
+/// "infinity") or overflow ("1e999").  Underflow to zero/denormal is
+/// accepted.  Stores the value in *out on success.
 bool try_parse_double(const std::string& text, double* out) noexcept;
 
 /// Strict full-string integer parse (the env_int treatment): `text` must

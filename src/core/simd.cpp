@@ -278,6 +278,78 @@ template <class V, class U>
   }
 }
 
+// ---------------------------------------------------------------------------
+// Finite-buffer fluid queue kernel.  One generic lane body, like the sojourn
+// kernel: `double`/`uint64_t` lanes on the scalar tier, vector-extension
+// types on SSE2 and AVX2.  The clamp and the tally updates are compare masks
+// and blends, so every lane runs the same add/sub sequence whatever its
+// outcome and the tiers agree bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Lanes [i, i + width of V) of one fifo_step frame.  On vector types
+/// `x > y` is a lane mask and `mask ? a : b` a lane-wise blend of bit
+/// patterns; on the scalar tier they are the plain compare and select.
+template <class V, class U, bool kTally>
+[[gnu::always_inline]] inline void fifo_lanes(const FifoLanes& l,
+                                              std::size_t i, const V& net) {
+  V w, b;
+  std::memcpy(&w, l.workload + i, sizeof w);
+  std::memcpy(&b, l.buffer + i, sizeof b);
+  w = w + net;
+  const auto over = w > b;
+  if constexpr (kTally) {
+    V lost, comp;
+    U frames;
+    std::memcpy(&lost, l.lost + i, sizeof lost);
+    std::memcpy(&comp, l.comp + i, sizeof comp);
+    std::memcpy(&frames, l.loss_frames + i, sizeof frames);
+    const V y = (w - b) - comp;
+    const V t = lost + y;
+    comp = over ? (t - lost) - y : comp;
+    lost = over ? t : lost;
+    frames = over ? frames + 1 : frames;
+    std::memcpy(l.lost + i, &lost, sizeof lost);
+    std::memcpy(l.comp + i, &comp, sizeof comp);
+    std::memcpy(l.loss_frames + i, &frames, sizeof frames);
+  }
+  // w > B takes B; w < 0 takes +0 (all-zero bits); the rest keep w's bits.
+  w = over ? b : (w < 0.0 ? V{} : w);
+  std::memcpy(l.workload + i, &w, sizeof w);
+}
+
+/// Whole vectors of lanes, then the remainder one lane at a time through
+/// the same body.
+template <class V, class U, bool kTally>
+[[gnu::always_inline]] inline void fifo_step_lanes(const FifoLanes& lanes,
+                                                   double net) {
+  constexpr std::size_t kW = sizeof(V) / sizeof(double);
+  // A local copy: the lane stores cannot alias it, so its pointers and
+  // count stay in registers.
+  const FifoLanes l = lanes;
+  // x - (+0) is x for every x, -0.0 included (0 + x would give +0), so
+  // this broadcasts net exactly.
+  const V vnet = net - V{};
+  std::size_t i = 0;
+  for (; i + kW <= l.count; i += kW) fifo_lanes<V, U, kTally>(l, i, vnet);
+  for (; i < l.count; ++i) {
+    fifo_lanes<double, std::uint64_t, kTally>(l, i, net);
+  }
+}
+
+template <class V, class U>
+[[gnu::always_inline]] inline void fifo_step_tier(const FifoLanes& l,
+                                                  double net, bool tally) {
+  if (tally) {
+    fifo_step_lanes<V, U, true>(l, net);
+  } else {
+    fifo_step_lanes<V, U, false>(l, net);
+  }
+}
+
+void fifo_step_scalar(const FifoLanes& l, double net, bool tally) {
+  fifo_step_tier<double, std::uint64_t>(l, net, tally);
+}
+
 #if CTS_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -616,6 +688,16 @@ __attribute__((target("avx2"))) void fractal_sojourns_avx2(
   fractal_sojourns_wide<V4d, V4u>(u, out, n, c);
 }
 
+__attribute__((target("sse2"))) void fifo_step_sse2(const FifoLanes& l,
+                                                    double net, bool tally) {
+  fifo_step_tier<V2d, V2u>(l, net, tally);
+}
+
+__attribute__((target("avx2"))) void fifo_step_avx2(const FifoLanes& l,
+                                                    double net, bool tally) {
+  fifo_step_tier<V4d, V4u>(l, net, tally);
+}
+
 #endif  // CTS_SIMD_X86
 
 std::atomic<int> g_forced{-1};
@@ -779,6 +861,26 @@ void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
 #endif
     default:
       fractal_sojourns_scalar(u, out, n, consts);
+  }
+}
+
+void fifo_step(Kind kind, const FifoLanes& lanes, double net,
+               bool measuring) noexcept {
+  // Every lane enters with W_i <= B_i, so unless net > 0 each w = W_i + net
+  // rounds to at most W_i and no lane can overflow: the tally pass would
+  // only blend back what it read, and is skipped.
+  const bool tally = measuring && net > 0.0;
+  switch (kind) {
+#if CTS_SIMD_X86
+    case Kind::kAvx2:
+      fifo_step_avx2(lanes, net, tally);
+      return;
+    case Kind::kSse2:
+      fifo_step_sse2(lanes, net, tally);
+      return;
+#endif
+    default:
+      fifo_step_scalar(lanes, net, tally);
   }
 }
 

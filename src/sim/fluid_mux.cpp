@@ -1,7 +1,9 @@
 #include "cts/sim/fluid_mux.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "cts/core/simd.hpp"
 #include "cts/obs/metrics.hpp"
 #include "cts/obs/progress.hpp"
 #include "cts/obs/trace.hpp"
@@ -34,15 +36,33 @@ FluidRunResult FluidMux::run(
     result.bop[i].threshold_cells = config.bop_thresholds_cells[i];
   }
 
-  // One workload per finite buffer plus one infinite-buffer workload.
-  std::vector<double> w_finite(config.buffer_sizes_cells.size(), 0.0);
+  // The finite buffers advance together as the lanes of one SIMD kernel
+  // (structure of arrays); the infinite-buffer workload stays scalar.
+  const std::size_t k = config.buffer_sizes_cells.size();
+  std::vector<double> workload(k, 0.0);
+  std::vector<double> lost(k, 0.0);
+  std::vector<double> loss_comp(k, 0.0);  // Kahan compensation of `lost`
+  std::vector<std::uint64_t> loss_frames(k, 0);
+  const core::simd::FifoLanes lanes{workload.data(),
+                                    config.buffer_sizes_cells.data(),
+                                    lost.data(),
+                                    loss_comp.data(),
+                                    loss_frames.data(),
+                                    k};
+  const core::simd::Kind kind = core::simd::active();
+
+  // BOP counting against the sorted thresholds: a measured frame lands in
+  // hits[j], j = the number of thresholds strictly below W (lower_bound),
+  // so threshold x is exceeded by the frames in hits[j'] for j' above x's
+  // first sorted position.  Unsorted and duplicate thresholds work as is.
+  std::vector<double> sorted = config.bop_thresholds_cells;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::uint64_t> hits(sorted.size() + 1, 0);
+
   double w_infinite = 0.0;
   const double c = config.capacity_cells;
-
-  // Kahan compensation for the long loss/arrival accumulations.
-  std::vector<double> loss_comp(w_finite.size(), 0.0);
   double arrived = 0.0;
-  double arrived_comp = 0.0;
+  double arrived_comp = 0.0;  // Kahan compensation of `arrived`
 
   double peak_workload = 0.0;
   // Progress ticks are batched so the hot loop touches the reporter's
@@ -66,38 +86,32 @@ FluidRunResult FluidMux::run(
     }
 
     const double net = a - c;
-    for (std::size_t i = 0; i < w_finite.size(); ++i) {
-      const double b = config.buffer_sizes_cells[i];
-      double w = w_finite[i] + net;
-      if (w > b) {
-        if (measuring) {
-          const double loss = w - b;
-          auto& tally = result.clr[i];
-          const double y = loss - loss_comp[i];
-          const double t = tally.lost_cells + y;
-          loss_comp[i] = (t - tally.lost_cells) - y;
-          tally.lost_cells = t;
-          ++tally.loss_frames;
-        }
-        w = b;
-      } else if (w < 0.0) {
-        w = 0.0;
-      }
-      w_finite[i] = w;
-    }
+    core::simd::fifo_step(kind, lanes, net, measuring);
 
     w_infinite = std::max(w_infinite + net, 0.0);
     if (measuring) {
       if (w_infinite > peak_workload) peak_workload = w_infinite;
-      for (std::size_t i = 0; i < result.bop.size(); ++i) {
-        if (w_infinite > config.bop_thresholds_cells[i]) {
-          ++result.bop[i].exceed_frames;
-        }
-      }
+      ++hits[static_cast<std::size_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), w_infinite) -
+          sorted.begin())];
     }
   }
   if (config.progress != nullptr) {
     config.progress->add_frames(total % kProgressStride);
+  }
+
+  for (std::size_t i = 0; i < k; ++i) {
+    result.clr[i].lost_cells = lost[i];
+    result.clr[i].loss_frames = loss_frames[i];
+  }
+  // above[j] = hits[j] + hits[j + 1] + ...: the frames with W > sorted[j-1].
+  std::vector<std::uint64_t> above(hits.size() + 1, 0);
+  for (std::size_t j = hits.size(); j-- > 0;) above[j] = above[j + 1] + hits[j];
+  for (BopTally& tally : result.bop) {
+    const auto first = std::lower_bound(sorted.begin(), sorted.end(),
+                                        tally.threshold_cells);
+    tally.exceed_frames =
+        above[static_cast<std::size_t>(first - sorted.begin()) + 1];
   }
 
   result.arrived_cells = arrived;
@@ -109,14 +123,11 @@ FluidRunResult FluidMux::run(
   shard.add("fluid_mux.runs");
   shard.add("fluid_mux.frames", config.frames);
   shard.add_sum("fluid_mux.arrived_cells", arrived);
-  double lost = 0.0;
-  std::uint64_t loss_frames = 0;
-  for (const ClrTally& tally : result.clr) {
-    lost += tally.lost_cells;
-    loss_frames += tally.loss_frames;
-  }
-  shard.add_sum("fluid_mux.lost_cells", lost);
-  shard.add("fluid_mux.loss_frames", loss_frames);
+  shard.add_sum("fluid_mux.lost_cells",
+                std::accumulate(lost.begin(), lost.end(), 0.0));
+  shard.add("fluid_mux.loss_frames",
+            std::accumulate(loss_frames.begin(), loss_frames.end(),
+                            std::uint64_t{0}));
   shard.gauge("fluid_mux.peak_workload_cells", peak_workload,
               obs::GaugeMode::kMax);
   obs::MetricsRegistry::global().merge(shard);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -57,7 +56,7 @@ const ScenarioSectionDoc& section_doc(const std::string& section) {
 double parse_number(int line, const std::string& key,
                     const std::string& value) {
   double out = 0.0;
-  cu::require(cu::try_parse_double(value, &out) && std::isfinite(out),
+  cu::require(cu::try_parse_double(value, &out),
               at_line(line) + "key '" + key + "' needs a finite number, " +
                   "got '" + value + "'");
   return out;

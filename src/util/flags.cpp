@@ -158,15 +158,12 @@ std::size_t Flags::warn_unknown(std::ostream& os,
 
 bool try_parse_double(const std::string& text, double* out) noexcept {
   if (text.empty()) return false;
-  errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') return false;
-  // Overflow is an error; underflow to zero/denormal is an acceptable
-  // representation of a tiny input.
-  if (errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL)) {
-    return false;
-  }
+  // "inf", "nan" and overflow to +-HUGE_VAL are errors; underflow to
+  // zero/denormal is an acceptable representation of a tiny input.
+  if (!std::isfinite(value)) return false;
   if (out != nullptr) *out = value;
   return true;
 }

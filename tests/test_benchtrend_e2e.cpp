@@ -168,6 +168,7 @@ TEST(CtsBenchtrend, UsageErrorsExitTwo) {
   using FlagAndMessage = std::pair<std::string, std::string>;
   for (const auto& [flag, message] :
        {FlagAndMessage{"--k=-1", "--k must be >= 0, got -1"},
+        {"--k=nan", "--k expects a number, got 'nan'"},
         {"--pct=-5", "--pct must be >= 0, got -5"},
         {"--window=-1", "--window must be >= 1, got -1"},
         {"--window=0", "--window must be >= 1, got 0"}}) {

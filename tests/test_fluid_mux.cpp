@@ -163,6 +163,45 @@ TEST(FluidMux, InfiniteBufferSeesMoreLossOpportunityThanFinite) {
   EXPECT_GE(result.bop[0].exceed_frames, result.clr[0].loss_frames);
 }
 
+TEST(FluidMux, UnsortedAndDuplicateThresholdsKeepTheirOrder) {
+  // W_inf cycles 100, 200, 0 (capacity 500 against 600, 600, 300).
+  auto sources = one_source(std::make_unique<PatternSource>(
+      std::vector<double>{600.0, 600.0, 300.0}));
+  cm::FluidRunConfig config;
+  config.frames = 300;
+  config.warmup_frames = 0;
+  config.capacity_cells = 500.0;
+  config.bop_thresholds_cells = {150.0, 0.0, 50.0, 50.0, 1e9, 0.0, 120.0};
+  const cm::FluidRunResult result = cm::FluidMux::run(sources, config);
+  const std::uint64_t want[] = {100, 200, 200, 200, 0, 200, 100};
+  ASSERT_EQ(result.bop.size(), std::size(want));
+  for (std::size_t i = 0; i < result.bop.size(); ++i) {
+    EXPECT_EQ(result.bop[i].threshold_cells,
+              config.bop_thresholds_cells[i]);
+    EXPECT_EQ(result.bop[i].exceed_frames, want[i]) << "threshold " << i;
+  }
+  EXPECT_EQ(result.peak_workload_cells, 200.0);
+}
+
+TEST(FluidMux, ThresholdEqualToTheWorkloadIsNotExceeded) {
+  // BOP counts W > x strictly: with W_inf cycling 100, 200, 0, the
+  // thresholds 100 and 200 are met exactly but exceeded by 1 and 0 frames
+  // per cycle, and one ulp below 100 by 2.
+  auto sources = one_source(std::make_unique<PatternSource>(
+      std::vector<double>{600.0, 600.0, 300.0}));
+  cm::FluidRunConfig config;
+  config.frames = 30;
+  config.warmup_frames = 0;
+  config.capacity_cells = 500.0;
+  config.bop_thresholds_cells = {200.0, 100.0, std::nextafter(100.0, 0.0),
+                                 200.0};
+  const cm::FluidRunResult result = cm::FluidMux::run(sources, config);
+  EXPECT_EQ(result.bop[0].exceed_frames, 0u);
+  EXPECT_EQ(result.bop[1].exceed_frames, 10u);
+  EXPECT_EQ(result.bop[2].exceed_frames, 20u);
+  EXPECT_EQ(result.bop[3].exceed_frames, 0u);
+}
+
 TEST(FluidMux, WarmupFramesAreExcludedFromTallies) {
   auto sources = one_source(std::make_unique<ConstantSource>(600.0));
   cm::FluidRunConfig config;

@@ -161,3 +161,17 @@ TEST(ModelZoo, RejectsBadParameters) {
   EXPECT_THROW(cf::make_za(1.0), cu::InvalidArgument);
   EXPECT_THROW(cf::make_dar_matched_to_za(0.9, 0), cu::InvalidArgument);
 }
+
+TEST(ModelZoo, IdsRejectNonFiniteParameters) {
+  for (const char* id : {"za:nan", "za:inf", "vv:inf", "ar1:nan",
+                         "dar:-inf:2", "farima:infinity", "mginf:NaN"}) {
+    try {
+      cf::model_from_id(id);
+      ADD_FAILURE() << id << " was accepted";
+    } catch (const cu::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("expected a number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}

@@ -1,12 +1,14 @@
 // End-to-end tests for tools/cts_scenariod against the COMMITTED example
-// specs: check mode, a reduced-scale run of the tandem spec, the 2-shard
-// merge byte-identity guarantee (cmp-equal files, the same diff CI runs),
-// cts_obstop --validate on every emitted artifact, the ATM shaping
-// metrics in the --metrics run report, and structured exit-2 errors.
+// specs: check mode (which must reject the models run rejects), a
+// reduced-scale run of the tandem spec, the 2-shard merge byte-identity
+// guarantee (cmp-equal files, the same diff CI runs), cts_obstop --validate
+// on every emitted artifact, the ATM shaping metrics in the --metrics run
+// report, and structured exit-2 errors.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -60,12 +62,45 @@ int run_tool(const std::string& args, std::string* out) {
 const char* kScale = "--reps=2 --frames=300 --warmup=50 --quiet";
 
 TEST(ScenariodE2e, CheckModeAcceptsEveryCommittedSpec) {
-  for (const char* name :
-       {"paper_baseline.scn", "tandem_3hop.scn", "priority_two_class.scn",
-        "policed_smoothed.scn", "heterogeneous_mix.scn"}) {
+  std::size_t specs = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CTS_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    ++specs;
     std::string out;
-    EXPECT_EQ(run_tool("check '" + spec(name) + "'", &out), 0) << out;
+    EXPECT_EQ(run_tool("check '" + entry.path().string() + "'", &out), 0)
+        << entry.path() << "\n" << out;
     EXPECT_NE(out.find("ok: scenario"), std::string::npos) << out;
+  }
+  EXPECT_GE(specs, 5u);
+}
+
+/// The "error: ..." line of a tool capture, or "" when there is none.
+std::string error_line(const std::string& out) {
+  const std::size_t at = out.find("error: ");
+  if (at == std::string::npos) return "";
+  return out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(ScenariodE2e, CheckRejectsTheModelsRunRejects) {
+  for (const char* model : {"za:5", "vv:inf", "za:nan", "ar1:nan"}) {
+    const std::string path = tmp("bad_model.scn");
+    {
+      std::ofstream out(path);
+      out << "cts.scenario.v1\n[scenario]\nframes = 20\nreplications = 1\n"
+             "[source s]\nmodel = "
+          << model << "\n[hop m]\ninput = s\ncapacity = 600\nbuffer = 100\n";
+      ASSERT_TRUE(out.good());
+    }
+    std::string checked, ran;
+    EXPECT_EQ(run_tool("check '" + path + "'", &checked), 2) << model;
+    EXPECT_EQ(run_tool("run '" + path + "' --quiet --out='" +
+                           tmp("bad_model.json") + "'",
+                       &ran),
+              2)
+        << model;
+    EXPECT_FALSE(error_line(checked).empty()) << checked;
+    EXPECT_EQ(error_line(checked), error_line(ran)) << model;
   }
 }
 

@@ -428,3 +428,205 @@ TEST(SimdFractalSojourns, FbndpFramesIdenticalOnScalarAndBestTier) {
         << id << " on " << cs::kind_name(kinds[1]);
   }
 }
+
+namespace {
+
+/// Finite-buffer fluid queues in the two layouts under comparison: the
+/// kernel's structure of arrays and the per-buffer tallies of the reference.
+struct FluidLanes {
+  std::vector<double> buffer;
+  std::vector<double> workload;
+  std::vector<double> lost;
+  std::vector<double> comp;
+  std::vector<std::uint64_t> loss_frames;
+
+  explicit FluidLanes(std::vector<double> buffers, double w0 = 0.0)
+      : buffer(std::move(buffers)),
+        workload(buffer.size(), w0),
+        lost(buffer.size(), 0.0),
+        comp(buffer.size(), 0.0),
+        loss_frames(buffer.size(), 0) {}
+
+  cs::FifoLanes view() {
+    return {workload.data(), buffer.data(), lost.data(),
+            comp.data(),     loss_frames.data(), buffer.size()};
+  }
+};
+
+struct RefTally {
+  double lost_cells = 0.0;
+  std::uint64_t loss_frames = 0;
+};
+
+/// FluidMux::run's per-buffer loop as it stood before the SIMD kernel,
+/// verbatim apart from the names of its containers.
+void reference_frame(const std::vector<double>& buffer_sizes_cells,
+                     std::vector<double>& w_finite,
+                     std::vector<double>& loss_comp,
+                     std::vector<RefTally>& clr, double net, bool measuring) {
+  for (std::size_t i = 0; i < w_finite.size(); ++i) {
+    const double b = buffer_sizes_cells[i];
+    double w = w_finite[i] + net;
+    if (w > b) {
+      if (measuring) {
+        const double loss = w - b;
+        auto& tally = clr[i];
+        const double y = loss - loss_comp[i];
+        const double t = tally.lost_cells + y;
+        loss_comp[i] = (t - tally.lost_cells) - y;
+        tally.lost_cells = t;
+        ++tally.loss_frames;
+      }
+      w = b;
+    } else if (w < 0.0) {
+      w = 0.0;
+    }
+    w_finite[i] = w;
+  }
+}
+
+/// Runs `nets` through the reference loop, measuring from frame `warmup`.
+FluidLanes reference_run(const std::vector<double>& buffers,
+                         const std::vector<double>& nets, std::size_t warmup,
+                         double w0 = 0.0) {
+  FluidLanes out(buffers, w0);
+  std::vector<RefTally> clr(buffers.size());
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    reference_frame(out.buffer, out.workload, out.comp, clr, nets[n],
+                    n >= warmup);
+  }
+  for (std::size_t i = 0; i < clr.size(); ++i) {
+    out.lost[i] = clr[i].lost_cells;
+    out.loss_frames[i] = clr[i].loss_frames;
+  }
+  return out;
+}
+
+/// The same run through fifo_step on the active (forced) kind.
+FluidLanes kernel_run(const std::vector<double>& buffers,
+                      const std::vector<double>& nets, std::size_t warmup,
+                      double w0 = 0.0) {
+  FluidLanes out(buffers, w0);
+  const cs::FifoLanes lanes = out.view();
+  const cs::Kind kind = cs::active();
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    cs::fifo_step(kind, lanes, nets[n], n >= warmup);
+  }
+  return out;
+}
+
+void expect_same_lanes(const FluidLanes& got, const FluidLanes& want,
+                       const std::string& what) {
+  EXPECT_TRUE(same_bytes(got.workload, want.workload)) << what << " workload";
+  EXPECT_TRUE(same_bytes(got.lost, want.lost)) << what << " lost";
+  EXPECT_TRUE(same_bytes(got.comp, want.comp)) << what << " comp";
+  EXPECT_EQ(got.loss_frames, want.loss_frames) << what << " loss_frames";
+}
+
+/// K buffers cycling through a zero, an infinite and lossy finite sizes.
+std::vector<double> buffer_mix(std::size_t k) {
+  const double sizes[] = {0.0, 100.0, HUGE_VAL, 37.5, 250.0, 1.0, 1000.0};
+  std::vector<double> buffers(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    buffers[i] = sizes[i % std::size(sizes)] + static_cast<double>(i / 7);
+  }
+  return buffers;
+}
+
+const std::size_t kLaneCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65};
+
+}  // namespace
+
+TEST(SimdFluidLanes, ExactHitsOnEveryKindAndLaneCount) {
+  // Whole-cell nets from a small set, so workloads land exactly on 0 and on
+  // their buffers, with net == 0 frames in between; measuring starts
+  // mid-run.
+  ForceGuard guard;
+  cu::Xoshiro256pp rng(538);
+  const double steps[] = {-100.0, -37.5, -1.0, 0.0, 0.0, 1.0, 37.5, 100.0,
+                          250.0};
+  std::vector<double> nets(3000);
+  for (double& net : nets) {
+    net = steps[static_cast<std::size_t>(rng.uniform01() * std::size(steps))];
+  }
+  for (const std::size_t k : kLaneCounts) {
+    const std::vector<double> buffers = buffer_mix(k);
+    const FluidLanes want = reference_run(buffers, nets, 700);
+    for (const cs::Kind kind : supported_kinds()) {
+      cs::force(kind);
+      expect_same_lanes(kernel_run(buffers, nets, 700), want,
+                        std::string(cs::kind_name(kind)) +
+                            " K=" + std::to_string(k));
+    }
+  }
+  // The inputs do reach both edges and the lossy and lossless cases.
+  const FluidLanes probe = reference_run(buffer_mix(7), nets, 700);
+  EXPECT_GT(probe.loss_frames[0], 0u);   // B = 0
+  EXPECT_EQ(probe.loss_frames[2], 0u);   // B = +inf
+  EXPECT_GT(probe.loss_frames[6], 0u);   // B = 1000
+}
+
+TEST(SimdFluidLanes, LongRunsKeepKahanCompensationBitIdentical) {
+  // Fractional nets over long runs: the Kahan compensation carries real
+  // low-order bits, and every kind must carry the same ones.
+  ForceGuard guard;
+  cu::Xoshiro256pp rng(1996);
+  std::vector<double> nets(200000);
+  double x = 0.0;
+  for (double& net : nets) {
+    x = 0.975 * x + 0.3 * (rng.uniform01() - 0.5);
+    net = 700.0 * x - 40.0 + rng.uniform01() / 3.0;
+  }
+  std::vector<double> buffers;
+  for (std::size_t i = 0; i < 65; ++i) {
+    buffers.push_back(25.0 * std::pow(1.1, static_cast<double>(i)));
+  }
+  const FluidLanes want = reference_run(buffers, nets, 5000);
+  std::size_t compensated = 0;
+  for (double c : want.comp) compensated += c != 0.0 ? 1 : 0;
+  EXPECT_GT(compensated, buffers.size() / 2);
+  for (const cs::Kind kind : supported_kinds()) {
+    cs::force(kind);
+    expect_same_lanes(kernel_run(buffers, nets, 5000), want,
+                      cs::kind_name(kind));
+  }
+}
+
+TEST(SimdFluidLanes, WarmupFramesLeaveTalliesUntouched) {
+  ForceGuard guard;
+  const std::vector<double> nets(50, 10.0);  // overflows B = 0 every frame
+  for (const cs::Kind kind : supported_kinds()) {
+    cs::force(kind);
+    const FluidLanes all_warmup = kernel_run(buffer_mix(9), nets, nets.size());
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(all_warmup.lost[i], 0.0) << cs::kind_name(kind);
+      EXPECT_EQ(all_warmup.loss_frames[i], 0u) << cs::kind_name(kind);
+    }
+    const FluidLanes last_ten = kernel_run(buffer_mix(9), nets, 40);
+    EXPECT_EQ(last_ten.lost[0], 100.0) << cs::kind_name(kind);
+    EXPECT_EQ(last_ten.loss_frames[0], 10u) << cs::kind_name(kind);
+  }
+}
+
+TEST(SimdFluidLanes, NegativeZeroWorkloadKeepsItsSign) {
+  // w = -0.0 is neither above B nor below 0, so it is kept bit for bit;
+  // a negative w clamps to +0.
+  ForceGuard guard;
+  const std::vector<double> buffers = buffer_mix(9);
+  const std::vector<double> kept(3, -0.0);
+  const std::vector<double> clamped = {-0.0, -5.0};
+  for (const cs::Kind kind : supported_kinds()) {
+    cs::force(kind);
+    const FluidLanes a = kernel_run(buffers, kept, 0, -0.0);
+    expect_same_lanes(a, reference_run(buffers, kept, 0, -0.0),
+                      cs::kind_name(kind));
+    for (double w : a.workload) EXPECT_TRUE(std::signbit(w)) << w;
+    const FluidLanes b = kernel_run(buffers, clamped, 0, -0.0);
+    expect_same_lanes(b, reference_run(buffers, clamped, 0, -0.0),
+                      cs::kind_name(kind));
+    for (double w : b.workload) {
+      EXPECT_EQ(w, 0.0);
+      EXPECT_FALSE(std::signbit(w));
+    }
+  }
+}

@@ -104,6 +104,23 @@ TEST(Flags, RejectsMalformedValues) {
   EXPECT_THROW(flags.get_int("frames", 0), cu::InvalidArgument);
 }
 
+TEST(Flags, RejectsNonFiniteNumbers) {
+  for (const char* text : {"inf", "-inf", "nan", "infinity", "NaN", "-INF"}) {
+    const std::string arg = std::string("--buffer-ms=") + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    const cu::Flags flags(2, argv);
+    try {
+      flags.get_double("buffer-ms", 1.0);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const cu::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--buffer-ms expects a number"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(text), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Flags, UnknownKeysReportsTyposOnly) {
   const char* argv[] = {"prog", "--frmes=500000", "--csv=out.csv", "--quiet"};
   cu::Flags flags(4, argv);
@@ -243,6 +260,8 @@ TEST(TryParseDouble, StrictFullString) {
   EXPECT_FALSE(cu::try_parse_double("1.5abc", &value));
   EXPECT_FALSE(cu::try_parse_double("abc", &value));
   EXPECT_FALSE(cu::try_parse_double("1e999", &value));   // overflow
+  EXPECT_FALSE(cu::try_parse_double("inf", &value));     // non-finite
+  EXPECT_FALSE(cu::try_parse_double("nan", &value));
   EXPECT_TRUE(cu::try_parse_double("1e-999", &value));   // underflow is fine
   EXPECT_TRUE(cu::try_parse_double("250", nullptr));     // probe-only call
 }

@@ -21,7 +21,8 @@
 // replications; seeds derive from global replication indices, so `merge`
 // reassembles the partials into a document byte-identical to a
 // single-process run of the same spec (the CI smoke diffs exactly that).
-// check parses and validates a spec without running it.
+// check parses and validates a spec and resolves its source models (a bad
+// zoo id fails as it would in run) without running it.
 //
 // Exit codes: 0 ok, 2 usage / spec / input errors.
 
@@ -60,8 +61,9 @@ void usage() {
       "Runs a cts.scenario.v1 spec (sources -> network of fluid-mux hops)\n"
       "through the sharded replication harness and writes a\n"
       "cts.scenarioresult.v1 report.  merge reassembles --shard partials\n"
-      "byte-identically to a single-process run; check only parses and\n"
-      "validates the spec.  docs/scenarios.md documents every spec key.\n\n"
+      "byte-identically to a single-process run; check only parses,\n"
+      "validates and resolves the models of the spec.  docs/scenarios.md\n"
+      "documents every spec key.\n\n"
       "flags:\n");
   for (const cli::FlagDoc& flag : cli::kScenariodFlags) {
     std::string name = std::string("--") + flag.name;
@@ -229,6 +231,8 @@ int check_mode(const std::vector<std::string>& args) {
       sim::parse_scenario(cu::read_text_file(args[0]));
   std::size_t instances = 0;
   for (const sim::ScenarioSource& group : scenario.sources) {
+    // Resolved as `run` resolves it, so a bad zoo id fails here the same way.
+    sim::resolve_scenario_model(group.model);
     instances += group.count;
   }
   std::string order;
