@@ -16,13 +16,15 @@
 // (cts.profile.v1 span-path profile; --profile-folded writes it as
 // collapsed stacks), --quiet (suppress the stderr progress line;
 // CTS_QUIET=1 equivalent) and --help, via the ObsGuard each main()
-// constructs right after flag parsing.
+// constructs right after flag parsing.  It also turns an input error that
+// escapes main (e.g. --buffer-ms=abc) into "<id>: <message>" and exit 2.
 
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -93,8 +95,9 @@ inline cts::sim::ReplicationConfig bench_scale() {
 /// and warns about unrecognised --flags with a did-you-mean suggestion,
 /// (b) enables span recording when --trace or --perf was passed,
 /// (c) honours --quiet, (d) arms the resource probe / hardware counters
-/// for --perf, and (e) on destruction writes the --metrics run report,
-/// the --trace file and the --perf report.
+/// for --perf, (e) on destruction writes the --metrics run report,
+/// the --trace file and the --perf report, and (f) makes an
+/// InvalidArgument that escapes main exit 2 with "<id>: <message>".
 class ObsGuard {
  public:
   /// Preferred constructor: a registered bench (see bench_suite.hpp);
@@ -118,6 +121,13 @@ class ObsGuard {
       print_help(extra_known);
       std::exit(0);
     }
+    // No bench main catches, so an InvalidArgument that escapes one (a
+    // typed flag accessor, an env override, --shard) reaches
+    // std::terminate, which would abort with exit 134.
+    escaped_id_ = run_id_;
+    if (std::get_terminate() != &exit_on_escaped_input_error) {
+      next_terminate_ = std::set_terminate(&exit_on_escaped_input_error);
+    }
     flags_.warn_unknown(std::cerr, known);
     if (flags_.get_bool("quiet", false)) cts::obs::force_quiet(true);
     if (flags_.has("shard") || flags_.has("shard-out")) {
@@ -129,12 +139,8 @@ class ObsGuard {
       // single-process reference file the merge tests diff against.
       if (flags_.has("shard")) {
         const std::string spec_text = flags_.get_string("shard", "0/1");
-        try {
-          (void)cts::sim::parse_shard_spec(spec_text);
-        } catch (const cts::util::InvalidArgument& e) {
-          std::fprintf(stderr, "%s: --shard: %s\n", run_id_.c_str(), e.what());
-          std::exit(2);
-        }
+        // A malformed spec throws: "<id>: shard spec: ...", exit 2.
+        (void)cts::sim::parse_shard_spec(spec_text);
         ::setenv("REPRO_SHARD", spec_text.c_str(), 1);
       }
       shard_path_ = flags_.get_string("shard-out", run_id_ + "_shard.json");
@@ -210,7 +216,7 @@ class ObsGuard {
       if (!kind_.empty()) report.set("bench_kind", kind_);
       if (!title_.empty()) report.set("bench_title", title_);
       report.set("repro_full", cts::util::env_flag("REPRO_FULL"));
-      const cts::sim::ReplicationConfig scale = bench_scale_echo();
+      const cts::sim::ReplicationConfig scale = bench_scale();
       report.set("replications", static_cast<std::uint64_t>(scale.replications));
       report.set("frames_per_replication", scale.frames_per_replication);
       report.set("warmup_frames", scale.warmup_frames);
@@ -223,30 +229,16 @@ class ObsGuard {
       }
       report.set("hardware_concurrency",
                  static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-      if (report.write(metrics_path_)) {
-        std::printf("[metrics written to %s]\n", metrics_path_.c_str());
-      } else {
-        std::printf("[warning: could not write metrics to %s]\n",
-                    metrics_path_.c_str());
-      }
+      announce(report.write(metrics_path_), "metrics", metrics_path_);
     }
     if (!trace_path_.empty()) {
-      if (cts::obs::TraceRecorder::global().write(trace_path_)) {
-        std::printf("[trace written to %s (%zu spans)]\n", trace_path_.c_str(),
-                    cts::obs::TraceRecorder::global().event_count());
-      } else {
-        std::printf("[warning: could not write trace to %s]\n",
-                    trace_path_.c_str());
-      }
+      const cts::obs::TraceRecorder& trace = cts::obs::TraceRecorder::global();
+      announce(trace.write(trace_path_), "trace", trace_path_,
+               " (" + std::to_string(trace.event_count()) + " spans)");
     }
     if (!shard_path_.empty()) {
       cts::sim::ShardRecorder& shards = cts::sim::ShardRecorder::global();
-      if (shards.write()) {
-        std::printf("[shard file written to %s]\n", shard_path_.c_str());
-      } else {
-        std::printf("[warning: could not write shard file to %s]\n",
-                    shard_path_.c_str());
-      }
+      announce(shards.write(), "shard file", shard_path_);
       shards.disable();
     }
     if (!perf_path_.empty()) {
@@ -257,37 +249,47 @@ class ObsGuard {
       report.resources = probe_->sample();
       report.hw = counters_->stop();
       report.spans = cts::obs::spans_by_name(spans.paths());
-      if (report.write(perf_path_)) {
-        std::printf("[perf report written to %s]\n", perf_path_.c_str());
-      } else {
-        std::printf("[warning: could not write perf report to %s]\n",
-                    perf_path_.c_str());
-      }
+      announce(report.write(perf_path_), "perf report", perf_path_);
     }
     if (!profile_path_.empty()) {
-      if (spans.write_profile(profile_path_)) {
-        std::printf("[profile written to %s (%llu spans)]\n",
-                    profile_path_.c_str(),
-                    static_cast<unsigned long long>(spans.spans()));
-      } else {
-        std::printf("[warning: could not write profile to %s]\n",
-                    profile_path_.c_str());
-      }
+      announce(spans.write_profile(profile_path_), "profile", profile_path_,
+               " (" + std::to_string(spans.spans()) + " spans)");
     }
     if (!profile_folded_path_.empty()) {
-      if (spans.write_folded_file(profile_folded_path_)) {
-        std::printf("[folded profile written to %s]\n",
-                    profile_folded_path_.c_str());
-      } else {
-        std::printf("[warning: could not write folded profile to %s]\n",
-                    profile_folded_path_.c_str());
-      }
+      announce(spans.write_folded_file(profile_folded_path_),
+               "folded profile", profile_folded_path_);
     }
   }
 
-  /// The env-resolved scale the simulation benches run at, echoed into the
-  /// report so two runs can be diffed for comparability first.
-  static cts::sim::ReplicationConfig bench_scale_echo();
+  /// "[<what> written to <path><detail>]", or a warning when !ok.
+  static void announce(bool ok, const char* what, const std::string& path,
+                       const std::string& detail = "") {
+    if (ok) {
+      std::printf("[%s written to %s%s]\n", what, path.c_str(),
+                  detail.c_str());
+    } else {
+      std::printf("[warning: could not write %s to %s]\n", what, path.c_str());
+    }
+  }
+
+  /// Terminate handler: an escaped InvalidArgument is a usage error
+  /// ("<id>: <message>", exit 2); anything else keeps the previous
+  /// handler, which names the exception and aborts.
+  [[noreturn]] static void exit_on_escaped_input_error() {
+    try {
+      if (std::current_exception()) throw;
+    } catch (const cts::util::InvalidArgument& e) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "%s: %s\n", escaped_id_.c_str(), e.what());
+      std::_Exit(2);
+    } catch (...) {
+    }
+    if (next_terminate_ != nullptr) next_terminate_();
+    std::abort();
+  }
+
+  inline static std::string escaped_id_;
+  inline static std::terminate_handler next_terminate_ = nullptr;
 
   const cts::util::Flags& flags_;
   std::string run_id_;
@@ -304,21 +306,20 @@ class ObsGuard {
   std::unique_ptr<cts::obs::PerfCounterGroup> counters_;
 };
 
-inline cts::sim::ReplicationConfig ObsGuard::bench_scale_echo() {
-  return bench_scale();
-}
-
-/// Prints the shard-slice note under the scale line when the resolved
-/// scale is sharded (--shard / REPRO_SHARD), so a worker's log says which
-/// global replications it actually ran.
-inline void shard_note(const cts::sim::ReplicationConfig& scale) {
-  if (scale.shard_count <= 1) return;
-  const std::size_t lo =
-      scale.replications * scale.shard_index / scale.shard_count;
-  const std::size_t hi =
-      scale.replications * (scale.shard_index + 1) / scale.shard_count;
-  std::printf("[shard %zu/%zu: global replications [%zu, %zu)]\n",
-              scale.shard_index, scale.shard_count, lo, hi);
+/// Prints the resolved scale line and, when the scale is sharded
+/// (--shard / REPRO_SHARD), which global replications this worker runs,
+/// then a blank line.
+inline void scale_note(const cts::sim::ReplicationConfig& scale) {
+  std::printf("[scale: %zu reps x %llu frames]\n", scale.replications,
+              static_cast<unsigned long long>(scale.frames_per_replication));
+  if (scale.shard_count > 1) {
+    std::printf("[shard %zu/%zu: global replications [%zu, %zu)]\n",
+                scale.shard_index, scale.shard_count,
+                scale.replications * scale.shard_index / scale.shard_count,
+                scale.replications * (scale.shard_index + 1) /
+                    scale.shard_count);
+  }
+  std::printf("\n");
 }
 
 /// Prints the standard bench banner (figure id + scale note).
@@ -348,6 +349,36 @@ inline void maybe_write_csv(const cts::util::Flags& flags,
 inline std::string log10_or_floor(double p) {
   if (p <= 0.0) return "-inf";
   return cts::util::format_fixed(std::log10(p), 3);
+}
+
+/// One panel of simulated CLR curves (Figs. 8 and 9): a table of log10 CLR
+/// per buffer (rows) and model (columns), mirrored as CSV rows tagged
+/// `panel_id`.
+inline void clr_panel(const std::string& title,
+                      const std::vector<cts::fit::ModelSpec>& models,
+                      const cts::sim::MuxGeometry& g,
+                      const std::vector<double>& grid,
+                      const cts::sim::ReplicationConfig& scale,
+                      cts::util::CsvWriter& csv, const std::string& panel_id) {
+  namespace cu = cts::util;
+  std::printf("%s\n\n", title.c_str());
+  std::vector<std::string> headers = {"B (msec)"};
+  for (const auto& m : models) headers.push_back("log10 " + m.name);
+  cu::TextTable table(std::move(headers));
+  std::vector<cts::sim::SimulatedCurve> curves;
+  for (const auto& m : models) {
+    curves.push_back(cts::sim::simulated_clr_curve(m, g, grid, scale));
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    std::vector<std::string> row = {cu::format_fixed(grid[i], 1)};
+    for (const auto& curve : curves) {
+      row.push_back(log10_or_floor(curve.clr[i]));
+      csv.add_row({panel_id, cu::format_fixed(grid[i], 3), curve.model,
+                   cu::format_sci(curve.clr[i], 4)});
+    }
+    table.add_row(std::move(row));
+  }
+  std::printf("%s\n", table.render().c_str());
 }
 
 }  // namespace bench

@@ -8,40 +8,10 @@
 
 #include "bench_common.hpp"
 #include "cts/fit/model_zoo.hpp"
-#include "cts/util/table.hpp"
 
 namespace cf = cts::fit;
 namespace cm = cts::sim;
 namespace cu = cts::util;
-
-namespace {
-
-void panel(const std::string& title, const std::vector<cf::ModelSpec>& models,
-           const cm::MuxGeometry& g, const std::vector<double>& grid,
-           const cm::ReplicationConfig& scale, cu::CsvWriter& csv,
-           const std::string& panel_id) {
-  std::printf("%s\n\n", title.c_str());
-  std::vector<std::string> headers = {"B (msec)"};
-  for (const auto& m : models) headers.push_back("log10 " + m.name);
-  cu::TextTable table(std::move(headers));
-
-  std::vector<cm::SimulatedCurve> curves;
-  for (const auto& m : models) {
-    curves.push_back(cm::simulated_clr_curve(m, g, grid, scale));
-  }
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::vector<std::string> row = {cu::format_fixed(grid[i], 1)};
-    for (const auto& curve : curves) {
-      row.push_back(bench::log10_or_floor(curve.clr[i]));
-      csv.add_row({panel_id, cu::format_fixed(grid[i], 3), curve.model,
-                   cu::format_sci(curve.clr[i], 4)});
-    }
-    table.add_row(std::move(row));
-  }
-  std::printf("%s\n", table.render().c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const cu::Flags flags(argc, argv);
@@ -52,10 +22,7 @@ int main(int argc, char** argv) {
 
   const cm::MuxGeometry g = bench::paper_mux_30();
   const cm::ReplicationConfig scale = bench::bench_scale();
-  std::printf("[scale: %zu reps x %llu frames]\n", scale.replications,
-              static_cast<unsigned long long>(scale.frames_per_replication));
-  bench::shard_note(scale);
-  std::printf("\n");
+  bench::scale_note(scale);
   const std::vector<double> grid = {1e-6, 2.0, 4.0, 8.0, 16.0, 30.0};
 
   // The V^v family's ON/OFF transition rate grows steeply with v (A ~
@@ -68,12 +35,13 @@ int main(int argc, char** argv) {
     v_scale.frames_per_replication =
         std::min<std::uint64_t>(v_scale.frames_per_replication, 5000);
   }
-  panel("(a) V^v", {cf::make_vv(0.67), cf::make_vv(1.0), cf::make_vv(1.5)},
-        g, grid, v_scale, csv, "a");
-  panel("(b) Z^a",
-        {cf::make_za(0.7), cf::make_za(0.9), cf::make_za(0.975),
-         cf::make_za(0.99)},
-        g, grid, scale, csv, "b");
+  bench::clr_panel("(a) V^v",
+                   {cf::make_vv(0.67), cf::make_vv(1.0), cf::make_vv(1.5)},
+                   g, grid, v_scale, csv, "a");
+  bench::clr_panel("(b) Z^a",
+                   {cf::make_za(0.7), cf::make_za(0.9), cf::make_za(0.975),
+                    cf::make_za(0.99)},
+                   g, grid, scale, csv, "b");
 
   std::printf(
       "expected shape: all curves start near log10 ~ -5 at B = 0 (identical "
@@ -90,13 +58,13 @@ int main(int argc, char** argv) {
         "at this scale) --\n\n");
     const cm::MuxGeometry gv = bench::validation_mux_30();
     const std::vector<double> vgrid = {1e-6, 2.0, 6.0, 12.0, 20.0};
-    panel("(a') V^v at c = 520",
-          {cf::make_vv(0.67), cf::make_vv(1.0)}, gv, vgrid, v_scale, csv,
-          "a_ci");
-    panel("(b') Z^a at c = 520",
-          {cf::make_za(0.7), cf::make_za(0.9), cf::make_za(0.975),
-           cf::make_za(0.99)},
-          gv, vgrid, scale, csv, "b_ci");
+    bench::clr_panel("(a') V^v at c = 520",
+                     {cf::make_vv(0.67), cf::make_vv(1.0)}, gv, vgrid,
+                     v_scale, csv, "a_ci");
+    bench::clr_panel("(b') Z^a at c = 520",
+                     {cf::make_za(0.7), cf::make_za(0.9), cf::make_za(0.975),
+                      cf::make_za(0.99)},
+                     gv, vgrid, scale, csv, "b_ci");
   }
   bench::maybe_write_csv(flags, csv, "fig8.csv");
   return 0;

@@ -6,39 +6,10 @@
 
 #include "bench_common.hpp"
 #include "cts/fit/model_zoo.hpp"
-#include "cts/util/table.hpp"
 
 namespace cf = cts::fit;
 namespace cm = cts::sim;
 namespace cu = cts::util;
-
-namespace {
-
-void panel(const std::string& title, const std::vector<cf::ModelSpec>& models,
-           const cm::MuxGeometry& g, const std::vector<double>& grid,
-           const cm::ReplicationConfig& scale, cu::CsvWriter& csv,
-           const std::string& panel_id) {
-  std::printf("%s\n\n", title.c_str());
-  std::vector<std::string> headers = {"B (msec)"};
-  for (const auto& m : models) headers.push_back("log10 " + m.name);
-  cu::TextTable table(std::move(headers));
-  std::vector<cm::SimulatedCurve> curves;
-  for (const auto& m : models) {
-    curves.push_back(cm::simulated_clr_curve(m, g, grid, scale));
-  }
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::vector<std::string> row = {cu::format_fixed(grid[i], 1)};
-    for (const auto& curve : curves) {
-      row.push_back(bench::log10_or_floor(curve.clr[i]));
-      csv.add_row({panel_id, cu::format_fixed(grid[i], 3), curve.model,
-                   cu::format_sci(curve.clr[i], 4)});
-    }
-    table.add_row(std::move(row));
-  }
-  std::printf("%s\n", table.render().c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const cu::Flags flags(argc, argv);
@@ -50,22 +21,19 @@ int main(int argc, char** argv) {
 
   const cm::MuxGeometry g = bench::paper_mux_30();
   const cm::ReplicationConfig scale = bench::bench_scale();
-  std::printf("[scale: %zu reps x %llu frames]\n", scale.replications,
-              static_cast<unsigned long long>(scale.frames_per_replication));
-  bench::shard_note(scale);
-  std::printf("\n");
+  bench::scale_note(scale);
   const std::vector<double> grid = {1e-6, 2.0, 4.0, 8.0, 16.0, 30.0};
 
-  panel("(a) Z^0.975 vs DAR(p) vs L",
-        {cf::make_za(0.975), cf::make_dar_matched_to_za(0.975, 1),
-         cf::make_dar_matched_to_za(0.975, 2),
-         cf::make_dar_matched_to_za(0.975, 3), cf::make_l()},
-        g, grid, scale, csv, "a");
-  panel("(b) Z^0.7 vs DAR(p)",
-        {cf::make_za(0.7), cf::make_dar_matched_to_za(0.7, 1),
-         cf::make_dar_matched_to_za(0.7, 2),
-         cf::make_dar_matched_to_za(0.7, 3)},
-        g, grid, scale, csv, "b");
+  bench::clr_panel("(a) Z^0.975 vs DAR(p) vs L",
+                   {cf::make_za(0.975), cf::make_dar_matched_to_za(0.975, 1),
+                    cf::make_dar_matched_to_za(0.975, 2),
+                    cf::make_dar_matched_to_za(0.975, 3), cf::make_l()},
+                   g, grid, scale, csv, "a");
+  bench::clr_panel("(b) Z^0.7 vs DAR(p)",
+                   {cf::make_za(0.7), cf::make_dar_matched_to_za(0.7, 1),
+                    cf::make_dar_matched_to_za(0.7, 2),
+                    cf::make_dar_matched_to_za(0.7, 3)},
+                   g, grid, scale, csv, "b");
 
   std::printf(
       "expected shape: DAR(p) tracks Z within a fraction of a decade "
@@ -77,10 +45,11 @@ int main(int argc, char** argv) {
         "at this scale) --\n\n");
     const cm::MuxGeometry gv = bench::validation_mux_30();
     const std::vector<double> vgrid = {1e-6, 2.0, 6.0, 12.0};
-    panel("(a') Z^0.975 vs DAR(p) vs L at c = 520",
-          {cf::make_za(0.975), cf::make_dar_matched_to_za(0.975, 1),
-           cf::make_dar_matched_to_za(0.975, 3), cf::make_l()},
-          gv, vgrid, scale, csv, "a_ci");
+    bench::clr_panel(
+        "(a') Z^0.975 vs DAR(p) vs L at c = 520",
+        {cf::make_za(0.975), cf::make_dar_matched_to_za(0.975, 1),
+         cf::make_dar_matched_to_za(0.975, 3), cf::make_l()},
+        gv, vgrid, scale, csv, "a_ci");
   }
   bench::maybe_write_csv(flags, csv, "fig9.csv");
   return 0;

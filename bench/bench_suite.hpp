@@ -1,7 +1,8 @@
 // Registry of the figure/table/ablation/service benches: one BenchSpec per
 // binary, shared by the bench mains themselves (which echo their spec into
-// run/perf reports via ObsGuard) and by tools/cts_benchd (which uses it to
-// select and launch suites).
+// run/perf reports via ObsGuard) and by the tools that launch them
+// (cts_benchd selects suites from it; cts_simd and cts_shardd resolve a
+// job's bench id through it, so a client can never name an arbitrary path).
 //
 // Suites:
 //   smoke    - fast subset (analytic + short simulations) for CI and the
@@ -16,10 +17,15 @@
 
 #pragma once
 
+#include <unistd.h>
+
 #include <cstddef>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 
 namespace bench {
 
@@ -80,6 +86,29 @@ inline const BenchSpec& spec(const std::string& id) {
   }
   throw cts::util::InvalidArgument("bench_suite: unknown bench id '" + id +
                                    "'");
+}
+
+/// Where the tools find bench binaries: --bench-dir, else CTS_BENCH_DIR,
+/// else bench/ beside the directory of the tool's own `argv0`.
+inline std::string bench_dir(const cts::util::Flags& flags,
+                             const char* argv0) {
+  const std::string dir = flags.get_string("bench-dir", "");
+  if (!dir.empty()) return dir;
+  const char* env = std::getenv("CTS_BENCH_DIR");
+  if (env != nullptr && env[0] != '\0') return env;
+  return (std::filesystem::path(argv0).parent_path() / ".." / "bench")
+      .string();
+}
+
+/// The executable of registered bench `id` under `dir`; throws
+/// InvalidArgument for an unknown id or a binary that is not executable.
+inline std::string bench_binary(const std::string& dir,
+                                const std::string& id) {
+  const std::string path =
+      (std::filesystem::path(dir) / spec(id).binary).string();
+  cts::util::require(::access(path.c_str(), X_OK) == 0,
+                     "bench binary " + path + " is not executable");
+  return path;
 }
 
 }  // namespace bench

@@ -111,9 +111,15 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const noexcept;
   /// Object member lookup; throws InvalidArgument when absent.
   const JsonValue& at(const std::string& key) const;
-  /// Object member `key` as an integer in [lo, hi]; throws InvalidArgument
-  /// naming the key when it is absent, not a number, not integral or out
-  /// of range (so a wire value is never truncated or cast out of range).
+  /// This number as an integer in [lo, hi]; throws InvalidArgument
+  /// ("<what> must be an integer in [lo, hi]") when it is not a number, not
+  /// integral, not finite or out of range, so a wire value is never
+  /// truncated or cast out of range.
+  std::int64_t as_int(
+      const std::string& what, std::int64_t lo = 0,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  /// Object member `key` as_int, the error naming the key; also throws
+  /// when the member is absent.
   std::int64_t int_at(
       const std::string& key, std::int64_t lo = 0,
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;

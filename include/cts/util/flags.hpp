@@ -72,6 +72,12 @@ bool try_parse_double(const std::string& text, double* out) noexcept;
 /// trailing junk ("12abc"), or overflow.
 bool try_parse_int(const std::string& text, std::int64_t* out) noexcept;
 
+/// Strict full-string unsigned parse: `text` must be one or more decimal
+/// digits (no sign, no blanks) whose value fits in 64 bits.  Returns false
+/// on empty input, any other character ("+1", "-1", " 1", "1x") or
+/// overflow.  Stores the value in *out on success.
+bool try_parse_u64(const std::string& text, std::uint64_t* out) noexcept;
+
 /// True when environment variable `name` is set to a truthy value
 /// ("1", "true", "yes", "on", case-insensitive).
 bool env_flag(const std::string& name);

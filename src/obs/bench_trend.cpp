@@ -168,7 +168,10 @@ TrendReport build_trend(const std::vector<BaselineDoc>& docs,
         TrendPoint point;
         point.label = doc.label;
         point.generated = doc.generated;
-        point.n = static_cast<std::size_t>(optional_number(*summary, "n"));
+        const JsonValue* n = summary->find("n");
+        point.n = n != nullptr ? static_cast<std::size_t>(n->as_int(
+                                     "bench report: " + metric + " n"))
+                               : 0;
         point.median = summary->at("median").as_number();
         point.mad = summary->at("mad").as_number();
         point.ci95_lo = optional_number(*summary, "ci95_lo");

@@ -448,17 +448,23 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *v;
 }
 
-std::int64_t JsonValue::int_at(const std::string& key, std::int64_t lo,
+std::int64_t JsonValue::as_int(const std::string& what, std::int64_t lo,
                                std::int64_t hi) const {
-  const double v = at(key).as_number();
-  // 2^63: every integral double in [-2^63, 2^63) converts exactly.
+  const double v = as_number();
+  // 2^63: every integral double in [-2^63, 2^63) converts exactly; NaN and
+  // the infinities fail the range test.
   constexpr double kTwo63 = 9223372036854775808.0;
   const bool integral = v == std::floor(v) && v >= -kTwo63 && v < kTwo63;
   util::require(integral && static_cast<std::int64_t>(v) >= lo &&
                     static_cast<std::int64_t>(v) <= hi,
-                "JsonValue: member '" + key + "' must be an integer in [" +
-                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
+                what + " must be an integer in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "]");
   return static_cast<std::int64_t>(v);
+}
+
+std::int64_t JsonValue::int_at(const std::string& key, std::int64_t lo,
+                               std::int64_t hi) const {
+  return at(key).as_int("JsonValue: member '" + key + "'", lo, hi);
 }
 
 const JsonValue& JsonValue::at(std::size_t index) const {

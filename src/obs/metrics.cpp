@@ -442,10 +442,8 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsShard& shard) {
 namespace {
 
 std::uint64_t as_uint(const JsonValue& v, const char* what) {
-  const double d = v.as_number();
-  util::require(d >= 0.0, std::string("metrics snapshot: ") + what +
-                              " must be non-negative");
-  return static_cast<std::uint64_t>(d);
+  return static_cast<std::uint64_t>(
+      v.as_int(std::string("metrics snapshot: ") + what));
 }
 
 }  // namespace
@@ -500,9 +498,11 @@ MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
                     "mismatch");
       std::map<std::int32_t, std::uint64_t> buckets;
       for (std::size_t i = 0; i < index_items.size(); ++i) {
-        const double raw = index_items[i].as_number();
-        buckets[static_cast<std::int32_t>(raw)] =
-            as_uint(count_items[i], "log histogram bucket");
+        const auto index = static_cast<std::int32_t>(index_items[i].as_int(
+            "metrics snapshot: log histogram index",
+            std::numeric_limits<std::int32_t>::min(),
+            std::numeric_limits<std::int32_t>::max()));
+        buckets[index] = as_uint(count_items[i], "log histogram bucket");
       }
       const util::MomentAccumulator stats =
           util::MomentAccumulator::from_state(

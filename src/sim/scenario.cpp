@@ -1,8 +1,6 @@
 #include "cts/sim/scenario.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -73,17 +71,12 @@ std::uint64_t parse_count(int line, const std::string& key,
 
 std::uint64_t parse_u64(int line, const std::string& key,
                         const std::string& value) {
-  cu::require(!value.empty() &&
-                  value.find_first_not_of("0123456789") == std::string::npos,
+  std::uint64_t out = 0;
+  cu::require(cu::try_parse_u64(value, &out),
               at_line(line) + "key '" + key +
-                  "' needs a decimal unsigned integer, got '" + value + "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  cu::require(errno == 0 && end != nullptr && *end == '\0',
-              at_line(line) + "key '" + key + "' overflows 64 bits: '" +
-                  value + "'");
-  return static_cast<std::uint64_t>(parsed);
+                  "' needs a decimal unsigned 64-bit integer, got '" + value +
+                  "'");
+  return out;
 }
 
 bool parse_onoff(int line, const std::string& key, const std::string& value) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "cts/proc/gaussian_acf_source.hpp"
 #include "cts/stats/batch.hpp"
 #include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 #include "cts/util/rng.hpp"
 
 namespace cu = cts::util;
@@ -407,18 +407,15 @@ void write_interval(obs::JsonWriter& w, const stats::IntervalEstimate& e) {
 
 std::uint64_t parse_u64_field(const obs::JsonValue& v, const char* what) {
   if (v.is_string()) {
-    const std::string& s = v.as_string();
-    cu::require(!s.empty() &&
-                    s.find_first_not_of("0123456789") == std::string::npos,
+    std::uint64_t out = 0;
+    cu::require(cu::try_parse_u64(v.as_string(), &out),
                 std::string("scenario result: ") + what +
-                    " must be a decimal string, got '" + s + "'");
-    return std::strtoull(s.c_str(), nullptr, 10);
+                    " must be a decimal unsigned 64-bit string, got '" +
+                    v.as_string() + "'");
+    return out;
   }
-  const double x = v.as_number();
-  cu::require(x >= 0.0 && x == std::floor(x),
-              std::string("scenario result: ") + what +
-                  " must be a non-negative integer");
-  return static_cast<std::uint64_t>(x);
+  return static_cast<std::uint64_t>(
+      v.as_int(std::string("scenario result: ") + what));
 }
 
 double nonneg_number(const obs::JsonValue& v, const char* what) {

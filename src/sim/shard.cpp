@@ -1,13 +1,12 @@
 #include "cts/sim/shard.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 
 namespace cts::sim {
 
@@ -15,23 +14,17 @@ namespace {
 
 constexpr const char* kSchema = "cts.shard.v1";
 
-/// Strict full-string unsigned parse for the seed / spec fields.
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  util::require(end != text.c_str() && *end == '\0' && errno != ERANGE &&
-                    text.find('-') == std::string::npos,
+  std::uint64_t value = 0;
+  util::require(util::try_parse_u64(text, &value),
                 what + ": expected a non-negative integer, got '" + text +
                     "'");
   return value;
 }
 
 std::uint64_t as_u64(const obs::JsonValue& v, const char* what) {
-  const double d = v.as_number();
-  util::require(d >= 0.0,
-                std::string("cts.shard.v1: ") + what + " must be >= 0");
-  return static_cast<std::uint64_t>(d);
+  return static_cast<std::uint64_t>(
+      v.as_int(std::string("cts.shard.v1 ") + what));
 }
 
 void write_config(obs::JsonWriter& w, const ReplicationConfig& config) {

@@ -179,6 +179,19 @@ bool try_parse_int(const std::string& text, std::int64_t* out) noexcept {
   return true;
 }
 
+bool try_parse_u64(const std::string& text, std::uint64_t* out) noexcept {
+  // strtoull alone would accept blanks, a sign and "-1" (as 2^64 - 1).
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  if (out != nullptr) *out = value;
+  return true;
+}
+
 bool env_flag(const std::string& name) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr) return false;

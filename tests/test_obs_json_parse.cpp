@@ -56,6 +56,27 @@ TEST(JsonParse, TypeMismatchThrows) {
   EXPECT_NO_THROW(v.at("k").as_string());
 }
 
+TEST(JsonParse, AsIntAcceptsOnlyIntegralInRangeNumbers) {
+  EXPECT_EQ(obs::json_parse("42").as_int("n"), 42);
+  EXPECT_EQ(obs::json_parse("-3").as_int("n", -5, 5), -3);
+  EXPECT_EQ(obs::json_parse("1e3").as_int("n"), 1000);
+  for (const char* bad : {"1.9", "-1", "1e300", "-1e300", "9.3e18", "\"7\"",
+                          "null"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(obs::json_parse(bad).as_int("n"), cts::util::InvalidArgument);
+  }
+  EXPECT_THROW(obs::json_parse("6").as_int("n", 0, 5),
+               cts::util::InvalidArgument);
+  try {
+    obs::json_parse(R"({"k":2.5})").int_at("k");
+    FAIL() << "expected InvalidArgument";
+  } catch (const cts::util::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "JsonValue: member 'k' must be an integer in [0, "
+                 "9223372036854775807]");
+  }
+}
+
 TEST(JsonParse, UnescapesStrings) {
   const obs::JsonValue v =
       obs::json_parse(R"("a\"b\\c\/d\n\tAé")");

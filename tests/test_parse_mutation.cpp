@@ -1,0 +1,191 @@
+// Seeded mutation test for the parsers that read files other processes
+// wrote: cts.shard.v1 (parse_shard_file), the metrics snapshot inside it
+// (metrics_snapshot_from_json) and cts.scenarioresult.v1
+// (parse_scenario_result).  Each seed document comes from the real
+// writers: a shard file recorded by run_replicated through the
+// ShardRecorder, and the committed result of
+// examples/scenarios/policed_smoothed.scn.  Every mutant must be accepted
+// or rejected with a cts::util::Error, never crash, hang or escape with
+// another exception type.  The run is deterministic (fixed seeds, fixed
+// iteration counts), so a failure reproduces exactly; under the sanitizer
+// build a cast out of range or an overflow in a parser fails it too.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <random>
+#include <sstream>
+#include <string>
+
+#include "cts/fit/model_zoo.hpp"
+#include "cts/obs/json.hpp"
+#include "cts/obs/metrics.hpp"
+#include "cts/sim/replication.hpp"
+#include "cts/sim/scenario_run.hpp"
+#include "cts/sim/shard.hpp"
+#include "cts/util/error.hpp"
+#include "cts/util/file.hpp"
+
+namespace obs = cts::obs;
+namespace sim = cts::sim;
+namespace cu = cts::util;
+
+namespace {
+
+constexpr int kMutantsPerSeed = 20000;
+
+/// Edits a document at random, favouring the tokens a parser must police:
+/// numbers swapped for fractional, negative, huge or out-of-range values,
+/// structural characters, truncation and duplicated spans.
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutate(std::string text) {
+    const std::size_t edits = 1 + below(3);
+    for (std::size_t i = 0; i < edits && !text.empty(); ++i) edit(&text);
+    return text;
+  }
+
+ private:
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(rng_() % n);
+  }
+
+  template <std::size_t N>
+  const char* pick(const char* const (&items)[N]) {
+    return items[below(N)];
+  }
+
+  void edit(std::string* text) {
+    static const char* const kValues[] = {
+        "1.9",  "0.5",   "-1",    "-0",   "0",     "1e300",  "-1e300",
+        "1e19", "9.3e18", "2147483648",  "18446744073709551616", "4.5",
+        "1e-320", "\"18446744073709551616\"", "\"-1\"", "\"\"", "\"x\"",
+        "null", "true", "[]", "{}", "[1e300]", "{\"a\":1}"};
+    static const char* const kBytes[] = {"\"", "{", "}", "[", "]", ",",
+                                         ":",  "-", ".", "e", "9", "\\",
+                                         " ",  "0", "\x01", "\xff"};
+    const std::size_t at = below(text->size());
+    switch (below(6)) {
+      case 0:  // overwrite one byte
+        (*text)[at] = pick(kBytes)[0];
+        break;
+      case 1:  // erase a short span
+        text->erase(at, 1 + below(16));
+        break;
+      case 2:  // duplicate a span
+        text->insert(at, text->substr(at, 1 + below(32)));
+        break;
+      case 3: {  // swap the number nearest `at` for an awkward value
+        const std::size_t digit = text->find_first_of("0123456789", at);
+        if (digit == std::string::npos) break;
+        const std::size_t begin =
+            text->find_last_not_of("-+.eE0123456789", digit) + 1;
+        const std::size_t end =
+            text->find_first_not_of("-+.eE0123456789", digit);
+        text->replace(begin, end - begin, pick(kValues));
+        break;
+      }
+      case 4:  // truncate
+        text->resize(at);
+        break;
+      default:  // insert a value
+        text->insert(at, pick(kValues));
+        break;
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+/// Feeds kMutantsPerSeed mutants of `seed` to `parse`; every one must be
+/// accepted or rejected with a cu::Error.
+void fuzz(const std::string& seed, std::uint64_t rng_seed,
+                         const std::function<void(const std::string&)>& parse) {
+  parse(seed);  // the unmutated seed is valid
+  Mutator mutator(rng_seed);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutantsPerSeed; ++i) {
+    const std::string mutant = mutator.mutate(seed);
+    try {
+      parse(mutant);
+      ++accepted;
+    } catch (const cu::Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " escaped with a non-cts exception ("
+                    << e.what() << "):\n"
+                    << mutant;
+    }
+  }
+  // Both outcomes occur: the mutants get past the JSON grammar into the
+  // schema checks, and not everything is refused.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+/// A cts.shard.v1 file as a bench writes it with --shard-out, with a
+/// metrics section holding every cell kind.
+std::string recorded_shard_file(obs::MetricsRegistry* registry) {
+  sim::ReplicationConfig config;
+  config.replications = 4;
+  config.frames_per_replication = 300;
+  config.warmup_frames = 20;
+  config.n_sources = 5;
+  config.capacity_cells = 5 * 520.0;
+  config.buffer_sizes_cells = {0.0, 200.0};
+  config.bop_thresholds_cells = {100.0, 400.0};
+  config.shard_index = 1;
+  config.shard_count = 2;
+  config.progress = false;
+  config.progress_label = "fuzz_seed";
+
+  registry->add("runs", 3);
+  registry->add_sum("cells", 1234.5);
+  registry->gauge("peak", 7.5, obs::GaugeMode::kMax);
+  registry->observe("wall_ms", 2.5, {1.0, 10.0});
+  registry->observe_log("latency_ms", 0.25);
+  registry->observe_log("latency_ms", 40.0);
+
+  const std::string path = ::testing::TempDir() + "/fuzz_seed_shard.json";
+  sim::ShardRecorder& recorder = sim::ShardRecorder::global();
+  recorder.enable(path);
+  (void)sim::run_replicated(cts::fit::make_ar1(0.8), config);
+  EXPECT_TRUE(recorder.write(*registry));
+  recorder.disable();
+  const std::string text = cu::read_text_file(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+TEST(ParseMutation, ShardFileAcceptsOrRejectsWithCtsError) {
+  obs::MetricsRegistry registry;
+  fuzz(recorded_shard_file(&registry), 1,
+       [](const std::string& text) { (void)sim::parse_shard_file(text); });
+}
+
+TEST(ParseMutation, MetricsSnapshotAcceptsOrRejectsWithCtsError) {
+  obs::MetricsRegistry registry;
+  (void)recorded_shard_file(&registry);
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  obs::write_metrics_snapshot(w, registry.snapshot());
+  fuzz(os.str(), 2, [](const std::string& text) {
+    (void)obs::metrics_snapshot_from_json(obs::json_parse(text));
+  });
+}
+
+TEST(ParseMutation, ScenarioResultAcceptsOrRejectsWithCtsError) {
+  // The committed cts.scenarioresult.v1 of policed_smoothed.scn.
+  const std::string seed = cu::read_text_file(
+      std::string(CTS_GOLDEN_DIR) + "/scenario_policed_smoothed.json");
+  fuzz(seed, 3, [](const std::string& text) {
+    (void)sim::parse_scenario_result(text);
+  });
+}
+
+}  // namespace

@@ -172,6 +172,29 @@ TEST(ScenarioRun, MergedDocumentIsByteIdenticalToSingleProcess) {
   EXPECT_EQ(sim::merge_scenario_result_json(parts), single);
 }
 
+TEST(ScenarioRun, ResultParserRejectsCountsThatAreNotUint64) {
+  const sim::Scenario sc = sim::parse_scenario(kSpec);
+  const std::string good =
+      sim::write_scenario_result_json(sc, run_slice(sc, 0, 1));
+  ASSERT_NO_THROW(sim::parse_scenario_result(good));
+  // Replaces the value after the first `from` (up to the next ',').
+  const auto with = [&](const std::string& from, const std::string& value) {
+    const std::size_t at = good.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    const std::size_t begin = at + from.size();
+    return good.substr(0, begin) + value + good.substr(good.find(',', begin));
+  };
+  // The seed used to saturate to 2^64 - 1, a seed that reproduces nothing.
+  for (const std::string& doc :
+       {with("\"seed\":", "\"99999999999999999999999\""),
+        with("\"seed\":", "\"-5\""), with("\"seed\":", "\" 5\""),
+        with("\"frames\":", "1e300"), with("\"frames\":", "400.5"),
+        with("\"rep\":", "-1"), with("\"replications\":", "6.5")}) {
+    EXPECT_THROW(sim::parse_scenario_result(doc), cts::util::InvalidArgument)
+        << doc.substr(0, 200);
+  }
+}
+
 TEST(ScenarioRun, TraceOnlyInSliceContainingReplicationZero) {
   const sim::Scenario sc = sim::parse_scenario(kSpec);
   const sim::ScenarioRunResult with = run_slice(sc, 0, 2);

@@ -213,6 +213,46 @@ TEST(ScenariodE2e, PolicedFrameBeyondTwoTo53CellsExitsTwo) {
   EXPECT_NE(out.find("error: frame of 1"), std::string::npos) << out;
 }
 
+TEST(ScenariodE2e, SeedBeyondSixtyFourBitsExitsTwo) {
+  const std::string huge = "99999999999999999999999";
+  std::string out;
+  EXPECT_EQ(run_tool("run '" + spec("tandem_3hop.scn") + "' " + kScale +
+                         " --seed=" + huge + " --out='" +
+                         tmp("seed_overflow.json") + "'",
+                     &out),
+            2);
+  EXPECT_NE(out.find("--seed expects a decimal unsigned 64-bit integer"),
+            std::string::npos)
+      << out;
+
+  // Partials whose seed strings overflow agree with each other, so only
+  // the seed check itself can refuse the merge.
+  std::string parts;
+  for (const char* shard : {"0/2", "1/2"}) {
+    const std::string part = tmp(std::string("seed_part_") + shard[0] +
+                                 ".json");
+    ASSERT_EQ(run_tool("run '" + spec("tandem_3hop.scn") + "' " + kScale +
+                           " --shard=" + shard + " --out='" + part + "'",
+                       &out),
+              0)
+        << out;
+    std::string text = cu::read_text_file(part);
+    const std::size_t at = text.find("\"seed\":\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t begin = at + 8;
+    text.replace(begin, text.find('"', begin) - begin, huge);
+    std::ofstream(part, std::ios::binary) << text;
+    parts += " '" + part + "'";
+  }
+  EXPECT_EQ(run_tool("merge" + parts + " --out='" +
+                         tmp("seed_merged.json") + "'",
+                     &out),
+            2);
+  EXPECT_NE(out.find("seed must be a decimal unsigned 64-bit string"),
+            std::string::npos)
+      << out;
+}
+
 TEST(ScenariodE2e, UnknownModeAndMissingSpecExitTwo) {
   std::string out;
   EXPECT_EQ(run_tool("frobnicate", &out), 2);

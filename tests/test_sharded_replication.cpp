@@ -104,6 +104,18 @@ std::string to_json(const cm::ShardFile& file) {
   return os.str();
 }
 
+/// `json` with the number right after the first `prefix` (e.g. "\"rep\":")
+/// replaced by `value`.
+std::string with_number(const std::string& json, const std::string& prefix,
+                        const std::string& value) {
+  const std::size_t at = json.find(prefix);
+  EXPECT_NE(at, std::string::npos) << "no '" << prefix << "' in the file";
+  if (at == std::string::npos) return json;
+  const std::size_t begin = at + prefix.size();
+  const std::size_t end = json.find_first_not_of("-+.eE0123456789", begin);
+  return json.substr(0, begin) + value + json.substr(end);
+}
+
 }  // namespace
 
 TEST(ShardSpec, ParsesAndFormats) {
@@ -208,6 +220,27 @@ TEST(ShardFile, ParserRejectsWrongSchema) {
                cu::InvalidArgument);
   EXPECT_THROW(cm::parse_shard_file("{}"), cu::InvalidArgument);
   EXPECT_THROW(cm::parse_shard_file("not json"), cu::InvalidArgument);
+}
+
+TEST(ShardFile, ParserRejectsCountsThatAreNotIntegers) {
+  const std::string good =
+      to_json(make_shard_file(cf::make_ar1(0.8), small_config(), 0, 1));
+  ASSERT_NO_THROW(cm::parse_shard_file(good));
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"rep\":", "1.9"},
+      {"\"rep\":", "-1"},
+      {"\"frames\":", "1e300"},
+      {"\"loss_frames\":", "2.5"},
+      {"\"exceed_frames\":", "-0.5"},
+      {"\"replications\":", "4.5"},
+      {"\"warmup_frames\":", "1e19"},
+      {"\"index\":", "0.5"},
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    EXPECT_THROW(cm::parse_shard_file(with_number(good, key, value)),
+                 cu::InvalidArgument);
+  }
 }
 
 TEST(ShardMerge, WriteParseMergeIsBitIdentical) {
@@ -316,6 +349,31 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
   other.gauge("peak", 3.0, co::GaugeMode::kMax);
   other.merge(restored);
   EXPECT_EQ(other.gauges().at("peak").value, 7.5);
+}
+
+TEST(MetricsSnapshot, RejectsCountsThatAreNotIntegers) {
+  co::MetricsShard shard;
+  shard.add("runs", 3);
+  shard.observe("wall", 2.5, {1.0, 10.0});
+  shard.observe_log("lat", 4.0);
+  std::ostringstream os;
+  co::JsonWriter w(os);
+  co::write_metrics_snapshot(w, shard);
+  const std::string good = os.str();
+  ASSERT_NO_THROW(co::metrics_snapshot_from_json(co::json_parse(good)));
+  // A fractional counter used to merge truncated (2.5 -> 2); 1e300 was a
+  // cast out of range.
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"runs\":", "2.5"},   {"\"runs\":", "-1"},
+      {"\"runs\":", "1e300"}, {"\"count\":", "1.5"},
+      {"\"zero\":", "0.5"},   {"\"indexes\":[", "1e10"},
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    EXPECT_THROW(co::metrics_snapshot_from_json(
+                     co::json_parse(with_number(good, key, value))),
+                 cu::InvalidArgument);
+  }
 }
 
 TEST(SeedProvenance, RegistryCarriesExactSeedAndFrameTotals) {

@@ -278,6 +278,21 @@ TEST(TryParseInt, StrictFullString) {
   EXPECT_FALSE(cu::try_parse_int("99999999999999999999999", &value));
 }
 
+TEST(TryParseU64, DigitsOnlyAndWithinSixtyFourBits) {
+  std::uint64_t value = 0;
+  EXPECT_TRUE(cu::try_parse_u64("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(cu::try_parse_u64("18446744073709551615", &value));
+  EXPECT_EQ(value, 18446744073709551615ULL);
+  for (const char* bad : {"", "18446744073709551616",
+                          "99999999999999999999999", "-1", "+1", " 1", "1 ",
+                          "1x", "0x10", "1.0", "1e3"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(cu::try_parse_u64(bad, &value));
+  }
+  EXPECT_TRUE(cu::try_parse_u64("7", nullptr));
+}
+
 TEST(EnvInt, ErrorNamesVariableAndValue) {
   ::setenv("CTS_TEST_ENV_INT", "12abc", 1);
   try {

@@ -2,20 +2,27 @@
 // that carries median/MAD/CI, peak RSS, CPU time and a per-phase self-time
 // table for every smoke bench, which cts_benchtrend validates and gates
 // green against itself; cts_benchd --compare must gate in one invocation;
-// and every bench binary must honour --help with exit 0.
+// a --bench-dir path is never parsed by a shell, and a failed bench is
+// reported by its exit status or signal; every bench binary must honour
+// --help with exit 0 and exit 2 on a malformed flag value.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
 #include "cts/obs/json.hpp"
+#include "cts/util/subprocess.hpp"
 
+namespace fs = std::filesystem;
 namespace obs = cts::obs;
+namespace cu = cts::util;
 
 namespace {
 
@@ -39,6 +46,37 @@ int shell(const std::string& command) {
 }
 
 #if defined(CTS_TOOLS_BIN_DIR) && defined(CTS_BENCH_BIN_DIR)
+
+/// Runs `argv` without a shell, stdout+stderr to `out`; returns how it
+/// ended.
+cu::WaitOutcome run(const std::vector<std::string>& argv,
+                    const std::string& out) {
+  cu::ChildSpec spec;
+  spec.argv = argv;
+  spec.output_path = out;
+  std::string error;
+  const pid_t pid = cu::spawn_child(spec, &error);
+  EXPECT_GT(pid, 0) << error;
+  if (pid <= 0) return {};
+  return cu::wait_child(pid, 300.0);
+}
+
+/// A fresh directory holding one executable `bench_table1`: a symlink to
+/// `target`, or a shell script with body `script`.
+std::string bench_dir_with_table1(const std::string& dir,
+                                  const std::string& target,
+                                  const std::string& script) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string binary = dir + "/bench_table1";
+  if (!target.empty()) {
+    fs::create_symlink(target, binary);
+  } else {
+    write_file(binary, "#!/bin/sh\n" + script + "\n");
+    fs::permissions(binary, fs::perms::owner_all);
+  }
+  return dir;
+}
 
 std::string benchd() { return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchd"; }
 std::string benchtrend() {
@@ -216,6 +254,76 @@ TEST(CtsBenchd, ListAndUsageModes) {
             2);
   EXPECT_NE(read_file(err).find("--pct must be >= 0, got -5"),
             std::string::npos);
+}
+
+std::vector<std::string> table1_run(const std::string& bench_dir,
+                                    const std::string& out) {
+  return {benchd(), "--suite=analytic", "--filter=table1", "--repeats=1",
+          "--warmup=0", "--quiet", "--bench-dir=" + bench_dir,
+          "--out=" + out};
+}
+
+TEST(CtsBenchd, BenchDirWithQuoteAndSpaceRunsTable1) {
+  // The directory name is passed to the bench as argv data, never through
+  // a shell, so a quote in it is just a byte.
+  const std::string dir = bench_dir_with_table1(
+      ::testing::TempDir() + "/bench dir 'quoted'",
+      std::string(CTS_BENCH_BIN_DIR) + "/bench_table1", "");
+  const std::string out = dir + "/BENCH_quoted.json";
+  const std::string log = ::testing::TempDir() + "/benchd_quoted.log";
+  const cu::WaitOutcome outcome = run(table1_run(dir, out), log);
+  ASSERT_TRUE(outcome.ok()) << outcome.describe() << "\n"
+                            << read_file(log);
+  const obs::JsonValue doc = obs::json_parse(read_file(out));
+  EXPECT_DOUBLE_EQ(doc.at("benches").at("table1").at("runs").as_number(),
+                   1.0);
+}
+
+TEST(CtsBenchd, BenchExitingOneIsReportedByItsExitStatus) {
+  const std::string dir = bench_dir_with_table1(
+      ::testing::TempDir() + "/benchd_exit1", "", "exit 1");
+  const std::string log = dir + "/benchd.log";
+  const cu::WaitOutcome outcome =
+      run(table1_run(dir, dir + "/BENCH.json"), log);
+  EXPECT_EQ(outcome.kind, cu::WaitOutcome::Kind::kExited);
+  EXPECT_EQ(outcome.exit_code, 1);  // a bench failed
+  const std::string text = read_file(log);
+  EXPECT_NE(text.find("FAILED table1: bench_table1 exited with status 1\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(CtsBenchd, BenchKilledBySignalIsReportedByTheSignal) {
+  const std::string dir = bench_dir_with_table1(
+      ::testing::TempDir() + "/benchd_segv", "", "kill -SEGV $$");
+  const std::string log = dir + "/benchd.log";
+  const cu::WaitOutcome outcome =
+      run(table1_run(dir, dir + "/BENCH.json"), log);
+  EXPECT_EQ(outcome.exit_code, 1);
+  const std::string text = read_file(log);
+  EXPECT_NE(text.find("FAILED table1: bench_table1 killed by signal 11 ("),
+            std::string::npos)
+      << text;
+}
+
+TEST(BenchBinaries, MalformedFlagValueExitsTwo) {
+  // An InvalidArgument from a typed flag accessor must not escape main as
+  // an abort (exit 134): the bench names itself and the flag, exits 2.
+  const std::string log = ::testing::TempDir() + "/bench_bad_flag.log";
+  const std::string bench =
+      std::string(CTS_BENCH_BIN_DIR) + "/bench_ablation_cutoff";
+  for (const char* value : {"abc", "inf", "1.5x"}) {
+    SCOPED_TRACE(value);
+    const cu::WaitOutcome outcome =
+        run({bench, "--quiet", std::string("--buffer-ms=") + value}, log);
+    EXPECT_EQ(outcome.kind, cu::WaitOutcome::Kind::kExited);
+    EXPECT_EQ(outcome.exit_code, 2);
+    EXPECT_NE(read_file(log).find("ablation_cutoff: Flags: --buffer-ms "
+                                  "expects a number, got '" +
+                                  std::string(value) + "'"),
+              std::string::npos)
+        << read_file(log);
+  }
 }
 
 TEST(BenchBinaries, HelpPrintsFlagListAndExitsZero) {

@@ -1,15 +1,19 @@
-// Unit tests for the file helpers (read_text_file / make_dirs) and the
-// deadline child-waiter (wait_child) that back the cts_simd / cts_shardd
-// robustness fixes: unreadable paths must fail naming the path and errno,
-// nested --out-dir chains must be created like mkdir -p, and a wedged
-// child must be killed and reported with the terminating signal named.
+// Unit tests for the file helpers (read_text_file / make_dirs), the child
+// launcher (spawn_child) and the deadline child-waiter (wait_child) behind
+// cts_simd, cts_shardd and cts_benchd: unreadable paths must fail naming
+// the path and errno, nested --out-dir chains must be created like
+// mkdir -p, a child must see its argv and environment exactly as given,
+// and a wedged child must be killed and reported with the terminating
+// signal named.
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -144,6 +148,98 @@ TEST(WaitChild, KillsAndReportsAStragglerPastTheDeadline) {
   // The child is reaped (kill + blocking wait), not leaked: a second wait
   // on the pid fails because it no longer exists.
   EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1);
+}
+
+/// Runs `script` with /bin/sh -c (extra arguments become $1...), output to
+/// `out`; returns how it ended.
+cu::WaitOutcome run_sh(const std::string& script,
+                       const std::vector<std::string>& args,
+                       const std::string& out, double timeout_s = 10.0,
+                       cu::ChildSpec spec = {}) {
+  spec.argv = {"/bin/sh", "-c", script, "sh"};
+  spec.argv.insert(spec.argv.end(), args.begin(), args.end());
+  spec.output_path = out;
+  std::string error;
+  const pid_t pid = cu::spawn_child(spec, &error);
+  EXPECT_GT(pid, 0) << error;
+  if (pid <= 0) return {};
+  return cu::wait_child(pid, timeout_s);
+}
+
+TEST(SpawnChild, ArgvReachesTheChildByteForByte) {
+  const std::string out = temp_path("spawn_argv.txt");
+  // No shell parses these: a space, quotes, a $ and a backslash survive.
+  const cu::WaitOutcome outcome =
+      run_sh("printf '<%s>' \"$@\"",
+             {"a b", "it's", "\"q\"", "$HOME", "back\\slash", ""}, out);
+  EXPECT_TRUE(outcome.ok()) << outcome.describe();
+  EXPECT_EQ(cu::read_text_file(out),
+            "<a b><it's><\"q\"><$HOME><back\\slash><>");
+}
+
+TEST(SpawnChild, AppliesEnvUnsetThenSet) {
+  ::setenv("CTS_SPAWN_TEST_DROP", "inherited", 1);
+  ::setenv("CTS_SPAWN_TEST_KEEP", "kept", 1);
+  ::setenv("CTS_SPAWN_TEST_SET", "inherited", 1);
+  cu::ChildSpec spec;
+  spec.env_unset = {"CTS_SPAWN_TEST_DROP"};
+  spec.env_set = {{"CTS_SPAWN_TEST_SET", "first"},
+                  {"CTS_SPAWN_TEST_NEW", "a b=c"},
+                  {"CTS_SPAWN_TEST_SET", "last wins"}};
+  const std::string out = temp_path("spawn_env.txt");
+  const cu::WaitOutcome outcome = run_sh(
+      "printf '%s|%s|%s|%s' \"${CTS_SPAWN_TEST_DROP-unset}\" "
+      "\"$CTS_SPAWN_TEST_KEEP\" \"$CTS_SPAWN_TEST_SET\" "
+      "\"$CTS_SPAWN_TEST_NEW\"",
+      {}, out, 10.0, spec);
+  ::unsetenv("CTS_SPAWN_TEST_DROP");
+  ::unsetenv("CTS_SPAWN_TEST_KEEP");
+  ::unsetenv("CTS_SPAWN_TEST_SET");
+  EXPECT_TRUE(outcome.ok()) << outcome.describe();
+  EXPECT_EQ(cu::read_text_file(out), "unset|kept|last wins|a b=c");
+}
+
+TEST(SpawnChild, SendsStdoutAndStderrToTheOutputFile) {
+  const std::string out = temp_path("spawn_output.txt");
+  std::ofstream(out) << "stale contents that must be truncated away\n";
+  const cu::WaitOutcome outcome =
+      run_sh("echo to-stdout; echo to-stderr >&2", {}, out);
+  EXPECT_TRUE(outcome.ok()) << outcome.describe();
+  EXPECT_EQ(cu::read_text_file(out), "to-stdout\nto-stderr\n");
+}
+
+TEST(SpawnChild, ReportsExitCodeSignalAndTimeout) {
+  const std::string out = temp_path("spawn_outcomes.txt");
+  const cu::WaitOutcome exited = run_sh("exit 3", {}, out);
+  EXPECT_EQ(exited.kind, cu::WaitOutcome::Kind::kExited);
+  EXPECT_EQ(exited.describe(), "exited with status 3");
+
+  const cu::WaitOutcome signaled = run_sh("kill -SEGV $$", {}, out);
+  EXPECT_EQ(signaled.kind, cu::WaitOutcome::Kind::kSignaled);
+  EXPECT_EQ(signaled.signal, SIGSEGV);
+  EXPECT_EQ(signaled.describe().rfind("killed by signal 11 (", 0), 0u)
+      << signaled.describe();
+
+  const cu::WaitOutcome timed_out = run_sh("exec sleep 60", {}, out, 0.2);
+  EXPECT_EQ(timed_out.kind, cu::WaitOutcome::Kind::kTimeout);
+  EXPECT_NE(timed_out.describe().find("timed out"), std::string::npos);
+}
+
+TEST(SpawnChild, FailsUpFrontNamingWhatCouldNotStart) {
+  std::string error;
+  cu::ChildSpec spec;
+  EXPECT_EQ(cu::spawn_child(spec, &error), -1);
+  EXPECT_NE(error.find("empty argv"), std::string::npos) << error;
+
+  spec.argv = {temp_path("no_such_binary")};
+  EXPECT_EQ(cu::spawn_child(spec, &error), -1);
+  EXPECT_NE(error.find(spec.argv[0]), std::string::npos) << error;
+  EXPECT_NE(error.find("No such file"), std::string::npos) << error;
+
+  spec.argv = {"/bin/true"};
+  spec.output_path = temp_path("no_such_dir/out.txt");
+  EXPECT_EQ(cu::spawn_child(spec, &error), -1);
+  EXPECT_NE(error.find(spec.output_path), std::string::npos) << error;
 }
 
 }  // namespace

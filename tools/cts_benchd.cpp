@@ -26,11 +26,13 @@
 // The simulation scale of every child is pinned via REPRO_REPS /
 // REPRO_FRAMES (defaults: 2 x 2000, override with --reps/--frames) so two
 // BENCH files are comparable by construction; the scale is echoed into the
-// document.
+// document.  Each run is a child started without a shell (util::spawn_child,
+// output to /dev/null); a run that fails is reported by how it ended:
+// "FAILED <id>: <binary> exited with status N" or "... killed by signal N
+// (<name>)".
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -52,9 +54,11 @@
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
 #include "cts/util/cli_registry.hpp"
+#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
+#include "cts/util/subprocess.hpp"
 
 namespace fs = std::filesystem;
 namespace obs = cts::obs;
@@ -104,13 +108,6 @@ struct RunSample {
   std::map<std::string, double> phase_spans;       ///< phases[].spans
 };
 
-double now_s() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 std::string today_utc() {
   const std::time_t now = std::time(nullptr);
   std::tm tm{};
@@ -151,16 +148,23 @@ bool in_suite(const bench::BenchSpec& s, const std::string& suite) {
 bool run_once(const Options& opt, const bench::BenchSpec& spec,
               const std::string& perf_path, RunSample* out,
               std::string* error) {
-  const std::string binary =
-      (fs::path(opt.bench_dir) / spec.binary).string();
-  std::ostringstream cmd;
-  cmd << "REPRO_REPS=" << opt.repro_reps
-      << " REPRO_FRAMES=" << opt.repro_frames << " CTS_QUIET=1 '" << binary
-      << "' --quiet --perf='" << perf_path << "' > /dev/null 2>&1";
-  const int rc = std::system(cmd.str().c_str());
-  if (rc != 0) {
-    *error = spec.binary + std::string(" exited with status ") +
-             std::to_string(rc);
+  cu::ChildSpec child;
+  try {
+    child.argv = {bench::bench_binary(opt.bench_dir, spec.id), "--quiet",
+                  "--perf=" + perf_path};
+  } catch (const cu::Error& e) {
+    *error = e.what();
+    return false;
+  }
+  child.env_set = {{"REPRO_REPS", std::to_string(opt.repro_reps)},
+                   {"REPRO_FRAMES", std::to_string(opt.repro_frames)},
+                   {"CTS_QUIET", "1"}};
+  child.output_path = "/dev/null";
+  const pid_t pid = cu::spawn_child(child, error);
+  if (pid < 0) return false;
+  const cu::WaitOutcome outcome = cu::wait_child(pid, -1.0);
+  if (!outcome.ok()) {
+    *error = spec.binary + std::string(" ") + outcome.describe();
     return false;
   }
   std::string text;
@@ -319,7 +323,7 @@ int run(const Options& opt) {
     std::vector<RunSample> samples;
     std::string error;
     bool failed = false;
-    const double bench_start_s = now_s();
+    const double bench_start_s = cu::monotonic_s();
     const long long total_runs = opt.warmup + opt.repeats;
     for (long long i = 0; i < total_runs; ++i) {
       const std::string perf_path =
@@ -348,7 +352,7 @@ int run(const Options& opt) {
     obs::log_info("bench.done",
                   {{"bench", spec->id},
                    {"runs", static_cast<std::uint64_t>(samples.size())},
-                   {"wall_ms", (now_s() - bench_start_s) * 1e3}});
+                   {"wall_ms", (cu::monotonic_s() - bench_start_s) * 1e3}});
 
     w.key(spec->id).begin_object();
     w.key("binary").value(spec->binary);
@@ -577,18 +581,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Bench binaries: --bench-dir beats CTS_BENCH_DIR beats the build-tree
-    // layout convention (tools/ and bench/ are sibling directories).
-    opt.bench_dir = flags.get_string("bench-dir", "");
-    if (opt.bench_dir.empty()) {
-      const char* env = std::getenv("CTS_BENCH_DIR");
-      if (env != nullptr && env[0] != '\0') {
-        opt.bench_dir = env;
-      } else {
-        opt.bench_dir =
-            (fs::path(argv[0]).parent_path() / ".." / "bench").string();
-      }
-    }
+    opt.bench_dir = bench::bench_dir(flags, argv[0]);
     return run(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cts_benchd: %s\n", e.what());

@@ -78,11 +78,11 @@ std::uint64_t parse_u64_flag(const cu::Flags& flags, const std::string& key,
                              std::uint64_t fallback) {
   if (!flags.has(key)) return fallback;
   const std::string text = flags.get_string(key, "");
-  cu::require(!text.empty() &&
-                  text.find_first_not_of("0123456789") == std::string::npos,
-              "--" + key + " expects a decimal unsigned integer, got '" +
+  std::uint64_t value = 0;
+  cu::require(cu::try_parse_u64(text, &value),
+              "--" + key + " expects a decimal unsigned 64-bit integer, got '" +
                   text + "'");
-  return std::strtoull(text.c_str(), nullptr, 10);
+  return value;
 }
 
 void write_file(const std::string& path, const std::string& contents) {

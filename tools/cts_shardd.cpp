@@ -62,11 +62,9 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <mutex>
@@ -150,81 +148,67 @@ net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
   {
     obs::ScopedSpan job_span("shardd.job");
 
-    // The registry is the allowlist: an id it does not know throws here and
-    // becomes a structured error reply, never an exec.
-    const bench::BenchSpec& spec = bench::spec(job.bench_id);
-    const std::string binary =
-        (fs::path(cfg.bench_dir) / spec.binary).string();
-    if (::access(binary.c_str(), X_OK) != 0) {
-      result.error = "bench binary " + binary + " is not executable";
-    } else {
-      const std::string shard_path =
-          (fs::path(cfg.work_dir) / ("job_" + tag + "_shard.json")).string();
-      const std::string log_path =
-          (fs::path(cfg.work_dir) / ("job_" + tag + ".log")).string();
-      const std::string shard_flag =
-          "--shard=" + cts::sim::format_shard_spec({job.shard_index,
-                                                    job.shard_count});
-      const std::string out_flag = "--shard-out=" + shard_path;
-
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        result.error = std::string("fork failed: ") + std::strerror(errno);
-      } else if (pid == 0) {
-        // The job's env is authoritative: wipe every scale override the
-        // daemon itself inherited, then apply exactly what the client sent.
-        for (const std::string& name : net::job_env_allowlist()) {
-          ::unsetenv(name.c_str());
+    const std::string shard_path =
+        (fs::path(cfg.work_dir) / ("job_" + tag + "_shard.json")).string();
+    // The job's env is authoritative: every scale override the daemon
+    // itself inherited is wiped, then exactly what the client sent is set.
+    cu::ChildSpec child;
+    child.env_unset = net::job_env_allowlist();
+    child.env_unset.push_back("REPRO_SHARD");
+    child.env_set = job.env;
+    child.output_path =
+        (fs::path(cfg.work_dir) / ("job_" + tag + ".log")).string();
+    pid_t pid = -1;
+    try {
+      // The registry is the allowlist: an id it does not know becomes a
+      // structured error reply, never an exec.
+      child.argv = {bench::bench_binary(cfg.bench_dir, job.bench_id),
+                    "--shard=" + cts::sim::format_shard_spec(
+                                     {job.shard_index, job.shard_count}),
+                    "--shard-out=" + shard_path, "--quiet"};
+      pid = cu::spawn_child(child, &result.error);
+    } catch (const cu::Error& e) {
+      result.error = e.what();
+    }
+    if (pid > 0) {
+      const double timeout_s =
+          job.timeout_s > 0 ? job.timeout_s : kDefaultJobTimeoutS;
+      cu::WaitOutcome outcome;
+      {
+        obs::ScopedSpan exec_span("shardd.exec");
+        outcome = cu::wait_child(pid, timeout_s);
+      }
+      if (!outcome.ok()) {
+        result.error = fs::path(child.argv[0]).filename().string() + " " +
+                       outcome.describe() + " (shard " +
+                       std::to_string(job.shard_index) + "/" +
+                       std::to_string(job.shard_count) + ")";
+        ::unlink(shard_path.c_str());
+        if (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
+            outcome.kind == cu::WaitOutcome::Kind::kSignaled) {
+          // Flight recorder: dump the full event ring (all levels) so a
+          // post-mortem sees what the daemon did right before the kill.
+          const std::string flight_path =
+              (fs::path(cfg.work_dir) / ("job_" + tag + "_flight.jsonl"))
+                  .string();
+          if (obs::EventLog::global().dump_ring_to(flight_path)) {
+            obs::log_error("job.flight_recorder",
+                           {{"job", static_cast<std::int64_t>(job_index)},
+                            {"path", flight_path},
+                            {"outcome", outcome.describe()}});
+          }
         }
-        ::unsetenv("REPRO_SHARD");
-        for (const auto& [name, value] : job.env) {
-          ::setenv(name.c_str(), value.c_str(), 1);
-        }
-        std::FILE* log = std::freopen(log_path.c_str(), "w", stdout);
-        if (log != nullptr) ::dup2(STDOUT_FILENO, STDERR_FILENO);
-        ::execl(binary.c_str(), binary.c_str(), shard_flag.c_str(),
-                out_flag.c_str(), "--quiet", static_cast<char*>(nullptr));
-        std::perror("cts_shardd: execl");
-        std::_Exit(127);
       } else {
-        const double timeout_s =
-            job.timeout_s > 0 ? job.timeout_s : kDefaultJobTimeoutS;
-        cu::WaitOutcome outcome;
-        {
-          obs::ScopedSpan exec_span("shardd.exec");
-          outcome = cu::wait_child(pid, timeout_s);
+        obs::ScopedSpan validate_span("shardd.validate");
+        try {
+          const std::string text = cu::read_text_file(shard_path);
+          (void)cts::sim::parse_shard_file(text);  // refuse broken files
+          result.shard_json = text;
+          result.ok = true;
+        } catch (const cu::Error& e) {
+          result.error = std::string("shard file invalid: ") + e.what();
         }
-        if (!outcome.ok()) {
-          result.error = std::string(spec.binary) + " " + outcome.describe() +
-                         " (shard " + std::to_string(job.shard_index) + "/" +
-                         std::to_string(job.shard_count) + ")";
-          ::unlink(shard_path.c_str());
-          if (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
-              outcome.kind == cu::WaitOutcome::Kind::kSignaled) {
-            // Flight recorder: dump the full event ring (all levels) so a
-            // post-mortem sees what the daemon did right before the kill.
-            const std::string flight_path =
-                (fs::path(cfg.work_dir) / ("job_" + tag + "_flight.jsonl"))
-                    .string();
-            if (obs::EventLog::global().dump_ring_to(flight_path)) {
-              obs::log_error("job.flight_recorder",
-                             {{"job", static_cast<std::int64_t>(job_index)},
-                              {"path", flight_path},
-                              {"outcome", outcome.describe()}});
-            }
-          }
-        } else {
-          obs::ScopedSpan validate_span("shardd.validate");
-          try {
-            const std::string text = cu::read_text_file(shard_path);
-            (void)cts::sim::parse_shard_file(text);  // refuse broken files
-            result.shard_json = text;
-            result.ok = true;
-          } catch (const cu::Error& e) {
-            result.error = std::string("shard file invalid: ") + e.what();
-          }
-          ::unlink(shard_path.c_str());
-        }
+        ::unlink(shard_path.c_str());
       }
     }
   }  // closes "shardd.job"
@@ -330,18 +314,7 @@ int main(int argc, char** argv) {
     JobConfig cfg;
     cfg.work_dir = flags.get_string("work-dir", "shardd_work");
     cfg.fault_exit_after = flags.get_int("fault-exit-after", -1);
-    // Bench binaries: --bench-dir beats CTS_BENCH_DIR beats the build-tree
-    // layout convention (tools/ and bench/ are sibling directories).
-    cfg.bench_dir = flags.get_string("bench-dir", "");
-    if (cfg.bench_dir.empty()) {
-      const char* env = std::getenv("CTS_BENCH_DIR");
-      if (env != nullptr && env[0] != '\0') {
-        cfg.bench_dir = env;
-      } else {
-        cfg.bench_dir =
-            (fs::path(argv[0]).parent_path() / ".." / "bench").string();
-      }
-    }
+    cfg.bench_dir = bench::bench_dir(flags, argv[0]);
     cu::make_dirs(cfg.work_dir);
     return serve(std::move(options), cfg);
   } catch (const std::exception& e) {

@@ -10,7 +10,7 @@
 //   cts_simd merge SHARD.json... [--metrics=PATH] [--quiet]
 //   cts_simd diff REPORT_A.json REPORT_B.json [--quiet]
 //
-// Local `run` fork/execs N worker shards of BENCH_BINARY (each gets
+// Local `run` starts N worker shards of BENCH_BINARY as children (each gets
 // --shard=i/N --shard-out=<dir>/shard_i.json --quiet, stdout/stderr to
 // <dir>/shard_i.log), waits for all of them — with --timeout=SECS a
 // straggler is SIGKILLed and reported instead of wedging the orchestrator
@@ -21,7 +21,7 @@
 // from this process's environment plus a per-job deadline, failures and
 // timeouts are retried with exponential backoff and reassigned to another
 // worker, and when every worker is down the remaining shards fall back to
-// local fork/exec.  Replication scale still comes from the environment
+// local children.  Replication scale still comes from the environment
 // (REPRO_FULL / REPRO_REPS / REPRO_FRAMES), which workers inherit via the
 // job env.  The merge path is identical in every mode — a loopback
 // multi-worker run is `cts_simd diff`-identical to a single-process run.
@@ -43,23 +43,18 @@
 // Note: pass value flags in --key=value form; positional arguments that
 // follow a bare boolean flag would otherwise be consumed as its value.
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,7 +80,6 @@
 #include "cts/util/subprocess.hpp"
 #include "cts/util/table.hpp"
 
-namespace fs = std::filesystem;
 namespace net = cts::net;
 namespace obs = cts::obs;
 namespace sim = cts::sim;
@@ -183,32 +177,74 @@ int merge_and_report(const std::vector<std::string>& shard_paths,
 // -------------------------------------------------------------------------
 // local run
 
-/// Fork/execs one local shard worker of `binary`, stdout+stderr to
-/// `log_path`.  Returns -1 when fork fails.
-pid_t spawn_local_shard(const std::string& binary, const sim::ShardSpec& spec,
-                        const std::string& shard_path,
-                        const std::string& log_path) {
-  const std::string shard_flag = "--shard=" + sim::format_shard_spec(spec);
-  const std::string out_flag = "--shard-out=" + shard_path;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::perror("cts_simd: fork");
-    return -1;
-  }
-  if (pid == 0) {
-    const int fd =
-        ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      ::close(fd);
+std::string shard_file(const std::string& out_dir, std::size_t shard,
+                       const char* ext) {
+  return out_dir + "/shard_" + std::to_string(shard) + ext;
+}
+
+/// How run_local_shards reports its children.
+struct LocalShards {
+  const char* label;        ///< names a failed child in its stderr line
+  bool announce;            ///< print "[worker i/N: pid P, log L]" per child
+  std::string flight_path;  ///< "" = none; else where a killed or
+                            ///< signalled child dumps the event ring
+};
+
+/// Runs `shards` of `binary` as local children, each with --shard=i/N
+/// --shard-out=<out_dir>/shard_i.json --quiet and its stdout+stderr in
+/// <out_dir>/shard_i.log, and waits for all of them under one shared
+/// deadline (none when timeout_s <= 0): a straggler past it is killed and
+/// reported instead of wedging the orchestrator.  Every failure gets a
+/// stderr line; returns false when any child failed or could not start.
+bool run_local_shards(const std::string& binary,
+                      const std::vector<std::size_t>& shards,
+                      std::size_t shard_count, const std::string& out_dir,
+                      double timeout_s, const LocalShards& how) {
+  bool failed = false;
+  std::vector<pid_t> pids;
+  for (const std::size_t shard : shards) {
+    cu::ChildSpec child;
+    child.argv = {binary,
+                  "--shard=" + sim::format_shard_spec({shard, shard_count}),
+                  "--shard-out=" + shard_file(out_dir, shard, ".json"),
+                  "--quiet"};
+    child.output_path = shard_file(out_dir, shard, ".log");
+    std::string error;
+    pids.push_back(cu::spawn_child(child, &error));
+    if (pids.back() < 0) {
+      std::fprintf(stderr, "cts_simd: %s %zu: %s\n", how.label, shard,
+                   error.c_str());
+      failed = true;
+    } else if (how.announce) {
+      std::printf("[worker %zu/%zu: pid %d, log %s]\n", shard, shard_count,
+                  static_cast<int>(pids.back()), child.output_path.c_str());
     }
-    ::execl(binary.c_str(), binary.c_str(), shard_flag.c_str(),
-            out_flag.c_str(), "--quiet", static_cast<char*>(nullptr));
-    std::perror("cts_simd: execl");
-    std::_Exit(127);
   }
-  return pid;
+
+  const double deadline = cu::monotonic_s() + timeout_s;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (pids[i] < 0) continue;
+    const double remaining =
+        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - cu::monotonic_s());
+    const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
+    if (outcome.ok()) continue;
+    failed = true;
+    if (!how.flight_path.empty() &&
+        (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
+         outcome.kind == cu::WaitOutcome::Kind::kSignaled) &&
+        obs::EventLog::global().dump_ring_to(how.flight_path)) {
+      // Flight recorder: everything logged (any level) right up to the
+      // kill, for the post-mortem.
+      obs::log_error("fallback.flight_recorder",
+                     {{"shard", static_cast<std::uint64_t>(shards[i])},
+                      {"path", how.flight_path},
+                      {"outcome", outcome.describe()}});
+    }
+    std::fprintf(stderr, "cts_simd: %s %zu %s (see %s)\n", how.label,
+                 shards[i], outcome.describe().c_str(),
+                 shard_file(out_dir, shards[i], ".log").c_str());
+  }
+  return !failed;
 }
 
 int run_workers(const std::string& binary, std::size_t shard_count,
@@ -221,38 +257,16 @@ int run_workers(const std::string& binary, std::size_t shard_count,
   }
   cu::make_dirs(out_dir);  // throws up front, naming the path
 
+  std::vector<std::size_t> shards;
   std::vector<std::string> shard_paths;
-  std::vector<std::string> log_paths;
-  std::vector<pid_t> pids;
   for (std::size_t i = 0; i < shard_count; ++i) {
-    const std::string tag = std::to_string(i);
-    shard_paths.push_back(out_dir + "/shard_" + tag + ".json");
-    log_paths.push_back(out_dir + "/shard_" + tag + ".log");
-    const pid_t pid = spawn_local_shard(binary, {i, shard_count},
-                                        shard_paths.back(), log_paths.back());
-    if (pid < 0) return 1;
-    pids.push_back(pid);
-    if (!quiet) {
-      std::printf("[worker %zu/%zu: pid %d, log %s]\n", i, shard_count,
-                  static_cast<int>(pid), log_paths.back().c_str());
-    }
+    shards.push_back(i);
+    shard_paths.push_back(shard_file(out_dir, i, ".json"));
   }
-
-  // One shared deadline across all workers; a straggler past it is killed
-  // and reported (the old code blocked in waitpid forever).
-  const double deadline = cu::monotonic_s() + timeout_s;
-  bool failed = false;
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    const double remaining =
-        timeout_s <= 0 ? -1.0 : std::max(0.0, deadline - cu::monotonic_s());
-    const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
-    if (!outcome.ok()) {
-      std::fprintf(stderr, "cts_simd: worker %zu %s (see %s)\n", i,
-                   outcome.describe().c_str(), log_paths[i].c_str());
-      failed = true;
-    }
+  if (!run_local_shards(binary, shards, shard_count, out_dir, timeout_s,
+                        {"worker", !quiet, ""})) {
+    return 1;
   }
-  if (failed) return 1;
 
   const int rc = merge_and_report(shard_paths, metrics_path, quiet);
   if (rc == 0 && !keep_shards) {
@@ -328,7 +342,7 @@ struct DispatchState {
   std::vector<int> attempts;            ///< per-shard dispatch attempts
   std::vector<int> last_failed_on;      ///< worker of the last failure, -1
   std::vector<std::string> payloads;    ///< per-shard cts.shard.v1 text
-  std::vector<std::size_t> fallback;    ///< shards left for local fork/exec
+  std::vector<std::size_t> fallback;    ///< shards left for the local fallback
   /// Per worker endpoint: that worker's job spans, already clock-corrected
   /// onto the dispatcher timeline — the merged trace's per-worker lanes.
   std::vector<std::vector<obs::TraceEvent>> worker_spans;
@@ -525,7 +539,7 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
 int run_networked(const NetRunOptions& opt) {
   // The registry doubles as the allowlist on this side too: an unknown id
   // fails here (exit 2) before any network traffic.
-  const bench::BenchSpec& spec = bench::spec(opt.bench_id);
+  (void)bench::spec(opt.bench_id);
   cu::make_dirs(opt.out_dir);
   if (!opt.trace_path.empty()) obs::TraceRecorder::global().enable();
   DispatchProfile profile(opt);
@@ -586,9 +600,9 @@ int run_networked(const NetRunOptions& opt) {
     local = st.fallback;
     for (const std::size_t shard : st.queue) local.push_back(shard);
   }
-  std::vector<std::string> shard_paths(opt.shards);
+  std::vector<std::string> shard_paths;
   for (std::size_t i = 0; i < opt.shards; ++i) {
-    shard_paths[i] = opt.out_dir + "/shard_" + std::to_string(i) + ".json";
+    shard_paths.push_back(shard_file(opt.out_dir, i, ".json"));
   }
   for (std::size_t i = 0; i < opt.shards; ++i) {
     if (st.payloads[i].empty()) continue;
@@ -602,13 +616,14 @@ int run_networked(const NetRunOptions& opt) {
   }
 
   if (!local.empty()) {
-    const std::string binary =
-        (fs::path(opt.bench_dir) / spec.binary).string();
-    if (::access(binary.c_str(), X_OK) != 0) {
+    std::string binary;
+    try {
+      binary = bench::bench_binary(opt.bench_dir, opt.bench_id);
+    } catch (const cu::Error& e) {
       std::fprintf(stderr,
                    "cts_simd: %zu shard(s) undispatched and the local "
-                   "fallback binary %s is not executable\n",
-                   local.size(), binary.c_str());
+                   "fallback cannot run: %s\n",
+                   local.size(), e.what());
       return 1;
     }
     dispatch.add("simd.net.local_fallback_shards",
@@ -620,40 +635,11 @@ int run_networked(const NetRunOptions& opt) {
                   local.size());
     }
     obs::ScopedSpan span("simd.net.local_fallback");
-    std::vector<pid_t> pids;
-    std::vector<std::string> logs;
-    for (const std::size_t shard : local) {
-      logs.push_back(opt.out_dir + "/shard_" + std::to_string(shard) +
-                     ".log");
-      const pid_t pid = spawn_local_shard(binary, {shard, opt.shards},
-                                          shard_paths[shard], logs.back());
-      if (pid < 0) return 1;
-      pids.push_back(pid);
-    }
-    const double deadline = cu::monotonic_s() + opt.job_timeout_s;
-    for (std::size_t i = 0; i < pids.size(); ++i) {
-      const double remaining = std::max(0.0, deadline - cu::monotonic_s());
-      const cu::WaitOutcome outcome = cu::wait_child(pids[i], remaining);
-      if (!outcome.ok()) {
-        if (outcome.kind == cu::WaitOutcome::Kind::kTimeout ||
-            outcome.kind == cu::WaitOutcome::Kind::kSignaled) {
-          // Flight recorder: everything the dispatcher logged (any level)
-          // right up to the kill, for the post-mortem.
-          const std::string flight_path =
-              opt.out_dir + "/fallback_flight.jsonl";
-          if (obs::EventLog::global().dump_ring_to(flight_path)) {
-            obs::log_error("fallback.flight_recorder",
-                           {{"shard",
-                             static_cast<std::uint64_t>(local[i])},
-                            {"path", flight_path},
-                            {"outcome", outcome.describe()}});
-          }
-        }
-        std::fprintf(stderr, "cts_simd: local fallback shard %zu %s (see "
-                             "%s)\n",
-                     local[i], outcome.describe().c_str(), logs[i].c_str());
-        return 1;
-      }
+    if (!run_local_shards(binary, local, opt.shards, opt.out_dir,
+                          opt.job_timeout_s,
+                          {"local fallback shard", false,
+                           opt.out_dir + "/fallback_flight.jsonl"})) {
+      return 1;
     }
   }
 
@@ -738,20 +724,20 @@ bool close_rel(double a, double b) {
 /// Reports every difference; returns the number found.
 std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
                          bool quiet) {
-  std::size_t differences = 0;
-  const auto report = [&](const std::string& what) {
-    ++differences;
-    if (!quiet) std::printf("DIFF: %s\n", what.c_str());
+  // Per section: the noun its entries are reported by, and for histograms
+  // the name fragment of timings, which never reproduce and so compare by
+  // count only (every current log histogram is a millisecond timing).
+  struct Section {
+    const char* key;
+    const char* noun;
+    const char* timing;
   };
-
-  const auto keys_of = [](const obs::JsonValue& section) {
-    std::vector<std::string> keys;
-    for (const auto& [name, value] : section.members) {
-      (void)value;
-      keys.push_back(name);
-    }
-    return keys;
-  };
+  static constexpr Section kSections[] = {
+      {"counters", "counter", nullptr},
+      {"sums", "sum", nullptr},
+      {"gauges", "gauge", nullptr},
+      {"histograms", "histogram", "wall_ms"},
+      {"log_histograms", "log_histogram", "_ms"}};
   // A report with no such section at all diffs as an empty section: every
   // entry present on the other side is reported as a difference (exit 1),
   // instead of at() throwing and turning a comparison into exit 2.
@@ -760,92 +746,50 @@ std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
     v.type = obs::JsonValue::Type::kObject;
     return v;
   }();
-  const auto for_union = [&](const char* section,
-                             const auto& visit) {
-    const obs::JsonValue* pa = a.find(section);
-    const obs::JsonValue* pb = b.find(section);
+
+  std::size_t differences = 0;
+  const auto report = [&](const std::string& what) {
+    ++differences;
+    if (!quiet) std::printf("DIFF: %s\n", what.c_str());
+  };
+  for (const Section& section : kSections) {
+    const obs::JsonValue* pa = a.find(section.key);
+    const obs::JsonValue* pb = b.find(section.key);
     const obs::JsonValue& sa = pa != nullptr ? *pa : kEmptySection;
     const obs::JsonValue& sb = pb != nullptr ? *pb : kEmptySection;
-    std::vector<std::string> keys = keys_of(sa);
-    for (const std::string& k : keys_of(sb)) {
-      bool seen = false;
-      for (const std::string& have : keys) seen = seen || have == k;
-      if (!seen) keys.push_back(k);
+    std::vector<std::string> names;  // the union, in first-seen order
+    for (const obs::JsonValue* s : {&sa, &sb}) {
+      for (const auto& member : s->members) {
+        if (std::find(names.begin(), names.end(), member.first) ==
+            names.end()) {
+          names.push_back(member.first);
+        }
+      }
     }
-    for (const std::string& k : keys) visit(k, sa.find(k), sb.find(k));
-  };
-
-  for_union("counters", [&](const std::string& name, const obs::JsonValue* va,
-                            const obs::JsonValue* vb) {
-    if (va == nullptr || vb == nullptr) {
-      report("counter " + name + " present in only one report");
-    } else if (va->as_number() != vb->as_number()) {
-      report("counter " + name + ": " + std::to_string(va->as_number()) +
-             " vs " + std::to_string(vb->as_number()));
+    const std::string key = section.key;
+    const bool histogram = section.timing != nullptr;
+    for (const std::string& name : names) {
+      if (key == "gauges" && skipped_gauge(name)) continue;
+      const obs::JsonValue* va = sa.find(name);
+      const obs::JsonValue* vb = sb.find(name);
+      const std::string what = std::string(section.noun) + " " + name;
+      if (va == nullptr || vb == nullptr) {
+        report(what + " present in only one report");
+        continue;
+      }
+      // Counters and gauges match exactly; sums to 1e-9 relative (Kahan
+      // summation is order-sensitive across shard boundaries).
+      const double x = (histogram ? va->at("count") : *va).as_number();
+      const double y = (histogram ? vb->at("count") : *vb).as_number();
+      if (key == "sums" ? !close_rel(x, y) : x != y) {
+        report(what + (histogram ? " count: " : ": ") + std::to_string(x) +
+               " vs " + std::to_string(y));
+      } else if (histogram && name.find(section.timing) == std::string::npos &&
+                 va->at("mean").as_number() != vb->at("mean").as_number()) {
+        report(what + " mean differs");
+      }
     }
-  });
-
-  for_union("sums", [&](const std::string& name, const obs::JsonValue* va,
-                        const obs::JsonValue* vb) {
-    if (va == nullptr || vb == nullptr) {
-      report("sum " + name + " present in only one report");
-    } else if (!close_rel(va->as_number(), vb->as_number())) {
-      report("sum " + name + ": " + std::to_string(va->as_number()) + " vs " +
-             std::to_string(vb->as_number()));
-    }
-  });
-
-  for_union("gauges", [&](const std::string& name, const obs::JsonValue* va,
-                          const obs::JsonValue* vb) {
-    if (skipped_gauge(name)) return;
-    if (va == nullptr || vb == nullptr) {
-      report("gauge " + name + " present in only one report");
-    } else if (va->as_number() != vb->as_number()) {
-      report("gauge " + name + ": " + std::to_string(va->as_number()) +
-             " vs " + std::to_string(vb->as_number()));
-    }
-  });
-
-  for_union("histograms", [&](const std::string& name,
-                              const obs::JsonValue* va,
-                              const obs::JsonValue* vb) {
-    if (va == nullptr || vb == nullptr) {
-      report("histogram " + name + " present in only one report");
-      return;
-    }
-    if (va->at("count").as_number() != vb->at("count").as_number()) {
-      report("histogram " + name + " count: " +
-             std::to_string(va->at("count").as_number()) + " vs " +
-             std::to_string(vb->at("count").as_number()));
-      return;
-    }
-    if (name.find("wall_ms") != std::string::npos) return;  // timings
-    if (va->at("mean").as_number() != vb->at("mean").as_number()) {
-      report("histogram " + name + " mean differs");
-    }
-  });
-
-  for_union("log_histograms", [&](const std::string& name,
-                                  const obs::JsonValue* va,
-                                  const obs::JsonValue* vb) {
-    if (va == nullptr || vb == nullptr) {
-      report("log_histogram " + name + " present in only one report");
-      return;
-    }
-    if (va->at("count").as_number() != vb->at("count").as_number()) {
-      report("log_histogram " + name + " count: " +
-             std::to_string(va->at("count").as_number()) + " vs " +
-             std::to_string(vb->at("count").as_number()));
-      return;
-    }
-    // Same rule as histograms: latency distributions (all current log
-    // histograms are millisecond timings) compare by count only.
-    if (name.find("_ms") != std::string::npos) return;
-    if (va->at("mean").as_number() != vb->at("mean").as_number()) {
-      report("log_histogram " + name + " mean differs");
-    }
-  });
-
+  }
   return differences;
 }
 
@@ -925,16 +869,7 @@ int main(int argc, char** argv) {
         opt.trace_path = flags.get_string("trace", "");
         opt.profile_path = flags.get_string("profile", "");
         opt.profile_folded = flags.get_string("profile-folded", "");
-        opt.bench_dir = flags.get_string("bench-dir", "");
-        if (opt.bench_dir.empty()) {
-          const char* env = std::getenv("CTS_BENCH_DIR");
-          if (env != nullptr && env[0] != '\0') {
-            opt.bench_dir = env;
-          } else {
-            opt.bench_dir =
-                (fs::path(argv[0]).parent_path() / ".." / "bench").string();
-          }
-        }
+        opt.bench_dir = bench::bench_dir(flags, argv[0]);
         return run_networked(opt);
       }
       return run_workers(args[1], static_cast<std::size_t>(shards),
