@@ -6,20 +6,23 @@
 // point is measured against the first baseline:
 //
 //   excess_i = median_i - median_0
-//   band_i   = max(k_mad * max(MAD_i, MAD_0, abs_floor),
-//                  min_rel * |median_0|)
+//   band_i   = max(k_mad * max(MAD_i, MAD_0), min_rel * |median_0|,
+//                  metric_resolution(metric))
 //
 // so a 2% wobble on a noisy metric and a 20-microsecond jitter on a
-// sub-millisecond one both stay inside the band.  A series drifts when
-// excess_i > band_i for every one of the last `window` points: a
+// sub-millisecond one both stay inside the band, and a zero median with
+// zero MADs cannot turn one clock tick into a regression.  A series drifts
+// when excess_i > band_i for every one of the last `window` points: a
 // sustained trend, not a single noisy delta.  An improvement drift (all
 // below -band_i) is reported but never gates.  A Theil-Sen slope per
 // series summarises the overall direction robustly.
 //
 // A two-point trajectory with window = 1 is the classic "did THIS run
-// regress against ONE baseline?" gate: cts_benchd --compare builds
-// exactly that.  tools/cts_benchtrend renders any trajectory as a
-// markdown table, a CSV mirror and a self-contained SVG sparkline chart.
+// regress against ONE baseline?" gate.  tools/cts_benchd builds every
+// trajectory through one gate function: `cts_benchd trend` over any
+// baselines, grouped by suite and scale, and `cts_benchd --compare` over
+// {baseline, fresh document}.  It renders each as a markdown table, a
+// CSV mirror and a self-contained SVG sparkline chart.
 
 #pragma once
 
@@ -46,6 +49,7 @@ struct BaselineDoc {
   std::string label;      ///< short label (file stem, e.g. BENCH_2026-08-05)
   std::string generated;  ///< the document's "generated" ISO date
   std::string suite;
+  std::string scale;  ///< the "scale" object as sorted "key=value" pairs
   JsonValue doc;
 };
 
@@ -62,10 +66,16 @@ void sort_baselines(std::vector<BaselineDoc>& docs);
 struct TrendOptions {
   double k_mad = 3.0;       ///< noise gate in MAD multiples
   double min_rel = 0.05;    ///< relative gate (fraction of first median)
-  double abs_floor = 1e-4;  ///< MAD floor against zero-MAD hair-triggers
   std::size_t window = 2;   ///< trailing points that must all drift
-  std::vector<std::string> metrics = {"wall_s"};
+  /// sys_s stays out by default: at the tens-of-milliseconds scale it
+  /// measures kernel scheduling and page-cache state, not the code.
+  std::vector<std::string> metrics = {"wall_s", "user_s", "max_rss_kb"};
 };
+
+/// The smallest change `metric` can resolve (its unit: seconds, kB,
+/// counts), the floor under every noise band.  1e-4 for a metric the
+/// table does not know.
+double metric_resolution(const std::string& metric);
 
 /// One baseline's contribution to a series.  Only median and mad feed
 /// the gate; n and the CI are display-only and read as 0 when absent.
@@ -119,5 +129,10 @@ std::string trend_markdown(const TrendReport& report,
 
 /// Renders the report as CSV: one row per (metric, bench, baseline).
 std::string trend_csv(const TrendReport& report);
+
+/// One line naming a drifting series: "REGRESSION: <bench> <metric>
+/// <+x.x% | n/a> (median a -> b, excess e > band w)", last point against
+/// the first; n/a when the first median is zero.
+std::string regression_line(const TrendSeries& series);
 
 }  // namespace cts::obs

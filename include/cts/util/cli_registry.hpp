@@ -51,7 +51,7 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"help", "", "print this flag list and exit"},
 };
 
-/// tools/cts_benchd.
+/// tools/cts_benchd (run mode and the trend / validate subcommands).
 inline constexpr FlagDoc kBenchdFlags[] = {
     {"suite", "smoke|sim|analytic|full", "bench suite to run (default smoke)"},
     {"filter", "SUBSTR", "only benches whose id contains SUBSTR"},
@@ -66,9 +66,23 @@ inline constexpr FlagDoc kBenchdFlags[] = {
     {"date", "YYYY-MM-DD", "override the document date (default: today UTC)"},
     {"compare", "BASE.json",
      "one-shot gate: after writing the document, gate it against this "
-     "baseline as a two-point trajectory (0 ok, 1 regression, 2 error)"},
-    {"k", "K", "--compare noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "--compare relative gate in percent (default 5)"},
+     "baseline as `trend --gate --window=1` does (0 ok, 1 regression, 2 "
+     "error)"},
+    {"k", "K", "gate noise band in MAD multiples (default 3)"},
+    {"pct", "P",
+     "gate relative band in percent of the first baseline (default 5)"},
+    {"metrics", "CSV",
+     "comma-separated metrics to gate and chart (default "
+     "wall_s,user_s,max_rss_kb)"},
+    {"window", "N",
+     "trend: trailing baselines that must all sit beyond the band to flag "
+     "drift (default 2; --compare uses 1)"},
+    {"gate", "", "trend: exit 1 when any series drifts toward worse"},
+    {"md", "PATH", "trend / --compare: write the markdown report"},
+    {"csv", "PATH", "trend / --compare: write the CSV mirror"},
+    {"svg", "PATH",
+     "trend / --compare: write the SVG sparkline chart (<stem>_<suite>.svg "
+     "per group when several suites or scales are charted)"},
     {"json-lines", "PATH",
      "stream one RFC 8259 JSON object per run (cts.benchrun.v1) for soak "
      "monitoring"},
@@ -78,30 +92,7 @@ inline constexpr FlagDoc kBenchdFlags[] = {
      "event-log sink threshold: debug|info|warn|error (default info)"},
     {"keep-runs", "", "keep the per-run perf reports in the temp run dir"},
     {"list", "", "print the bench registry and exit"},
-    {"quiet", "", "suppress progress on stderr"},
-    {"help", "", "print usage and exit"},
-};
-
-/// tools/cts_benchtrend.
-inline constexpr FlagDoc kBenchtrendFlags[] = {
-    {"dir", "DIR",
-     "scan DIR for BENCH_*.json when no files are given (default .)"},
-    {"metrics", "CSV", "comma-separated metrics to chart (default wall_s)"},
-    {"md", "PATH", "write the markdown trend report"},
-    {"csv", "PATH", "write the CSV mirror"},
-    {"svg", "PATH",
-     "write the SVG sparkline chart (per suite: <stem>_<suite>.svg when "
-     "baselines span several suites)"},
-    {"k", "K", "noise gate in MAD multiples (default 3)"},
-    {"pct", "P", "relative gate in percent of the first baseline (default 5)"},
-    {"window", "N",
-     "trailing baselines that must all sit beyond the band to flag drift "
-     "(default 2)"},
-    {"gate", "", "exit 1 when any series flags sustained drift"},
-    {"validate", "",
-     "only validate the given files: strict RFC 8259 plus the cts.bench.v1 "
-     "schema tag"},
-    {"quiet", "", "suppress the report on stdout"},
+    {"quiet", "", "suppress progress on stderr and the report on stdout"},
     {"help", "", "print usage and exit"},
 };
 
@@ -285,8 +276,6 @@ inline constexpr ToolDoc kTools[] = {
     {"bench binaries", kBenchSharedFlags,
      sizeof(kBenchSharedFlags) / sizeof(kBenchSharedFlags[0])},
     {"cts_benchd", kBenchdFlags, sizeof(kBenchdFlags) / sizeof(kBenchdFlags[0])},
-    {"cts_benchtrend", kBenchtrendFlags,
-     sizeof(kBenchtrendFlags) / sizeof(kBenchtrendFlags[0])},
     {"cts_simd", kSimdFlags, sizeof(kSimdFlags) / sizeof(kSimdFlags[0])},
     {"cts_shardd", kShardDFlags,
      sizeof(kShardDFlags) / sizeof(kShardDFlags[0])},

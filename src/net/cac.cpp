@@ -235,10 +235,10 @@ CacResponse parse_cac_response(const std::string& text) {
     CacAnswer answer;
     answer.ok = entry.at("ok").as_bool();
     if (answer.ok) {
-      const double admissible = entry.at("admissible").as_number();
-      cu::require(admissible >= 0.0 && admissible == std::floor(admissible),
-                  "cac result: admissible must be a non-negative integer");
-      answer.admissible = static_cast<std::size_t>(admissible);
+      // Range-checked before the cast: 1e300 or -1 must not reach size_t.
+      static const std::string kAdmissible = "cac result: admissible";
+      answer.admissible = static_cast<std::size_t>(
+          entry.at("admissible").as_int(kAdmissible));
       answer.log10_bop = entry.at("log10_bop").as_number();
       const obs::JsonValue* interp = entry.find("interpolated");
       if (interp != nullptr) answer.interpolated = interp->as_bool();

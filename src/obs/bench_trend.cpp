@@ -48,6 +48,45 @@ double optional_number(const JsonValue& summary, const char* key) {
   return value != nullptr ? value->as_number() : 0.0;
 }
 
+/// The "scale" object as sorted "key=value" pairs ("" when absent): two
+/// documents are comparable only when these strings match.
+std::string scale_text(const JsonValue* scale) {
+  if (scale == nullptr) return "";
+  std::vector<std::string> pairs;
+  for (const auto& [key, value] : scale->members) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", value.as_number());
+    pairs.push_back(key + "=" + buf);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::string text;
+  for (const std::string& pair : pairs) {
+    text += (text.empty() ? "" : " ") + pair;
+  }
+  return text;
+}
+
+/// Resolution floors for the metrics cts_benchd records.
+struct MetricResolution {
+  const char* metric;
+  double floor;
+};
+constexpr MetricResolution kResolutions[] = {
+    // Wall time of a spawned child includes fork/exec, loading and reaping,
+    // which jitter by a few hundred microseconds on a loaded host.
+    {"wall_s", 3e-4},
+    // The kernel splits a task's CPU time between user and system in
+    // proportion to its tick samples, so a bench shorter than a tick can
+    // read all user or all system from one run to the next: about 1 ms.
+    {"user_s", 1e-3},
+    {"sys_s", 1e-3},
+    // ru_maxrss counts kilobytes of resident pages: one 4 KiB page.
+    {"max_rss_kb", 4.0},
+    // Context switches are counted one by one.
+    {"ctx_voluntary", 1.0},
+    {"ctx_involuntary", 1.0},
+};
+
 }  // namespace
 
 void require_bench_schema(const JsonValue& doc) {
@@ -89,6 +128,11 @@ BaselineDoc parse_baseline(const std::string& path, const std::string& text) {
   }
   const JsonValue* suite = doc.doc.find("suite");
   if (suite != nullptr && suite->is_string()) doc.suite = suite->string;
+  try {
+    doc.scale = scale_text(doc.doc.find("scale"));
+  } catch (const util::Error& e) {
+    throw util::InvalidArgument(path + ": scale: " + e.what());
+  }
   return doc;
 }
 
@@ -100,6 +144,13 @@ void sort_baselines(std::vector<BaselineDoc>& docs) {
                      }
                      return a.label < b.label;
                    });
+}
+
+double metric_resolution(const std::string& metric) {
+  for (const MetricResolution& entry : kResolutions) {
+    if (metric == entry.metric) return entry.floor;
+  }
+  return 1e-4;
 }
 
 std::string TrendSeries::verdict() const {
@@ -186,13 +237,13 @@ TrendReport build_trend(const std::vector<BaselineDoc>& docs,
       if (series.points.size() < 2) continue;
 
       const TrendPoint& first = series.points.front();
+      const double resolution = metric_resolution(metric);
       std::vector<double> medians;
       for (TrendPoint& point : series.points) {
         point.excess = point.median - first.median;
-        point.band =
-            std::max(options.k_mad *
-                         std::max({point.mad, first.mad, options.abs_floor}),
-                     options.min_rel * std::fabs(first.median));
+        point.band = std::max({options.k_mad * std::max(point.mad, first.mad),
+                               options.min_rel * std::fabs(first.median),
+                               resolution});
         point.beyond_band = std::fabs(point.excess) > point.band;
         medians.push_back(point.median);
       }
@@ -231,7 +282,8 @@ std::string trend_markdown(const TrendReport& report,
   }
   os << ".\nDrift gate: the last " << options.window
      << " baseline(s) beyond max(" << options.k_mad << "×MAD, "
-     << options.min_rel * 100.0 << "%) of the first baseline.\n";
+     << options.min_rel * 100.0
+     << "%, metric resolution) of the first baseline.\n";
 
   std::string current_metric;
   for (const TrendSeries& series : report.series) {
@@ -298,6 +350,19 @@ std::string trend_csv(const TrendReport& report) {
     }
   }
   return os.str();
+}
+
+std::string regression_line(const TrendSeries& series) {
+  const TrendPoint& base = series.points.front();
+  const TrendPoint& last = series.points.back();
+  const std::string change =
+      base.median == 0.0 ? "n/a" : rel_pct(last.excess, base.median);
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                " %s (median %.6g -> %.6g, excess %.3g > band %.3g)",
+                change.c_str(), base.median, last.median, last.excess,
+                last.band);
+  return "REGRESSION: " + series.bench + " " + series.metric + buf;
 }
 
 }  // namespace cts::obs

@@ -54,6 +54,20 @@ bool read_text_file(const std::string& path, std::string* out,
   return true;
 }
 
+void write_text_file(const std::string& path, const std::string& text) {
+  errno = 0;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    throw InvalidArgument("cannot write " + path + ": " + errno_text());
+  }
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+  // fclose flushes, so a full disk may only show here.
+  if (std::fclose(f) != 0 || !written) {
+    throw InvalidArgument("cannot write " + path + ": " + errno_text());
+  }
+}
+
 void make_dirs(const std::string& path) {
   require(!path.empty(), "make_dirs: empty path");
   std::string prefix;

@@ -1,9 +1,11 @@
-// End-to-end cts_benchtrend tests: a synthetic three-baseline chain with
-// injected drift must produce the markdown/CSV/SVG artefacts and trip the
-// --gate exit code, a stable chain must stay green, the two-file window-1
-// gate must fail only a regressed candidate, --validate must accept only
-// cts.bench.v1 documents, and bad gate flags must be usage errors; the
-// CtsBenchcmp cases cover the offline two-file validate/gate surface.
+// End-to-end tests of the bench gate, `cts_benchd trend` and `cts_benchd
+// validate`: a synthetic three-baseline chain with injected drift must
+// produce the markdown/CSV/SVG artefacts and trip the --gate exit code, a
+// stable chain must stay green, the two-file window-1 gate must fail only a
+// regressed candidate, baselines of different scales must never be gated
+// against each other, validate must accept only cts.bench.v1 documents,
+// and bad gate flags must be usage errors; the CtsBenchcmp cases cover the
+// offline two-file validate/gate surface.
 
 #include <gtest/gtest.h>
 
@@ -38,15 +40,19 @@ int shell(const std::string& command) {
 
 #if defined(CTS_TOOLS_BIN_DIR)
 
-std::string benchtrend() {
-  return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchtrend";
+/// `cts_benchd <command>`, quoted for the shell.
+std::string benchd(const std::string& command) {
+  return "'" + std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchd' " + command;
 }
 
-/// A cts.bench.v1 baseline with one bench and a full wall_s summary.
-std::string baseline_doc(const std::string& date, double median) {
+/// A cts.bench.v1 baseline with one bench and a full wall_s summary, at
+/// the given "scale" object ("" = none).
+std::string baseline_doc(const std::string& date, double median,
+                         const std::string& scale = "") {
   std::ostringstream os;
   os << R"({"schema":"cts.bench.v1","suite":"smoke","generated":")" << date
-     << R"(","benches":{"fig9_sim_markov":{"metrics":{"wall_s":{)"
+     << R"(",)" << (scale.empty() ? "" : R"("scale":)" + scale + ",")
+     << R"("benches":{"fig9_sim_markov":{"metrics":{"wall_s":{)"
      << R"("n":5,"median":)" << median
      << R"(,"mad":0.01,"ci95_lo":0.9,"ci95_hi":1.1}}}}})";
   return os.str();
@@ -74,10 +80,14 @@ TEST(CtsBenchtrend, InjectedDriftProducesArtifactsAndTripsGate) {
   const std::string md = dir + "/trend_drift.md";
   const std::string csv = dir + "/trend_drift.csv";
   const std::string svg = dir + "/trend_drift.svg";
-  const std::string cmd = "'" + benchtrend() + "' " + files + " --md='" + md +
+  const std::string err = dir + "/trend_drift.err";
+  const std::string cmd = benchd("trend ") + files + " --md='" + md +
                           "' --csv='" + csv + "' --svg='" + svg +
-                          "' --gate --quiet 2>/dev/null";
+                          "' --gate --quiet 2>'" + err + "'";
   EXPECT_EQ(shell(cmd), 1) << cmd;
+  EXPECT_NE(read_file(err).find("REGRESSION: fig9_sim_markov wall_s +55.0%"),
+            std::string::npos)
+      << read_file(err);
 
   const std::string md_text = read_file(md);
   EXPECT_NE(md_text.find("DRIFT"), std::string::npos);
@@ -98,16 +108,14 @@ TEST(CtsBenchtrend, StableChainStaysGreenEvenWithGate) {
   const std::string dir = ::testing::TempDir();
   const std::string files =
       write_chain(dir + "/trend_stable", 1.0, 1.001, 0.999);
-  EXPECT_EQ(shell("'" + benchtrend() + "' " + files +
-                  " --gate --quiet >/dev/null"),
-            0);
+  EXPECT_EQ(shell(benchd("trend ") + files + " --gate --quiet >/dev/null"), 0);
 }
 
 TEST(CtsBenchtrend, TwoFileGateFailsOnlyARegressedCandidate) {
   // The offline form of cts_benchd --compare: a two-point trajectory with
-  // a window of one, gating the same metrics.  The summaries carry only
-  // median and mad, like the --compare fixtures; the "generated" dates
-  // order the pair, whatever the argv order.
+  // a window of one over the default gate metrics.  The summaries carry
+  // only median and mad, like the --compare fixtures; the "generated"
+  // dates order the pair, whatever the argv order.
   const std::string dir = ::testing::TempDir();
   const auto write_doc = [&dir](const std::string& name,
                                 const std::string& date, double median) {
@@ -120,9 +128,8 @@ TEST(CtsBenchtrend, TwoFileGateFailsOnlyARegressedCandidate) {
     return path;
   };
   const auto gate = [](const std::string& a, const std::string& b) {
-    return shell("'" + benchtrend() +
-                 "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb '" +
-                 a + "' '" + b + "' --quiet 2>/dev/null");
+    return shell(benchd("trend --gate --window=1 '") + a + "' '" + b +
+                 "' --quiet 2>/dev/null");
   };
   const std::string base = write_doc("base", "2026-08-01", 1.0);
   // +50%, far beyond 3 x MAD and 5%.
@@ -135,30 +142,61 @@ TEST(CtsBenchtrend, TwoFileGateFailsOnlyARegressedCandidate) {
   EXPECT_EQ(gate(base, better), 0);
 }
 
+TEST(CtsBenchtrend, BaselinesOfAnotherScaleAreNeverGatedTogether) {
+  // Medians at 2 x 2000 and 4 x 2000 measure different work: a +50% step
+  // across scales is no regression, and a pair with nothing comparable is
+  // an error naming both scales.
+  const std::string dir = ::testing::TempDir() + "/trend_scales";
+  std::filesystem::create_directories(dir);
+  const std::string small = R"({"repro_reps":2,"repro_frames":2000})";
+  const std::string large = R"({"repro_reps":4,"repro_frames":2000})";
+  const std::string a = dir + "/BENCH_a.json";
+  const std::string b = dir + "/BENCH_b.json";
+  const std::string c = dir + "/BENCH_c.json";
+  write_file(a, baseline_doc("2026-08-01", 1.0, small));
+  write_file(b, baseline_doc("2026-08-02", 1.0, small));
+  write_file(c, baseline_doc("2026-08-03", 1.5, large));
+  const std::string err = dir + "/trend.err";
+  EXPECT_EQ(shell(benchd("trend --gate --window=1 '") + a + "' '" + b +
+                  "' '" + c + "' --quiet 2>'" + err + "'"),
+            0);
+  EXPECT_NE(read_file(err).find("scale {repro_frames=2000 repro_reps=4} has "
+                                "only one baseline"),
+            std::string::npos)
+      << read_file(err);
+
+  EXPECT_EQ(shell(benchd("trend --gate --window=1 '") + a + "' '" + c +
+                  "' --quiet 2>'" + err + "'"),
+            2);
+  const std::string text = read_file(err);
+  EXPECT_NE(text.find("{repro_frames=2000 repro_reps=2}"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("{repro_frames=2000 repro_reps=4}"), std::string::npos)
+      << text;
+}
+
 TEST(CtsBenchtrend, ValidateAcceptsOnlyBenchDocuments) {
   const std::string dir = ::testing::TempDir();
   const std::string good = dir + "/trend_validate_good.json";
   const std::string bad = dir + "/trend_validate_bad.json";
   write_file(good, baseline_doc("2026-08-01", 1.0));
   write_file(bad, R"({"schema":"cts.perf.v1"})");
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate '" + good +
-                  "' --quiet >/dev/null"),
-            0);
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate '" + bad +
-                  "' --quiet 2>/dev/null"),
-            2);}
+  EXPECT_EQ(shell(benchd("validate '") + good + "' --quiet >/dev/null"), 0);
+  EXPECT_EQ(shell(benchd("validate '") + bad + "' --quiet 2>/dev/null"), 2);
+}
 
 TEST(CtsBenchtrend, UsageErrorsExitTwo) {
   const std::string dir = ::testing::TempDir();
   const std::string lone = dir + "/trend_lone.json";
   write_file(lone, baseline_doc("2026-08-01", 1.0));
   // A trajectory needs at least two baselines.
-  EXPECT_EQ(shell("'" + benchtrend() + "' '" + lone + "' 2>/dev/null"), 2);
+  EXPECT_EQ(shell(benchd("trend '") + lone + "' 2>/dev/null"), 2);
   // An empty directory scan is an error, not silent success.
-  EXPECT_EQ(shell("'" + benchtrend() + "' --dir='" + dir +
-                  "/no_such_dir' 2>/dev/null"),
-            2);
-  EXPECT_EQ(shell("'" + benchtrend() + "' --help >/dev/null"), 0);
+  const std::string empty = dir + "/trend_empty_dir";
+  std::filesystem::create_directories(empty);
+  EXPECT_EQ(shell("cd '" + empty + "' && " + benchd("trend 2>/dev/null")), 2);
+  EXPECT_EQ(shell(benchd("--help >/dev/null")), 0);
+  EXPECT_EQ(shell(benchd("bogus 2>/dev/null")), 2);
   // Gate flags that would silently switch a gate off, or (for a negative
   // window) mean "every point", are rejected with the flag and value.
   const std::string other = dir + "/trend_lone2.json";
@@ -172,8 +210,8 @@ TEST(CtsBenchtrend, UsageErrorsExitTwo) {
         {"--pct=-5", "--pct must be >= 0, got -5"},
         {"--window=-1", "--window must be >= 1, got -1"},
         {"--window=0", "--window must be >= 1, got 0"}}) {
-    EXPECT_EQ(shell("'" + benchtrend() + "' " + flag + " " + files +
-                    " --quiet 2>'" + err + "'"),
+    EXPECT_EQ(shell(benchd("trend ") + flag + " " + files + " --quiet 2>'" +
+                    err + "'"),
               2)
         << flag;
     EXPECT_NE(read_file(err).find(message), std::string::npos) << flag;
@@ -181,28 +219,22 @@ TEST(CtsBenchtrend, UsageErrorsExitTwo) {
 }
 
 // CtsBenchcmp: the offline two-file compare and validate surface
-// (`cts_benchtrend --gate --window=1 A B`, `cts_benchtrend --validate`).
+// (`cts_benchd trend --gate --window=1 A B`, `cts_benchd validate`).
 
-/// The offline two-file gate: the metrics cts_benchd --compare gates.
-std::string two_file_gate() {
-  return "'" + benchtrend() +
-         "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb";
-}
+/// The offline two-file gate over the default gate metrics.
+std::string two_file_gate() { return benchd("trend --gate --window=1"); }
 
 TEST(CtsBenchcmp, ValidateRejectsMalformedJson) {
   const std::string good = ::testing::TempDir() + "/validate_good.json";
   const std::string bad = ::testing::TempDir() + "/validate_bad.json";
   write_file(good, baseline_doc("2026-08-01", 1.0));
   write_file(bad, "{\"schema\":\"cts.bench.v1\",}");
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + good +
-                  "' --quiet >/dev/null"),
-            0);
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + bad +
-                  "' --quiet 2>/dev/null"),
+  EXPECT_EQ(shell(benchd("validate '") + good + "' --quiet >/dev/null"), 0);
+  EXPECT_EQ(shell(benchd("validate '") + bad + "' --quiet 2>/dev/null"), 2);
+  EXPECT_EQ(shell(benchd("validate /no/such/file.json --quiet 2>/dev/null")),
             2);
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='/no/such/file.json' "
-                  "--quiet 2>/dev/null"),
-            2);
+  // validate with no files has nothing to check.
+  EXPECT_EQ(shell(benchd("validate >/dev/null")), 2);
 }
 
 TEST(CtsBenchcmp, UsageErrorsExitTwo) {
@@ -227,12 +259,9 @@ TEST(CtsBenchcmp, ValidateRejectsMissingAndUnknownSchema) {
   const std::string wrong = ::testing::TempDir() + "/validate_wrong.json";
   write_file(no_schema, R"({"benches":{}})");
   write_file(wrong, R"({"schema":"cts.perf.v1","benches":{}})");
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + no_schema +
-                  "' --quiet 2>/dev/null"),
+  EXPECT_EQ(shell(benchd("validate '") + no_schema + "' --quiet 2>/dev/null"),
             2);
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + wrong +
-                  "' --quiet 2>/dev/null"),
-            2);
+  EXPECT_EQ(shell(benchd("validate '") + wrong + "' --quiet 2>/dev/null"), 2);
 }
 
 #else

@@ -310,3 +310,16 @@ TEST(CacResponse, RejectsStructurallyInvalidReplies) {
   EXPECT_THROW(cn::parse_cac_response(R"({"schema":"cts.stats.v1"})"),
                cu::InvalidArgument);
 }
+
+TEST(CacResponse, RejectsAdmissibleCountsThatAreNotSizes) {
+  // Each is rejected before the cast to size_t: 1e300 would overflow it
+  // (undefined behaviour), -1 would wrap and 2.5 would truncate.
+  for (const char* admissible : {"1e300", "-1", "2.5"}) {
+    SCOPED_TRACE(admissible);
+    const std::string reply =
+        std::string(R"({"schema":"cts.cacresult.v1","ok":true,"model":"m",)"
+                    R"("elapsed_s":0,"answers":[{"ok":true,"admissible":)") +
+        admissible + R"(,"log10_bop":-6}]})";
+    EXPECT_THROW(cn::parse_cac_response(reply), cu::Error);
+  }
+}

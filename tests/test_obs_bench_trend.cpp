@@ -1,8 +1,8 @@
 // Perf-trajectory analysis across BENCH_*.json baselines: schema checks,
 // ordering, Theil-Sen slopes, sustained-drift gating (not
 // last-vs-previous), the two-point window-1 gate cts_benchd --compare
-// runs (CompareBench, plus exact band-edge ties), and the markdown / CSV /
-// SVG renderers.
+// runs (CompareBench, plus exact band-edge ties and the per-metric
+// resolution floors), and the markdown / CSV / SVG renderers.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +98,18 @@ TEST(ParseBaseline, RejectsInvalidJsonAndWrongSchema) {
     // The message must name the offending schema so the fix is obvious.
     EXPECT_NE(std::string(e.what()).find("cts.perf.v1"), std::string::npos);
   }
+}
+
+TEST(ParseBaseline, ReadsTheScaleAsSortedPairs) {
+  const obs::BaselineDoc scaled = obs::parse_baseline(
+      "x.json", R"({"schema":"cts.bench.v1","benches":{},)"
+                R"("scale":{"repro_reps":2,"repro_frames":2000}})");
+  EXPECT_EQ(scaled.scale, "repro_frames=2000 repro_reps=2");
+  EXPECT_EQ(obs::parse_baseline("y.json", bare_doc(1.0, 0.1)).scale, "");
+  EXPECT_THROW(obs::parse_baseline(
+                   "z.json", R"({"schema":"cts.bench.v1","benches":{},)"
+                             R"("scale":{"repro_reps":"two"}})"),
+               cts::util::InvalidArgument);
 }
 
 TEST(SortBaselines, OrdersByDateThenLabel) {
@@ -207,7 +219,7 @@ TEST(BuildTrend, BenchMissingFromSomeBaselinesIsNoted) {
 
 // CompareBench: one baseline document against one candidate, through the
 // two-point, window-1 gate that cts_benchd --compare and the offline
-// `cts_benchtrend --gate --window=1 A B` run.  A regression trips only when
+// `cts_benchd trend --gate --window=1 A B` run.  A regression trips only when
 // a metric moves beyond BOTH the k x MAD gate and the relative gate, in
 // the worse direction.
 
@@ -284,6 +296,56 @@ TEST(CompareBench, MissingBenchesAreNotedNotFatal) {
   ASSERT_EQ(pair.series.size(), 1u);
   ASSERT_EQ(pair.notes.size(), 1u);
   EXPECT_NE(pair.notes[0].find("table1"), std::string::npos);
+}
+
+TEST(CompareBench, DefaultMetricsAreWallUserAndRss) {
+  EXPECT_EQ(obs::TrendOptions{}.metrics,
+            (std::vector<std::string>{"wall_s", "user_s", "max_rss_kb"}));
+}
+
+TEST(CompareBench, CpuTickOnAZeroBaselineIsNotARegression) {
+  // table1 of the 2026-10-17 smoke baseline: user_s median 0 with MAD 0 (the
+  // kernel put the whole sub-millisecond run in sys_s), then 0.336 ms in
+  // the next run.  Under one tick of CPU accounting this is not a change.
+  const obs::TrendReport pair = gate(bare_doc(0.0, 0.0, "user_s"),
+                                     bare_doc(0.000336, 0.00005, "user_s"));
+  ASSERT_EQ(pair.series.size(), 1u);
+  EXPECT_FALSE(pair.has_drift());
+  EXPECT_DOUBLE_EQ(pair.series[0].points[1].band,
+                   obs::metric_resolution("user_s"));
+  // A whole tick-sized jump of the same zero median still gates, and its
+  // line reads n/a: no relative change exists against a zero median.
+  const obs::TrendReport jump = gate(bare_doc(0.0, 0.0, "user_s"),
+                                     bare_doc(0.01, 0.0002, "user_s"));
+  ASSERT_TRUE(jump.has_drift());
+  const std::string line = obs::regression_line(jump.series[0]);
+  EXPECT_EQ(line.rfind("REGRESSION: fig9 user_s n/a (median 0 -> 0.01", 0), 0u)
+      << line;
+}
+
+TEST(CompareBench, TwentyPercentStepOnATenMillisecondBenchIsFlagged) {
+  // A 10 ms bench with realistic spread (the cacd and fig5 rows of the
+  // committed baselines): +20% on each gated metric is a regression.
+  for (const auto& [metric, median, mad] :
+       {std::tuple{"wall_s", 0.010, 0.0002}, std::tuple{"user_s", 0.010, 0.0003},
+        std::tuple{"max_rss_kb", 5600.0, 16.0}}) {
+    SCOPED_TRACE(metric);
+    const obs::TrendReport pair =
+        gate(bare_doc(median, mad, metric), bare_doc(median * 1.2, mad, metric));
+    ASSERT_EQ(pair.series.size(), 1u);
+    EXPECT_TRUE(pair.has_drift());
+    EXPECT_EQ(obs::regression_line(pair.series[0]).find(
+                  std::string("REGRESSION: fig9 ") + metric + " +20.0% "),
+              0u)
+        << obs::regression_line(pair.series[0]);
+  }
+}
+
+TEST(CompareBench, ResolutionFloorsAreKeyedByMetric) {
+  EXPECT_DOUBLE_EQ(obs::metric_resolution("user_s"), 1e-3);
+  EXPECT_DOUBLE_EQ(obs::metric_resolution("max_rss_kb"), 4.0);
+  // A metric the table does not know keeps the generic floor.
+  EXPECT_DOUBLE_EQ(obs::metric_resolution("cycles"), 1e-4);
 }
 
 TEST(TrendRenderers, MarkdownCsvAndSvgCarryTheSeries) {

@@ -1,7 +1,8 @@
 // End-to-end harness tests: cts_benchd must produce a cts.bench.v1 document
 // that carries median/MAD/CI, peak RSS, CPU time and a per-phase self-time
-// table for every smoke bench, which cts_benchtrend validates and gates
-// green against itself; cts_benchd --compare must gate in one invocation;
+// table for every smoke bench, which `cts_benchd validate` accepts and
+// `cts_benchd trend --gate` passes against itself; cts_benchd --compare
+// must gate in one invocation and refuse a baseline of another scale;
 // a --bench-dir path is never parsed by a shell, and a failed bench is
 // reported by its exit status or signal; every bench binary must honour
 // --help with exit 0 and exit 2 on a malformed flag value.
@@ -79,9 +80,6 @@ std::string bench_dir_with_table1(const std::string& dir,
 }
 
 std::string benchd() { return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchd"; }
-std::string benchtrend() {
-  return std::string(CTS_TOOLS_BIN_DIR) + "/cts_benchtrend";
-}
 
 TEST(CtsBenchd, SmokeSuiteProducesValidBenchDocument) {
   const std::string out = ::testing::TempDir() + "/BENCH_e2e.json";
@@ -145,13 +143,11 @@ TEST(CtsBenchd, SmokeSuiteProducesValidBenchDocument) {
   }
 
   // An identical pair never regresses.
-  EXPECT_EQ(shell("'" + benchtrend() +
-                  "' --gate --window=1 --metrics=wall_s,user_s,max_rss_kb '" +
-                  out + "' '" + out + "' --quiet"),
+  EXPECT_EQ(shell("'" + benchd() + "' trend --gate --window=1 '" + out +
+                  "' '" + out + "' --quiet"),
             0);
-  // The emitted document passes --validate.
-  EXPECT_EQ(shell("'" + benchtrend() + "' --validate='" + out + "' --quiet"),
-            0);
+  // The emitted document passes validate.
+  EXPECT_EQ(shell("'" + benchd() + "' validate '" + out + "' --quiet"), 0);
 }
 
 TEST(CtsBenchd, CompareModeGatesInOneInvocation) {
@@ -163,9 +159,13 @@ TEST(CtsBenchd, CompareModeGatesInOneInvocation) {
   // The fixtures gate peak RSS, not wall time: fig5's ~3 ms runs scatter
   // several-fold under load, and the fresh run's MAD widens the noise band
   // past any wall-time excess, while max_rss_kb barely moves between runs.
+  // Like every cts_benchd document they name the suite and the pinned
+  // scale of the run they are gated against.
   const auto fig5_doc = [](double rss_median_kb) {
     std::ostringstream os;
-    os << R"({"schema":"cts.bench.v1","benches":{"fig5_bop":{"metrics":{)"
+    os << R"({"schema":"cts.bench.v1","suite":"analytic",)"
+       << R"("scale":{"repro_reps":2,"repro_frames":2000},)"
+       << R"("benches":{"fig5_bop":{"metrics":{)"
        << R"("max_rss_kb":{"median":)" << rss_median_kb
        << R"(,"mad":1e-9}}}}})";
     return os.str();
@@ -183,6 +183,31 @@ TEST(CtsBenchd, CompareModeGatesInOneInvocation) {
   EXPECT_EQ(shell(run + " --compare='/no/such/BENCH.json' "
                         ">/dev/null 2>/dev/null"),
             2);
+}
+
+TEST(CtsBenchd, CompareRefusesABaselineOfAnotherScale) {
+  // Medians at another REPRO scale measure other work: gating across
+  // scales is an error (2) naming both, never a pass or a regression.
+  const std::string dir = ::testing::TempDir();
+  const std::string base = dir + "/compare_scale_base.json";
+  write_file(base,
+             R"({"schema":"cts.bench.v1","suite":"analytic",)"
+             R"("scale":{"repro_reps":2,"repro_frames":2000},)"
+             R"("benches":{"fig5_bop":{"metrics":{)"
+             R"("max_rss_kb":{"median":1e9,"mad":1e-9}}}}})");
+  const std::string err = dir + "/compare_scale.err";
+  const std::string cmd = "'" + benchd() +
+                          "' --suite=analytic --filter=fig5 --repeats=1 "
+                          "--warmup=0 --reps=1 --quiet --bench-dir='" +
+                          CTS_BENCH_BIN_DIR + "' --out='" + dir +
+                          "/compare_scale_out.json' --compare='" + base +
+                          "' >/dev/null 2>'" + err + "'";
+  EXPECT_EQ(shell(cmd), 2) << cmd;
+  const std::string text = read_file(err);
+  EXPECT_NE(text.find("{repro_frames=2000 repro_reps=2}"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("{repro_frames=2000 repro_reps=1}"), std::string::npos)
+      << text;
 }
 
 TEST(CtsBenchd, JsonLinesStreamsOneObjectPerRun) {

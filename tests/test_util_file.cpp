@@ -1,10 +1,11 @@
-// Unit tests for the file helpers (read_text_file / make_dirs), the child
-// launcher (spawn_child) and the deadline child-waiter (wait_child) behind
-// cts_simd, cts_shardd and cts_benchd: unreadable paths must fail naming
-// the path and errno, nested --out-dir chains must be created like
-// mkdir -p, a child must see its argv and environment exactly as given,
-// and a wedged child must be killed and reported with the terminating
-// signal named.
+// Unit tests for the file helpers (read_text_file / write_text_file /
+// make_dirs), the child launcher (spawn_child) and the deadline
+// child-waiter (wait_child) behind cts_simd, cts_shardd and cts_benchd:
+// unreadable or unwritable paths must fail naming the path and errno (and
+// end the tools that write through write_text_file with exit 2), nested
+// --out-dir chains must be created like mkdir -p, a child must see its
+// argv and environment exactly as given, and a wedged child must be killed
+// and reported with the terminating signal named.
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,68 @@ TEST(ReadTextFile, NonThrowingVariantReportsTheSameMessage) {
   EXPECT_TRUE(cu::read_text_file(__FILE__, &out, &error));
   EXPECT_NE(out.find("NonThrowingVariantReportsTheSameMessage"),
             std::string::npos);
+}
+
+TEST(WriteTextFile, ReplacesContents) {
+  const std::string path = temp_path("write_ok.txt");
+  std::ofstream(path) << "stale contents, longer than the new ones\n";
+  cu::write_text_file(path, "fresh\n");
+  EXPECT_EQ(cu::read_text_file(path), "fresh\n");
+}
+
+/// Runs `argv` without a shell, output to `log`; returns its exit code.
+int exit_code_of(const std::vector<std::string>& argv,
+                 const std::string& log) {
+  cu::ChildSpec spec;
+  spec.argv = argv;
+  spec.output_path = log;
+  std::string error;
+  const pid_t pid = cu::spawn_child(spec, &error);
+  EXPECT_GT(pid, 0) << error;
+  if (pid <= 0) return -1;
+  const cu::WaitOutcome outcome = cu::wait_child(pid, 120.0);
+  return outcome.kind == cu::WaitOutcome::Kind::kExited ? outcome.exit_code
+                                                        : -1;
+}
+
+TEST(WriteTextFile, UnwritablePathThrowsNamingItAndToolsExitTwo) {
+  const std::string path = temp_path("no_such_dir/out.txt");
+  try {
+    cu::write_text_file(path, "text");
+    FAIL() << "expected InvalidArgument";
+  } catch (const cu::InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("No such file"), std::string::npos) << what;
+  }
+#if defined(CTS_TOOLS_BIN_DIR)
+  const std::string tools = CTS_TOOLS_BIN_DIR;
+  const std::string log = temp_path("write_tools.log");
+  const std::string bench = temp_path("write_BENCH.json");
+  std::ofstream(bench) << R"({"schema":"cts.bench.v1","benches":{"b":)"
+                          R"({"metrics":{"wall_s":{"median":1,"mad":0}}}}})";
+  EXPECT_EQ(exit_code_of({tools + "/cts_benchd", "trend", bench, bench,
+                          "--md=" + path, "--quiet"},
+                         log),
+            2);
+  EXPECT_NE(cu::read_text_file(log).find("cannot write " + path),
+            std::string::npos)
+      << cu::read_text_file(log);
+
+  const std::string spec = temp_path("write_spec.scn");
+  std::ofstream(spec) << "cts.scenario.v1\n\n[scenario]\nname = tiny\n"
+                         "frames = 200\nwarmup = 10\nreplications = 1\n\n"
+                         "[source s]\nmodel = white\ncount = 2\n\n"
+                         "[hop mux]\ninput = s\ncapacity = 2000\n"
+                         "buffer = 100\n";
+  EXPECT_EQ(exit_code_of({tools + "/cts_scenariod", "run", spec,
+                          "--out=" + path, "--quiet"},
+                         log),
+            2);
+  EXPECT_NE(cu::read_text_file(log).find("cannot write " + path),
+            std::string::npos)
+      << cu::read_text_file(log);
+#endif
 }
 
 TEST(MakeDirs, CreatesNestedChain) {

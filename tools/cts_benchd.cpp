@@ -1,4 +1,4 @@
-// cts-benchd: performance-telemetry orchestrator.
+// cts-benchd: performance-telemetry orchestrator and the one bench gate.
 //
 // Runs a configurable suite of the figure/table benches (bench_suite.hpp)
 // with warmup + R measured repeats each.  Every measured run executes the
@@ -15,33 +15,45 @@
 //   cts_benchd --compare=BENCH_base.json            # run + gate in one shot
 //   cts_benchd --json-lines=runs.jsonl              # per-run soak stream
 //   cts_benchd --list                               # show the registry
+//   cts_benchd trend --md=trend.md --svg=trend.svg  # ./BENCH_*.json report
+//   cts_benchd trend --gate --window=1 BASE.json NEW.json  # offline gate
+//   cts_benchd validate BENCH_*.json                # schema check only
 //
-// --compare runs the suite, writes the document, then gates it against
-// the given baseline as the two-point trajectory {baseline, document}
-// with window 1 (cts/obs/bench_trend.hpp): 0 no regression, 1 regression,
-// 2 errors (including a bench that failed to run).  --json-lines appends
-// one RFC 8259 JSON object per run (schema cts.benchrun.v1, warmup runs
-// flagged) as the suite executes, so a soak loop can be tailed live.
+// `trend` orders the given baselines (default: ./BENCH_*.json) by date,
+// groups them by suite and scale — medians of different suites or scales
+// are not comparable — and builds one trajectory per group
+// (cts/obs/bench_trend.hpp): a markdown table on stdout and/or --md, a
+// CSV mirror (--csv) and an SVG sparkline chart (--svg, one per group
+// when several are charted).  --compare runs the suite, writes the
+// document, then gates {BASE, document} with window 1 through the same
+// function as `trend --gate`, BASE first whatever the dates.  Exit codes:
+// 0 ok, 1 regression (with --gate or --compare) or a bench that failed to
+// run, 2 usage, parse or schema errors, including documents with nothing
+// comparable to gate and a --compare over a suite with failed benches.
 //
 // The simulation scale of every child is pinned via REPRO_REPS /
-// REPRO_FRAMES (defaults: 2 x 2000, override with --reps/--frames) so two
-// BENCH files are comparable by construction; the scale is echoed into the
-// document.  Each run is a child started without a shell (util::spawn_child,
-// output to /dev/null); a run that fails is reported by how it ended:
-// "FAILED <id>: <binary> exited with status N" or "... killed by signal N
-// (<name>)".
+// REPRO_FRAMES (defaults: 2 x 2000, override with --reps/--frames) and
+// echoed into the document, so only documents of one scale are gated
+// against each other.  Each run is a child started without a shell
+// (util::spawn_child, output to /dev/null); a run that fails is reported
+// by how it ended: "FAILED <id>: <binary> exited with status N" or
+// "... killed by signal N (<name>)".
+//
+// Pass value flags as --key=value: a file that follows a bare boolean flag
+// (`trend --gate A.json`) would otherwise be read as the flag's value.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/utsname.h>
@@ -53,6 +65,7 @@
 #include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
+#include "cts/obs/svg.hpp"
 #include "cts/util/cli_registry.hpp"
 #include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
@@ -70,10 +83,6 @@ constexpr const char* kMetricNames[] = {
     "wall_s",         "user_s",          "sys_s",
     "max_rss_kb",     "ctx_voluntary",   "ctx_involuntary",
 };
-/// The metrics --compare gates on.  sys_s stays out: at the
-/// tens-of-milliseconds scale it measures kernel scheduling and page-cache
-/// state rather than the code under test.
-constexpr const char* kGateMetrics[] = {"wall_s", "user_s", "max_rss_kb"};
 constexpr const char* kHwCounterNames[] = {
     "cycles",      "instructions",  "cache_references",
     "cache_misses", "branches",     "branch_misses",
@@ -91,10 +100,17 @@ struct Options {
   long long warmup = 1;
   long long repro_reps = 2;
   long long repro_frames = 2000;
-  double k_mad = 3.0;    ///< --compare noise gate
-  double min_rel = 0.05; ///< --compare relative gate
   bool keep_runs = false;
-  bool quiet = false;
+};
+
+/// The gate's settings, shared by `trend` and --compare.
+struct GateArgs {
+  obs::TrendOptions options;
+  std::string md;   ///< markdown report path ("" = stdout only)
+  std::string csv;  ///< CSV mirror path ("" = off)
+  std::string svg;  ///< SVG chart path ("" = off)
+  bool gate = false;   ///< exit 1 on a regression drift
+  bool quiet = false;  ///< no progress on stderr, no report on stdout
 };
 
 /// One parsed per-run perf report, flattened for aggregation.
@@ -122,19 +138,204 @@ void usage() {
       "usage: cts_benchd [--suite=smoke|sim|analytic|full] [--filter=SUBSTR]\n"
       "                  [--repeats=N] [--warmup=N] [--out=PATH]\n"
       "                  [--bench-dir=DIR] [--reps=N] [--frames=N]\n"
-      "                  [--date=YYYY-MM-DD] [--compare=BASE.json] [--k=3]\n"
-      "                  [--pct=5] [--json-lines=PATH] [--keep-runs]\n"
-      "                  [--quiet] [--list]\n\n"
+      "                  [--date=YYYY-MM-DD] [--compare=BASE.json]\n"
+      "                  [--json-lines=PATH] [--keep-runs] [--quiet] "
+      "[--list]\n"
+      "       cts_benchd trend [BENCH_*.json ...] [--gate] [--window=2]\n"
+      "       cts_benchd validate BENCH_*.json...\n"
+      "gate flags (trend and --compare): [--k=3] [--pct=5]\n"
+      "       [--metrics=wall_s,user_s,max_rss_kb] [--md=PATH] [--csv=PATH]\n"
+      "       [--svg=PATH]\n\n"
       "Runs the selected bench suite with warmup + N measured repeats per\n"
       "bench and writes a cts.bench.v1 document (default: "
       "BENCH_<date>.json\n"
       "in the current directory) with median/MAD/95%% CI per metric, peak\n"
       "RSS, user/sys CPU time, hardware counters when available, and a\n"
       "per-phase span self-time table.  --compare=BASE.json then gates the\n"
-      "fresh document against BASE in the same invocation as a two-point\n"
-      "trajectory (exit codes: 0 ok, 1 regression, 2 error);\n"
+      "fresh document against BASE in the same invocation, as\n"
+      "`trend --gate --window=1 BASE document` does;\n"
       "--json-lines=PATH streams one cts.benchrun.v1 JSON object per run\n"
-      "for soak monitoring.\n");
+      "for soak monitoring.  trend builds the perf trajectory per suite and\n"
+      "scale over >= 2 baselines (default ./BENCH_*.json); validate checks\n"
+      "each file against cts.bench.v1.  Exit codes: 0 ok, 1 regression\n"
+      "(--gate, --compare) or a failed bench, 2 usage/parse errors.\n");
+}
+
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  std::string item;
+  std::stringstream ss(s);
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+/// The gate flags, parsed and checked once for `trend` and --compare.
+GateArgs parse_gate_args(const cu::Flags& flags) {
+  GateArgs args;
+  obs::TrendOptions& options = args.options;
+  // A negative --k or --pct would silently switch its gate off, and a
+  // negative --window must not wrap to "every point".
+  options.k_mad = flags.get_double("k", options.k_mad);
+  cu::require(options.k_mad >= 0.0,
+              "--k must be >= 0, got " + flags.get_string("k", ""));
+  const double pct = flags.get_double("pct", options.min_rel * 100.0);
+  cu::require(pct >= 0.0,
+              "--pct must be >= 0, got " + flags.get_string("pct", ""));
+  options.min_rel = pct / 100.0;
+  const std::int64_t window =
+      flags.get_int("window", static_cast<std::int64_t>(options.window));
+  cu::require(window >= 1,
+              "--window must be >= 1, got " + std::to_string(window));
+  options.window = static_cast<std::size_t>(window);
+  if (flags.has("metrics")) {
+    options.metrics = split_csv(flags.get_string("metrics", ""));
+    cu::require(!options.metrics.empty(),
+                "--metrics must name at least one metric");
+  }
+  args.md = flags.get_string("md", "");
+  args.csv = flags.get_string("csv", "");
+  args.svg = flags.get_string("svg", "");
+  args.gate = flags.get_bool("gate", false);
+  args.quiet = flags.get_bool("quiet", false);
+  return args;
+}
+
+/// BENCH_*.json files in the working directory, lexicographically sorted.
+std::vector<std::string> scan_bench_files() {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(".", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) == 0 && entry.path().extension() == ".json") {
+      files.push_back(name);
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// Loads each file as a cts.bench.v1 document; a file that is not one is
+/// a hard error (InvalidArgument naming it), never skipped silently.
+std::vector<obs::BaselineDoc> load_baselines(
+    const std::vector<std::string>& files) {
+  std::vector<obs::BaselineDoc> docs;
+  for (const std::string& path : files) {
+    docs.push_back(obs::parse_baseline(path, cu::read_text_file(path)));
+  }
+  return docs;
+}
+
+/// "trend.svg" -> "trend_<tag>.svg".
+std::string tagged_path(const std::string& path, const std::string& tag) {
+  const std::size_t dot = path.find_last_of('.');
+  if (dot == std::string::npos) return path + "_" + tag;
+  return path.substr(0, dot) + "_" + tag + path.substr(dot);
+}
+
+void write_report(const std::string& path, const std::string& text,
+                  bool quiet) {
+  cu::write_text_file(path, text);
+  if (!quiet) std::fprintf(stderr, "[cts_benchd] wrote %s\n", path.c_str());
+}
+
+/// The one bench gate, behind both `trend` and --compare.  `docs` are
+/// ordered oldest (the reference) first and grouped by suite and scale;
+/// every group with >= 2 baselines gets a trajectory.  Returns 0 ok, 1 a
+/// regression drift under --gate, 2 when no group can be charted.
+int gate_baselines(std::vector<obs::BaselineDoc> docs, const GateArgs& args) {
+  std::map<std::pair<std::string, std::string>,
+           std::vector<obs::BaselineDoc>> groups;
+  for (obs::BaselineDoc& doc : docs) {
+    groups[{doc.suite, doc.scale}].push_back(std::move(doc));
+  }
+  std::vector<obs::TrendReport> reports;
+  for (const auto& [key, group] : groups) {
+    if (group.size() < 2) {
+      std::fprintf(stderr,
+                   "cts_benchd: suite '%s' at scale {%s} has only one "
+                   "baseline (%s); skipping it\n",
+                   key.first.c_str(), key.second.c_str(),
+                   group.front().path.c_str());
+      continue;
+    }
+    reports.push_back(obs::build_trend(group, args.options));
+  }
+  if (reports.empty()) {
+    std::fprintf(stderr,
+                 "cts_benchd: no suite and scale has >= 2 of the %zu "
+                 "baselines to compare\n",
+                 docs.size());
+    return 2;
+  }
+
+  std::string markdown;
+  std::string csv;
+  bool drift = false;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const obs::TrendReport& report = reports[i];
+    markdown += obs::trend_markdown(report, args.options) + "\n";
+    csv += obs::trend_csv(report);
+    if (!args.svg.empty()) {
+      // One chart per group, tagged by suite, plus the group's ordinal
+      // when a suite is charted at several scales.
+      const bool shared = (i > 0 && reports[i - 1].suite == report.suite) ||
+                          (i + 1 < reports.size() &&
+                           reports[i + 1].suite == report.suite);
+      const std::string tag =
+          report.suite + (shared ? "_" + std::to_string(i + 1) : "");
+      write_report(reports.size() == 1 ? args.svg : tagged_path(args.svg, tag),
+                   obs::trend_svg(report), args.quiet);
+    }
+    for (const obs::TrendSeries& series : report.series) {
+      if (!series.drift_regression) continue;
+      drift = true;
+      if (args.gate) {
+        std::fprintf(stderr, "%s\n", obs::regression_line(series).c_str());
+      }
+    }
+  }
+  if (!args.md.empty()) write_report(args.md, markdown, args.quiet);
+  if (!args.csv.empty()) write_report(args.csv, csv, args.quiet);
+  if (!args.quiet) std::fputs(markdown.c_str(), stdout);
+  if (!args.gate) return 0;
+  if (drift) return 1;
+  if (!args.quiet) std::printf("no regressions beyond threshold\n");
+  return 0;
+}
+
+/// `trend [FILE...]`: the trajectory over the files (default
+/// ./BENCH_*.json), ordered by generated date then name.
+int trend(std::vector<std::string> files, const GateArgs& args) {
+  if (files.empty()) files = scan_bench_files();
+  std::vector<obs::BaselineDoc> docs = load_baselines(files);
+  obs::sort_baselines(docs);
+  return gate_baselines(std::move(docs), args);
+}
+
+/// `validate FILE...`: strict RFC 8259 plus the cts.bench.v1 schema tag.
+int validate(const std::vector<std::string>& files, bool quiet) {
+  if (files.empty()) {
+    usage();
+    return 2;
+  }
+  int bad = 0;
+  for (const std::string& path : files) {
+    try {
+      const obs::BaselineDoc doc = load_baselines({path}).front();
+      if (!quiet) {
+        std::printf("%s: valid cts.bench.v1 (suite %s, %zu benches, "
+                    "generated %s)\n",
+                    path.c_str(), doc.suite.c_str(),
+                    doc.doc.at("benches").size(), doc.generated.c_str());
+      }
+    } catch (const cu::Error& e) {
+      std::fprintf(stderr, "cts_benchd: %s\n", e.what());
+      ++bad;
+    }
+  }
+  return bad == 0 ? 0 : 2;
 }
 
 bool in_suite(const bench::BenchSpec& s, const std::string& suite) {
@@ -243,7 +444,7 @@ void write_summary(obs::JsonWriter& w, const obs::RobustSummary& s,
   w.end_object();
 }
 
-int run(const Options& opt) {
+int run(const Options& opt, const GateArgs& gate_args) {
   std::vector<const bench::BenchSpec*> selected;
   for (const bench::BenchSpec& s : bench::kSuite) {
     if (!in_suite(s, opt.suite)) continue;
@@ -316,7 +517,7 @@ int run(const Options& opt) {
                  {"repeats", static_cast<std::int64_t>(opt.repeats)}});
   w.key("benches").begin_object();
   for (const bench::BenchSpec* spec : selected) {
-    if (!opt.quiet) {
+    if (!gate_args.quiet) {
       std::fprintf(stderr, "[cts_benchd] %-22s %s x%lld (+%lld warmup)\n",
                    spec->id, spec->kind, opt.repeats, opt.warmup);
     }
@@ -447,13 +648,7 @@ int run(const Options& opt) {
                  error.c_str());
     return 2;
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cts_benchd: cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  out << body.str() << '\n';
-  out.close();
+  cu::write_text_file(out_path, body.str() + "\n");
   obs::log_info("suite.done",
                 {{"suite", opt.suite},
                  {"out", out_path},
@@ -461,20 +656,20 @@ int run(const Options& opt) {
                                  static_cast<int>(selected.size()) -
                                  failures)},
                  {"failed", failures}});
-  if (!opt.quiet) {
+  if (!gate_args.quiet) {
     std::fprintf(stderr, "[cts_benchd] wrote %s (%d benches, %d failed)\n",
                  out_path.c_str(),
                  static_cast<int>(selected.size()) - failures, failures);
   }
-  if (opt.keep_runs && !opt.quiet) {
+  if (opt.keep_runs && !gate_args.quiet) {
     std::fprintf(stderr, "[cts_benchd] per-run reports kept in %s\n",
                  run_dir.string().c_str());
   }
 
-  // One-shot gate: the two-point trajectory {baseline, document} with a
-  // window of one.  A bench that failed to run is an error (2), not a
-  // pass — a gate must never go green because the regressed bench crashed
-  // out of the measurement.
+  // One-shot gate: `trend --gate --window=1 BASE document`, BASE first.
+  // A bench that failed to run is an error (2), not a pass — a gate must
+  // never go green because the regressed bench crashed out of the
+  // measurement.
   if (!opt.compare.empty()) {
     if (failures != 0) {
       std::fprintf(stderr,
@@ -483,43 +678,10 @@ int run(const Options& opt) {
                    failures, opt.compare.c_str());
       return 2;
     }
-    std::string base_text;
-    std::string read_error;
-    if (!cu::read_text_file(opt.compare, &base_text, &read_error)) {
-      std::fprintf(stderr, "cts_benchd: cannot read baseline: %s\n",
-                   read_error.c_str());
-      return 2;
-    }
-    obs::TrendOptions options;
-    options.k_mad = opt.k_mad;
-    options.min_rel = opt.min_rel;
-    options.window = 1;
-    options.metrics.assign(std::begin(kGateMetrics), std::end(kGateMetrics));
-    const obs::TrendReport report = obs::build_trend(
-        {obs::parse_baseline(opt.compare, base_text),
-         obs::parse_baseline(out_path, body.str())},
-        options);
-    if (!opt.quiet) {
-      std::printf("%s", obs::trend_markdown(report, options).c_str());
-    }
-    if (report.has_drift()) {
-      for (const obs::TrendSeries& series : report.series) {
-        if (!series.drift_regression) continue;
-        const obs::TrendPoint& base = series.points.front();
-        const obs::TrendPoint& cand = series.points.back();
-        std::fprintf(stderr,
-                     "REGRESSION: %s %s %+.1f%% (median %.6g -> %.6g, > "
-                     "%.1f x MAD and > %.1f%%)\n",
-                     series.bench.c_str(), series.metric.c_str(),
-                     base.median != 0.0 ? cand.excess / base.median * 100.0
-                                        : 0.0,
-                     base.median, cand.median, options.k_mad,
-                     options.min_rel * 100.0);
-      }
-      return 1;
-    }
-    if (!opt.quiet) std::printf("no regressions beyond threshold\n");
-    return 0;
+    GateArgs args = gate_args;
+    args.options.window = 1;
+    args.gate = true;
+    return gate_baselines(load_baselines({opt.compare, out_path}), args);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -542,6 +704,20 @@ int main(int argc, char** argv) {
     obs::EventLog::global().set_min_level(
         obs::parse_log_level(flags.get_string("log-level", "info")));
 
+    const GateArgs gate_args = parse_gate_args(flags);
+    std::vector<std::string> args = flags.positionals();
+    if (!args.empty()) {
+      const std::string command = args.front();
+      args.erase(args.begin());
+      if (command == "trend") return trend(args, gate_args);
+      if (command == "validate") return validate(args, gate_args.quiet);
+      std::fprintf(stderr,
+                   "cts_benchd: unknown command '%s' (known: trend, "
+                   "validate)\n",
+                   command.c_str());
+      return 2;
+    }
+
     Options opt;
     opt.suite = flags.get_string("suite", opt.suite);
     if (opt.suite != "smoke" && opt.suite != "sim" &&
@@ -560,15 +736,7 @@ int main(int argc, char** argv) {
     opt.warmup = flags.get_int("warmup", opt.warmup);
     opt.repro_reps = flags.get_int("reps", opt.repro_reps);
     opt.repro_frames = flags.get_int("frames", opt.repro_frames);
-    opt.k_mad = flags.get_double("k", opt.k_mad);
-    opt.min_rel = flags.get_double("pct", opt.min_rel * 100.0) / 100.0;
-    // A negative --k or --pct would silently switch its gate off.
-    cu::require(opt.k_mad >= 0.0,
-                "--k must be >= 0, got " + flags.get_string("k", ""));
-    cu::require(opt.min_rel >= 0.0,
-                "--pct must be >= 0, got " + flags.get_string("pct", ""));
     opt.keep_runs = flags.get_bool("keep-runs", false);
-    opt.quiet = flags.get_bool("quiet", false);
     cu::require(opt.repeats >= 1, "cts_benchd: --repeats must be >= 1");
     cu::require(opt.warmup >= 0, "cts_benchd: --warmup must be >= 0");
 
@@ -582,7 +750,7 @@ int main(int argc, char** argv) {
     }
 
     opt.bench_dir = bench::bench_dir(flags, argv[0]);
-    return run(opt);
+    return run(opt, gate_args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cts_benchd: %s\n", e.what());
     return 2;

@@ -27,7 +27,6 @@
 // Exit codes: 0 ok, 2 usage / spec / input errors.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -83,12 +82,6 @@ std::uint64_t parse_u64_flag(const cu::Flags& flags, const std::string& key,
               "--" + key + " expects a decimal unsigned 64-bit integer, got '" +
                   text + "'");
   return value;
-}
-
-void write_file(const std::string& path, const std::string& contents) {
-  std::ofstream os(path, std::ios::binary);
-  os << contents;
-  cu::require(os.good(), "cannot write '" + path + "'");
 }
 
 /// Applies the run-mode scale overrides to a parsed scenario.
@@ -155,7 +148,8 @@ int run_mode(const std::vector<std::string>& args, const cu::Flags& flags) {
 
   const std::string out_path =
       flags.get_string("out", "scenario_result.json");
-  write_file(out_path, sim::write_scenario_result_json(scenario, result));
+  cu::write_text_file(out_path,
+                      sim::write_scenario_result_json(scenario, result));
   std::printf("scenario '%s': %zu/%zu replications -> %s\n",
               scenario.name.c_str(), result.samples.size(),
               scenario.replications, out_path.c_str());
@@ -163,8 +157,8 @@ int run_mode(const std::vector<std::string>& args, const cu::Flags& flags) {
 
   const std::string hop_trace_path = flags.get_string("hop-trace", "");
   if (!hop_trace_path.empty()) {
-    write_file(hop_trace_path,
-               sim::write_scenario_trace_json(scenario, result));
+    cu::write_text_file(hop_trace_path,
+                        sim::write_scenario_trace_json(scenario, result));
     std::printf("  hop trace -> %s\n", hop_trace_path.c_str());
   }
   const std::string metrics_path = flags.get_string("metrics", "");
@@ -205,7 +199,7 @@ int merge_mode(const std::vector<std::string>& args, const cu::Flags& flags) {
   const std::string merged = sim::merge_scenario_result_json(parts);
   cu::require(flags.has("out"), "merge: --out=PATH is required");
   const std::string out_path = flags.get_string("out", "");
-  write_file(out_path, merged);
+  cu::write_text_file(out_path, merged);
   std::printf("merged %zu partial(s) -> %s\n", parts.size(),
               out_path.c_str());
 
@@ -216,8 +210,8 @@ int merge_mode(const std::vector<std::string>& args, const cu::Flags& flags) {
     sim::ScenarioRunResult result;
     result.samples = doc.samples;
     result.traces = doc.traces;
-    write_file(hop_trace_path,
-               sim::write_scenario_trace_json(scenario, result));
+    cu::write_text_file(hop_trace_path,
+                        sim::write_scenario_trace_json(scenario, result));
     std::printf("  hop trace -> %s\n", hop_trace_path.c_str());
   }
   return 0;
