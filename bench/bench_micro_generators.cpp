@@ -1,7 +1,11 @@
 // Micro-benchmarks (google-benchmark): throughput of the traffic
 // generators.  These quantify the cost structure behind the simulation
 // experiments -- FBNDP pays for ON/OFF bookkeeping + Poisson sampling,
-// DAR/AR1 are branch-cheap, FGN depends on the generation algorithm.
+// DAR/AR1 are branch-cheap, FGN depends on the generation algorithm: the
+// generic exact-Gaussian sources at the unit-weight exact-LRD ACF, whose
+// inner loops are the SIMD Hosking and Davies-Harte kernels.
+
+#include <memory>
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +13,8 @@
 #include "cts/proc/ar1.hpp"
 #include "cts/proc/dar.hpp"
 #include "cts/proc/fbndp.hpp"
-#include "cts/proc/fgn.hpp"
+#include "cts/core/acf_model.hpp"
+#include "cts/proc/gaussian_acf_source.hpp"
 #include "cts/fit/fbndp_calibration.hpp"
 #include "cts/util/rng.hpp"
 
@@ -73,18 +78,20 @@ void BM_ZaFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_ZaFrame);
 
+/// FGN at H = 0.8, mean 500 and variance 5000 cells/frame.
+std::shared_ptr<const cts::core::AcfModel> fgn_acf() {
+  return std::make_shared<cts::core::ExactLrdAcf>(0.8, 1.0);
+}
+
 void BM_FgnDaviesHarteFrame(benchmark::State& state) {
-  cts::proc::FgnParams p;
-  p.hurst = 0.8;
-  cts::proc::FgnDaviesHarte source(p, 1 << 12, 1);
+  cts::proc::GaussianAcfDaviesHarte source(fgn_acf(), 500.0, 5000.0, 1 << 12,
+                                           1);
   for (auto _ : state) benchmark::DoNotOptimize(source.next_frame());
 }
 BENCHMARK(BM_FgnDaviesHarteFrame);
 
 void BM_FgnHoskingFrame(benchmark::State& state) {
-  cts::proc::FgnParams p;
-  p.hurst = 0.8;
-  cts::proc::FgnHosking source(p, 1);
+  cts::proc::GaussianAcfHosking source(fgn_acf(), 500.0, 5000.0, 1);
   // Hosking cost grows with history; measure a bounded window.
   for (auto _ : state) benchmark::DoNotOptimize(source.next_frame());
 }

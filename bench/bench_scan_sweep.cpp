@@ -9,8 +9,8 @@
 // both identities and exits non-zero on any divergence, so the committed
 // BENCH_*.json baselines track a speedup that is provably a pure
 // optimisation.  The --csv mirror carries values only (no timings): the
-// forced-scalar CI leg re-runs it under CTS_SIMD=scalar and diffs the two
-// files byte-for-byte.
+// forced-tier CI leg re-runs it under CTS_SIMD=scalar and CTS_SIMD=sse2 and
+// diffs each file with the dispatched one byte-for-byte.
 
 #include <cstdio>
 

@@ -10,25 +10,27 @@
 // hook.
 //
 // Bit-identity contract: every kernel produces byte-identical results on
-// every dispatch kind.  Element-wise kernels (`scale_pairs`,
-// `axpy_reversed`, `scaled_real_stride2`) use only per-element IEEE-754
-// mul/add/div (never FMA), which round identically in scalar and vector
-// registers.  Reductions cannot reorder floating-point sums freely, so
-// `dot_reversed` fixes a "4-lane blocked" summation order -- lane l
-// accumulates elements j with j % 4 == l, lanes combine as
-// (acc0 + acc2) + (acc1 + acc3), and the tail is added sequentially --
-// which all three implementations realise exactly.  `scan_min` is an
-// argmin under strict `<` with lowest-m tie-breaking, which is independent
-// of evaluation order altogether.  `fractal_sojourns` is element-wise too:
-// generic log and exp lane bodies, instantiated per width, built from
-// IEEE-754 add/sub/mul/div and integer bit operations only.  `fifo_step`
-// is element-wise over its queue lanes: one generic lane body of IEEE-754
-// add/sub, compares and bitwise blends.  Its clamp is a blend of bit
-// patterns, not arithmetic: a lane with w > B takes B, a lane with w < 0
-// takes the all-zero pattern (+0), and every other lane keeps w's own bits,
-// so a -0.0 workload stays -0.0 on every tier.  Tests assert the
-// contract kernel-by-kernel and end-to-end at the curve level
-// (test_simd_kernels, test_curve_bit_identity, test_golden_fluid_mux).
+// every dispatch kind.  Each kernel is one generic body, instantiated per
+// kind over `double` or a 2- or 4-wide vector of doubles, so the kinds run
+// the same operations element for element.  Element-wise kernels
+// (`scale_pairs`, `axpy_reversed`, `scaled_real_stride2`) use only
+// per-element IEEE-754 mul/add/div (never FMA), which round identically in
+// scalar and vector registers.  Reductions cannot reorder floating-point
+// sums freely, so `dot_reversed` fixes a "4-lane blocked" summation order
+// on every kind -- lane l accumulates elements j with j % 4 == l, lanes
+// combine as (acc0 + acc2) + (acc1 + acc3), and the tail is added
+// sequentially.  `scan_min` is an argmin under strict `<` with lowest-m
+// tie-breaking, which is independent of evaluation order altogether, so
+// every kind keeps four independent running-minimum accumulators.
+// `fractal_sojourns` is element-wise too: generic log and exp lane bodies
+// built from IEEE-754 add/sub/mul/div and integer bit operations only.
+// `fifo_step` is element-wise over its queue lanes: IEEE-754 add/sub,
+// compares and bitwise blends.  Its clamp is a blend of bit patterns, not
+// arithmetic: a lane with w > B takes B, a lane with w < 0 takes the
+// all-zero pattern (+0), and every other lane keeps w's own bits, so a
+// -0.0 workload stays -0.0 on every tier.  Tests assert the contract
+// kernel-by-kernel and end-to-end at the curve level (test_simd_kernels,
+// test_curve_bit_identity, test_golden_fluid_mux).
 
 #pragma once
 
@@ -126,8 +128,8 @@ struct SojournConsts {
 ///
 /// (the kernel multiplies by the precomputed A/gamma and 1/gamma of
 /// `consts`).  Every draw takes the log and only tail draws take the exp:
-/// the vector tiers pack the tail draws' logs densely, exponentiate them as
-/// vectors and scatter the results back.  `log` and `exp` are the kernel's
+/// every tier packs the tail draws' logs densely, exponentiates them as
+/// vectors and scatters the results back.  `log` and `exp` are the kernel's
 /// own fdlibm-style polynomials (no libm, no FMA), each accurate to about
 /// 1 ulp, so every tier is byte-identical and out[i] lies within 1e-13
 /// relative of the libm-based `OnOffParams::sample_sojourn`.  `out` must

@@ -1,8 +1,10 @@
 // Exact Gaussian sources with an ARBITRARY autocorrelation function.
 //
-// Generalises the two FGN generators: given any core::AcfModel (analytic,
-// fitted, or a raw empirical table), produce a stationary Gaussian process
-// with exactly that correlation structure.
+// Given any core::AcfModel (analytic, fitted, or a raw empirical table),
+// produce a stationary Gaussian process with exactly that correlation
+// structure.  Fractional Gaussian noise of Hurst parameter H is the source
+// at core::ExactLrdAcf(H, 1): r(k) = 1/2 [(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}],
+// the paper's eq. (2) with g(T_s) = 1.
 //
 //  * GaussianAcfHosking     -- Durbin-Levinson conditional sampling; exact
 //                              at every prefix, O(n) per step.

@@ -1,6 +1,6 @@
 // Iterative radix-2 complex FFT.
 //
-// Used by the Davies-Harte exact FGN generator (circulant embedding) and by
+// Used by the Davies-Harte exact Gaussian source (circulant embedding) and by
 // the log-periodogram Hurst estimator.  Power-of-two lengths only; the
 // callers pad accordingly.
 

@@ -1,11 +1,17 @@
 // Kernel implementations for cts/core/simd.hpp.
 //
-// All three variants of each kernel live in this one translation unit:
-// the scalar reference (which also defines the semantics), and SSE2/AVX2
-// versions compiled via GCC/Clang `target` function attributes so the
-// rest of the library keeps the portable baseline ISA.  FMA is never
-// enabled for these functions, so mul/add cannot be contracted and each
-// element rounds identically on every path.
+// Every kernel is one generic body over a lane type: `double`/`uint64_t`
+// on the scalar tier, GCC vector-extension types of 2 (SSE2) and 4 (AVX2)
+// doubles on the vector tiers.  The bodies are force-inlined into one
+// `target`-attributed function per tier (`run_sse2`, `run_avx2`), so the
+// rest of the library keeps the portable baseline ISA, and `dispatch`
+// picks the tier at run time.  Every operation in a body is an
+// element-wise IEEE-754 add/sub/mul/div, a compare, a lane blend or
+// shuffle, or an integer bit operation, and this file is compiled with
+// -ffp-contract=off, so no mul/add pair fuses into an FMA: each element
+// rounds identically on every tier by construction.  Helpers transform
+// vectors in place: a 32-byte vector passed or returned by value trips
+// GCC's -Wpsabi note on pre-AVX conventions.
 
 #include "cts/core/simd.hpp"
 
@@ -20,7 +26,6 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CTS_SIMD_X86 1
-#include <immintrin.h>
 #else
 #define CTS_SIMD_X86 0
 #endif
@@ -29,93 +34,249 @@ namespace cts::core::simd {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar reference kernels.  These define the bit-level semantics the
-// vector versions must reproduce exactly.
-// ---------------------------------------------------------------------------
-
-inline double scan_objective(double b, double drift, const double* inv2v,
-                             std::size_t m) {
-  const double md = static_cast<double>(m);
-  const double numerator = b + md * drift;
-  return numerator * numerator * inv2v[m];
-}
-
-ScanPoint scan_min_scalar(double b, double drift, const double* inv2v,
-                          std::size_t m_lo, std::size_t m_hi) {
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  for (std::size_t m = m_lo + 1; m <= m_hi; ++m) {
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
-
-double dot_reversed_scalar(const double* a, const double* b_last,
-                           std::size_t n) {
-  // Fixed 4-lane blocked order: lane l sums elements j % 4 == l, lanes
-  // combine as (0+2)+(1+3), tail appended sequentially.  The vector
-  // versions realise exactly this association.
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t j = 0; j < n4; j += 4) {
-    acc0 += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
-    acc1 += a[j + 1] * b_last[-static_cast<std::ptrdiff_t>(j + 1)];
-    acc2 += a[j + 2] * b_last[-static_cast<std::ptrdiff_t>(j + 2)];
-    acc3 += a[j + 3] * b_last[-static_cast<std::ptrdiff_t>(j + 3)];
-  }
-  double sum = (acc0 + acc2) + (acc1 + acc3);
-  for (std::size_t j = n4; j < n; ++j) {
-    sum += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-  return sum;
-}
-
-void axpy_reversed_scalar(const double* a, const double* a_last, double r,
-                          double* out, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = a[j] - r * a_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-}
-
-void scale_pairs_scalar(const double* s, const double* z, double* out,
-                        std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    out[2 * j] = s[j] * z[2 * j];
-    out[2 * j + 1] = s[j] * z[2 * j + 1];
-  }
-}
-
-void scaled_real_stride2_scalar(const double* in, double norm, double* out,
-                                std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = in[2 * j] * norm;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fractal ON/OFF sojourn kernel.  The log and exp lane bodies are generic
-// over the lane type: `double`/`uint64_t` for the scalar tier, GCC
-// vector-extension types for SSE2 and AVX2.  They are force-inlined into
-// each tier's target-attributed loop, so the same source compiles to
-// scalar, 2-wide and 4-wide code whose every operation is an element-wise
-// IEEE-754 add/sub/mul/div or an integer bit operation -- identical results
-// on every tier by construction, however the tiers group the draws into
-// vectors.  Every draw takes the log; only tail draws take the exp.  The
-// helpers transform their lanes in place and reinterpret bits with
-// __builtin_bit_cast: a 32-byte vector passed or returned by value (as
-// std::bit_cast would) trips GCC's -Wpsabi note on pre-AVX conventions.
-// ---------------------------------------------------------------------------
-
 typedef double V2d __attribute__((vector_size(16)));
 typedef std::uint64_t V2u __attribute__((vector_size(16)));
 typedef double V4d __attribute__((vector_size(32)));
 typedef std::uint64_t V4u __attribute__((vector_size(32)));
+
+/// Doubles per lane vector: 1 on the scalar tier.
+template <class V>
+constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+
+/// v <- v's lanes in reverse order.
+template <class V, class U>
+[[gnu::always_inline]] inline void reverse_lanes(V& v) {
+  if constexpr (kWidth<V> == 2) v = __builtin_shuffle(v, U{1, 0});
+  if constexpr (kWidth<V> == 4) v = __builtin_shuffle(v, U{3, 2, 1, 0});
+}
+
+/// v <- {p[0], p[-1], ..., p[1 - width]}: a vector read backwards.
+template <class V, class U>
+[[gnu::always_inline]] inline void load_reversed(V& v, const double* p) {
+  std::memcpy(&v, p - (kWidth<V> - 1), sizeof v);
+  reverse_lanes<V, U>(v);
+}
+
+// ---------------------------------------------------------------------------
+// CTS scan.  The argmin under strict < with lowest-m ties does not depend on
+// the order the window is visited in, so the body keeps kAcc independent
+// running minima per lane: a single compare-and-blend chain would serialise
+// the loop on its latency.
+// ---------------------------------------------------------------------------
+
+struct ScanMin {
+  /// value <- (b + m * drift)^2 * inv2v[m] on lanes [m, m + width), whose
+  /// m as doubles is `md`.
+  template <class V>
+  [[gnu::always_inline]] static void objective(double b, double drift,
+                                               const double* inv2v,
+                                               std::size_t m, const V& md,
+                                               V& value) {
+    V inv;
+    std::memcpy(&inv, inv2v + m, sizeof inv);
+    const V numerator = b + md * drift;
+    value = numerator * numerator * inv;
+  }
+
+  /// One accumulator's step: lanes keep their running minimum under
+  /// strict <, so each keeps the lowest m of its minimum.
+  template <class V>
+  [[gnu::always_inline]] static void take_lanes(double b, double drift,
+                                                const double* inv2v,
+                                                std::size_t m, const V& md,
+                                                V& best_v, V& best_m) {
+    V value;
+    objective<V>(b, drift, inv2v, m, md, value);
+    const auto lt = value < best_v;
+    best_v = lt ? value : best_v;
+    best_m = lt ? md : best_m;
+  }
+
+  template <class V, class U>
+  [[gnu::always_inline]] static ScanPoint run(double b, double drift,
+                                              const double* inv2v,
+                                              std::size_t m_lo,
+                                              std::size_t m_hi) {
+    constexpr std::size_t kW = kWidth<V>;
+    constexpr std::size_t kAcc = 4;
+    constexpr std::size_t kStep = kAcc * kW;
+    // Lane l of accumulator q starts at m_lo + q * kW + l.  Sentinels:
+    // +inf is never strictly beaten by +inf, and m = +inf loses every tie.
+    const double mlo_d = static_cast<double>(m_lo);
+    double start[kStep];
+    for (std::size_t i = 0; i < kStep; ++i) {
+      start[i] = mlo_d + static_cast<double>(i);
+    }
+    V md[kAcc], best_v[kAcc], best_m[kAcc];
+    std::memcpy(md, start, sizeof md);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (std::size_t q = 0; q < kAcc; ++q) best_v[q] = best_m[q] = kInf + V{};
+    std::size_t m = m_lo;
+    for (; m + kStep - 1 <= m_hi; m += kStep) {
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < kAcc; ++q) {
+        take_lanes<V>(b, drift, inv2v, m + q * kW, md[q], best_v[q],
+                      best_m[q]);
+        md[q] = md[q] + static_cast<double>(kStep);
+      }
+    }
+    for (; m + kW - 1 <= m_hi; m += kW) {  // whole vectors on accumulator 0
+      take_lanes<V>(b, drift, inv2v, m, md[0], best_v[0], best_m[0]);
+      md[0] = md[0] + static_cast<double>(kW);
+    }
+    // The window start seeds the combine: it has the lowest m, so an
+    // objective that is +inf everywhere, or NaN at m_lo, keeps m_lo, as a
+    // sequential scan does.
+    ScanPoint best;
+    best.m = m_lo;
+    objective<double>(b, drift, inv2v, m_lo, mlo_d, best.value);
+    const auto take = [&best](double value, double md_lane) {
+      if (value < best.value ||
+          (value == best.value && md_lane < static_cast<double>(best.m))) {
+        best.value = value;
+        best.m = static_cast<std::size_t>(md_lane);
+      }
+    };
+    double lane_v[kStep], lane_m[kStep];
+    std::memcpy(lane_v, best_v, sizeof lane_v);
+    std::memcpy(lane_m, best_m, sizeof lane_m);
+    for (std::size_t l = 0; l < kStep; ++l) take(lane_v[l], lane_m[l]);
+    for (; m <= m_hi; ++m) {  // fewer than kW left, all above every lane
+      const double md_tail = static_cast<double>(m);
+      double value;
+      objective<double>(b, drift, inv2v, m, md_tail, value);
+      take(value, md_tail);
+    }
+    return best;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Hosking / Durbin-Levinson inner products and Davies-Harte scaling.
+// ---------------------------------------------------------------------------
+
+/// Fixed 4-lane blocked order on every tier: lane l sums the elements
+/// j % 4 == l (4 / width vectors of width lanes), lanes combine as
+/// (0 + 2) + (1 + 3), and the tail is added in order.
+struct DotReversed {
+  template <class V, class U>
+  [[gnu::always_inline]] static double run(const double* a,
+                                           const double* b_last,
+                                           std::size_t n) {
+    constexpr std::size_t kW = kWidth<V>;
+    constexpr std::size_t kAcc = 4 / kW;
+    V acc[kAcc] = {};
+    const std::size_t n4 = n - n % 4;
+    for (std::size_t j = 0; j < n4; j += 4) {
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < kAcc; ++q) {
+        V av, bv;
+        std::memcpy(&av, a + j + q * kW, sizeof av);
+        load_reversed<V, U>(bv, b_last - (j + q * kW));
+        acc[q] = acc[q] + av * bv;
+      }
+    }
+    double lane[4];
+    std::memcpy(lane, acc, sizeof lane);
+    double sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+    for (std::size_t j = n4; j < n; ++j) {
+      sum += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
+    }
+    return sum;
+  }
+};
+
+/// Element-wise kernel K over [0, n): K::lanes on whole vectors of lanes,
+/// then on the remainder one lane at a time through the same body.
+template <class K, class V, class U, class... A>
+[[gnu::always_inline]] inline void for_lanes(std::size_t n, const A&... a) {
+  std::size_t j = 0;
+  for (; j + kWidth<V> <= n; j += kWidth<V>) K::template lanes<V, U>(a..., j);
+  for (; j < n; ++j) K::template lanes<double, std::uint64_t>(a..., j);
+}
+
+struct AxpyReversed {
+  template <class V, class U>
+  [[gnu::always_inline]] static void lanes(const double* a,
+                                           const double* a_last, double r,
+                                           double* out, std::size_t j) {
+    V av, rv;
+    std::memcpy(&av, a + j, sizeof av);
+    load_reversed<V, U>(rv, a_last - j);
+    av = av - r * rv;
+    std::memcpy(out + j, &av, sizeof av);
+  }
+
+  template <class V, class U>
+  [[gnu::always_inline]] static void run(const double* a,
+                                         const double* a_last, double r,
+                                         double* out, std::size_t n) {
+    for_lanes<AxpyReversed, V, U>(n, a, a_last, r, out);
+  }
+};
+
+struct ScalePairs {
+  /// Pairs [j, j + width): s[j] scales both halves of complex pair j.  The
+  /// lanes are written in order, one output vector at a time; each reads
+  /// only the z lanes it overwrites, so `out` may alias z.
+  template <class V, class U>
+  [[gnu::always_inline]] static void lanes(const double* s, const double* z,
+                                           double* out, std::size_t j) {
+    constexpr std::size_t kW = kWidth<V>;
+    V sv;
+    std::memcpy(&sv, s + j, sizeof sv);
+#pragma GCC unroll 2
+    for (std::size_t half = 0; half < 2; ++half) {
+      // Each s lane doubled: {s0, s0, s1, s1}, then {s2, s2, s3, s3}.
+      V scale = sv;
+      if constexpr (kW == 2) {
+        scale = __builtin_shuffle(scale, half == 0 ? U{0, 0} : U{1, 1});
+      }
+      if constexpr (kW == 4) {
+        scale = __builtin_shuffle(
+            scale, half == 0 ? U{0, 0, 1, 1} : U{2, 2, 3, 3});
+      }
+      V zv;
+      std::memcpy(&zv, z + 2 * j + half * kW, sizeof zv);
+      zv = scale * zv;
+      std::memcpy(out + 2 * j + half * kW, &zv, sizeof zv);
+    }
+  }
+
+  template <class V, class U>
+  [[gnu::always_inline]] static void run(const double* s, const double* z,
+                                         double* out, std::size_t n) {
+    for_lanes<ScalePairs, V, U>(n, s, z, out);
+  }
+};
+
+struct ScaledRealStride2 {
+  /// out[j, j + width) from the real parts of pairs [j, j + width).
+  template <class V, class U>
+  [[gnu::always_inline]] static void lanes(const double* in, double norm,
+                                           double* out, std::size_t j) {
+    constexpr std::size_t kW = kWidth<V>;
+    V re, next;
+    std::memcpy(&re, in + 2 * j, sizeof re);  // re0 im0 re1 im1
+    std::memcpy(&next, in + 2 * j + kW, sizeof next);
+    if constexpr (kW == 2) re = __builtin_shuffle(re, next, U{0, 2});
+    if constexpr (kW == 4) re = __builtin_shuffle(re, next, U{0, 2, 4, 6});
+    re = re * norm;
+    std::memcpy(out + j, &re, sizeof re);
+  }
+
+  template <class V, class U>
+  [[gnu::always_inline]] static void run(const double* in, double norm,
+                                         double* out, std::size_t n) {
+    for_lanes<ScaledRealStride2, V, U>(n, in, norm, out);
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Fractal ON/OFF sojourn kernel.  Every draw takes the log; only tail draws
+// take the exp.  The log and exp lane bodies reinterpret bits with
+// __builtin_bit_cast (std::bit_cast would pass the vector by value).
+// ---------------------------------------------------------------------------
 
 // The log/exp algorithms and their coefficients follow fdlibm's e_log.c
 // and e_exp.c, which carry this notice:
@@ -202,21 +363,8 @@ template <class V, class U>
   x = c.a * x;
 }
 
-void fractal_sojourns_scalar(const double* u, double* out, std::size_t n,
-                             const SojournConsts& c) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double log_s = 1.0 - u[i];  // exact for 53-bit uniforms, so L = log S
-    log_lanes<double, std::uint64_t>(log_s);
-    if (u[i] < c.body_mass) {
-      out[i] = (0.0 - log_s) * c.a_over_g;  // 0 - L keeps +0 at u = 0
-    } else {
-      tail_lanes<double, std::uint64_t>(log_s, c);
-      out[i] = log_s;
-    }
-  }
-}
-
 /// One vector of draws: log_out <- L = log(1 - u), body_out <- -(A/gamma) L.
+/// 1 - u is exact for 53-bit uniforms, and 0 - L keeps +0 at u = 0.
 template <class V, class U>
 [[gnu::always_inline]] inline void body_vector(const double* u,
                                                double* body_out,
@@ -235,470 +383,150 @@ template <class V, class U>
 /// every lane; the logs of the tail draws (about a third of them) packed
 /// densely; exp over the packed logs, scattered back over the body values.
 /// The last vector of the first and third pass is padded (u = 0, L = 0),
-/// so every element goes through the same operations as on the scalar
-/// tier.
-template <class V, class U>
-[[gnu::always_inline]] inline void fractal_sojourns_wide(
-    const double* u, double* out, std::size_t n, const SojournConsts& c) {
-  constexpr std::size_t kW = sizeof(V) / sizeof(double);
-  constexpr std::size_t kBlock = 64;
-  // Left uninitialised on the hot path: every slot read below is written
-  // earlier in the same block.
-  double logs[kBlock + kW];    // L per draw
-  double tails[kBlock + kW];   // packed L of the tail draws, then sojourns
-  std::uint8_t where[kBlock];  // block index of each packed draw
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const double* ub = u + base;
-    double* ob = out + base;
-    const std::size_t len = n - base < kBlock ? n - base : kBlock;
+/// so every element goes through the same operations on every tier.
+struct FractalSojourns {
+  template <class V, class U>
+  [[gnu::always_inline]] static void run(const double* u, double* out,
+                                         std::size_t n,
+                                         const SojournConsts& c) {
+    constexpr std::size_t kW = kWidth<V>;
+    constexpr std::size_t kBlock = 64;
+    // Left uninitialised on the hot path: every slot read below is written
+    // earlier in the same block.
+    double logs[kBlock + kW];    // L per draw
+    double tails[kBlock + kW];   // packed L of the tail draws, then sojourns
+    std::uint8_t where[kBlock];  // block index of each packed draw
+    for (std::size_t base = 0; base < n; base += kBlock) {
+      const double* ub = u + base;
+      double* ob = out + base;
+      const std::size_t len = n - base < kBlock ? n - base : kBlock;
+      std::size_t i = 0;
+      for (; i + kW <= len; i += kW) {
+        body_vector<V, U>(ub + i, ob + i, logs + i, c);
+      }
+      if (i < len) {
+        double pad[kW] = {};
+        std::memcpy(pad, ub + i, (len - i) * sizeof(double));
+        body_vector<V, U>(pad, pad, logs + i, c);
+        std::memcpy(ob + i, pad, (len - i) * sizeof(double));
+      }
+      std::size_t k = 0;
+      for (std::size_t j = 0; j < len; ++j) {
+        tails[k] = logs[j];
+        where[k] = static_cast<std::uint8_t>(j);
+        k += ub[j] < c.body_mass ? 0 : 1;
+      }
+      for (std::size_t j = k; j % kW != 0; ++j) tails[j] = 0.0;
+      for (std::size_t j = 0; j < k; j += kW) {
+        V lanes;
+        std::memcpy(&lanes, tails + j, sizeof lanes);
+        tail_lanes<V, U>(lanes, c);
+        std::memcpy(tails + j, &lanes, sizeof lanes);
+      }
+      for (std::size_t j = 0; j < k; ++j) ob[where[j]] = tails[j];
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Finite-buffer fluid queue kernel.  The clamp and the tally updates are
+// compare masks and blends, so every lane runs the same add/sub sequence
+// whatever its outcome.
+// ---------------------------------------------------------------------------
+
+struct FifoStep {
+  /// Lanes [i, i + width of V) of one fifo_step frame.  On vector types
+  /// `x > y` is a lane mask and `mask ? a : b` a lane-wise blend of bit
+  /// patterns; on the scalar tier they are the plain compare and select.
+  template <class V, class U, bool kTally>
+  [[gnu::always_inline]] static void lanes(const FifoLanes& l, std::size_t i,
+                                           const V& net) {
+    V w, b;
+    std::memcpy(&w, l.workload + i, sizeof w);
+    std::memcpy(&b, l.buffer + i, sizeof b);
+    w = w + net;
+    const auto over = w > b;
+    if constexpr (kTally) {
+      V lost, comp;
+      U frames;
+      std::memcpy(&lost, l.lost + i, sizeof lost);
+      std::memcpy(&comp, l.comp + i, sizeof comp);
+      std::memcpy(&frames, l.loss_frames + i, sizeof frames);
+      const V y = (w - b) - comp;
+      const V t = lost + y;
+      comp = over ? (t - lost) - y : comp;
+      lost = over ? t : lost;
+      frames = over ? frames + 1 : frames;
+      std::memcpy(l.lost + i, &lost, sizeof lost);
+      std::memcpy(l.comp + i, &comp, sizeof comp);
+      std::memcpy(l.loss_frames + i, &frames, sizeof frames);
+    }
+    // w > B takes B; w < 0 takes +0 (all-zero bits); the rest keep w's bits.
+    w = over ? b : (w < 0.0 ? V{} : w);
+    std::memcpy(l.workload + i, &w, sizeof w);
+  }
+
+  template <class V, class U, bool kTally>
+  [[gnu::always_inline]] static void all_lanes(const FifoLanes& lanes_in,
+                                               double net) {
+    constexpr std::size_t kW = kWidth<V>;
+    // A local copy: the lane stores cannot alias it, so its pointers and
+    // count stay in registers.
+    const FifoLanes l = lanes_in;
+    // x - (+0) is x for every x, -0.0 included (0 + x would give +0), so
+    // this broadcasts net exactly.
+    const V vnet = net - V{};
     std::size_t i = 0;
-    for (; i + kW <= len; i += kW) {
-      body_vector<V, U>(ub + i, ob + i, logs + i, c);
-    }
-    if (i < len) {
-      double pad[kW] = {};
-      std::memcpy(pad, ub + i, (len - i) * sizeof(double));
-      body_vector<V, U>(pad, pad, logs + i, c);
-      std::memcpy(ob + i, pad, (len - i) * sizeof(double));
-    }
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      tails[k] = logs[j];
-      where[k] = static_cast<std::uint8_t>(j);
-      k += ub[j] < c.body_mass ? 0 : 1;
-    }
-    for (std::size_t j = k; j % kW != 0; ++j) tails[j] = 0.0;
-    for (std::size_t j = 0; j < k; j += kW) {
-      V lanes;
-      std::memcpy(&lanes, tails + j, sizeof lanes);
-      tail_lanes<V, U>(lanes, c);
-      std::memcpy(tails + j, &lanes, sizeof lanes);
-    }
-    for (std::size_t j = 0; j < k; ++j) ob[where[j]] = tails[j];
+    for (; i + kW <= l.count; i += kW) lanes<V, U, kTally>(l, i, vnet);
+    for (; i < l.count; ++i) lanes<double, std::uint64_t, kTally>(l, i, net);
   }
-}
+
+  template <class V, class U>
+  [[gnu::always_inline]] static void run(const FifoLanes& l, double net,
+                                         bool tally) {
+    if (tally) {
+      all_lanes<V, U, true>(l, net);
+    } else {
+      all_lanes<V, U, false>(l, net);
+    }
+  }
+};
 
 // ---------------------------------------------------------------------------
-// Finite-buffer fluid queue kernel.  One generic lane body, like the sojourn
-// kernel: `double`/`uint64_t` lanes on the scalar tier, vector-extension
-// types on SSE2 and AVX2.  The clamp and the tally updates are compare masks
-// and blends, so every lane runs the same add/sub sequence whatever its
-// outcome and the tiers agree bit for bit.
+// Dispatch: one instantiation of kernel K's body per tier.
 // ---------------------------------------------------------------------------
 
-/// Lanes [i, i + width of V) of one fifo_step frame.  On vector types
-/// `x > y` is a lane mask and `mask ? a : b` a lane-wise blend of bit
-/// patterns; on the scalar tier they are the plain compare and select.
-template <class V, class U, bool kTally>
-[[gnu::always_inline]] inline void fifo_lanes(const FifoLanes& l,
-                                              std::size_t i, const V& net) {
-  V w, b;
-  std::memcpy(&w, l.workload + i, sizeof w);
-  std::memcpy(&b, l.buffer + i, sizeof b);
-  w = w + net;
-  const auto over = w > b;
-  if constexpr (kTally) {
-    V lost, comp;
-    U frames;
-    std::memcpy(&lost, l.lost + i, sizeof lost);
-    std::memcpy(&comp, l.comp + i, sizeof comp);
-    std::memcpy(&frames, l.loss_frames + i, sizeof frames);
-    const V y = (w - b) - comp;
-    const V t = lost + y;
-    comp = over ? (t - lost) - y : comp;
-    lost = over ? t : lost;
-    frames = over ? frames + 1 : frames;
-    std::memcpy(l.lost + i, &lost, sizeof lost);
-    std::memcpy(l.comp + i, &comp, sizeof comp);
-    std::memcpy(l.loss_frames + i, &frames, sizeof frames);
-  }
-  // w > B takes B; w < 0 takes +0 (all-zero bits); the rest keep w's bits.
-  w = over ? b : (w < 0.0 ? V{} : w);
-  std::memcpy(l.workload + i, &w, sizeof w);
-}
-
-/// Whole vectors of lanes, then the remainder one lane at a time through
-/// the same body.
-template <class V, class U, bool kTally>
-[[gnu::always_inline]] inline void fifo_step_lanes(const FifoLanes& lanes,
-                                                   double net) {
-  constexpr std::size_t kW = sizeof(V) / sizeof(double);
-  // A local copy: the lane stores cannot alias it, so its pointers and
-  // count stay in registers.
-  const FifoLanes l = lanes;
-  // x - (+0) is x for every x, -0.0 included (0 + x would give +0), so
-  // this broadcasts net exactly.
-  const V vnet = net - V{};
-  std::size_t i = 0;
-  for (; i + kW <= l.count; i += kW) fifo_lanes<V, U, kTally>(l, i, vnet);
-  for (; i < l.count; ++i) {
-    fifo_lanes<double, std::uint64_t, kTally>(l, i, net);
-  }
-}
-
-template <class V, class U>
-[[gnu::always_inline]] inline void fifo_step_tier(const FifoLanes& l,
-                                                  double net, bool tally) {
-  if (tally) {
-    fifo_step_lanes<V, U, true>(l, net);
-  } else {
-    fifo_step_lanes<V, U, false>(l, net);
-  }
-}
-
-void fifo_step_scalar(const FifoLanes& l, double net, bool tally) {
-  fifo_step_tier<double, std::uint64_t>(l, net, tally);
+template <class K, class... A>
+auto run_scalar(const A&... a) {
+  return K::template run<double, std::uint64_t>(a...);
 }
 
 #if CTS_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 kernels (2-wide doubles).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse2"))) ScanPoint scan_min_sse2(
-    double b, double drift, const double* inv2v, std::size_t m_lo,
-    std::size_t m_hi) {
-  const std::size_t count = m_hi - m_lo + 1;
-  if (count < 4) return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  // Seed with the range's first element: on degenerate inputs where every
-  // objective value is +inf, the vector lanes never improve on their
-  // sentinels and the seed keeps the scalar kernel's answer (m_lo).
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  const __m128d vb = _mm_set1_pd(b);
-  const __m128d vdrift = _mm_set1_pd(drift);
-  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  // Two independent running-min accumulators (4 elements per iteration):
-  // a single accumulator's compare-and-select update is a loop-carried
-  // dependency chain that caps throughput far below the ALU width.  Argmin
-  // under strict < with lowest-m tie-breaking is evaluation-order
-  // independent, so the partition cannot change the result.  Sentinel
-  // lanes carry m = +inf and lose every tie in the final combine.
-  __m128d bv0 = inf, bv1 = inf;
-  __m128d bm0 = inf, bm1 = inf;
-  const double mlo_d = static_cast<double>(m_lo);
-  __m128d m0 = _mm_setr_pd(mlo_d, mlo_d + 1.0);
-  const __m128d two = _mm_set1_pd(2.0);
-  const __m128d four = _mm_set1_pd(4.0);
-  __m128d m1 = _mm_add_pd(m0, two);
-  std::size_t m = m_lo;
-  for (; m + 3 <= m_hi; m += 4) {
-    const __m128d i0 = _mm_loadu_pd(inv2v + m);
-    const __m128d i1 = _mm_loadu_pd(inv2v + m + 2);
-    const __m128d n0 = _mm_add_pd(vb, _mm_mul_pd(m0, vdrift));
-    const __m128d n1 = _mm_add_pd(vb, _mm_mul_pd(m1, vdrift));
-    const __m128d v0 = _mm_mul_pd(_mm_mul_pd(n0, n0), i0);
-    const __m128d v1 = _mm_mul_pd(_mm_mul_pd(n1, n1), i1);
-    // Strict < keeps the first (lowest-m) occurrence per lane.
-    const __m128d lt0 = _mm_cmplt_pd(v0, bv0);
-    const __m128d lt1 = _mm_cmplt_pd(v1, bv1);
-    bv0 = _mm_or_pd(_mm_and_pd(lt0, v0), _mm_andnot_pd(lt0, bv0));
-    bm0 = _mm_or_pd(_mm_and_pd(lt0, m0), _mm_andnot_pd(lt0, bm0));
-    bv1 = _mm_or_pd(_mm_and_pd(lt1, v1), _mm_andnot_pd(lt1, bv1));
-    bm1 = _mm_or_pd(_mm_and_pd(lt1, m1), _mm_andnot_pd(lt1, bm1));
-    m0 = _mm_add_pd(m0, four);
-    m1 = _mm_add_pd(m1, four);
-  }
-  for (; m + 1 <= m_hi; m += 2) {  // 2-wide cleanup on accumulator 0
-    const __m128d i0 = _mm_loadu_pd(inv2v + m);
-    const __m128d n0 = _mm_add_pd(vb, _mm_mul_pd(m0, vdrift));
-    const __m128d v0 = _mm_mul_pd(_mm_mul_pd(n0, n0), i0);
-    const __m128d lt0 = _mm_cmplt_pd(v0, bv0);
-    bv0 = _mm_or_pd(_mm_and_pd(lt0, v0), _mm_andnot_pd(lt0, bv0));
-    bm0 = _mm_or_pd(_mm_and_pd(lt0, m0), _mm_andnot_pd(lt0, bm0));
-    m0 = _mm_add_pd(m0, two);
-  }
-  double lane_v[4], lane_m[4];
-  _mm_storeu_pd(lane_v, bv0);
-  _mm_storeu_pd(lane_v + 2, bv1);
-  _mm_storeu_pd(lane_m, bm0);
-  _mm_storeu_pd(lane_m + 2, bm1);
-  for (int l = 0; l < 4; ++l) {
-    if (lane_v[l] < best.value ||
-        (lane_v[l] == best.value &&
-         lane_m[l] < static_cast<double>(best.m))) {
-      best.value = lane_v[l];
-      best.m = static_cast<std::size_t>(lane_m[l]);
-    }
-  }
-  for (; m <= m_hi; ++m) {  // tail (at most one element; highest m)
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
+template <class K, class... A>
+__attribute__((target("sse2"))) auto run_sse2(const A&... a) {
+  return K::template run<V2d, V2u>(a...);
 }
 
-__attribute__((target("sse2"))) double dot_reversed_sse2(const double* a,
-                                                         const double* b_last,
-                                                         std::size_t n) {
-  const std::size_t n4 = n - n % 4;
-  __m128d acc01 = _mm_setzero_pd();  // lanes j%4 == 0, 1
-  __m128d acc23 = _mm_setzero_pd();  // lanes j%4 == 2, 3
-  for (std::size_t j = 0; j < n4; j += 4) {
-    const __m128d a01 = _mm_loadu_pd(a + j);
-    const __m128d a23 = _mm_loadu_pd(a + j + 2);
-    // {b[-j-1], b[-j]} -> swap -> {b[-j], b[-j-1]}
-    __m128d b01 = _mm_loadu_pd(b_last - j - 1);
-    __m128d b23 = _mm_loadu_pd(b_last - j - 3);
-    b01 = _mm_shuffle_pd(b01, b01, 1);
-    b23 = _mm_shuffle_pd(b23, b23, 1);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(a01, b01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(a23, b23));
-  }
-  double l01[2], l23[2];
-  _mm_storeu_pd(l01, acc01);
-  _mm_storeu_pd(l23, acc23);
-  double sum = (l01[0] + l23[0]) + (l01[1] + l23[1]);
-  for (std::size_t j = n4; j < n; ++j) {
-    sum += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-  return sum;
+template <class K, class... A>
+__attribute__((target("avx2"))) auto run_avx2(const A&... a) {
+  return K::template run<V4d, V4u>(a...);
 }
-
-__attribute__((target("sse2"))) void axpy_reversed_sse2(
-    const double* a, const double* a_last, double r, double* out,
-    std::size_t n) {
-  const __m128d vr = _mm_set1_pd(r);
-  const std::size_t n2 = n - n % 2;
-  for (std::size_t j = 0; j < n2; j += 2) {
-    const __m128d av = _mm_loadu_pd(a + j);
-    __m128d rv = _mm_loadu_pd(a_last - j - 1);
-    rv = _mm_shuffle_pd(rv, rv, 1);
-    _mm_storeu_pd(out + j, _mm_sub_pd(av, _mm_mul_pd(vr, rv)));
-  }
-  for (std::size_t j = n2; j < n; ++j) {
-    out[j] = a[j] - r * a_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-}
-
-__attribute__((target("sse2"))) void scale_pairs_sse2(const double* s,
-                                                      const double* z,
-                                                      double* out,
-                                                      std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const __m128d sv = _mm_set1_pd(s[j]);
-    const __m128d zv = _mm_loadu_pd(z + 2 * j);
-    _mm_storeu_pd(out + 2 * j, _mm_mul_pd(sv, zv));
-  }
-}
-
-__attribute__((target("sse2"))) void scaled_real_stride2_sse2(
-    const double* in, double norm, double* out, std::size_t n) {
-  const __m128d vnorm = _mm_set1_pd(norm);
-  const std::size_t n2 = n - n % 2;
-  for (std::size_t j = 0; j < n2; j += 2) {
-    const __m128d p0 = _mm_loadu_pd(in + 2 * j);      // {re0, im0}
-    const __m128d p1 = _mm_loadu_pd(in + 2 * j + 2);  // {re1, im1}
-    const __m128d re = _mm_shuffle_pd(p0, p1, 0);     // {re0, re1}
-    _mm_storeu_pd(out + j, _mm_mul_pd(re, vnorm));
-  }
-  for (std::size_t j = n2; j < n; ++j) {
-    out[j] = in[2 * j] * norm;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels (4-wide doubles).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) ScanPoint scan_min_avx2(double b, double drift,
-                                                        const double* inv2v,
-                                                        std::size_t m_lo,
-                                                        std::size_t m_hi) {
-  const std::size_t count = m_hi - m_lo + 1;
-  if (count < 8) return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  // Seed with the range's first element: on degenerate inputs where every
-  // objective value is +inf, the vector lanes never improve on their
-  // sentinels and the seed keeps the scalar kernel's answer (m_lo).
-  ScanPoint best;
-  best.m = m_lo;
-  best.value = scan_objective(b, drift, inv2v, m_lo);
-  const __m256d vb = _mm256_set1_pd(b);
-  const __m256d vdrift = _mm256_set1_pd(drift);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  // Four independent running-min accumulators (16 elements per iteration):
-  // a single accumulator's cmp->blend update is a loop-carried dependency
-  // chain whose ~6-cycle latency caps throughput far below the ALU width.
-  // Argmin under strict < with lowest-m tie-breaking is evaluation-order
-  // independent, so the partition cannot change the result.  Sentinel
-  // lanes carry m = +inf and lose every tie in the final combine.
-  __m256d bv0 = inf, bv1 = inf, bv2 = inf, bv3 = inf;
-  __m256d bm0 = inf, bm1 = inf, bm2 = inf, bm3 = inf;
-  const double mlo_d = static_cast<double>(m_lo);
-  __m256d m0 = _mm256_setr_pd(mlo_d, mlo_d + 1.0, mlo_d + 2.0, mlo_d + 3.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  const __m256d sixteen = _mm256_set1_pd(16.0);
-  __m256d m1 = _mm256_add_pd(m0, four);
-  __m256d m2 = _mm256_add_pd(m1, four);
-  __m256d m3 = _mm256_add_pd(m2, four);
-  std::size_t m = m_lo;
-  for (; m + 15 <= m_hi; m += 16) {
-    const __m256d i0 = _mm256_loadu_pd(inv2v + m);
-    const __m256d i1 = _mm256_loadu_pd(inv2v + m + 4);
-    const __m256d i2 = _mm256_loadu_pd(inv2v + m + 8);
-    const __m256d i3 = _mm256_loadu_pd(inv2v + m + 12);
-    const __m256d n0 = _mm256_add_pd(vb, _mm256_mul_pd(m0, vdrift));
-    const __m256d n1 = _mm256_add_pd(vb, _mm256_mul_pd(m1, vdrift));
-    const __m256d n2 = _mm256_add_pd(vb, _mm256_mul_pd(m2, vdrift));
-    const __m256d n3 = _mm256_add_pd(vb, _mm256_mul_pd(m3, vdrift));
-    const __m256d v0 = _mm256_mul_pd(_mm256_mul_pd(n0, n0), i0);
-    const __m256d v1 = _mm256_mul_pd(_mm256_mul_pd(n1, n1), i1);
-    const __m256d v2 = _mm256_mul_pd(_mm256_mul_pd(n2, n2), i2);
-    const __m256d v3 = _mm256_mul_pd(_mm256_mul_pd(n3, n3), i3);
-    // Strict < keeps the first (lowest-m) occurrence per lane.
-    const __m256d lt0 = _mm256_cmp_pd(v0, bv0, _CMP_LT_OQ);
-    const __m256d lt1 = _mm256_cmp_pd(v1, bv1, _CMP_LT_OQ);
-    const __m256d lt2 = _mm256_cmp_pd(v2, bv2, _CMP_LT_OQ);
-    const __m256d lt3 = _mm256_cmp_pd(v3, bv3, _CMP_LT_OQ);
-    bv0 = _mm256_blendv_pd(bv0, v0, lt0);
-    bm0 = _mm256_blendv_pd(bm0, m0, lt0);
-    bv1 = _mm256_blendv_pd(bv1, v1, lt1);
-    bm1 = _mm256_blendv_pd(bm1, m1, lt1);
-    bv2 = _mm256_blendv_pd(bv2, v2, lt2);
-    bm2 = _mm256_blendv_pd(bm2, m2, lt2);
-    bv3 = _mm256_blendv_pd(bv3, v3, lt3);
-    bm3 = _mm256_blendv_pd(bm3, m3, lt3);
-    m0 = _mm256_add_pd(m0, sixteen);
-    m1 = _mm256_add_pd(m1, sixteen);
-    m2 = _mm256_add_pd(m2, sixteen);
-    m3 = _mm256_add_pd(m3, sixteen);
-  }
-  for (; m + 3 <= m_hi; m += 4) {  // 4-wide cleanup on accumulator 0
-    const __m256d i0 = _mm256_loadu_pd(inv2v + m);
-    const __m256d n0 = _mm256_add_pd(vb, _mm256_mul_pd(m0, vdrift));
-    const __m256d v0 = _mm256_mul_pd(_mm256_mul_pd(n0, n0), i0);
-    const __m256d lt0 = _mm256_cmp_pd(v0, bv0, _CMP_LT_OQ);
-    bv0 = _mm256_blendv_pd(bv0, v0, lt0);
-    bm0 = _mm256_blendv_pd(bm0, m0, lt0);
-    m0 = _mm256_add_pd(m0, four);
-  }
-  double lane_v[16], lane_m[16];
-  _mm256_storeu_pd(lane_v, bv0);
-  _mm256_storeu_pd(lane_v + 4, bv1);
-  _mm256_storeu_pd(lane_v + 8, bv2);
-  _mm256_storeu_pd(lane_v + 12, bv3);
-  _mm256_storeu_pd(lane_m, bm0);
-  _mm256_storeu_pd(lane_m + 4, bm1);
-  _mm256_storeu_pd(lane_m + 8, bm2);
-  _mm256_storeu_pd(lane_m + 12, bm3);
-  for (int l = 0; l < 16; ++l) {
-    if (lane_v[l] < best.value ||
-        (lane_v[l] == best.value &&
-         lane_m[l] < static_cast<double>(best.m))) {
-      best.value = lane_v[l];
-      best.m = static_cast<std::size_t>(lane_m[l]);
-    }
-  }
-  for (; m <= m_hi; ++m) {  // tail (at most three elements; highest m)
-    const double value = scan_objective(b, drift, inv2v, m);
-    if (value < best.value) {
-      best.value = value;
-      best.m = m;
-    }
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) double dot_reversed_avx2(const double* a,
-                                                         const double* b_last,
-                                                         std::size_t n) {
-  const std::size_t n4 = n - n % 4;
-  __m256d acc = _mm256_setzero_pd();  // lane l holds j%4 == l partial sums
-  for (std::size_t j = 0; j < n4; j += 4) {
-    const __m256d av = _mm256_loadu_pd(a + j);
-    // {b[-j-3], b[-j-2], b[-j-1], b[-j]} -> reverse lanes
-    __m256d bv = _mm256_loadu_pd(b_last - j - 3);
-    bv = _mm256_permute4x64_pd(bv, _MM_SHUFFLE(0, 1, 2, 3));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
-  }
-  double lane[4];
-  _mm256_storeu_pd(lane, acc);
-  double sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
-  for (std::size_t j = n4; j < n; ++j) {
-    sum += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) void axpy_reversed_avx2(
-    const double* a, const double* a_last, double r, double* out,
-    std::size_t n) {
-  const __m256d vr = _mm256_set1_pd(r);
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t j = 0; j < n4; j += 4) {
-    const __m256d av = _mm256_loadu_pd(a + j);
-    __m256d rv = _mm256_loadu_pd(a_last - j - 3);
-    rv = _mm256_permute4x64_pd(rv, _MM_SHUFFLE(0, 1, 2, 3));
-    _mm256_storeu_pd(out + j, _mm256_sub_pd(av, _mm256_mul_pd(vr, rv)));
-  }
-  for (std::size_t j = n4; j < n; ++j) {
-    out[j] = a[j] - r * a_last[-static_cast<std::ptrdiff_t>(j)];
-  }
-}
-
-__attribute__((target("avx2"))) void scale_pairs_avx2(const double* s,
-                                                      const double* z,
-                                                      double* out,
-                                                      std::size_t n) {
-  const std::size_t n2 = n - n % 2;
-  for (std::size_t j = 0; j < n2; j += 2) {
-    // Duplicate {s[j], s[j+1]} pairwise to {s[j], s[j], s[j+1], s[j+1]}.
-    const __m128d s01 = _mm_loadu_pd(s + j);
-    const __m256d sv =
-        _mm256_permute4x64_pd(_mm256_castpd128_pd256(s01), 0x50);
-    const __m256d zv = _mm256_loadu_pd(z + 2 * j);
-    _mm256_storeu_pd(out + 2 * j, _mm256_mul_pd(sv, zv));
-  }
-  for (std::size_t j = n2; j < n; ++j) {
-    out[2 * j] = s[j] * z[2 * j];
-    out[2 * j + 1] = s[j] * z[2 * j + 1];
-  }
-}
-
-__attribute__((target("avx2"))) void scaled_real_stride2_avx2(
-    const double* in, double norm, double* out, std::size_t n) {
-  const __m256d vnorm = _mm256_set1_pd(norm);
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t j = 0; j < n4; j += 4) {
-    const __m256d p0 = _mm256_loadu_pd(in + 2 * j);      // re0 im0 re1 im1
-    const __m256d p1 = _mm256_loadu_pd(in + 2 * j + 4);  // re2 im2 re3 im3
-    // unpacklo across 128-bit halves gives {re0, re1, re2, re3} after a
-    // cross-lane permute: build {re0, re2, re1, re3} then fix the order.
-    const __m256d lo = _mm256_unpacklo_pd(p0, p1);  // re0 re2 re1 re3
-    const __m256d re = _mm256_permute4x64_pd(lo, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(re, vnorm));
-  }
-  for (std::size_t j = n4; j < n; ++j) {
-    out[j] = in[2 * j] * norm;
-  }
-}
-
-__attribute__((target("sse2"))) void fractal_sojourns_sse2(
-    const double* u, double* out, std::size_t n, const SojournConsts& c) {
-  fractal_sojourns_wide<V2d, V2u>(u, out, n, c);
-}
-
-__attribute__((target("avx2"))) void fractal_sojourns_avx2(
-    const double* u, double* out, std::size_t n, const SojournConsts& c) {
-  fractal_sojourns_wide<V4d, V4u>(u, out, n, c);
-}
-
-__attribute__((target("sse2"))) void fifo_step_sse2(const FifoLanes& l,
-                                                    double net, bool tally) {
-  fifo_step_tier<V2d, V2u>(l, net, tally);
-}
-
-__attribute__((target("avx2"))) void fifo_step_avx2(const FifoLanes& l,
-                                                    double net, bool tally) {
-  fifo_step_tier<V4d, V4u>(l, net, tally);
-}
-
 #endif  // CTS_SIMD_X86
+
+/// Runs kernel K on the tier of `kind`, which the host must support.
+template <class K, class... A>
+auto dispatch(Kind kind, const A&... a) {
+  switch (kind) {
+#if CTS_SIMD_X86
+    case Kind::kAvx2:
+      return run_avx2<K>(a...);
+    case Kind::kSse2:
+      return run_sse2<K>(a...);
+#endif
+    default:
+      return run_scalar<K>(a...);
+  }
+}
 
 std::atomic<int> g_forced{-1};
 
@@ -771,97 +599,31 @@ Kind parse_kind(std::string_view name) {
 ScanPoint scan_min(double b, double drift, const double* inv2v,
                    std::size_t m_lo, std::size_t m_hi) {
   util::require(m_lo >= 1 && m_lo <= m_hi, "simd::scan_min: need 1 <= lo <= hi");
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      return scan_min_avx2(b, drift, inv2v, m_lo, m_hi);
-    case Kind::kSse2:
-      return scan_min_sse2(b, drift, inv2v, m_lo, m_hi);
-#endif
-    default:
-      return scan_min_scalar(b, drift, inv2v, m_lo, m_hi);
-  }
+  return dispatch<ScanMin>(active(), b, drift, inv2v, m_lo, m_hi);
 }
 
 double dot_reversed(const double* a, const double* b_last, std::size_t n) {
-  if (n == 0) return 0.0;
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      return dot_reversed_avx2(a, b_last, n);
-    case Kind::kSse2:
-      return dot_reversed_sse2(a, b_last, n);
-#endif
-    default:
-      return dot_reversed_scalar(a, b_last, n);
-  }
+  return dispatch<DotReversed>(active(), a, b_last, n);
 }
 
 void axpy_reversed(const double* a, const double* a_last, double r,
                    double* out, std::size_t n) {
-  if (n == 0) return;
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      axpy_reversed_avx2(a, a_last, r, out, n);
-      return;
-    case Kind::kSse2:
-      axpy_reversed_sse2(a, a_last, r, out, n);
-      return;
-#endif
-    default:
-      axpy_reversed_scalar(a, a_last, r, out, n);
-  }
+  dispatch<AxpyReversed>(active(), a, a_last, r, out, n);
 }
 
 void scale_pairs(const double* s, const double* z, double* out,
                  std::size_t n) {
-  if (n == 0) return;
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      scale_pairs_avx2(s, z, out, n);
-      return;
-    case Kind::kSse2:
-      scale_pairs_sse2(s, z, out, n);
-      return;
-#endif
-    default:
-      scale_pairs_scalar(s, z, out, n);
-  }
+  dispatch<ScalePairs>(active(), s, z, out, n);
 }
 
 void scaled_real_stride2(const double* in, double norm, double* out,
                          std::size_t n) {
-  if (n == 0) return;
-  switch (active()) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      scaled_real_stride2_avx2(in, norm, out, n);
-      return;
-    case Kind::kSse2:
-      scaled_real_stride2_sse2(in, norm, out, n);
-      return;
-#endif
-    default:
-      scaled_real_stride2_scalar(in, norm, out, n);
-  }
+  dispatch<ScaledRealStride2>(active(), in, norm, out, n);
 }
 
 void fractal_sojourns(Kind kind, const double* u, double* out, std::size_t n,
                       const SojournConsts& consts) noexcept {
-  switch (kind) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      fractal_sojourns_avx2(u, out, n, consts);
-      return;
-    case Kind::kSse2:
-      fractal_sojourns_sse2(u, out, n, consts);
-      return;
-#endif
-    default:
-      fractal_sojourns_scalar(u, out, n, consts);
-  }
+  dispatch<FractalSojourns>(kind, u, out, n, consts);
 }
 
 void fifo_step(Kind kind, const FifoLanes& lanes, double net,
@@ -869,19 +631,7 @@ void fifo_step(Kind kind, const FifoLanes& lanes, double net,
   // Every lane enters with W_i <= B_i, so unless net > 0 each w = W_i + net
   // rounds to at most W_i and no lane can overflow: the tally pass would
   // only blend back what it read, and is skipped.
-  const bool tally = measuring && net > 0.0;
-  switch (kind) {
-#if CTS_SIMD_X86
-    case Kind::kAvx2:
-      fifo_step_avx2(lanes, net, tally);
-      return;
-    case Kind::kSse2:
-      fifo_step_sse2(lanes, net, tally);
-      return;
-#endif
-    default:
-      fifo_step_scalar(lanes, net, tally);
-  }
+  dispatch<FifoStep>(kind, lanes, net, measuring && net > 0.0);
 }
 
 }  // namespace cts::core::simd

@@ -1,6 +1,5 @@
 #include "cts/net/cac.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -137,10 +136,7 @@ CacRequest parse_cac_request(const std::string& text) {
     cu::require(q.log10_clr < 0.0,
                 "cac: log10_clr must be < 0 (a loss target below 1)");
     if (q.kind == CacQueryKind::kBop) {
-      const double n = entry.at("n").as_number();
-      cu::require(n >= 1.0 && n == std::floor(n),
-                  "cac: bop query needs an integer n >= 1");
-      q.n = static_cast<std::size_t>(n);
+      q.n = static_cast<std::size_t>(entry.int_at("n", 1));
       const obs::JsonValue* interp = entry.find("interp");
       if (interp != nullptr) q.interpolate = interp->as_bool();
     } else {

@@ -455,10 +455,12 @@ std::int64_t JsonValue::as_int(const std::string& what, std::int64_t lo,
   // the infinities fail the range test.
   constexpr double kTwo63 = 9223372036854775808.0;
   const bool integral = v == std::floor(v) && v >= -kTwo63 && v < kTwo63;
-  util::require(integral && static_cast<std::int64_t>(v) >= lo &&
-                    static_cast<std::int64_t>(v) <= hi,
-                what + " must be an integer in [" + std::to_string(lo) +
-                    ", " + std::to_string(hi) + "]");
+  if (!integral || static_cast<std::int64_t>(v) < lo ||
+      static_cast<std::int64_t>(v) > hi) {
+    throw util::InvalidArgument(what + " must be an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
   return static_cast<std::int64_t>(v);
 }
 

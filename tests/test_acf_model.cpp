@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "cts/proc/dar.hpp"
-#include "cts/proc/fgn.hpp"
 #include "cts/util/error.hpp"
 
 namespace cc = cts::core;
@@ -56,9 +55,13 @@ TEST(DarAcf, RandomAccessOrderIndependent) {
 }
 
 TEST(ExactLrdAcf, MatchesFgnForUnitWeight) {
+  // FGN's closed form r(k) = 1/2 [(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}].
   const cc::ExactLrdAcf acf(0.8, 1.0);
   for (std::size_t k = 1; k <= 50; ++k) {
-    EXPECT_NEAR(acf.at(k), cts::proc::fgn_acf(k, 0.8), 1e-14) << "lag " << k;
+    const double kd = static_cast<double>(k);
+    const double fgn = 0.5 * (std::pow(kd + 1.0, 1.6) - 2.0 * std::pow(kd, 1.6) +
+                              std::pow(kd - 1.0, 1.6));
+    EXPECT_NEAR(acf.at(k), fgn, 1e-14) << "lag " << k;
   }
 }
 

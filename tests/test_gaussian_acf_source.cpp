@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "cts/core/simd.hpp"
-#include "cts/proc/fgn.hpp"
 #include "cts/stats/acf.hpp"
 #include "cts/util/accumulator.hpp"
 #include "cts/util/error.hpp"
@@ -30,15 +29,19 @@ TEST(GaussianAcfHosking, GeometricAcfReproduced) {
 }
 
 TEST(GaussianAcfHosking, MatchesDedicatedFgnGenerator) {
-  // With the FGN ACF this generic source IS the Hosking FGN generator;
-  // statistics must agree (same algorithm, different code path).
+  // With the FGN ACF this generic source is the Hosking FGN generator: its
+  // sample ACF must match FGN's closed form
+  // r(k) = 1/2 [(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}].
   auto acf = std::make_shared<cc::ExactLrdAcf>(0.8, 1.0);
   cp::GaussianAcfHosking generic(acf, 0.0, 1.0, 21);
   std::vector<double> trace(8192);
   for (auto& x : trace) x = generic.next_frame();
   const std::vector<double> r = cs::autocorrelation(trace, 4);
   for (std::size_t k = 1; k <= 4; ++k) {
-    EXPECT_NEAR(r[k], cp::fgn_acf(k, 0.8), 0.08) << "lag " << k;
+    const double kd = static_cast<double>(k);
+    const double fgn = 0.5 * (std::pow(kd + 1.0, 1.6) - 2.0 * std::pow(kd, 1.6) +
+                              std::pow(kd - 1.0, 1.6));
+    EXPECT_NEAR(r[k], fgn, 0.08) << "lag " << k;
   }
 }
 

@@ -3,9 +3,12 @@
 
 #include "cts/stats/hurst.hpp"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
-#include "cts/proc/fgn.hpp"
+#include "cts/core/acf_model.hpp"
+#include "cts/proc/gaussian_acf_source.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/rng.hpp"
 
@@ -25,11 +28,8 @@ std::vector<double> white_noise(std::size_t n, std::uint64_t seed) {
 
 std::vector<double> fgn_trace(double h, std::size_t n, std::uint64_t seed,
                               std::size_t block = 1 << 15) {
-  cp::FgnParams p;
-  p.hurst = h;
-  p.mean = 0.0;
-  p.variance = 1.0;
-  cp::FgnDaviesHarte source(p, block, seed);
+  cp::GaussianAcfDaviesHarte source(
+      std::make_shared<cts::core::ExactLrdAcf>(h, 1.0), 0.0, 1.0, block, seed);
   std::vector<double> x(n);
   for (auto& v : x) v = source.next_frame();
   return x;

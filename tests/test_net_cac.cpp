@@ -171,12 +171,18 @@ TEST(CacRequest, RejectsMalformedDocumentsWithNamedErrors) {
                    R"("buffer":4035,"log10_clr":0}]})"),
                cu::InvalidArgument);
 
-  // A bop probe needs an integer n >= 1; admit queries must not carry n.
-  EXPECT_THROW(cn::parse_cac_request(
-                   R"({"schema":"cts.cac.v1","model":{"id":"za:0.9"},)"
-                   R"("queries":[{"kind":"bop","capacity":16140,)"
-                   R"("buffer":4035,"log10_clr":-6,"n":2.5}]})"),
-               cu::InvalidArgument);
+  // A bop probe needs an integer n >= 1, rejected before the cast to
+  // size_t (1e300 would overflow it); admit queries must not carry n.
+  for (const char* n : {"1e300", "0", "-1", "2.5"}) {
+    SCOPED_TRACE(n);
+    EXPECT_THROW(cn::parse_cac_request(
+                     std::string(
+                         R"({"schema":"cts.cac.v1","model":{"id":"za:0.9"},)"
+                         R"("queries":[{"kind":"bop","capacity":16140,)"
+                         R"("buffer":4035,"log10_clr":-6,"n":)") +
+                     n + "}]}"),
+                 cu::Error);
+  }
   EXPECT_NE(invalid_argument_message([] {
               cn::parse_cac_request(
                   R"({"schema":"cts.cac.v1","model":{"id":"za:0.9"},)"

@@ -65,6 +65,15 @@ TEST(JsonParse, AsIntAcceptsOnlyIntegralInRangeNumbers) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(obs::json_parse(bad).as_int("n"), cts::util::InvalidArgument);
   }
+  for (const char* bad : {"2.5", "-1", "1e300", "6"}) {
+    SCOPED_TRACE(bad);
+    try {
+      obs::json_parse(bad).as_int("cac: n", 0, 5);
+      FAIL() << "expected InvalidArgument";
+    } catch (const cts::util::InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "cac: n must be an integer in [0, 5]");
+    }
+  }
   EXPECT_THROW(obs::json_parse("6").as_int("n", 0, 5),
                cts::util::InvalidArgument);
   try {

@@ -4,9 +4,11 @@
 
 #include "cts/core/simd.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +32,11 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+/// Byte equality of two doubles: tells -0.0 from +0.0, and NaN payloads.
+bool same_bytes(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 /// Restores auto dispatch when a test that pins a kind exits.
 struct ForceGuard {
   ~ForceGuard() { cs::clear_force(); }
@@ -40,6 +47,75 @@ std::vector<cs::Kind> supported_kinds() {
   if (cs::best_supported() >= cs::Kind::kSse2) kinds.push_back(cs::Kind::kSse2);
   if (cs::best_supported() >= cs::Kind::kAvx2) kinds.push_back(cs::Kind::kAvx2);
   return kinds;
+}
+
+// The library's scalar kernels as they stood when each tier had its own
+// hand-written copy, verbatim: independent references, so a summation
+// order changed on every tier alike still fails.
+using cs::ScanPoint;
+
+inline double scan_objective(double b, double drift, const double* inv2v,
+                             std::size_t m) {
+  const double md = static_cast<double>(m);
+  const double numerator = b + md * drift;
+  return numerator * numerator * inv2v[m];
+}
+
+ScanPoint scan_min_scalar(double b, double drift, const double* inv2v,
+                          std::size_t m_lo, std::size_t m_hi) {
+  ScanPoint best;
+  best.m = m_lo;
+  best.value = scan_objective(b, drift, inv2v, m_lo);
+  for (std::size_t m = m_lo + 1; m <= m_hi; ++m) {
+    const double value = scan_objective(b, drift, inv2v, m);
+    if (value < best.value) {
+      best.value = value;
+      best.m = m;
+    }
+  }
+  return best;
+}
+
+double dot_reversed_scalar(const double* a, const double* b_last,
+                           std::size_t n) {
+  // Fixed 4-lane blocked order: lane l sums elements j % 4 == l, lanes
+  // combine as (0+2)+(1+3), tail appended sequentially.  The vector
+  // versions realise exactly this association.
+  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  const std::size_t n4 = n - n % 4;
+  for (std::size_t j = 0; j < n4; j += 4) {
+    acc0 += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
+    acc1 += a[j + 1] * b_last[-static_cast<std::ptrdiff_t>(j + 1)];
+    acc2 += a[j + 2] * b_last[-static_cast<std::ptrdiff_t>(j + 2)];
+    acc3 += a[j + 3] * b_last[-static_cast<std::ptrdiff_t>(j + 3)];
+  }
+  double sum = (acc0 + acc2) + (acc1 + acc3);
+  for (std::size_t j = n4; j < n; ++j) {
+    sum += a[j] * b_last[-static_cast<std::ptrdiff_t>(j)];
+  }
+  return sum;
+}
+
+void axpy_reversed_scalar(const double* a, const double* a_last, double r,
+                          double* out, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = a[j] - r * a_last[-static_cast<std::ptrdiff_t>(j)];
+  }
+}
+
+void scale_pairs_scalar(const double* s, const double* z, double* out,
+                        std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    out[2 * j] = s[j] * z[2 * j];
+    out[2 * j + 1] = s[j] * z[2 * j + 1];
+  }
+}
+
+void scaled_real_stride2_scalar(const double* in, double norm, double* out,
+                                std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = in[2 * j] * norm;
+  }
 }
 
 /// Sequential reference scan: running minimum under strict <, over the
@@ -102,11 +178,18 @@ TEST(SimdScanMin, MatchesSequentialReferenceOnEveryKind) {
   const std::vector<double> inv2v = random_inv2v_table(20000, 1234);
   const double b = 400.0;
   const double drift = 12.0;
-  // Window sizes cross the vector-width fallbacks (SSE2 < 4, AVX2 < 8) and
-  // both alignment parities of the start index.
-  for (const std::size_t lo : {1u, 2u, 3u, 7u, 64u, 1001u}) {
-    for (const std::size_t len :
-         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 100u, 4097u, 18000u}) {
+  // Windows of 1 to 33 lags cover an empty, partial and whole pass of the
+  // four accumulators on every width (4, 8 and 16 lags), the whole-vector
+  // remainder and the lane-by-lane tail; the start index takes every
+  // residue mod 16.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 33; ++len) lengths.push_back(len);
+  lengths.insert(lengths.end(), {100, 4097, 18000});
+  std::vector<std::size_t> starts;
+  for (std::size_t lo = 1; lo <= 17; ++lo) starts.push_back(lo);
+  starts.insert(starts.end(), {64, 1001});
+  for (const std::size_t lo : starts) {
+    for (const std::size_t len : lengths) {
       const std::size_t hi = std::min(lo + len - 1, inv2v.size() - 1);
       const cs::ScanPoint ref = reference_scan(b, drift, inv2v, lo, hi);
       for (const cs::Kind kind : supported_kinds()) {
@@ -115,7 +198,7 @@ TEST(SimdScanMin, MatchesSequentialReferenceOnEveryKind) {
             cs::scan_min(b, drift, inv2v.data(), lo, hi);
         EXPECT_EQ(got.m, ref.m) << cs::kind_name(kind) << " lo=" << lo
                                 << " hi=" << hi;
-        EXPECT_EQ(got.value, ref.value)
+        EXPECT_TRUE(same_bytes(got.value, ref.value))
             << cs::kind_name(kind) << " lo=" << lo << " hi=" << hi;
       }
     }
@@ -126,14 +209,23 @@ TEST(SimdScanMin, TiesResolveToLowestM) {
   ForceGuard guard;
   // drift = 0 and a constant reciprocal table make every objective value
   // equal, so the argmin must come back as the window start on every kind.
+  // So must it when (b + m drift)^2 overflows to +inf at every m: no lane
+  // ever improves on its +inf sentinel.
   std::vector<double> inv2v(4096, 0.25);
   inv2v[0] = 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
   for (const cs::Kind kind : supported_kinds()) {
     cs::force(kind);
     for (const std::size_t lo : {1u, 5u, 9u}) {
-      const cs::ScanPoint got =
-          cs::scan_min(3.0, 0.0, inv2v.data(), lo, 4000);
-      EXPECT_EQ(got.m, lo) << cs::kind_name(kind);
+      for (std::size_t len = 1; len <= 40; ++len) {
+        const std::size_t hi = len == 40 ? 4000 : lo + len - 1;
+        const cs::ScanPoint got = cs::scan_min(3.0, 0.0, inv2v.data(), lo, hi);
+        EXPECT_EQ(got.m, lo) << cs::kind_name(kind) << " hi=" << hi;
+        const cs::ScanPoint all_inf =
+            cs::scan_min(1e200, 1e200, inv2v.data(), lo, hi);
+        EXPECT_EQ(all_inf.m, lo) << cs::kind_name(kind) << " hi=" << hi;
+        EXPECT_EQ(all_inf.value, inf) << cs::kind_name(kind) << " hi=" << hi;
+      }
     }
   }
 }
@@ -145,13 +237,12 @@ TEST(SimdScanMin, RandomTablesAgreeAcrossKinds) {
     cu::Xoshiro256pp rng(seed ^ 0xABCDEF);
     const double b = rng.uniform01() * 1000.0;
     const double drift = 1.0 + rng.uniform01() * 40.0;
-    cs::force(cs::Kind::kScalar);
-    const cs::ScanPoint ref = cs::scan_min(b, drift, inv2v.data(), 1, 4999);
+    const cs::ScanPoint ref = scan_min_scalar(b, drift, inv2v.data(), 1, 4999);
     for (const cs::Kind kind : supported_kinds()) {
       cs::force(kind);
       const cs::ScanPoint got = cs::scan_min(b, drift, inv2v.data(), 1, 4999);
       EXPECT_EQ(got.m, ref.m) << cs::kind_name(kind) << " seed=" << seed;
-      EXPECT_EQ(got.value, ref.value)
+      EXPECT_TRUE(same_bytes(got.value, ref.value))
           << cs::kind_name(kind) << " seed=" << seed;
     }
   }
@@ -159,22 +250,27 @@ TEST(SimdScanMin, RandomTablesAgreeAcrossKinds) {
 
 TEST(SimdDotReversed, BitIdenticalAcrossKindsAndCloseToNaive) {
   ForceGuard guard;
+  // Every length to 33 and each side of larger multiples of four: the
+  // blocked sum, its (0 + 2) + (1 + 3) combine and the in-order tail.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 33; ++n) lengths.push_back(n);
+  for (const std::size_t m4 : {64u, 256u, 1024u, 4096u}) {
+    lengths.insert(lengths.end(), {m4 - 1, m4, m4 + 1, m4 + 2, m4 + 3});
+  }
   cu::Xoshiro256pp rng(99);
-  for (const std::size_t n :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 63u, 256u, 1023u}) {
+  for (const std::size_t n : lengths) {
     std::vector<double> a(n), rev(n);
     for (auto& x : a) x = rng.uniform01() * 2.0 - 1.0;
     for (auto& x : rev) x = rng.uniform01() * 2.0 - 1.0;
     const double* rev_last = rev.empty() ? nullptr : &rev[n - 1];
-    cs::force(cs::Kind::kScalar);
-    const double ref = cs::dot_reversed(a.data(), rev_last, n);
+    const double ref = dot_reversed_scalar(a.data(), rev_last, n);
     double naive = 0.0;
     for (std::size_t j = 0; j < n; ++j) naive += a[j] * rev[n - 1 - j];
     EXPECT_NEAR(ref, naive, 1e-12 * (1.0 + std::fabs(naive))) << "n=" << n;
     for (const cs::Kind kind : supported_kinds()) {
       cs::force(kind);
       const double got = cs::dot_reversed(a.data(), rev_last, n);
-      EXPECT_EQ(got, ref) << cs::kind_name(kind) << " n=" << n;
+      EXPECT_TRUE(same_bytes(got, ref)) << cs::kind_name(kind) << " n=" << n;
     }
   }
 }
@@ -187,9 +283,8 @@ TEST(SimdAxpyReversed, BitIdenticalAcrossKinds) {
     for (auto& x : a) x = rng.uniform01() * 2.0 - 1.0;
     const double r = rng.uniform01();
     std::vector<double> ref(n, 0.0);
-    cs::force(cs::Kind::kScalar);
-    cs::axpy_reversed(a.data(), n > 0 ? &a[n - 1] : nullptr, r, ref.data(),
-                      n);
+    axpy_reversed_scalar(a.data(), n > 0 ? &a[n - 1] : nullptr, r,
+                         ref.data(), n);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(ref[j], a[j] - r * a[n - 1 - j]);
     }
@@ -211,8 +306,7 @@ TEST(SimdScalePairs, BitIdenticalAcrossKinds) {
     for (auto& x : s) x = rng.uniform01() * 3.0;
     for (auto& x : z) x = rng.uniform01() * 2.0 - 1.0;
     std::vector<double> ref(2 * n, 0.0);
-    cs::force(cs::Kind::kScalar);
-    cs::scale_pairs(s.data(), z.data(), ref.data(), n);
+    scale_pairs_scalar(s.data(), z.data(), ref.data(), n);
     for (const cs::Kind kind : supported_kinds()) {
       cs::force(kind);
       std::vector<double> out(2 * n, 0.0);
@@ -238,8 +332,7 @@ TEST(SimdScaledRealStride2, BitIdenticalAcrossKinds) {
     for (auto& x : in) x = rng.uniform01() * 2.0 - 1.0;
     const double norm = 1.0 / std::sqrt(1024.0);
     std::vector<double> ref(n, 0.0);
-    cs::force(cs::Kind::kScalar);
-    cs::scaled_real_stride2(in.data(), norm, ref.data(), n);
+    scaled_real_stride2_scalar(in.data(), norm, ref.data(), n);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(ref[j], in[2 * j] * norm);
     }
@@ -353,7 +446,7 @@ TEST(SimdFractalSojourns, EdgeDrawsOnEveryKind) {
 }
 
 TEST(SimdFractalSojourns, PackedTailPatternsOnEveryKindAndLength) {
-  // The vector tiers exponentiate only the tail draws, packed densely and
+  // Every tier exponentiates only the tail draws, packed densely and
   // scattered back, in blocks of 64 draws.  Every body/tail pattern and
   // every length up to two blocks plus a partial vector (which covers
   // twice FractalOnOff's 32-draw ring plus three) must still match the

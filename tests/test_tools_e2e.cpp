@@ -2,7 +2,8 @@
 // that carries median/MAD/CI, peak RSS, CPU time and a per-phase self-time
 // table for every smoke bench, which `cts_benchd validate` accepts and
 // `cts_benchd trend --gate` passes against itself; cts_benchd --compare
-// must gate in one invocation and refuse a baseline of another scale;
+// must gate in one invocation and refuse a baseline of another scale or
+// an --out that is the baseline;
 // a --bench-dir path is never parsed by a shell, and a failed bench is
 // reported by its exit status or signal; every bench binary must honour
 // --help with exit 0 and exit 2 on a malformed flag value.
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -208,6 +210,37 @@ TEST(CtsBenchd, CompareRefusesABaselineOfAnotherScale) {
       << text;
   EXPECT_NE(text.find("{repro_frames=2000 repro_reps=1}"), std::string::npos)
       << text;
+}
+
+TEST(CtsBenchd, CompareRefusesAnOutThatIsTheBaseline) {
+  // The document is written before the baseline is read, so --out naming
+  // the baseline, under any spelling and whether or not it exists yet,
+  // would gate the run against itself: exit 2 before any bench runs.
+  const std::string dir = ::testing::TempDir() + "/compare_self";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string base = dir + "/base.json";
+  const std::string text = R"({"schema":"cts.bench.v1","benches":{}})";
+  write_file(base, text);
+  const std::pair<std::string, std::string> pairs[] = {
+      {base, base},
+      {dir + "/./base.json", base},
+      {dir + "/absent.json", dir + "/../compare_self/absent.json"}};
+  for (const auto& [out, compare] : pairs) {
+    SCOPED_TRACE(out);
+    const std::string err = dir + "/self.err";
+    const std::string jsonl = dir + "/self.jsonl";
+    const std::string cmd = "'" + benchd() +
+                            "' --suite=analytic --filter=fig5 --repeats=1 "
+                            "--warmup=0 --reps=1 --quiet --bench-dir='" +
+                            CTS_BENCH_BIN_DIR + "' --out='" + out +
+                            "' --compare='" + compare + "' --json-lines='" +
+                            jsonl + "' >/dev/null 2>'" + err + "'";
+    EXPECT_EQ(shell(cmd), 2) << cmd;
+    EXPECT_NE(read_file(err).find(out), std::string::npos) << read_file(err);
+    EXPECT_FALSE(fs::exists(jsonl)) << "a bench ran";
+    EXPECT_EQ(read_file(base), text);
+  }
 }
 
 TEST(CtsBenchd, JsonLinesStreamsOneObjectPerRun) {

@@ -29,7 +29,8 @@
 // function as `trend --gate`, BASE first whatever the dates.  Exit codes:
 // 0 ok, 1 regression (with --gate or --compare) or a bench that failed to
 // run, 2 usage, parse or schema errors, including documents with nothing
-// comparable to gate and a --compare over a suite with failed benches.
+// comparable to gate, a --compare over a suite with failed benches and an
+// --out naming the --compare baseline (refused before any bench runs).
 //
 // The simulation scale of every child is pinned via REPRO_REPS /
 // REPRO_FRAMES (defaults: 2 x 2000, override with --reps/--frames) and
@@ -444,6 +445,16 @@ void write_summary(obs::JsonWriter& w, const obs::RobustSummary& s,
   w.end_object();
 }
 
+/// Whether `a` and `b` name one file: the same inode when `a` exists, else
+/// the same path once normalised.
+bool same_file(const fs::path& a, const fs::path& b) {
+  std::error_code ec;
+  if (fs::exists(a, ec)) return fs::equivalent(a, b, ec);
+  std::error_code ec_b;
+  const fs::path canonical_a = fs::weakly_canonical(a, ec);
+  return !ec && canonical_a == fs::weakly_canonical(b, ec_b) && !ec_b;
+}
+
 int run(const Options& opt, const GateArgs& gate_args) {
   std::vector<const bench::BenchSpec*> selected;
   for (const bench::BenchSpec& s : bench::kSuite) {
@@ -465,6 +476,15 @@ int run(const Options& opt, const GateArgs& gate_args) {
   const std::string date = opt.date.empty() ? today_utc() : opt.date;
   const std::string out_path =
       opt.out.empty() ? "BENCH_" + date + ".json" : opt.out;
+  // The document is written before the baseline is read, so an --out
+  // naming the baseline would overwrite it and gate the run against itself.
+  if (!opt.compare.empty() && same_file(out_path, opt.compare)) {
+    std::fprintf(stderr,
+                 "cts_benchd: --out %s is the --compare baseline; writing it "
+                 "would overwrite the baseline\n",
+                 out_path.c_str());
+    return 2;
+  }
 
   std::error_code ec;
   const fs::path run_dir =
