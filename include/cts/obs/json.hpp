@@ -17,6 +17,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,7 +117,7 @@ struct JsonValue {
   /// integral, not finite or out of range, so a wire value is never
   /// truncated or cast out of range.
   std::int64_t as_int(
-      const std::string& what, std::int64_t lo = 0,
+      std::string_view what, std::int64_t lo = 0,
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   /// Object member `key` as_int, the error naming the key; also throws
   /// when the member is absent.

@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges, compensated sums and
-// fixed-bucket histograms for the simulation/bench pipeline.
+// log-bucketed latency histograms for the simulation/bench pipeline.
 //
 // Design: the hot loops (per-frame queue recursion, per-frame generation)
 // never touch the registry.  Workers accumulate into plain local variables
@@ -19,7 +19,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "cts/util/accumulator.hpp"
 
@@ -56,81 +55,37 @@ struct GaugeCell {
   }
 };
 
-/// Fixed-bucket histogram with Welford summary statistics.  Bucket i counts
-/// observations with value <= edges[i] (upper-inclusive, Prometheus "le"
-/// convention); one overflow bucket counts values above the last edge.
-class HistogramCell {
- public:
-  HistogramCell() = default;
-  explicit HistogramCell(std::vector<double> edges);
-
-  void observe(double v) noexcept;
-
-  /// Merges another histogram; throws util::InvalidArgument when the
-  /// bucket edges differ.
-  void merge(const HistogramCell& other);
-
-  const std::vector<double>& edges() const noexcept { return edges_; }
-  const std::vector<std::uint64_t>& buckets() const noexcept {
-    return buckets_;
-  }
-  const util::MomentAccumulator& stats() const noexcept { return stats_; }
-
-  /// Default bucket edges: a log ladder suited to wall-clock milliseconds
-  /// (0.1 ms .. 100 s).
-  static std::vector<double> default_edges();
-
-  /// Rebuilds a histogram from serialized state; throws InvalidArgument
-  /// when `buckets` does not have edges.size() + 1 entries or the edges
-  /// are invalid.
-  static HistogramCell from_state(std::vector<double> edges,
-                                  std::vector<std::uint64_t> buckets,
-                                  util::MomentAccumulator stats);
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::uint64_t> buckets_;  ///< edges_.size() + 1 entries
-  util::MomentAccumulator stats_;
-};
-
 /// Log-bucketed latency histogram with percentile estimation (the
 /// DDSketch bucket scheme): an observation v > 0 lands in bucket
-/// ceil(log(v) / log(gamma)), so bucket i covers (gamma^(i-1), gamma^i]
-/// and the bucket's representative value 2*gamma^i/(gamma+1) is within
-/// `relative_accuracy` of every value in the bucket.  With the default
-/// accuracy of 2%, percentile(q) is guaranteed within 2% relative error
-/// of the exact sample quantile for any distribution — exactly the
-/// property fixed-edge HistogramCell lacks for tail (p99/p999) latency.
+/// ceil(log(v) / log(kGamma)), so bucket i covers (kGamma^(i-1), kGamma^i]
+/// and the bucket's representative value 2*kGamma^i/(kGamma+1) is within
+/// kRelativeAccuracy (2%) of every value in the bucket.  percentile(q) is
+/// therefore within 2% relative error of the exact sample quantile for any
+/// distribution, tail (p99/p999) included.
 ///
-/// Merging is lossless like HistogramCell: bucket counts are integer
-/// additions (requires equal gamma) and the Welford summary merges with
-/// the same parallel update, so snapshot/merge across processes equals a
-/// single-process run bit for bit.  Observations <= 0 are counted in a
-/// dedicated zero bucket (they have no logarithm) and enter percentiles
-/// as 0.
+/// Merging is lossless: bucket counts are integer additions and the
+/// Welford summary merges with the parallel update, so snapshot/merge
+/// across processes equals a single-process run bit for bit.
+/// Observations <= 0 are counted in a dedicated zero bucket (they have no
+/// logarithm) and enter percentiles as 0.
 class LogHistogramCell {
  public:
-  /// Default relative accuracy of the percentile estimates (2%).
-  static constexpr double kDefaultRelativeAccuracy = 0.02;
-
-  LogHistogramCell() : LogHistogramCell(kDefaultRelativeAccuracy) {}
-  explicit LogHistogramCell(double relative_accuracy);
+  /// Relative accuracy of the percentile estimates (2%).
+  static constexpr double kRelativeAccuracy = 0.02;
+  /// Bucket base (1 + kRelativeAccuracy) / (1 - kRelativeAccuracy).
+  static constexpr double kGamma =
+      (1.0 + kRelativeAccuracy) / (1.0 - kRelativeAccuracy);
 
   void observe(double v) noexcept;
 
-  /// Merges another log histogram; throws util::InvalidArgument when the
-  /// relative accuracies (bucket bases) differ.
+  /// Merges another log histogram (integer bucket additions).
   void merge(const LogHistogramCell& other);
 
   /// Estimated q-quantile (q in [0, 1]) of everything observed, within
-  /// relative_accuracy() of the exact sample quantile
+  /// kRelativeAccuracy of the exact sample quantile
   /// sorted[ceil(q * count) - 1].  Returns 0 when empty.
   double percentile(double q) const noexcept;
 
-  double gamma() const noexcept { return gamma_; }
-  double relative_accuracy() const noexcept {
-    return (gamma_ - 1.0) / (gamma_ + 1.0);
-  }
   std::uint64_t zero_count() const noexcept { return zero_count_; }
   const std::map<std::int32_t, std::uint64_t>& buckets() const noexcept {
     return buckets_;
@@ -138,15 +93,14 @@ class LogHistogramCell {
   const util::MomentAccumulator& stats() const noexcept { return stats_; }
 
   /// Rebuilds a log histogram from serialized state; throws
-  /// InvalidArgument on an invalid gamma.
+  /// InvalidArgument when `gamma` is not kGamma or when zero_count plus
+  /// the bucket counts differs from stats.count().
   static LogHistogramCell from_state(
       double gamma, std::uint64_t zero_count,
       std::map<std::int32_t, std::uint64_t> buckets,
       util::MomentAccumulator stats);
 
  private:
-  double gamma_ = 0.0;
-  double inv_log_gamma_ = 0.0;
   std::uint64_t zero_count_ = 0;                   ///< observations <= 0
   std::map<std::int32_t, std::uint64_t> buckets_;  ///< index -> count
   util::MomentAccumulator stats_;
@@ -166,14 +120,7 @@ class MetricsShard {
   /// Writes gauge `name` with the given combine mode.
   void gauge(const std::string& name, double v, GaugeMode mode = GaugeMode::kSet);
 
-  /// Records `v` into histogram `name`; the histogram is created with
-  /// `edges` (or default_edges() when empty) on first observation.
-  void observe(const std::string& name, double v,
-               const std::vector<double>& edges = {});
-
-  /// Records `v` into log-bucketed histogram `name` (created with the
-  /// default 2% relative accuracy on first observation).  Use for latency
-  /// metrics whose tail percentiles (p99/p999) matter.
+  /// Records `v` into log-bucketed histogram `name`.
   void observe_log(const std::string& name, double v);
 
   /// Folds `other` into this shard.
@@ -184,7 +131,6 @@ class MetricsShard {
   /// replacing any existing entry of the same name.
   void restore_sum(const std::string& name, util::CompensatedSum sum);
   void restore_gauge(const std::string& name, GaugeCell cell);
-  void restore_histogram(const std::string& name, HistogramCell cell);
   void restore_log_histogram(const std::string& name, LogHistogramCell cell);
 
   bool empty() const noexcept;
@@ -198,9 +144,6 @@ class MetricsShard {
   const std::map<std::string, GaugeCell>& gauges() const noexcept {
     return gauges_;
   }
-  const std::map<std::string, HistogramCell>& histograms() const noexcept {
-    return histograms_;
-  }
   const std::map<std::string, LogHistogramCell>& log_histograms()
       const noexcept {
     return log_histograms_;
@@ -210,19 +153,7 @@ class MetricsShard {
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, util::CompensatedSum> sums_;
   std::map<std::string, GaugeCell> gauges_;
-  std::map<std::string, HistogramCell> histograms_;
   std::map<std::string, LogHistogramCell> log_histograms_;
-};
-
-/// Read-only copy of one histogram's state, for reporting.
-struct HistogramSnapshot {
-  std::vector<double> edges;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
 };
 
 /// Thread-safe named-metric registry.  All mutating/reading entry points
@@ -241,8 +172,6 @@ class MetricsRegistry {
   void add(const std::string& name, std::uint64_t delta = 1);
   void add_sum(const std::string& name, double delta);
   void gauge(const std::string& name, double v, GaugeMode mode = GaugeMode::kSet);
-  void observe(const std::string& name, double v,
-               const std::vector<double>& edges = {});
   void observe_log(const std::string& name, double v);
 
   /// Merges a worker shard under one lock.
@@ -257,18 +186,13 @@ class MetricsRegistry {
   double gauge_value(const std::string& name, double fallback = 0.0) const;
   bool has_gauge(const std::string& name) const;
 
-  /// Copies histogram `name` into `out`; false when absent.
-  bool histogram(const std::string& name, HistogramSnapshot* out) const;
-
   /// Copies log-bucketed histogram `name` into `out` (full cell, so the
   /// caller can take percentiles); false when absent.
   bool log_histogram(const std::string& name, LogHistogramCell* out) const;
 
   /// Emits the full registry as one JSON object:
-  ///   {"counters":{...},"sums":{...},"gauges":{...},"histograms":{...},
-  ///    "log_histograms":{...}}
-  /// (the log_histograms section is omitted when empty, so reports from
-  /// code paths that never record one are unchanged).
+  ///   {"counters":{...},"sums":{...},"gauges":{...},"log_histograms":{...}}
+  /// Every section is present, empty or not.
   void write_json(std::ostream& os) const;
 
   /// Clears all metrics (tests; between independent bench phases).
@@ -286,15 +210,11 @@ class MetricsRegistry {
 ///   {"counters":{name:N},
 ///    "sums":{name:{"value":V,"compensation":C}},
 ///    "gauges":{name:{"value":V,"mode":"set"|"max"}},
-///    "histograms":{name:{"edges":[..],"buckets":[..],
-///                        "count":N,"mean":M,"m2":S,"min":L,"max":H}},
 ///    "log_histograms":{name:{"gamma":G,"zero":Z,
 ///                            "indexes":[..],"counts":[..],
 ///                            "count":N,"mean":M,"m2":S,"min":L,"max":H}}}
 ///
-/// The log_histograms section is omitted when empty so documents produced
-/// by older writers and by code paths without latency histograms are
-/// byte-identical to before; the parser tolerates its absence.
+/// Every section is written, empty or not, and the parser requires each.
 ///
 /// A snapshot written on one process and imported on another merges
 /// exactly as if the two registries had lived in one process (doubles are

@@ -5,10 +5,10 @@
 // document:
 //
 //   {"config":{...},"metrics":{"counters":{...},"sums":{...},
-//                              "gauges":{...},"histograms":{...}}}
+//                              "gauges":{...},"log_histograms":{...}}}
 //
 // Two bench runs can then be diffed field-by-field (same seed => identical
-// counters/sums; wall-time histograms expose perf regressions).
+// counters/sums; wall-time percentiles expose perf regressions).
 
 #pragma once
 

@@ -13,7 +13,7 @@ namespace cts::obs {
 namespace {
 
 // OpenMetrics sample values: decimal doubles plus the spelled infinities.
-// Shortest round-trip formatting so common edges render as written
+// Shortest round-trip formatting so quantile labels render as written
 // ("0.1", not "0.10000000000000001") without losing precision.
 std::string format_value(double v) {
   if (std::isnan(v)) return "NaN";
@@ -78,10 +78,8 @@ void write_openmetrics(std::ostream& os, const MetricsShard& shard,
   // One exposition never declares a family twice, even when different
   // registry sections sanitize to the same name.
   std::set<std::string> used;
-  const auto family = [&used](const std::string& raw,
-                              const char* collision_suffix) {
+  const auto family = [&used](const std::string& raw) {
     std::string name = openmetrics_name(raw);
-    if (used.count(name) > 0) name += collision_suffix;
     while (used.count(name) > 0) name += "_";
     used.insert(name);
     return name;
@@ -93,46 +91,25 @@ void write_openmetrics(std::ostream& os, const MetricsShard& shard,
   };
 
   for (const auto& [raw, v] : shard.counters()) {
-    const std::string name = family(raw, "_");
+    const std::string name = family(raw);
     os << "# TYPE " << name << " counter\n";
     os << name << "_total" << base_labels << " " << v << "\n";
   }
 
   for (const auto& [raw, s] : shard.sums()) {
-    const std::string name = family(raw, "_");
+    const std::string name = family(raw);
     os << "# TYPE " << name << " gauge\n";
     os << name << base_labels << " " << format_value(s.value()) << "\n";
   }
 
   for (const auto& [raw, g] : shard.gauges()) {
-    const std::string name = family(raw, "_");
+    const std::string name = family(raw);
     os << "# TYPE " << name << " gauge\n";
     os << name << base_labels << " " << format_value(g.value) << "\n";
   }
 
-  for (const auto& [raw, h] : shard.histograms()) {
-    const std::string name = family(raw, "_");
-    os << "# TYPE " << name << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.buckets().size(); ++i) {
-      cumulative += h.buckets()[i];
-      const std::string le = i < h.edges().size()
-                                 ? format_value(h.edges()[i])
-                                 : std::string("+Inf");
-      os << name << "_bucket" << with_extra("le", le) << " " << cumulative
-         << "\n";
-    }
-    const auto& st = h.stats();
-    const double sum =
-        st.count() > 0 ? st.mean() * static_cast<double>(st.count()) : 0.0;
-    os << name << "_sum" << base_labels << " " << format_value(sum) << "\n";
-    os << name << "_count" << base_labels << " " << st.count() << "\n";
-  }
-
   for (const auto& [raw, h] : shard.log_histograms()) {
-    // "shardd.job_wall_ms" may exist as both histogram kinds; the summary
-    // then becomes "..._quantiles" rather than a duplicate declaration.
-    const std::string name = family(raw, "_quantiles");
+    const std::string name = family(raw);
     os << "# TYPE " << name << " summary\n";
     for (const double q : {0.5, 0.95, 0.99, 0.999}) {
       os << name << with_extra("quantile", format_value(q)) << " "

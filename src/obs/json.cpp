@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "cts/util/error.hpp"
 
@@ -444,29 +445,46 @@ const JsonValue* JsonValue::find(const std::string& key) const noexcept {
 
 const JsonValue& JsonValue::at(const std::string& key) const {
   const JsonValue* v = find(key);
-  util::require(v != nullptr, "JsonValue: missing member '" + key + "'");
+  // The message is built only on failure: at() runs once per member read.
+  if (v == nullptr) {
+    throw util::InvalidArgument("JsonValue: missing member '" + key + "'");
+  }
   return *v;
 }
 
-std::int64_t JsonValue::as_int(const std::string& what, std::int64_t lo,
-                               std::int64_t hi) const {
-  const double v = as_number();
-  // 2^63: every integral double in [-2^63, 2^63) converts exactly; NaN and
-  // the infinities fail the range test.
+namespace {
+
+// `v` as an integer in [lo, hi]; nullopt when it is not integral, not
+// finite or out of range.  2^63: every integral double in [-2^63, 2^63)
+// converts exactly; NaN and the infinities fail the range test.
+std::optional<std::int64_t> checked_int(double v, std::int64_t lo,
+                                        std::int64_t hi) {
   constexpr double kTwo63 = 9223372036854775808.0;
-  const bool integral = v == std::floor(v) && v >= -kTwo63 && v < kTwo63;
-  if (!integral || static_cast<std::int64_t>(v) < lo ||
-      static_cast<std::int64_t>(v) > hi) {
-    throw util::InvalidArgument(what + " must be an integer in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return static_cast<std::int64_t>(v);
+  if (!(v == std::floor(v) && v >= -kTwo63 && v < kTwo63)) return {};
+  const auto i = static_cast<std::int64_t>(v);
+  if (i < lo || i > hi) return {};
+  return i;
+}
+
+[[noreturn]] void throw_not_int(std::string_view what, std::int64_t lo,
+                                std::int64_t hi) {
+  throw util::InvalidArgument(std::string(what) + " must be an integer in [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "]");
+}
+
+}  // namespace
+
+std::int64_t JsonValue::as_int(std::string_view what, std::int64_t lo,
+                               std::int64_t hi) const {
+  if (const auto i = checked_int(as_number(), lo, hi)) return *i;
+  throw_not_int(what, lo, hi);
 }
 
 std::int64_t JsonValue::int_at(const std::string& key, std::int64_t lo,
                                std::int64_t hi) const {
-  return at(key).as_int("JsonValue: member '" + key + "'", lo, hi);
+  if (const auto i = checked_int(at(key).as_number(), lo, hi)) return *i;
+  throw_not_int("JsonValue: member '" + key + "'", lo, hi);
 }
 
 const JsonValue& JsonValue::at(std::size_t index) const {

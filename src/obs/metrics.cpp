@@ -1,76 +1,32 @@
 #include "cts/obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
 
 namespace cts::obs {
 
-// ---------------------------------------------------------------------------
-// HistogramCell
+namespace {
 
-HistogramCell::HistogramCell(std::vector<double> edges)
-    : edges_(std::move(edges)), buckets_(edges_.size() + 1, 0) {
-  util::require(!edges_.empty(), "HistogramCell: need at least one edge");
-  util::require(std::is_sorted(edges_.begin(), edges_.end()),
-                "HistogramCell: edges must be sorted ascending");
+// 1 / log(kGamma), taken once: std::log is not constexpr.
+double inv_log_gamma() {
+  static const double v = 1.0 / std::log(LogHistogramCell::kGamma);
+  return v;
 }
 
-void HistogramCell::observe(double v) noexcept {
-  // Upper-inclusive buckets: first edge >= v; overflow bucket otherwise.
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - edges_.begin())];
-  stats_.add(v);
-}
-
-void HistogramCell::merge(const HistogramCell& other) {
-  if (other.stats_.count() == 0 && other.edges_.empty()) return;
-  if (edges_.empty()) {
-    *this = other;
-    return;
-  }
-  util::require(edges_ == other.edges_,
-                "HistogramCell: cannot merge histograms with different edges");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  stats_.merge(other.stats_);
-}
-
-std::vector<double> HistogramCell::default_edges() {
-  return {0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0,
-          1e3, 3e3, 1e4, 3e4, 1e5};
-}
-
-HistogramCell HistogramCell::from_state(std::vector<double> edges,
-                                        std::vector<std::uint64_t> buckets,
-                                        util::MomentAccumulator stats) {
-  HistogramCell cell(std::move(edges));
-  util::require(buckets.size() == cell.edges_.size() + 1,
-                "HistogramCell: snapshot bucket count does not match edges");
-  cell.buckets_ = std::move(buckets);
-  cell.stats_ = stats;
-  return cell;
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // LogHistogramCell
 
-LogHistogramCell::LogHistogramCell(double relative_accuracy) {
-  util::require(relative_accuracy > 0.0 && relative_accuracy < 1.0,
-                "LogHistogramCell: relative accuracy must be in (0, 1)");
-  gamma_ = (1.0 + relative_accuracy) / (1.0 - relative_accuracy);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
-}
-
 void LogHistogramCell::observe(double v) noexcept {
   if (v > 0.0) {
-    // ceil(log_gamma v); the cast truncates toward zero, so nudge upward
-    // for non-integer results.  Exact powers of gamma stay in their own
-    // bucket (upper-inclusive, mirroring HistogramCell's "le" edges).
-    const double raw = std::log(v) * inv_log_gamma_;
+    // ceil(log_gamma v): exact powers of gamma stay in their own bucket
+    // (upper-inclusive).
+    const double raw = std::log(v) * inv_log_gamma();
     const double up = std::ceil(raw);
     buckets_[static_cast<std::int32_t>(up)] += 1;
   } else {
@@ -81,9 +37,6 @@ void LogHistogramCell::observe(double v) noexcept {
 
 void LogHistogramCell::merge(const LogHistogramCell& other) {
   if (other.stats_.count() == 0) return;
-  util::require(gamma_ == other.gamma_,
-                "LogHistogramCell: cannot merge histograms with different "
-                "bucket bases (relative accuracy)");
   zero_count_ += other.zero_count_;
   for (const auto& [index, count] : other.buckets_) buckets_[index] += count;
   stats_.merge(other.stats_);
@@ -108,21 +61,32 @@ double LogHistogramCell::percentile(double q) const noexcept {
       // Representative value of bucket (gamma^(i-1), gamma^i]: the midpoint
       // 2*gamma^i/(gamma+1) is within (gamma-1)/(gamma+1) = alpha of every
       // value in the bucket.
-      return 2.0 * std::pow(gamma_, static_cast<double>(index)) /
-             (gamma_ + 1.0);
+      return 2.0 * std::pow(kGamma, static_cast<double>(index)) /
+             (kGamma + 1.0);
     }
   }
-  return stats_.max();  // unreachable when counts are consistent
+  return stats_.max();  // unreachable: from_state refuses inconsistent counts
 }
 
 LogHistogramCell LogHistogramCell::from_state(
     double gamma, std::uint64_t zero_count,
     std::map<std::int32_t, std::uint64_t> buckets,
     util::MomentAccumulator stats) {
-  util::require(gamma > 1.0, "LogHistogramCell: snapshot gamma must be > 1");
+  if (gamma != kGamma) {
+    throw util::InvalidArgument(
+        "LogHistogramCell: snapshot gamma must be the 2% accuracy base " +
+        std::to_string(kGamma));
+  }
+  std::uint64_t total = zero_count;
+  for (const auto& [index, count] : buckets) {
+    (void)index;
+    util::require(!__builtin_add_overflow(total, count, &total),
+                  "LogHistogramCell: snapshot bucket counts overflow");
+  }
+  util::require(total == stats.count(),
+                "LogHistogramCell: snapshot zero + bucket counts differ "
+                "from count");
   LogHistogramCell cell;
-  cell.gamma_ = gamma;
-  cell.inv_log_gamma_ = 1.0 / std::log(gamma);
   cell.zero_count_ = zero_count;
   cell.buckets_ = std::move(buckets);
   cell.stats_ = stats;
@@ -146,19 +110,6 @@ void MetricsShard::gauge(const std::string& name, double v, GaugeMode mode) {
   cell.update(v);
 }
 
-void MetricsShard::observe(const std::string& name, double v,
-                           const std::vector<double>& edges) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, HistogramCell(edges.empty()
-                                              ? HistogramCell::default_edges()
-                                              : edges))
-             .first;
-  }
-  it->second.observe(v);
-}
-
 void MetricsShard::observe_log(const std::string& name, double v) {
   log_histograms_[name].observe(v);
 }
@@ -167,7 +118,6 @@ void MetricsShard::merge(const MetricsShard& other) {
   for (const auto& [name, delta] : other.counters_) counters_[name] += delta;
   for (const auto& [name, s] : other.sums_) sums_[name].merge(s);
   for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
-  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
   for (const auto& [name, h] : other.log_histograms_) {
     log_histograms_[name].merge(h);
   }
@@ -182,11 +132,6 @@ void MetricsShard::restore_gauge(const std::string& name, GaugeCell cell) {
   gauges_[name] = cell;
 }
 
-void MetricsShard::restore_histogram(const std::string& name,
-                                     HistogramCell cell) {
-  histograms_.insert_or_assign(name, std::move(cell));
-}
-
 void MetricsShard::restore_log_histogram(const std::string& name,
                                          LogHistogramCell cell) {
   log_histograms_.insert_or_assign(name, std::move(cell));
@@ -194,7 +139,7 @@ void MetricsShard::restore_log_histogram(const std::string& name,
 
 bool MetricsShard::empty() const noexcept {
   return counters_.empty() && sums_.empty() && gauges_.empty() &&
-         histograms_.empty() && log_histograms_.empty();
+         log_histograms_.empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -218,12 +163,6 @@ void MetricsRegistry::add_sum(const std::string& name, double delta) {
 void MetricsRegistry::gauge(const std::string& name, double v, GaugeMode mode) {
   const std::lock_guard<std::mutex> lock(mu_);
   data_.gauge(name, v, mode);
-}
-
-void MetricsRegistry::observe(const std::string& name, double v,
-                              const std::vector<double>& edges) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  data_.observe(name, v, edges);
 }
 
 void MetricsRegistry::observe_log(const std::string& name, double v) {
@@ -266,24 +205,6 @@ bool MetricsRegistry::has_gauge(const std::string& name) const {
   return data_.gauges().count(name) > 0;
 }
 
-bool MetricsRegistry::histogram(const std::string& name,
-                                HistogramSnapshot* out) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = data_.histograms().find(name);
-  if (it == data_.histograms().end()) return false;
-  if (out != nullptr) {
-    const HistogramCell& h = it->second;
-    out->edges = h.edges();
-    out->buckets = h.buckets();
-    out->count = h.stats().count();
-    out->mean = h.stats().mean();
-    out->stddev = h.stats().stddev();
-    out->min = h.stats().count() > 0 ? h.stats().min() : 0.0;
-    out->max = h.stats().count() > 0 ? h.stats().max() : 0.0;
-  }
-  return true;
-}
-
 bool MetricsRegistry::log_histogram(const std::string& name,
                                     LogHistogramCell* out) const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -310,42 +231,21 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : data_.gauges()) w.key(name).value(g.value);
   w.end_object();
 
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : data_.histograms()) {
+  w.key("log_histograms").begin_object();
+  for (const auto& [name, h] : data_.log_histograms()) {
     w.key(name).begin_object();
     const util::MomentAccumulator& st = h.stats();
     w.key("count").value(st.count());
     w.key("mean").value(st.count() > 0 ? st.mean() : 0.0);
-    w.key("stddev").value(st.stddev());
     w.key("min").value(st.count() > 0 ? st.min() : 0.0);
     w.key("max").value(st.count() > 0 ? st.max() : 0.0);
-    w.key("edges").begin_array();
-    for (const double e : h.edges()) w.value(e);
-    w.end_array();
-    w.key("buckets").begin_array();
-    for (const std::uint64_t b : h.buckets()) w.value(b);
-    w.end_array();
+    w.key("p50").value(h.percentile(0.50));
+    w.key("p95").value(h.percentile(0.95));
+    w.key("p99").value(h.percentile(0.99));
+    w.key("p999").value(h.percentile(0.999));
     w.end_object();
   }
   w.end_object();
-
-  if (!data_.log_histograms().empty()) {
-    w.key("log_histograms").begin_object();
-    for (const auto& [name, h] : data_.log_histograms()) {
-      w.key(name).begin_object();
-      const util::MomentAccumulator& st = h.stats();
-      w.key("count").value(st.count());
-      w.key("mean").value(st.count() > 0 ? st.mean() : 0.0);
-      w.key("min").value(st.count() > 0 ? st.min() : 0.0);
-      w.key("max").value(st.count() > 0 ? st.max() : 0.0);
-      w.key("p50").value(h.percentile(0.50));
-      w.key("p95").value(h.percentile(0.95));
-      w.key("p99").value(h.percentile(0.99));
-      w.key("p999").value(h.percentile(0.999));
-      w.end_object();
-    }
-    w.end_object();
-  }
 
   w.end_object();
 }
@@ -383,15 +283,23 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsShard& shard) {
   }
   w.end_object();
 
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : shard.histograms()) {
+  w.key("log_histograms").begin_object();
+  for (const auto& [name, h] : shard.log_histograms()) {
     const util::MomentAccumulator& st = h.stats();
     w.key(name).begin_object();
-    w.key("edges").begin_array();
-    for (const double e : h.edges()) w.value(e);
+    w.key("gamma").value(LogHistogramCell::kGamma);
+    w.key("zero").value(h.zero_count());
+    w.key("indexes").begin_array();
+    for (const auto& [index, count] : h.buckets()) {
+      (void)count;
+      w.value(static_cast<std::int64_t>(index));
+    }
     w.end_array();
-    w.key("buckets").begin_array();
-    for (const std::uint64_t b : h.buckets()) w.value(b);
+    w.key("counts").begin_array();
+    for (const auto& [index, count] : h.buckets()) {
+      (void)index;
+      w.value(count);
+    }
     w.end_array();
     w.key("count").value(st.count());
     // min/max are +-inf for an empty accumulator, which JSON cannot carry;
@@ -404,46 +312,14 @@ void write_metrics_snapshot(JsonWriter& w, const MetricsShard& shard) {
   }
   w.end_object();
 
-  // Omitted when empty: older readers use at("..."), and a snapshot with
-  // no latency histograms must stay byte-identical to the pre-section
-  // format (the merged physics report is diffed bit for bit).
-  if (!shard.log_histograms().empty()) {
-    w.key("log_histograms").begin_object();
-    for (const auto& [name, h] : shard.log_histograms()) {
-      const util::MomentAccumulator& st = h.stats();
-      w.key(name).begin_object();
-      w.key("gamma").value(h.gamma());
-      w.key("zero").value(h.zero_count());
-      w.key("indexes").begin_array();
-      for (const auto& [index, count] : h.buckets()) {
-        (void)count;
-        w.value(static_cast<std::int64_t>(index));
-      }
-      w.end_array();
-      w.key("counts").begin_array();
-      for (const auto& [index, count] : h.buckets()) {
-        (void)index;
-        w.value(count);
-      }
-      w.end_array();
-      w.key("count").value(st.count());
-      w.key("mean").value(st.count() > 0 ? st.mean() : 0.0);
-      w.key("m2").value(st.count() > 0 ? st.m2() : 0.0);
-      w.key("min").value(st.count() > 0 ? st.min() : 0.0);
-      w.key("max").value(st.count() > 0 ? st.max() : 0.0);
-      w.end_object();
-    }
-    w.end_object();
-  }
-
   w.end_object();
 }
 
 namespace {
 
+// `what` is the whole message prefix, so a successful read builds no text.
 std::uint64_t as_uint(const JsonValue& v, const char* what) {
-  return static_cast<std::uint64_t>(
-      v.as_int(std::string("metrics snapshot: ") + what));
+  return static_cast<std::uint64_t>(v.as_int(what));
 }
 
 }  // namespace
@@ -453,7 +329,7 @@ MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
   MetricsShard shard;
 
   for (const auto& [name, counter] : v.at("counters").members) {
-    shard.add(name, as_uint(counter, "counter"));
+    shard.add(name, as_uint(counter, "metrics snapshot: counter"));
   }
   for (const auto& [name, sum] : v.at("sums").members) {
     shard.restore_sum(name, util::CompensatedSum::from_state(
@@ -470,51 +346,34 @@ MetricsShard metrics_snapshot_from_json(const JsonValue& v) {
     cell.written = true;
     shard.restore_gauge(name, cell);
   }
-  for (const auto& [name, hist] : v.at("histograms").members) {
-    std::vector<double> edges;
-    for (const JsonValue& e : hist.at("edges").items) {
-      edges.push_back(e.as_number());
-    }
-    std::vector<std::uint64_t> buckets;
-    for (const JsonValue& b : hist.at("buckets").items) {
-      buckets.push_back(as_uint(b, "histogram bucket"));
+  for (const auto& [name, hist] : v.at("log_histograms").members) {
+    const auto& index_items = hist.at("indexes").items;
+    const auto& count_items = hist.at("counts").items;
+    util::require(index_items.size() == count_items.size(),
+                  "metrics snapshot: log histogram indexes/counts length "
+                  "mismatch");
+    std::map<std::int32_t, std::uint64_t> buckets;
+    for (std::size_t i = 0; i < index_items.size(); ++i) {
+      const auto index = static_cast<std::int32_t>(index_items[i].as_int(
+          "metrics snapshot: log histogram index",
+          std::numeric_limits<std::int32_t>::min(),
+          std::numeric_limits<std::int32_t>::max()));
+      const std::uint64_t count =
+          as_uint(count_items[i], "metrics snapshot: log histogram bucket");
+      util::require(buckets.emplace(index, count).second,
+                    "metrics snapshot: duplicate log histogram index");
     }
     const util::MomentAccumulator stats = util::MomentAccumulator::from_state(
-        as_uint(hist.at("count"), "histogram count"),
+        as_uint(hist.at("count"), "metrics snapshot: log histogram count"),
         hist.at("mean").as_number(), hist.at("m2").as_number(),
         hist.at("min").as_number(), hist.at("max").as_number());
-    shard.restore_histogram(
-        name, HistogramCell::from_state(std::move(edges), std::move(buckets),
-                                        stats));
-  }
-  // Optional section: snapshots written before log histograms existed (or
-  // from registries without any) simply lack it.
-  if (const JsonValue* logs = v.find("log_histograms")) {
-    for (const auto& [name, hist] : logs->members) {
-      const auto& index_items = hist.at("indexes").items;
-      const auto& count_items = hist.at("counts").items;
-      util::require(index_items.size() == count_items.size(),
-                    "metrics snapshot: log histogram indexes/counts length "
-                    "mismatch");
-      std::map<std::int32_t, std::uint64_t> buckets;
-      for (std::size_t i = 0; i < index_items.size(); ++i) {
-        const auto index = static_cast<std::int32_t>(index_items[i].as_int(
-            "metrics snapshot: log histogram index",
-            std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()));
-        buckets[index] = as_uint(count_items[i], "log histogram bucket");
-      }
-      const util::MomentAccumulator stats =
-          util::MomentAccumulator::from_state(
-              as_uint(hist.at("count"), "log histogram count"),
-              hist.at("mean").as_number(), hist.at("m2").as_number(),
-              hist.at("min").as_number(), hist.at("max").as_number());
-      shard.restore_log_histogram(
-          name, LogHistogramCell::from_state(
-                    hist.at("gamma").as_number(),
-                    as_uint(hist.at("zero"), "log histogram zero count"),
-                    std::move(buckets), stats));
-    }
+    shard.restore_log_histogram(
+        name,
+        LogHistogramCell::from_state(
+            hist.at("gamma").as_number(),
+            as_uint(hist.at("zero"),
+                    "metrics snapshot: log histogram zero count"),
+            std::move(buckets), stats));
   }
   return shard;
 }

@@ -18,18 +18,6 @@
 
 namespace cts::sim {
 
-namespace {
-
-/// Bucket edges for the per-replication wall-time histogram (ms).
-const std::vector<double>& rep_wall_ms_edges() {
-  static const std::vector<double> edges = {1.0, 3.0,  10.0, 30.0, 100.0,
-                                            300.0, 1e3, 3e3,  1e4,  3e4,
-                                            1e5,   3e5};
-  return edges;
-}
-
-}  // namespace
-
 ShardSliceRange shard_slice(std::size_t replications, std::size_t shard_index,
                             std::size_t shard_count) {
   util::require(replications >= 1,
@@ -109,8 +97,7 @@ ShardSliceRange run_replication_slice(
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        registry.observe("sim.replication.wall_ms", wall_ms,
-                         rep_wall_ms_edges());
+        registry.observe_log("sim.replication.wall_ms", wall_ms);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(failure_mu);
         if (!failure) failure = std::current_exception();

@@ -6,9 +6,10 @@
 //     `cts_cacd eval` golden document field for field;
 //   * malformed requests get structured {"ok":false} replies with named
 //     errors -- the daemon keeps serving, it never crashes;
-//   * the cts.statsreq.v1 endpoint exposes the cacd.query_wall_ms
+//   * the cts.statsreq.v1 endpoint exposes the cacd.query_wall_ms log
 //     histogram and the admission-cache hit/miss counters, queryable by
 //     the shipped cts_obstop;
+//   * two `cts_cacd eval` runs of one query are byte-equal;
 //   * an exhausted request deadline answers per-query with a named error.
 
 #include <gtest/gtest.h>
@@ -236,10 +237,14 @@ TEST(CacdE2E, StatsEndpointExposesLatencyHistogramAndCacheCounters) {
 
   const obs::JsonValue& metrics = stats.at("metrics");
   EXPECT_EQ(metrics.at("counters").at("cacd.queries_ok").as_number(), 1.0);
-  // Both the linear and the log-bucketed latency histograms are live; the
-  // log twin is what cts_obstop percentiles and SLO-gates.
-  EXPECT_NE(metrics.at("histograms").find("cacd.query_wall_ms"), nullptr);
-  EXPECT_NE(metrics.at("log_histograms").find("cacd.query_wall_ms"), nullptr);
+  // The query latency is one log histogram, observed once per query; it is
+  // what cts_obstop percentiles and SLO-gates.
+  EXPECT_EQ(metrics.find("histograms"), nullptr);
+  EXPECT_EQ(metrics.at("log_histograms")
+                .at("cacd.query_wall_ms")
+                .at("count")
+                .as_number(),
+            1.0);
   // Admission-cache effectiveness rides along as gauges.  The binary
   // search's final BOP report is the guaranteed reuse: at least one hit
   // even on a cold daemon.
@@ -296,6 +301,22 @@ TEST(CacdE2E, ServedAnswersMatchTheEvalGolden) {
     EXPECT_EQ(served.answers[i].log10_bop, golden.answers[i].log10_bop)
         << "answer " << i;
   }
+}
+
+// The eval golden carries no wall clock ("elapsed_s":0), so two evals of
+// one query are byte-equal and a golden can be compared with cmp.
+TEST(CacdE2E, EvalIsByteIdenticalAcrossRuns) {
+  const std::string dir = ::testing::TempDir() + "/cacd_eval_cmp";
+  ASSERT_EQ(fresh_dir(dir), 0);
+  const std::string eval = "'" + cacd() +
+                           "' eval --model=za:0.9 "
+                           "--kind=admit_br,admit_eb,bop --n=25 > '" +
+                           dir;
+  ASSERT_EQ(shell(eval + "/a.json' 2>/dev/null"), 0);
+  ASSERT_EQ(shell(eval + "/b.json' 2>/dev/null"), 0);
+  EXPECT_EQ(shell("cmp -s '" + dir + "/a.json' '" + dir + "/b.json'"), 0);
+  EXPECT_NE(cu::read_text_file(dir + "/a.json").find("\"elapsed_s\":0,"),
+            std::string::npos);
 }
 
 TEST(CacdE2E, ExhaustedDeadlineAnswersPerQueryWithANamedError) {

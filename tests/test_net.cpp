@@ -166,7 +166,7 @@ TEST(JobSchema, RejectsNonIntegralNegativeAndHugeIntegers) {
            R"("elapsed_s":0,"obs":{"recv_us":)" +
            recv + R"(,"send_us":)" + send +
            R"(,"metrics":{"counters":{},"sums":{},"gauges":{},)"
-           R"("histograms":{}},"spans":[]}})";
+           R"("log_histograms":{}},"spans":[]}})";
   };
   EXPECT_NO_THROW(net::parse_job_result(result("100", "150")));
   EXPECT_THROW(net::parse_job_result(result("100.5", "150")),
@@ -237,7 +237,7 @@ TEST(JobSchema, ResultObsSectionRoundTrips) {
   result.obs.recv_us = 1'000'000;
   result.obs.send_us = 1'800'000;
   result.obs.metrics.add("shardd.jobs_ok");
-  result.obs.metrics.observe("shardd.job_wall_ms", 812.5);
+  result.obs.metrics.observe_log("shardd.job_wall_ms", 812.5);
   result.obs.spans = {{"shardd.job", 0, 1'000'100, 799'000},
                       {"shardd.exec", 0, 1'000'200, 780'000}};
 
@@ -247,7 +247,7 @@ TEST(JobSchema, ResultObsSectionRoundTrips) {
   EXPECT_EQ(parsed.obs.recv_us, 1'000'000);
   EXPECT_EQ(parsed.obs.send_us, 1'800'000);
   EXPECT_EQ(parsed.obs.metrics.counters().at("shardd.jobs_ok"), 1u);
-  EXPECT_EQ(parsed.obs.metrics.histograms()
+  EXPECT_EQ(parsed.obs.metrics.log_histograms()
                 .at("shardd.job_wall_ms")
                 .stats()
                 .count(),
@@ -271,7 +271,7 @@ TEST(JobSchema, ResultWithoutObsParsesAsHasObsFalse) {
                    R"({"schema":"cts.jobresult.v1","ok":false,"error":"e",)"
                    R"("elapsed_s":0,"obs":{"recv_us":100,"send_us":50,)"
                    R"("metrics":{"counters":{},"sums":{},"gauges":{},)"
-                   R"("histograms":{}},"spans":[]}})"),
+                   R"("log_histograms":{}},"spans":[]}})"),
                cu::InvalidArgument);
 }
 

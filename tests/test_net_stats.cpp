@@ -39,8 +39,8 @@ TEST(Stats, RoundTripsLosslessly) {
   stats.stats_served = 3;
   stats.metrics.add("shardd.jobs_ok", 5);
   stats.metrics.add_sum("shardd.cells", 1.25e9);
-  stats.metrics.observe("shardd.job_wall_ms", 812.5);
-  stats.metrics.observe("shardd.job_wall_ms", 911.25);
+  stats.metrics.observe_log("shardd.job_wall_ms", 812.5);
+  stats.metrics.observe_log("shardd.job_wall_ms", 911.25);
   stats.spans.push_back({"shardd.exec", 5, 4'000'000, 3'900'000, 700'000,
                          900'000});
 
@@ -64,10 +64,14 @@ TEST(Stats, RoundTripsLosslessly) {
   // fresh registry reproduces counters, Kahan sums, and histogram moments.
   EXPECT_EQ(back.metrics.counters().at("shardd.jobs_ok"), 5u);
   EXPECT_DOUBLE_EQ(back.metrics.sums().at("shardd.cells").value(), 1.25e9);
-  const obs::HistogramCell& hist =
-      back.metrics.histograms().at("shardd.job_wall_ms");
+  const obs::LogHistogramCell& hist =
+      back.metrics.log_histograms().at("shardd.job_wall_ms");
+  const obs::LogHistogramCell& orig =
+      stats.metrics.log_histograms().at("shardd.job_wall_ms");
   EXPECT_EQ(hist.stats().count(), 2u);
   EXPECT_DOUBLE_EQ(hist.stats().mean(), (812.5 + 911.25) / 2);
+  EXPECT_EQ(hist.buckets(), orig.buckets());
+  EXPECT_DOUBLE_EQ(hist.percentile(0.99), orig.percentile(0.99));
 
   ASSERT_EQ(back.spans.size(), 1u);
   EXPECT_EQ(back.spans[0].name, "shardd.exec");

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "cts/obs/json.hpp"
 #include "cts/util/error.hpp"
@@ -83,6 +85,33 @@ TEST(JsonParse, AsIntAcceptsOnlyIntegralInRangeNumbers) {
     EXPECT_STREQ(e.what(),
                  "JsonValue: member 'k' must be an integer in [0, "
                  "9223372036854775807]");
+  }
+}
+
+// int_at builds its message only when the check fails; the message still
+// names the member and the range, and a missing member names the key.
+TEST(JsonParse, IntAtNamesMemberAndRangeOnFailure) {
+  const obs::JsonValue v =
+      obs::json_parse(R"({"shard_index":7,"count":-2,"n":3})");
+  EXPECT_EQ(v.int_at("n", 1, 3), 3);
+  for (const auto& [key, lo, hi, text] :
+       {std::tuple<const char*, std::int64_t, std::int64_t, const char*>{
+            "shard_index", 0, 6,
+            "JsonValue: member 'shard_index' must be an integer in [0, 6]"},
+        {"count", -1, 10,
+         "JsonValue: member 'count' must be an integer in [-1, 10]"}}) {
+    try {
+      (void)v.int_at(key, lo, hi);
+      ADD_FAILURE() << key << ": expected InvalidArgument";
+    } catch (const cts::util::InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), text);
+    }
+  }
+  try {
+    (void)v.int_at("missing_member");
+    ADD_FAILURE() << "expected InvalidArgument";
+  } catch (const cts::util::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "JsonValue: missing member 'missing_member'");
   }
 }
 

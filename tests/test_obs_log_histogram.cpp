@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -13,6 +15,8 @@
 namespace obs = cts::obs;
 
 namespace {
+
+constexpr double kAlpha = obs::LogHistogramCell::kRelativeAccuracy;
 
 // Exact sample quantile with the matching-rank convention the cell
 // documents: sorted[ceil(q * n) - 1] (0-based).
@@ -28,24 +32,14 @@ TEST(LogHistogram, EmptyPercentileIsZero) {
   obs::LogHistogramCell h;
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
   EXPECT_EQ(h.stats().count(), 0u);
-  // relative_accuracy() is recomputed from gamma, so it round-trips to
-  // within an ulp or two of the requested alpha, not bit-exactly.
-  EXPECT_NEAR(h.relative_accuracy(),
-              obs::LogHistogramCell::kDefaultRelativeAccuracy, 1e-12);
 }
 
 TEST(LogHistogram, SingleValueAllPercentilesWithinAccuracy) {
   obs::LogHistogramCell h;
   h.observe(12.5);
   for (const double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_NEAR(h.percentile(q), 12.5, 12.5 * h.relative_accuracy()) << q;
+    EXPECT_NEAR(h.percentile(q), 12.5, 12.5 * kAlpha) << q;
   }
-}
-
-TEST(LogHistogram, RejectsInvalidAccuracy) {
-  EXPECT_THROW(obs::LogHistogramCell(0.0), cts::util::InvalidArgument);
-  EXPECT_THROW(obs::LogHistogramCell(1.0), cts::util::InvalidArgument);
-  EXPECT_THROW(obs::LogHistogramCell(-0.1), cts::util::InvalidArgument);
 }
 
 // The documented guarantee: every percentile of every (positive)
@@ -95,7 +89,7 @@ TEST(LogHistogram, ZeroAndNegativeObservationsLandInZeroBucket) {
   EXPECT_EQ(h.stats().count(), 3u);
   // Ranks 1 and 2 are the non-positive observations; rank 3 is 10.
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-  EXPECT_NEAR(h.percentile(1.0), 10.0, 10.0 * h.relative_accuracy());
+  EXPECT_NEAR(h.percentile(1.0), 10.0, 10.0 * kAlpha);
 }
 
 // Merging shards must be lossless: merged percentiles/buckets identical to
@@ -116,13 +110,6 @@ TEST(LogHistogram, MergeIsLossless) {
   for (const double q : {0.1, 0.5, 0.9, 0.99}) {
     EXPECT_DOUBLE_EQ(a.percentile(q), whole.percentile(q)) << q;
   }
-}
-
-TEST(LogHistogram, MergeRejectsDifferentAccuracy) {
-  obs::LogHistogramCell fine(0.01), coarse(0.05);
-  fine.observe(1.0);
-  coarse.observe(1.0);
-  EXPECT_THROW(fine.merge(coarse), cts::util::InvalidArgument);
 }
 
 TEST(LogHistogram, MergeFromEmptyIsNoop) {
@@ -162,11 +149,12 @@ TEST(LogHistogram, SnapshotJsonRoundTripIsExact) {
   obs::JsonWriter w(os);
   obs::write_metrics_snapshot(w, shard);
   const obs::JsonValue doc = obs::json_parse(os.str());
+  EXPECT_EQ(doc.at("log_histograms").at("svc.ms").at("gamma").as_number(),
+            obs::LogHistogramCell::kGamma);
   const obs::MetricsShard back = obs::metrics_snapshot_from_json(doc);
 
   const obs::LogHistogramCell& orig = shard.log_histograms().at("svc.ms");
   const obs::LogHistogramCell& rest = back.log_histograms().at("svc.ms");
-  EXPECT_DOUBLE_EQ(rest.gamma(), orig.gamma());
   EXPECT_EQ(rest.zero_count(), orig.zero_count());
   EXPECT_EQ(rest.buckets(), orig.buckets());
   EXPECT_EQ(rest.stats().count(), orig.stats().count());
@@ -178,7 +166,7 @@ TEST(LogHistogram, SnapshotJsonRoundTripIsExact) {
     EXPECT_DOUBLE_EQ(rest.percentile(q), orig.percentile(q)) << q;
   }
 
-  // A restored cell must merge with a live one (same default gamma).
+  // A restored cell must merge with a live one.
   obs::LogHistogramCell live;
   live.observe(4.2);
   obs::LogHistogramCell merged = rest;
@@ -186,18 +174,27 @@ TEST(LogHistogram, SnapshotJsonRoundTripIsExact) {
   EXPECT_EQ(merged.stats().count(), orig.stats().count() + 1);
 }
 
-// Snapshots without the section (older writers) still parse.
-TEST(LogHistogram, SnapshotWithoutSectionParses) {
+// The section is written even when empty, and a snapshot without it is
+// refused like one without counters.
+TEST(LogHistogram, SnapshotSectionIsAlwaysWrittenAndRequired) {
   obs::MetricsShard shard;
   shard.add("jobs", 1);
   std::ostringstream os;
   obs::JsonWriter w(os);
   obs::write_metrics_snapshot(w, shard);
-  EXPECT_EQ(os.str().find("log_histograms"), std::string::npos);
+  EXPECT_NE(os.str().find("\"log_histograms\":{}"), std::string::npos);
   const obs::MetricsShard back =
       obs::metrics_snapshot_from_json(obs::json_parse(os.str()));
   EXPECT_TRUE(back.log_histograms().empty());
   EXPECT_EQ(back.counters().at("jobs"), 1u);
+  EXPECT_THROW(obs::metrics_snapshot_from_json(obs::json_parse(
+                   R"({"counters":{},"sums":{},"gauges":{}})")),
+               cts::util::InvalidArgument);
+
+  obs::MetricsRegistry reg;
+  std::ostringstream report;
+  reg.write_json(report);
+  EXPECT_NE(report.str().find("\"log_histograms\":{}"), std::string::npos);
 }
 
 TEST(LogHistogram, RegistryWriteJsonEmitsPercentileSection) {
@@ -216,6 +213,51 @@ TEST(LogHistogram, RegistryWriteJsonEmitsPercentileSection) {
 TEST(LogHistogram, FromStateRejectsBadGamma) {
   EXPECT_THROW(obs::LogHistogramCell::from_state(
                    1.0, 0, {}, cts::util::MomentAccumulator()),
+               cts::util::InvalidArgument);
+  // A valid base of another accuracy (1%) is refused too: its buckets
+  // cannot merge with this process's.
+  EXPECT_THROW(obs::LogHistogramCell::from_state(
+                   1.01 / 0.99, 0, {}, cts::util::MomentAccumulator()),
+               cts::util::InvalidArgument);
+  EXPECT_NO_THROW(obs::LogHistogramCell::from_state(
+      obs::LogHistogramCell::kGamma, 0, {}, cts::util::MomentAccumulator()));
+}
+
+// zero + sum(bucket counts) must equal count: a restored cell with more or
+// fewer bucket entries than observations would give wrong percentiles.
+TEST(LogHistogram, FromStateRejectsInconsistentCounts) {
+  constexpr double g = obs::LogHistogramCell::kGamma;
+  const auto stats = [](std::uint64_t n) {
+    return cts::util::MomentAccumulator::from_state(n, 1.0, 0.0, 1.0, 1.0);
+  };
+  EXPECT_NO_THROW(obs::LogHistogramCell::from_state(g, 1, {{3, 2}}, stats(3)));
+  EXPECT_THROW(obs::LogHistogramCell::from_state(g, 1, {{3, 2}}, stats(4)),
+               cts::util::InvalidArgument);
+  EXPECT_THROW(obs::LogHistogramCell::from_state(g, 0, {{3, 2}}, stats(3)),
+               cts::util::InvalidArgument);
+  // Buckets but no count: merge() would skip such a cell and lose them.
+  EXPECT_THROW(obs::LogHistogramCell::from_state(g, 0, {{3, 2}}, stats(0)),
+               cts::util::InvalidArgument);
+  // The sum wraps to exactly `count` in 64 bits; the overflow is caught.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(
+      obs::LogHistogramCell::from_state(g, kMax, {{0, 3}}, stats(2)),
+      cts::util::InvalidArgument);
+
+  // The same through the wire parser: a valid snapshot with its count
+  // raised from 2 to 5.
+  obs::MetricsShard shard;
+  shard.observe_log("x_ms", 4.0);
+  shard.observe_log("x_ms", 4.0);
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  obs::write_metrics_snapshot(w, shard);
+  std::string doc = os.str();
+  EXPECT_NO_THROW(obs::metrics_snapshot_from_json(obs::json_parse(doc)));
+  const std::size_t at = doc.find("\"count\":2,");
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, 10, "\"count\":5,");
+  EXPECT_THROW(obs::metrics_snapshot_from_json(obs::json_parse(doc)),
                cts::util::InvalidArgument);
 }
 

@@ -57,7 +57,7 @@ TEST(RunReport, CombinesConfigEchoWithRegistryMetrics) {
   obs::MetricsRegistry reg;
   reg.add("sim.frames_total", 1234);
   reg.gauge("sim.threads", 4.0);
-  reg.observe("sim.replication.wall_ms", 12.0, {10.0, 100.0});
+  reg.observe_log("sim.replication.wall_ms", 12.0);
 
   obs::RunReport report;
   report.set("run_id", "fig8_sim_clr");

@@ -147,7 +147,7 @@ std::string recorded_shard_file(obs::MetricsRegistry* registry) {
   registry->add("runs", 3);
   registry->add_sum("cells", 1234.5);
   registry->gauge("peak", 7.5, obs::GaugeMode::kMax);
-  registry->observe("wall_ms", 2.5, {1.0, 10.0});
+  registry->observe_log("sim.replication.wall_ms", 2.5);
   registry->observe_log("latency_ms", 0.25);
   registry->observe_log("latency_ms", 40.0);
 

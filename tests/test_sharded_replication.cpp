@@ -320,8 +320,8 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
   for (int i = 0; i < 1000; ++i) shard.add_sum("cells", 1e-3);
   shard.gauge("peak", 7.5, co::GaugeMode::kMax);
   shard.gauge("threads", 4.0);
-  shard.observe("wall", 2.5, {1.0, 10.0});
-  shard.observe("wall", 0.5, {1.0, 10.0});
+  shard.observe_log("wall", 2.5);
+  shard.observe_log("wall", 0.5);
 
   std::ostringstream os;
   co::JsonWriter w(os);
@@ -336,11 +336,12 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
             shard.sums().at("cells").compensation());
   EXPECT_EQ(restored.gauges().at("peak").mode, co::GaugeMode::kMax);
   EXPECT_EQ(restored.gauges().at("peak").value, 7.5);
-  const co::HistogramCell& h = restored.histograms().at("wall");
-  EXPECT_EQ(h.buckets(), shard.histograms().at("wall").buckets());
+  const co::LogHistogramCell& h = restored.log_histograms().at("wall");
+  const co::LogHistogramCell& orig = shard.log_histograms().at("wall");
+  EXPECT_EQ(h.buckets(), orig.buckets());
   EXPECT_EQ(h.stats().count(), 2u);
-  EXPECT_EQ(h.stats().mean(), shard.histograms().at("wall").stats().mean());
-  EXPECT_EQ(h.stats().m2(), shard.histograms().at("wall").stats().m2());
+  EXPECT_EQ(h.stats().mean(), orig.stats().mean());
+  EXPECT_EQ(h.stats().m2(), orig.stats().m2());
   EXPECT_EQ(h.stats().min(), 0.5);
   EXPECT_EQ(h.stats().max(), 2.5);
 
@@ -354,7 +355,6 @@ TEST(MetricsSnapshot, RoundTripPreservesMergeState) {
 TEST(MetricsSnapshot, RejectsCountsThatAreNotIntegers) {
   co::MetricsShard shard;
   shard.add("runs", 3);
-  shard.observe("wall", 2.5, {1.0, 10.0});
   shard.observe_log("lat", 4.0);
   std::ostringstream os;
   co::JsonWriter w(os);

@@ -49,8 +49,9 @@
 // raw cts.cacresult.v1 reply on stdout, and exits 0 on an ok reply, 1 on
 // a request-level error reply, 2 on usage/network errors.  eval answers
 // the same flags locally through direct library calls (no daemon, no
-// cache) and prints the same document shape — the golden the CI smoke
-// diffs the daemon's answers against.
+// cache) and prints the same document shape with "elapsed_s":0 — the
+// golden the CI smoke diffs the daemon's answers against, byte-equal
+// from run to run.
 //
 // Exit codes: serve 0 on clean shutdown (--max-requests), 2 on
 // usage/setup errors; query/eval as above.
@@ -196,9 +197,6 @@ net::CacResponse run_request(const std::string& request_text,
     }
     const double wall_ms = (cu::monotonic_s() - query_start) * 1e3;
     batch_metrics.add(answer.ok ? "cacd.queries_ok" : "cacd.queries_failed");
-    batch_metrics.observe("cacd.query_wall_ms", wall_ms);
-    // Log-bucketed twin carries the tail: cts_obstop renders
-    // p50/p95/p99/p999 (and SLO flags) from this one.
     batch_metrics.observe_log("cacd.query_wall_ms", wall_ms);
     response.answers.push_back(answer);
   }
@@ -334,7 +332,6 @@ int run_eval(const cu::Flags& flags) {
   net::CacResponse response;
   response.ok = true;
   response.model_name = model.name;
-  const double start = cu::monotonic_s();
   for (const net::CacQuery& query : request.queries) {
     net::CacAnswer answer;
     try {
@@ -373,7 +370,8 @@ int run_eval(const cu::Flags& flags) {
     }
     response.answers.push_back(answer);
   }
-  response.elapsed_s = cu::monotonic_s() - start;
+  // elapsed_s stays 0: a golden must not carry the wall clock, so two
+  // evals of one query are byte-equal.
   std::printf("%s\n", net::write_cac_response_json(response).c_str());
   return 0;
 }

@@ -221,9 +221,6 @@ net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
   obs::MetricsShard job_metrics;
   job_metrics.add(result.ok ? "shardd.jobs_ok" : "shardd.jobs_failed");
   if (job.attempt > 1) job_metrics.add("shardd.jobs_retried");
-  job_metrics.observe("shardd.job_wall_ms", result.elapsed_s * 1e3);
-  // Log-bucketed twins carry the tail: cts_obstop renders p50/p95/p99/p999
-  // (and SLO flags) from these, which fixed edges cannot resolve.
   job_metrics.observe_log("shardd.job_wall_ms", result.elapsed_s * 1e3);
   job_metrics.observe_log("shardd.queue_wait_ms", queue_wait_ms);
   metrics.merge(job_metrics);

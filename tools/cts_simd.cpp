@@ -32,9 +32,8 @@
 // counters exactly, sums to 1e-9 relative tolerance (Kahan summation is
 // order-sensitive across shard boundaries), gauges exactly except the
 // layout-dependent {sim.threads, sim.shard.index, sim.shard.count}, and
-// histograms by count only when the name contains "wall_ms" (timings are
-// never reproducible), and log-bucketed percentile histograms likewise by
-// count only when the name contains "_ms".  A section missing from one
+// log histograms by count and mean, by count only when the name contains
+// "_ms" (timings are never reproducible).  A section missing from one
 // report entirely is a reported difference (exit 1), not a parse error.
 //
 // Exit codes: 0 success / reports match, 1 worker failure / merge error /
@@ -459,11 +458,6 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
         dispatch_one(ep, job, opt.job_timeout_s, &payload, &error, &capture);
     env = std::move(job.env);  // reused across this thread's jobs
     const double wall_ms = (cu::monotonic_s() - start) * 1e3;
-    dispatch->observe("simd.net.job_wall_ms", wall_ms);
-    dispatch->observe(wtag + ".wall_ms", wall_ms);
-    // Log-histogram twins carry the percentile view (p50..p999) that the
-    // fixed-edge histograms above cannot: dispatch RPC latency spans orders
-    // of magnitude between a warm loopback worker and a retried WAN job.
     dispatch->observe_log("simd.net.job_wall_ms", wall_ms);
     dispatch->observe_log(wtag + ".wall_ms", wall_ms);
     dispatch->add("simd.net.jobs_dispatched");
@@ -724,20 +718,6 @@ bool close_rel(double a, double b) {
 /// Reports every difference; returns the number found.
 std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
                          bool quiet) {
-  // Per section: the noun its entries are reported by, and for histograms
-  // the name fragment of timings, which never reproduce and so compare by
-  // count only (every current log histogram is a millisecond timing).
-  struct Section {
-    const char* key;
-    const char* noun;
-    const char* timing;
-  };
-  static constexpr Section kSections[] = {
-      {"counters", "counter", nullptr},
-      {"sums", "sum", nullptr},
-      {"gauges", "gauge", nullptr},
-      {"histograms", "histogram", "wall_ms"},
-      {"log_histograms", "log_histogram", "_ms"}};
   // A report with no such section at all diffs as an empty section: every
   // entry present on the other side is reported as a difference (exit 1),
   // instead of at() throwing and turning a comparison into exit 2.
@@ -752,9 +732,10 @@ std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
     ++differences;
     if (!quiet) std::printf("DIFF: %s\n", what.c_str());
   };
-  for (const Section& section : kSections) {
-    const obs::JsonValue* pa = a.find(section.key);
-    const obs::JsonValue* pb = b.find(section.key);
+  for (const std::string key :
+       {"counters", "sums", "gauges", "log_histograms"}) {
+    const obs::JsonValue* pa = a.find(key);
+    const obs::JsonValue* pb = b.find(key);
     const obs::JsonValue& sa = pa != nullptr ? *pa : kEmptySection;
     const obs::JsonValue& sb = pb != nullptr ? *pb : kEmptySection;
     std::vector<std::string> names;  // the union, in first-seen order
@@ -766,25 +747,27 @@ std::size_t diff_metrics(const obs::JsonValue& a, const obs::JsonValue& b,
         }
       }
     }
-    const std::string key = section.key;
-    const bool histogram = section.timing != nullptr;
+    const std::string noun = key.substr(0, key.size() - 1);  // "counter"
+    const bool histogram = key == "log_histograms";
     for (const std::string& name : names) {
       if (key == "gauges" && skipped_gauge(name)) continue;
       const obs::JsonValue* va = sa.find(name);
       const obs::JsonValue* vb = sb.find(name);
-      const std::string what = std::string(section.noun) + " " + name;
+      const std::string what = noun + " " + name;
       if (va == nullptr || vb == nullptr) {
         report(what + " present in only one report");
         continue;
       }
       // Counters and gauges match exactly; sums to 1e-9 relative (Kahan
-      // summation is order-sensitive across shard boundaries).
+      // summation is order-sensitive across shard boundaries).  Log
+      // histograms match by count, and by mean unless the name carries
+      // "_ms": timings never reproduce.
       const double x = (histogram ? va->at("count") : *va).as_number();
       const double y = (histogram ? vb->at("count") : *vb).as_number();
       if (key == "sums" ? !close_rel(x, y) : x != y) {
         report(what + (histogram ? " count: " : ": ") + std::to_string(x) +
                " vs " + std::to_string(y));
-      } else if (histogram && name.find(section.timing) == std::string::npos &&
+      } else if (histogram && name.find("_ms") == std::string::npos &&
                  va->at("mean").as_number() != vb->at("mean").as_number()) {
         report(what + " mean differs");
       }
