@@ -44,9 +44,9 @@ class Spectrum {
   double variance() const noexcept { return variance_; }
 
  private:
-  std::shared_ptr<const AcfModel> acf_;
   double variance_;
-  std::size_t truncation_;
+  /// weights_[k - 1] = 2 (1 - k/(n+1)) r(k), k = 1..n (n = truncation).
+  std::vector<double> weights_;
 };
 
 /// The time scale 2*pi/omega_c implied by a cutoff frequency, in frames.

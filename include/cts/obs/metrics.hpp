@@ -67,7 +67,9 @@ struct GaugeCell {
 /// Welford summary merges with the parallel update, so snapshot/merge
 /// across processes equals a single-process run bit for bit.
 /// Observations <= 0 are counted in a dedicated zero bucket (they have no
-/// logarithm) and enter percentiles as 0.
+/// logarithm) and enter percentiles as 0.  Non-finite observations (NaN,
+/// +-inf) are refused: observe() drops them uncounted, so one bad timing
+/// can neither overflow the bucket index nor poison the mean.
 class LogHistogramCell {
  public:
   /// Relative accuracy of the percentile estimates (2%).

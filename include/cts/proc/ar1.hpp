@@ -32,6 +32,7 @@ class Ar1Source final : public FrameSource {
   Ar1Source(const Ar1Params& params, std::uint64_t seed);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return params_.mean; }
   double variance() const override { return params_.variance; }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

@@ -57,6 +57,7 @@ class DarSource final : public FrameSource {
   ~DarSource() override;  ///< flushes the frame count to the obs registry
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override;
   double variance() const override;
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

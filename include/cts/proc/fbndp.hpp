@@ -67,6 +67,7 @@ class FbndpSource final : public FrameSource {
   ~FbndpSource() override;  ///< flushes the frame count to the obs registry
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return params_.frame_mean(); }
   double variance() const override { return params_.frame_variance(); }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,6 +31,15 @@ class FrameSource {
   /// implementations document their clamping.
   virtual double next_frame() = 0;
 
+  /// Writes the next `n` frames to out[0..n): exactly what `n` calls of
+  /// next_frame() return, bit for bit, because the source owns its RNG.
+  /// The fluid multiplexer reads its sources a block at a time through
+  /// this, so a block can be made on any thread.  Every `final` source
+  /// overrides it with fill_frames, which binds next_frame statically.
+  virtual void fill(double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = next_frame();
+  }
+
   /// Analytic stationary mean frame size (cells/frame).
   virtual double mean() const = 0;
 
@@ -43,5 +53,12 @@ class FrameSource {
   /// Human-readable model name (e.g. "Z^0.975", "DAR(2)").
   virtual std::string name() const = 0;
 };
+
+/// The fill() of a `final` source: `n` calls of Source::next_frame, bound
+/// statically so the call inlines into the loop.
+template <class Source>
+void fill_frames(Source& source, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = source.Source::next_frame();
+}
 
 }  // namespace cts::proc

@@ -47,6 +47,7 @@ class GaussianAcfHosking final : public FrameSource {
                      std::size_t max_order = 16384);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return mean_; }
   double variance() const override { return variance_; }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;
@@ -80,6 +81,7 @@ class GaussianAcfDaviesHarte final : public FrameSource {
                          std::uint64_t seed, double tolerance = 1e-9);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return mean_; }
   double variance() const override { return variance_; }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

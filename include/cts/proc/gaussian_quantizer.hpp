@@ -23,6 +23,7 @@ class GaussianQuantizer final : public FrameSource {
   explicit GaussianQuantizer(std::unique_ptr<FrameSource> inner);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return inner_->mean(); }
   double variance() const override { return inner_->variance(); }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

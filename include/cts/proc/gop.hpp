@@ -36,6 +36,7 @@ class GopModulatedSource final : public FrameSource {
                      std::uint32_t phase = 0);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override;
   /// Stationary variance over a uniformly random phase:
   /// Var = E[s^2](sigma_b^2 + mu_b^2) - mu_b^2 (with E[s] = 1).

@@ -82,6 +82,7 @@ class MgInfSource final : public FrameSource {
   MgInfSource(const MgInfParams& params, std::uint64_t seed);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override { return params_.frame_mean(); }
   double variance() const override { return params_.frame_variance(); }
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

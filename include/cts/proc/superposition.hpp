@@ -31,6 +31,7 @@ class SuperposedSource final : public FrameSource {
       std::string name = "superposition");
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   double mean() const override;
   double variance() const override;
   std::unique_ptr<FrameSource> clone(std::uint64_t seed) const override;

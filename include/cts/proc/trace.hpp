@@ -29,6 +29,7 @@ class TraceSource final : public FrameSource {
               bool randomize_phase = true);
 
   double next_frame() override;
+  void fill(double* out, std::size_t n) override;
   /// Sample mean/variance of the recording (the "analytic" moments of a
   /// trace are its empirical ones).
   double mean() const override { return mean_; }

@@ -32,6 +32,8 @@ class ProgressReporter;
 
 namespace cts::sim {
 
+class FillBoard;
+
 /// Per-buffer-size tallies of one finite-buffer run.
 struct ClrTally {
   double buffer_cells = 0.0;   ///< B (total cells)
@@ -76,12 +78,24 @@ struct FluidRunConfig {
   std::vector<double> bop_thresholds_cells; ///< infinite-buffer thresholds
   /// Optional progress sink, ticked every few thousand frames.  Not owned.
   obs::ProgressReporter* progress = nullptr;
+  /// Optional task board of the replication pool running this mux; each
+  /// chunk's source fills are posted there (cts/sim/fill_board.hpp).
+  /// Null fills every row on the calling thread.  Not owned.
+  FillBoard* fills = nullptr;
 };
 
 /// Fluid frame-level multiplexer over a set of homogeneous (or not)
-/// sources.  The sources are owned by the caller and advanced in lockstep.
+/// sources.  The sources are owned by the caller and read one chunk of
+/// kChunkFrames frames at a time: one row per source (FrameSource::fill),
+/// summed source by source into each frame's arrivals, then the per-frame
+/// recursion.  A frame's arrivals are added in source order from 0.0,
+/// exactly as with one next_frame() call per source per frame.
 class FluidMux {
  public:
+  /// Frames per chunk.  The row block of one run holds
+  /// sources.size() * kChunkFrames doubles.
+  static constexpr std::size_t kChunkFrames = 256;
+
   /// Runs the recursion over `sources`, which must be non-empty.
   static FluidRunResult run(
       std::vector<std::unique_ptr<proc::FrameSource>>& sources,

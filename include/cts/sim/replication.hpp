@@ -6,6 +6,16 @@
 // (master_seed, replication index, source index), so the results are
 // bit-identical for any thread count.
 //
+// The pool hands out replications, but shares their sources: the fluid
+// multiplexer reads its N sources one 256-frame chunk at a time and posts
+// the chunk's N source fills to the pool's task board (cts/sim/
+// fill_board.hpp), where any idle thread may run them.  Each source owns
+// its RNG and each row is one fill() call, so a row holds the frames one
+// thread would have drawn, and the rows are summed in source order: the
+// tallies are bit-identical to a one-thread run whatever thread fills
+// which row.  A curve with fewer replications than threads therefore
+// still keeps every thread busy.
+//
 // Replications can additionally be sharded across worker PROCESSES: a
 // worker configured as shard i of n runs only the replications whose
 // global index falls in its contiguous slice [i*R/n, (i+1)*R/n).  Seeds
@@ -23,6 +33,7 @@
 #include <vector>
 
 #include "cts/fit/model_zoo.hpp"
+#include "cts/sim/fill_board.hpp"
 #include "cts/sim/fluid_mux.hpp"
 #include "cts/stats/batch.hpp"
 
@@ -126,14 +137,29 @@ struct SliceDriverConfig {
   bool progress = true;
 };
 
-/// Runs `body(rep, local, reporter)` for every global replication index
-/// `rep` in this worker's slice (`local` = rep - slice.lo) on a thread
-/// pool.  Handles validation, sim.* config-echo gauges/counters, the
-/// stderr progress reporter (body may tick frames on it), the per-
-/// replication "replication" trace span and sim.replication.wall_ms
-/// histogram.  Returns the slice so callers can size result arrays (call
-/// shard_slice first when sizing must happen before the run).  The body
-/// must be thread-safe across distinct `local` indices.
+/// The body of a replication pool: runs global replication `rep` (`local`
+/// = rep - slice.lo).  `board` is the pool's task board; a body that hands
+/// it to FluidRunConfig::fills shares its source fills with the pool.
+using ReplicationBody =
+    std::function<void(std::size_t rep, std::size_t local,
+                        obs::ProgressReporter& reporter, FillBoard& board)>;
+
+/// Runs `body` for every global replication index in this worker's slice
+/// on a pool of `config.threads` threads (0 = hardware concurrency), even
+/// when the slice has fewer replications than that: threads with no
+/// replication left run the open source fills of the others (see
+/// cts/sim/fill_board.hpp), so a 2-replication curve keeps 4 threads busy.
+/// Handles validation, sim.* config-echo gauges/counters, the stderr
+/// progress reporter (body may tick frames on it), the per-replication
+/// "replication" trace span and sim.replication.wall_ms histogram.
+/// Returns the slice so callers can size result arrays (call shard_slice
+/// first when sizing must happen before the run).  The body must be
+/// thread-safe across distinct `local` indices.  The first exception a body
+/// throws is rethrown once every thread has joined.
+ShardSliceRange run_replication_slice(const SliceDriverConfig& config,
+                                      const ReplicationBody& body);
+
+/// The same pool for a body that does not share its fills.
 ShardSliceRange run_replication_slice(
     const SliceDriverConfig& config,
     const std::function<void(std::size_t rep, std::size_t local,

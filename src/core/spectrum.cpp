@@ -11,23 +11,29 @@ namespace cts::core {
 
 Spectrum::Spectrum(std::shared_ptr<const AcfModel> acf, double variance,
                    std::size_t truncation)
-    : acf_(std::move(acf)), variance_(variance), truncation_(truncation) {
-  util::require(acf_ != nullptr, "Spectrum: acf required");
+    : variance_(variance) {
+  util::require(acf != nullptr, "Spectrum: acf required");
   util::require(variance > 0.0, "Spectrum: variance must be > 0");
   util::require(truncation >= 16, "Spectrum: truncation too small");
+  // Cesaro (Fejer) weighting suppresses the Gibbs ripple of the hard
+  // truncation while preserving the w -> 0 divergence rate of LRD models.
+  // The weighted lags are tabulated once: density() runs per grid point.
+  weights_.resize(truncation);
+  const double n = static_cast<double>(truncation);
+  for (std::size_t k = 1; k <= truncation; ++k) {
+    const double fejer = 1.0 - static_cast<double>(k) / (n + 1.0);
+    weights_[k - 1] = 2.0 * fejer * acf->at(k);
+  }
 }
 
 double Spectrum::density(double w) const {
   util::require(w > 0.0 && w <= util::kPi,
                 "Spectrum::density: w must be in (0, pi]");
-  // Cesaro (Fejer) weighting suppresses the Gibbs ripple of the hard
-  // truncation while preserving the w -> 0 divergence rate of LRD models.
+  // acc += (2 fejer_k r(k)) cos(w k): the product order of the untabulated
+  // sum, so the density is bit for bit what it was.
   double acc = 1.0;
-  const double n = static_cast<double>(truncation_);
-  for (std::size_t k = 1; k <= truncation_; ++k) {
-    const double kd = static_cast<double>(k);
-    const double fejer = 1.0 - kd / (n + 1.0);
-    acc += 2.0 * fejer * acf_->at(k) * std::cos(w * kd);
+  for (std::size_t k = 1; k <= weights_.size(); ++k) {
+    acc += weights_[k - 1] * std::cos(w * static_cast<double>(k));
   }
   return std::max(variance_ * acc, 0.0);
 }

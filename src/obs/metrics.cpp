@@ -23,6 +23,9 @@ double inv_log_gamma() {
 // LogHistogramCell
 
 void LogHistogramCell::observe(double v) noexcept {
+  // Refused, not clamped: +inf has no bucket (its index overflows int32)
+  // and NaN or inf would poison the mean and the snapshot.
+  if (!std::isfinite(v)) return;
   if (v > 0.0) {
     // ceil(log_gamma v): exact powers of gamma stay in their own bucket
     // (upper-inclusive).

@@ -26,6 +26,10 @@ double Ar1Source::next_frame() {
   return state_;
 }
 
+void Ar1Source::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> Ar1Source::clone(std::uint64_t seed) const {
   return std::make_unique<Ar1Source>(params_, seed);
 }

@@ -126,6 +126,10 @@ double DarSource::next_frame() {
   return value;
 }
 
+void DarSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> DarSource::clone(std::uint64_t seed) const {
   return std::make_unique<DarSource>(params_, marginal_, seed);
 }

@@ -77,6 +77,10 @@ double FbndpSource::next_frame() {
   return static_cast<double>(util::poisson_sample(rng_, integrated_rate));
 }
 
+void FbndpSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> FbndpSource::clone(std::uint64_t seed) const {
   return std::make_unique<FbndpSource>(params_, seed);
 }

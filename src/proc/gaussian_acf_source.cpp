@@ -56,6 +56,10 @@ double GaussianAcfHosking::next_frame() {
   return mean_ + std::sqrt(variance_) * x;
 }
 
+void GaussianAcfHosking::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> GaussianAcfHosking::clone(
     std::uint64_t seed) const {
   return std::make_unique<GaussianAcfHosking>(acf_, mean_, variance_, seed,
@@ -135,6 +139,10 @@ void GaussianAcfDaviesHarte::refill() {
 double GaussianAcfDaviesHarte::next_frame() {
   if (pos_ >= block_len_) refill();
   return mean_ + std::sqrt(variance_) * block_[pos_++];
+}
+
+void GaussianAcfDaviesHarte::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
 }
 
 std::unique_ptr<FrameSource> GaussianAcfDaviesHarte::clone(

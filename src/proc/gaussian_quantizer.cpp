@@ -21,6 +21,10 @@ double GaussianQuantizer::next_frame() {
   return std::round(raw);
 }
 
+void GaussianQuantizer::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> GaussianQuantizer::clone(
     std::uint64_t seed) const {
   return std::make_unique<GaussianQuantizer>(inner_->clone(seed));

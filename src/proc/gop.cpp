@@ -44,6 +44,10 @@ double GopModulatedSource::next_frame() {
   return scale * base_->next_frame();
 }
 
+void GopModulatedSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 double GopModulatedSource::mean() const { return base_->mean(); }
 
 double GopModulatedSource::variance() const {

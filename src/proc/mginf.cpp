@@ -171,6 +171,10 @@ double MgInfSource::next_frame() {
   return static_cast<double>(active_) * params_.cells_per_session;
 }
 
+void MgInfSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> MgInfSource::clone(std::uint64_t seed) const {
   return std::make_unique<MgInfSource>(params_, seed);
 }

@@ -21,6 +21,10 @@ double SuperposedSource::next_frame() {
   return total;
 }
 
+void SuperposedSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 double SuperposedSource::mean() const {
   double total = 0.0;
   for (const auto& c : components_) total += c->mean();

@@ -31,6 +31,10 @@ double TraceSource::next_frame() {
   return x;
 }
 
+void TraceSource::fill(double* out, std::size_t n) {
+  fill_frames(*this, out, n);
+}
+
 std::unique_ptr<FrameSource> TraceSource::clone(std::uint64_t seed) const {
   // Clones share the recording (no copy) but start at independent phases.
   auto copy = std::unique_ptr<TraceSource>(new TraceSource(*this));

@@ -7,6 +7,7 @@
 #include "cts/obs/metrics.hpp"
 #include "cts/obs/progress.hpp"
 #include "cts/obs/trace.hpp"
+#include "cts/sim/fill_board.hpp"
 #include "cts/util/error.hpp"
 
 namespace cts::sim {
@@ -69,31 +70,54 @@ FluidRunResult FluidMux::run(
   // atomics only every kProgressStride frames.
   constexpr std::uint64_t kProgressStride = 8192;
 
+  // One row of kChunkFrames frames per source, reused across chunks, and
+  // each frame's arrivals summed in source order.
+  const std::size_t n_sources = sources.size();
+  std::vector<double> rows(n_sources * kChunkFrames);
+  std::vector<double> arrivals(kChunkFrames);
+
   const std::uint64_t total = config.warmup_frames + config.frames;
-  for (std::uint64_t n = 0; n < total; ++n) {
-    double a = 0.0;
-    for (auto& source : sources) a += source->next_frame();
-    const bool measuring = n >= config.warmup_frames;
-    if (config.progress != nullptr && (n + 1) % kProgressStride == 0) {
-      config.progress->add_frames(kProgressStride);
+  for (std::uint64_t first = 0; first < total; first += kChunkFrames) {
+    const auto len = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunkFrames, total - first));
+    if (config.fills != nullptr) {
+      config.fills->fill(sources, rows.data(), kChunkFrames, len);
+    } else {
+      for (std::size_t s = 0; s < n_sources; ++s) {
+        sources[s]->fill(rows.data() + s * kChunkFrames, len);
+      }
+    }
+    std::fill_n(arrivals.begin(), len, 0.0);
+    for (std::size_t s = 0; s < n_sources; ++s) {
+      const double* row = rows.data() + s * kChunkFrames;
+      for (std::size_t i = 0; i < len; ++i) arrivals[i] += row[i];
     }
 
-    if (measuring) {
-      const double y = a - arrived_comp;
-      const double t = arrived + y;
-      arrived_comp = (t - arrived) - y;
-      arrived = t;
-    }
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint64_t n = first + i;
+      const double a = arrivals[i];
+      const bool measuring = n >= config.warmup_frames;
+      if (config.progress != nullptr && (n + 1) % kProgressStride == 0) {
+        config.progress->add_frames(kProgressStride);
+      }
 
-    const double net = a - c;
-    core::simd::fifo_step(kind, lanes, net, measuring);
+      if (measuring) {
+        const double y = a - arrived_comp;
+        const double t = arrived + y;
+        arrived_comp = (t - arrived) - y;
+        arrived = t;
+      }
 
-    w_infinite = std::max(w_infinite + net, 0.0);
-    if (measuring) {
-      if (w_infinite > peak_workload) peak_workload = w_infinite;
-      ++hits[static_cast<std::size_t>(
-          std::lower_bound(sorted.begin(), sorted.end(), w_infinite) -
-          sorted.begin())];
+      const double net = a - c;
+      core::simd::fifo_step(kind, lanes, net, measuring);
+
+      w_infinite = std::max(w_infinite + net, 0.0);
+      if (measuring) {
+        if (w_infinite > peak_workload) peak_workload = w_infinite;
+        ++hits[static_cast<std::size_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), w_infinite) -
+            sorted.begin())];
+      }
     }
   }
   if (config.progress != nullptr) {

@@ -1,10 +1,9 @@
 #include "cts/sim/replication.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -37,17 +36,16 @@ ShardSliceRange shard_slice(std::size_t replications, std::size_t shard_index,
   return range;
 }
 
-ShardSliceRange run_replication_slice(
-    const SliceDriverConfig& config,
-    const std::function<void(std::size_t rep, std::size_t local,
-                             obs::ProgressReporter& reporter)>& body) {
+ShardSliceRange run_replication_slice(const SliceDriverConfig& config,
+                                      const ReplicationBody& body) {
   const ShardSliceRange range =
       shard_slice(config.replications, config.shard_index, config.shard_count);
   const std::size_t slice = range.size();
 
+  // Not clamped to the slice: threads with no replication left share the
+  // source fills of the others.
   unsigned threads = config.threads;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(slice));
 
   // Config echo into the registry: a --metrics report then records the
   // exact seed/scale/threads that produced its tallies.  The seed is split
@@ -79,42 +77,42 @@ ShardSliceRange run_replication_slice(
   popts.force_disable = !config.progress;
   obs::ProgressReporter reporter(std::move(popts));
 
-  std::atomic<std::size_t> next_local{0};
-  // The first exception a replication throws, rethrown on the calling
-  // thread once every worker has joined; it also stops the hand-out.
-  std::mutex failure_mu;
-  std::exception_ptr failure;
-  auto worker = [&]() {
-    while (true) {
-      const std::size_t local = next_local.fetch_add(1);
-      if (local >= slice) return;
-      const std::size_t rep = range.lo + local;  // global index
-      try {
-        CTS_TRACE_SPAN("replication");
-        const auto t0 = std::chrono::steady_clock::now();
-        body(rep, local, reporter);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        registry.observe_log("sim.replication.wall_ms", wall_ms);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mu);
-        if (!failure) failure = std::current_exception();
-        next_local.store(slice);
-        return;
-      }
-      reporter.unit_done();
+  FillBoard board(slice);
+  const auto replication = [&](std::size_t local) {
+    const std::size_t rep = range.lo + local;  // global index
+    {
+      CTS_TRACE_SPAN("replication");
+      const auto t0 = std::chrono::steady_clock::now();
+      body(rep, local, reporter, board);
+      const double wall_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      registry.observe_log("sim.replication.wall_ms", wall_ms);
     }
+    reporter.unit_done();
   };
 
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&] { board.work(replication); });
+  }
   for (auto& t : pool) t.join();
   reporter.finish();
-  if (failure) std::rethrow_exception(failure);
+  if (const std::exception_ptr failure = board.failure()) {
+    std::rethrow_exception(failure);
+  }
   return range;
+}
+
+ShardSliceRange run_replication_slice(
+    const SliceDriverConfig& config,
+    const std::function<void(std::size_t rep, std::size_t local,
+                             obs::ProgressReporter& reporter)>& body) {
+  return run_replication_slice(
+      config, [&](std::size_t rep, std::size_t local,
+                  obs::ProgressReporter& reporter,
+                  FillBoard&) { body(rep, local, reporter); });
 }
 
 ReplicationResult run_replicated(const fit::ModelSpec& model,
@@ -139,7 +137,7 @@ ReplicationResult run_replicated(const fit::ModelSpec& model,
           .size());
   const ShardSliceRange range = run_replication_slice(
       driver, [&](std::size_t rep, std::size_t local,
-                  obs::ProgressReporter& reporter) {
+                  obs::ProgressReporter& reporter, FillBoard& board) {
         // Deterministic per-replication seed, derived from the GLOBAL
         // replication index — independent of thread and shard layout.
         util::SplitMix64 seeder(replication_seed_root(config.master_seed, rep));
@@ -155,6 +153,7 @@ ReplicationResult run_replicated(const fit::ModelSpec& model,
         run.buffer_sizes_cells = config.buffer_sizes_cells;
         run.bop_thresholds_cells = config.bop_thresholds_cells;
         run.progress = &reporter;
+        run.fills = &board;
         per_rep[local] = FluidMux::run(sources, run);
       });
 

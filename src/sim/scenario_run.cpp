@@ -405,24 +405,27 @@ void write_interval(obs::JsonWriter& w, const stats::IntervalEstimate& e) {
   w.end_object();
 }
 
+// `what` is the whole message prefix, so a successful read builds no text:
+// a result document reads one per tally.
 std::uint64_t parse_u64_field(const obs::JsonValue& v, const char* what) {
   if (v.is_string()) {
     std::uint64_t out = 0;
-    cu::require(cu::try_parse_u64(v.as_string(), &out),
-                std::string("scenario result: ") + what +
-                    " must be a decimal unsigned 64-bit string, got '" +
-                    v.as_string() + "'");
+    if (!cu::try_parse_u64(v.as_string(), &out)) {
+      throw cu::InvalidArgument(
+          std::string(what) +
+          " must be a decimal unsigned 64-bit string, got '" + v.as_string() +
+          "'");
+    }
     return out;
   }
-  return static_cast<std::uint64_t>(
-      v.as_int(std::string("scenario result: ") + what));
+  return static_cast<std::uint64_t>(v.as_int(what));
 }
 
 double nonneg_number(const obs::JsonValue& v, const char* what) {
   const double x = v.as_number();
-  cu::require(std::isfinite(x) && x >= 0.0,
-              std::string("scenario result: ") + what +
-                  " must be finite and >= 0");
+  if (!(std::isfinite(x) && x >= 0.0)) {
+    throw cu::InvalidArgument(std::string(what) + " must be finite and >= 0");
+  }
   return x;
 }
 
@@ -691,20 +694,22 @@ ScenarioResultDoc parse_scenario_result(const std::string& text) {
   cu::require(!out.spec_text.empty(), "scenario result: empty spec echo");
   const obs::JsonValue& shard = doc.at("shard");
   out.shard_index =
-      static_cast<std::size_t>(parse_u64_field(shard.at("index"), "shard index"));
+      static_cast<std::size_t>(parse_u64_field(shard.at("index"),
+                                               "scenario result: shard index"));
   out.shard_count =
-      static_cast<std::size_t>(parse_u64_field(shard.at("count"), "shard count"));
+      static_cast<std::size_t>(parse_u64_field(shard.at("count"),
+                                               "scenario result: shard count"));
   cu::require(out.shard_count >= 1 && out.shard_index < out.shard_count,
               "scenario result: shard index " +
                   std::to_string(out.shard_index) + " out of range for " +
                   std::to_string(out.shard_count) + " shards");
   out.replications = static_cast<std::size_t>(
-      parse_u64_field(doc.at("replications"), "replications"));
+      parse_u64_field(doc.at("replications"), "scenario result: replications"));
   cu::require(out.replications >= 1,
               "scenario result: need at least one replication");
-  out.frames = parse_u64_field(doc.at("frames"), "frames");
-  out.warmup = parse_u64_field(doc.at("warmup"), "warmup");
-  out.seed = parse_u64_field(doc.at("seed"), "seed");
+  out.frames = parse_u64_field(doc.at("frames"), "scenario result: frames");
+  out.warmup = parse_u64_field(doc.at("warmup"), "scenario result: warmup");
+  out.seed = parse_u64_field(doc.at("seed"), "scenario result: seed");
 
   const obs::JsonValue& reps = doc.at("reps");
   cu::require(reps.is_array() && !reps.items.empty(),
@@ -713,28 +718,38 @@ ScenarioResultDoc parse_scenario_result(const std::string& text) {
     cu::require(entry.is_object(), "scenario result: each rep must be an "
                                    "object");
     ScenarioRepSample sample;
-    sample.rep = parse_u64_field(entry.at("rep"), "rep index");
-    sample.frames = parse_u64_field(entry.at("frames"), "rep frames");
+    sample.rep = parse_u64_field(entry.at("rep"), "scenario result: rep index");
+    sample.frames =
+        parse_u64_field(entry.at("frames"), "scenario result: rep frames");
     for (const obs::JsonValue& src : entry.at("sources").items) {
       ScenarioSourceTally tally;
-      tally.offered = nonneg_number(src.at("offered"), "source offered");
-      tally.policed = nonneg_number(src.at("policed"), "source policed");
+      tally.offered =
+          nonneg_number(src.at("offered"), "scenario result: source offered");
+      tally.policed =
+          nonneg_number(src.at("policed"), "scenario result: source policed");
       sample.sources.push_back(tally);
     }
     for (const obs::JsonValue& hop : entry.at("hops").items) {
       ScenarioHopTally tally;
       tally.arrived_high = nonneg_number(hop.at("arrived_high"),
-                                         "hop arrived_high");
+                                         "scenario result: hop arrived_high");
       tally.arrived_low = nonneg_number(hop.at("arrived_low"),
-                                        "hop arrived_low");
-      tally.lost_high = nonneg_number(hop.at("lost_high"), "hop lost_high");
-      tally.lost_low = nonneg_number(hop.at("lost_low"), "hop lost_low");
-      tally.departed = nonneg_number(hop.at("departed"), "hop departed");
-      tally.peak_workload = nonneg_number(hop.at("peak"), "hop peak");
-      tally.initial_workload = nonneg_number(hop.at("initial"), "hop initial");
-      tally.final_workload = nonneg_number(hop.at("final"), "hop final");
+                                        "scenario result: hop arrived_low");
+      tally.lost_high =
+          nonneg_number(hop.at("lost_high"), "scenario result: hop lost_high");
+      tally.lost_low =
+          nonneg_number(hop.at("lost_low"), "scenario result: hop lost_low");
+      tally.departed =
+          nonneg_number(hop.at("departed"), "scenario result: hop departed");
+      tally.peak_workload =
+          nonneg_number(hop.at("peak"), "scenario result: hop peak");
+      tally.initial_workload =
+          nonneg_number(hop.at("initial"), "scenario result: hop initial");
+      tally.final_workload =
+          nonneg_number(hop.at("final"), "scenario result: hop final");
       for (const obs::JsonValue& count : hop.at("occupancy").items) {
-        tally.occupancy.push_back(parse_u64_field(count, "occupancy count"));
+        tally.occupancy.push_back(
+            parse_u64_field(count, "scenario result: occupancy count"));
       }
       sample.hops.push_back(std::move(tally));
     }
@@ -768,7 +783,8 @@ ScenarioResultDoc parse_scenario_result(const std::string& text) {
       rows.reserve(frames.items.size());
       for (std::size_t i = 0; i < frames.items.size(); ++i) {
         ScenarioTraceRow row;
-        row.frame = parse_u64_field(frames.items[i], "trace frame");
+        row.frame =
+            parse_u64_field(frames.items[i], "scenario result: trace frame");
         row.workload = workload.items[i].as_number();
         row.arrived = arrived.items[i].as_number();
         row.lost = lost.items[i].as_number();

@@ -22,9 +22,10 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   return value;
 }
 
+// `what` is the whole message prefix, so a successful read builds no text:
+// a merge reads one per sample and per tally.
 std::uint64_t as_u64(const obs::JsonValue& v, const char* what) {
-  return static_cast<std::uint64_t>(
-      v.as_int(std::string("cts.shard.v1 ") + what));
+  return static_cast<std::uint64_t>(v.as_int(what));
 }
 
 void write_config(obs::JsonWriter& w, const ReplicationConfig& config) {
@@ -50,19 +51,25 @@ void write_config(obs::JsonWriter& w, const ReplicationConfig& config) {
 ReplicationConfig parse_config(const obs::JsonValue& v) {
   ReplicationConfig config;
   config.replications =
-      static_cast<std::size_t>(as_u64(v.at("replications"), "replications"));
+      static_cast<std::size_t>(as_u64(v.at("replications"),
+                                      "cts.shard.v1 replications"));
   config.frames_per_replication =
-      as_u64(v.at("frames_per_replication"), "frames_per_replication");
-  config.warmup_frames = as_u64(v.at("warmup_frames"), "warmup_frames");
+      as_u64(v.at("frames_per_replication"),
+             "cts.shard.v1 frames_per_replication");
+  config.warmup_frames =
+      as_u64(v.at("warmup_frames"), "cts.shard.v1 warmup_frames");
   config.n_sources =
-      static_cast<std::size_t>(as_u64(v.at("n_sources"), "n_sources"));
+      static_cast<std::size_t>(as_u64(v.at("n_sources"),
+                                      "cts.shard.v1 n_sources"));
   config.capacity_cells = v.at("capacity_cells").as_number();
   config.master_seed =
       parse_u64(v.at("master_seed").as_string(), "cts.shard.v1 master_seed");
   config.shard_index =
-      static_cast<std::size_t>(as_u64(v.at("shard_index"), "shard_index"));
+      static_cast<std::size_t>(as_u64(v.at("shard_index"),
+                                      "cts.shard.v1 shard_index"));
   config.shard_count =
-      static_cast<std::size_t>(as_u64(v.at("shard_count"), "shard_count"));
+      static_cast<std::size_t>(as_u64(v.at("shard_count"),
+                                      "cts.shard.v1 shard_count"));
   for (const obs::JsonValue& b : v.at("buffer_sizes_cells").items) {
     config.buffer_sizes_cells.push_back(b.as_number());
   }
@@ -100,21 +107,22 @@ void write_sample(obs::JsonWriter& w, const ReplicationSample& sample) {
 
 ReplicationSample parse_sample(const obs::JsonValue& v) {
   ReplicationSample sample;
-  sample.rep = as_u64(v.at("rep"), "rep");
-  sample.run.frames = as_u64(v.at("frames"), "frames");
+  sample.rep = as_u64(v.at("rep"), "cts.shard.v1 rep");
+  sample.run.frames = as_u64(v.at("frames"), "cts.shard.v1 frames");
   sample.run.arrived_cells = v.at("arrived_cells").as_number();
   sample.run.peak_workload_cells = v.at("peak_workload_cells").as_number();
   for (const obs::JsonValue& t : v.at("clr").items) {
     ClrTally tally;
     tally.buffer_cells = t.at("buffer_cells").as_number();
     tally.lost_cells = t.at("lost_cells").as_number();
-    tally.loss_frames = as_u64(t.at("loss_frames"), "loss_frames");
+    tally.loss_frames = as_u64(t.at("loss_frames"), "cts.shard.v1 loss_frames");
     sample.run.clr.push_back(tally);
   }
   for (const obs::JsonValue& t : v.at("bop").items) {
     BopTally tally;
     tally.threshold_cells = t.at("threshold_cells").as_number();
-    tally.exceed_frames = as_u64(t.at("exceed_frames"), "exceed_frames");
+    tally.exceed_frames =
+        as_u64(t.at("exceed_frames"), "cts.shard.v1 exceed_frames");
     sample.run.bop.push_back(tally);
   }
   return sample;
@@ -195,9 +203,11 @@ ShardFile parse_shard_file(const std::string& text) {
                     " document");
   ShardFile file;
   file.shard_index =
-      static_cast<std::size_t>(as_u64(doc.at("shard").at("index"), "index"));
+      static_cast<std::size_t>(as_u64(doc.at("shard").at("index"),
+                                      "cts.shard.v1 index"));
   file.shard_count =
-      static_cast<std::size_t>(as_u64(doc.at("shard").at("count"), "count"));
+      static_cast<std::size_t>(as_u64(doc.at("shard").at("count"),
+                                      "cts.shard.v1 count"));
   util::require(file.shard_count >= 1 && file.shard_index < file.shard_count,
                 "parse_shard_file: invalid shard header " +
                     format_shard_spec({file.shard_index, file.shard_count}));

@@ -6,6 +6,7 @@
 // generation preserves the replication layout invariance.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,49 @@ TEST(CurveBitIdentity, DispatchedCurveJsonMatchesForcedScalar) {
   }
 }
 
+namespace {
+
+/// Every tally of every replication sample, bit for bit.
+void expect_same_samples(const cm::ReplicationResult& got,
+                         const cm::ReplicationResult& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.samples.size(), want.samples.size()) << what;
+  for (std::size_t s = 0; s < got.samples.size(); ++s) {
+    const cm::FluidRunResult& a = got.samples[s].run;
+    const cm::FluidRunResult& b = want.samples[s].run;
+    EXPECT_EQ(got.samples[s].rep, want.samples[s].rep) << what;
+    EXPECT_EQ(a.frames, b.frames) << what;
+    EXPECT_EQ(std::memcmp(&a.arrived_cells, &b.arrived_cells, sizeof(double)),
+              0)
+        << what << " rep " << s;
+    EXPECT_EQ(std::memcmp(&a.peak_workload_cells, &b.peak_workload_cells,
+                          sizeof(double)),
+              0)
+        << what << " rep " << s;
+    ASSERT_EQ(a.clr.size(), b.clr.size()) << what;
+    for (std::size_t i = 0; i < a.clr.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&a.clr[i].lost_cells, &b.clr[i].lost_cells,
+                            sizeof(double)),
+                0)
+          << what << " rep " << s << " buffer " << i;
+      EXPECT_EQ(a.clr[i].loss_frames, b.clr[i].loss_frames) << what;
+    }
+    ASSERT_EQ(a.bop.size(), b.bop.size()) << what;
+    for (std::size_t i = 0; i < a.bop.size(); ++i) {
+      EXPECT_EQ(a.bop[i].exceed_frames, b.bop[i].exceed_frames) << what;
+    }
+  }
+}
+
+/// One run of `config` on `threads` threads.
+cm::ReplicationResult run_on(const cf::ModelSpec& model,
+                             cm::ReplicationConfig config, unsigned threads) {
+  config.threads = threads;
+  return cm::run_replicated(model, config);
+}
+
+}  // namespace
+
 TEST(CurveBitIdentity, ThreadsAndShardsMatrixIsInvariant) {
   // The batched Davies-Harte refill sits on the per-replication hot path;
   // seeds key off the global replication index, so any threads x shards
@@ -172,5 +216,63 @@ TEST(CurveBitIdentity, ThreadsAndShardsMatrixIsInvariant) {
           << "shards=" << shards << " i=" << i;
     }
     EXPECT_EQ(merged.total_frames, reference.total_frames);
+  }
+
+  // Sources are shared across the pool in 256-frame chunks, so a pool
+  // larger than the slice (1 replication on 4 threads, 2 on 5), a run one
+  // frame shorter or longer than a chunk, and a warm-up that ends inside a
+  // chunk must all leave every tally unchanged.
+  cm::MuxGeometry small;
+  small.n_sources = 6;
+  small.bandwidth_per_source = 515.0;
+  const std::vector<double> chunk_grid = {0.2, 2.0, 20.0};
+  struct Case {
+    const char* model;
+    std::size_t replications;
+    std::uint64_t frames;
+    std::uint64_t warmup;
+  };
+  const Case cases[] = {
+      {"l", 1, 1, 0},           {"l", 2, 255, 0},
+      {"dar:0.9:2", 1, 256, 0}, {"dar:0.9:2", 2, 257, 0},
+      {"l", 2, 600, 100},       {"farima:0.3", 3, 300, 211},
+  };
+  for (const Case& c : cases) {
+    const cf::ModelSpec case_model = cf::model_from_id(c.model);
+    cm::ReplicationConfig case_scale;
+    case_scale.replications = c.replications;
+    case_scale.frames_per_replication = c.frames;
+    case_scale.warmup_frames = c.warmup;
+    case_scale.progress = false;
+    case_scale.bop_thresholds_cells = {0.0, 100.0};
+    const cm::ReplicationConfig case_config =
+        cm::replication_config_for_grid(case_model, small, chunk_grid,
+                                        case_scale);
+    const std::string what = std::string(c.model) + " reps " +
+                             std::to_string(c.replications) + " frames " +
+                             std::to_string(c.frames) + "+" +
+                             std::to_string(c.warmup);
+    const cm::ReplicationResult case_reference =
+        run_on(case_model, case_config, 1);
+    for (const unsigned threads : {2u, 4u, 5u}) {
+      expect_same_samples(run_on(case_model, case_config, threads),
+                          case_reference,
+                          what + " threads " + std::to_string(threads));
+    }
+    if (c.replications < 2) continue;
+    std::vector<cm::ReplicationSample> parts;
+    for (std::size_t s = 0; s < 2; ++s) {
+      cm::ReplicationConfig shard = case_config;
+      shard.threads = 3;
+      shard.shard_index = s;
+      shard.shard_count = 2;
+      const cm::ReplicationResult part = cm::run_replicated(case_model, shard);
+      parts.insert(parts.end(), part.samples.begin(), part.samples.end());
+    }
+    expect_same_samples(
+        cm::aggregate_replications(case_config.buffer_sizes_cells,
+                                   case_config.bop_thresholds_cells,
+                                   std::move(parts)),
+        case_reference, what + " 2 shards");
   }
 }

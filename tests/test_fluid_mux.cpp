@@ -3,10 +3,13 @@
 #include "cts/sim/fluid_mux.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "cts/proc/ar1.hpp"
+#include "cts/proc/mginf.hpp"
+#include "cts/sim/replication.hpp"
 #include "cts/util/error.hpp"
 
 namespace cp = cts::proc;
@@ -50,6 +53,24 @@ class PatternSource final : public cp::FrameSource {
 
  private:
   std::vector<double> pattern_;
+  std::size_t pos_ = 0;
+};
+
+/// Replays a recorded frame sequence.
+class ReplaySource final : public cp::FrameSource {
+ public:
+  explicit ReplaySource(std::vector<double> frames)
+      : frames_(std::move(frames)) {}
+  double next_frame() override { return frames_.at(pos_++); }
+  double mean() const override { return 0.0; }
+  double variance() const override { return 0.0; }
+  std::unique_ptr<cp::FrameSource> clone(std::uint64_t) const override {
+    return std::make_unique<ReplaySource>(frames_);
+  }
+  std::string name() const override { return "replay"; }
+
+ private:
+  std::vector<double> frames_;
   std::size_t pos_ = 0;
 };
 
@@ -225,4 +246,122 @@ TEST(FluidMux, RejectsBadConfig) {
   std::vector<std::unique_ptr<cp::FrameSource>> empty;
   cm::FluidRunConfig ok;
   EXPECT_THROW(cm::FluidMux::run(empty, ok), cu::InvalidArgument);
+}
+
+namespace {
+
+/// Seven sources of two kinds; `seed` selects the streams.
+std::vector<std::unique_ptr<cp::FrameSource>> mixed_sources(
+    std::uint64_t seed) {
+  std::vector<std::unique_ptr<cp::FrameSource>> v;
+  for (std::uint64_t s = 0; s < 7; ++s) {
+    if (s % 3 == 2) {
+      v.push_back(std::make_unique<cp::MgInfSource>(cp::MgInfParams{},
+                                                    seed + s));
+    } else {
+      v.push_back(std::make_unique<cp::Ar1Source>(cp::Ar1Params{}, seed + s));
+    }
+  }
+  return v;
+}
+
+/// Each frame's arrivals as one next_frame() call per source per frame,
+/// added in source order from 0.0: the recursion's input before sources
+/// were read in chunks.
+std::vector<double> interleaved_arrivals(std::uint64_t seed,
+                                         std::uint64_t frames) {
+  auto sources = mixed_sources(seed);
+  std::vector<double> out(frames);
+  for (double& a : out) {
+    a = 0.0;
+    for (auto& source : sources) a += source->next_frame();
+  }
+  return out;
+}
+
+cm::FluidRunConfig chunk_config(std::uint64_t frames, std::uint64_t warmup) {
+  cm::FluidRunConfig config;
+  config.frames = frames;
+  config.warmup_frames = warmup;
+  config.capacity_cells = 7 * 510.0;
+  config.buffer_sizes_cells = {0.0, 30.0, 300.0, 3000.0};
+  config.bop_thresholds_cells = {0.0, 50.0, 500.0};
+  return config;
+}
+
+void expect_same_run(const cm::FluidRunResult& got,
+                     const cm::FluidRunResult& want, const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.frames, want.frames);
+  EXPECT_EQ(std::memcmp(&got.arrived_cells, &want.arrived_cells,
+                        sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.peak_workload_cells, &want.peak_workload_cells,
+                        sizeof(double)), 0);
+  ASSERT_EQ(got.clr.size(), want.clr.size());
+  for (std::size_t i = 0; i < got.clr.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.clr[i].lost_cells, &want.clr[i].lost_cells,
+                          sizeof(double)), 0) << i;
+    EXPECT_EQ(got.clr[i].loss_frames, want.clr[i].loss_frames) << i;
+  }
+  ASSERT_EQ(got.bop.size(), want.bop.size());
+  for (std::size_t i = 0; i < got.bop.size(); ++i) {
+    EXPECT_EQ(got.bop[i].exceed_frames, want.bop[i].exceed_frames) << i;
+  }
+}
+
+/// Frame counts around the 256-frame chunk; warm-ups ending at and inside
+/// a chunk.
+const std::pair<std::uint64_t, std::uint64_t> kFramesAndWarmup[] = {
+    {1, 0}, {255, 0}, {256, 0}, {257, 0}, {1, 255}, {300, 100},
+    {1000, 256}, {1000, 300}};
+
+}  // namespace
+
+// The chunked read (one row per source, summed source by source) gives
+// the tallies of one source replaying the frame-interleaved sums.
+TEST(FluidMux, ChunkedSourcesMatchFrameInterleavedArrivals) {
+  for (const auto& [frames, warmup] : kFramesAndWarmup) {
+    const cm::FluidRunConfig config = chunk_config(frames, warmup);
+    auto sources = mixed_sources(11);
+    const cm::FluidRunResult got = cm::FluidMux::run(sources, config);
+    auto replay = one_source(std::make_unique<ReplaySource>(
+        interleaved_arrivals(11, frames + warmup)));
+    expect_same_run(got, cm::FluidMux::run(replay, config),
+                    std::to_string(frames) + "+" + std::to_string(warmup));
+  }
+}
+
+// The same through a replication pool's task board: rows filled on any
+// thread, tallies unchanged, at every thread count.
+TEST(FluidMux, BoardSharedFillsMatchFrameInterleavedArrivals) {
+  for (const auto& [frames, warmup] : kFramesAndWarmup) {
+    const cm::FluidRunConfig config = chunk_config(frames, warmup);
+    std::vector<cm::FluidRunResult> want;
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+      auto replay = one_source(std::make_unique<ReplaySource>(
+          interleaved_arrivals(100 * rep, frames + warmup)));
+      want.push_back(cm::FluidMux::run(replay, config));
+    }
+    for (const unsigned threads : {1u, 2u, 5u}) {
+      cm::SliceDriverConfig driver;
+      driver.replications = 3;
+      driver.threads = threads;
+      driver.progress = false;
+      std::vector<cm::FluidRunResult> got(3);
+      cm::run_replication_slice(
+          driver, [&](std::size_t rep, std::size_t local,
+                      cts::obs::ProgressReporter&, cm::FillBoard& board) {
+            auto sources = mixed_sources(100 * rep);
+            cm::FluidRunConfig run = config;
+            run.fills = &board;
+            got[local] = cm::FluidMux::run(sources, run);
+          });
+      for (std::size_t rep = 0; rep < 3; ++rep) {
+        expect_same_run(got[rep], want[rep],
+                        std::to_string(frames) + "+" + std::to_string(warmup) +
+                            " threads " + std::to_string(threads) + " rep " +
+                            std::to_string(rep));
+      }
+    }
+  }
 }

@@ -174,6 +174,34 @@ TEST(LogHistogram, SnapshotJsonRoundTripIsExact) {
   EXPECT_EQ(merged.stats().count(), orig.stats().count() + 1);
 }
 
+// Non-finite values are refused: +inf has no bucket index (the cast of
+// its log overflows int32), and NaN or inf would poison the mean.  They
+// leave the cell as it was, and its snapshot still parses.
+TEST(LogHistogram, NonFiniteObservationsAreRefused) {
+  obs::MetricsShard shard;
+  shard.observe_log("svc.ms", 2.0);
+  shard.observe_log("svc.ms", std::numeric_limits<double>::infinity());
+  shard.observe_log("svc.ms", -std::numeric_limits<double>::infinity());
+  shard.observe_log("svc.ms", std::numeric_limits<double>::quiet_NaN());
+  shard.observe_log("svc.ms", 4.0);
+
+  const obs::LogHistogramCell& cell = shard.log_histograms().at("svc.ms");
+  EXPECT_EQ(cell.stats().count(), 2u);
+  EXPECT_EQ(cell.zero_count(), 0u);
+  EXPECT_DOUBLE_EQ(cell.stats().mean(), 3.0);
+  EXPECT_DOUBLE_EQ(cell.stats().max(), 4.0);
+
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  obs::write_metrics_snapshot(w, shard);
+  const obs::MetricsShard back =
+      obs::metrics_snapshot_from_json(obs::json_parse(os.str()));
+  const obs::LogHistogramCell& rest = back.log_histograms().at("svc.ms");
+  EXPECT_EQ(rest.stats().count(), 2u);
+  EXPECT_EQ(rest.buckets(), cell.buckets());
+  EXPECT_DOUBLE_EQ(rest.percentile(1.0), cell.percentile(1.0));
+}
+
 // The section is written even when empty, and a snapshot without it is
 // refused like one without counters.
 TEST(LogHistogram, SnapshotSectionIsAlwaysWrittenAndRequired) {

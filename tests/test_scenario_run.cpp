@@ -195,6 +195,39 @@ TEST(ScenarioRun, ResultParserRejectsCountsThatAreNotUint64) {
   }
 }
 
+// The field-name prefix of a read is built only when the read fails; the
+// message still names the field.
+TEST(ScenarioRun, ResultParserErrorsNameTheField) {
+  const sim::Scenario sc = sim::parse_scenario(kSpec);
+  const std::string good =
+      sim::write_scenario_result_json(sc, run_slice(sc, 0, 1));
+  const auto with = [&](const std::string& from, const std::string& value) {
+    const std::size_t at = good.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    const std::size_t begin = at + from.size();
+    return good.substr(0, begin) + value + good.substr(good.find(',', begin));
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {with("\"seed\":", "\"-5\""),
+       "scenario result: seed must be a decimal"},
+      {with("\"frames\":", "400.5"),
+       "scenario result: frames must be an integer"},
+      {with("\"rep\":", "-1"),
+       "scenario result: rep index must be an integer"},
+      {with("\"offered\":", "-1"),
+       "scenario result: source offered must be finite and >= 0"},
+  };
+  for (const auto& [doc, message] : cases) {
+    try {
+      (void)sim::parse_scenario_result(doc);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const cts::util::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioRun, TraceOnlyInSliceContainingReplicationZero) {
   const sim::Scenario sc = sim::parse_scenario(kSpec);
   const sim::ScenarioRunResult with = run_slice(sc, 0, 2);

@@ -243,6 +243,31 @@ TEST(ShardFile, ParserRejectsCountsThatAreNotIntegers) {
   }
 }
 
+// The field-name prefix of an integer read is built only when the read
+// fails; the message still names the field.
+TEST(ShardFile, FailingIntegerReadNamesTheField) {
+  const std::string good =
+      to_json(make_shard_file(cf::make_ar1(0.8), small_config(), 0, 1));
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"rep\":", "cts.shard.v1 rep must be an integer"},
+      {"\"loss_frames\":", "cts.shard.v1 loss_frames must be an integer"},
+      {"\"exceed_frames\":",
+       "cts.shard.v1 exceed_frames must be an integer"},
+      {"\"warmup_frames\":",
+       "cts.shard.v1 warmup_frames must be an integer"},
+  };
+  for (const auto& [key, message] : cases) {
+    SCOPED_TRACE(key);
+    try {
+      (void)cm::parse_shard_file(with_number(good, key, "2.5"));
+      ADD_FAILURE() << "a count of 2.5 was accepted";
+    } catch (const cu::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ShardMerge, WriteParseMergeIsBitIdentical) {
   const cf::ModelSpec model = cf::make_ar1(0.8);
   cm::ReplicationConfig config = small_config();
