@@ -10,14 +10,14 @@
 // Observability (see the "Observability" and "Benchmarking" sections of
 // README.md): every bench accepts --trace=<path> (Chrome-trace span
 // timeline), --metrics=<path> (JSON run report: config echo + all registry
-// metrics), --perf=<path> (cts.perf.v1 report: getrusage, hardware
-// counters when permitted, per-phase span self-time table — the file
-// tools/cts_benchd aggregates into BENCH_*.json), --profile=<path>
-// (cts.profile.v1 span-path profile; --profile-folded writes it as
-// collapsed stacks), --quiet (suppress the stderr progress line;
-// CTS_QUIET=1 equivalent) and --help, via the ObsGuard each main()
-// constructs right after flag parsing.  It also turns an input error that
-// escapes main (e.g. --buffer-ms=abc) into "<id>: <message>" and exit 2.
+// metrics), --perf=<path> (cts.perf.v1 report: getrusage and the per-phase
+// span self-time table — the file tools/cts_benchd aggregates into
+// BENCH_*.json), --profile=<path> (cts.profile.v1 span-path profile;
+// --profile-folded writes it as collapsed stacks), --quiet (suppress the
+// stderr progress line; CTS_QUIET=1 equivalent) and --help, via the
+// ObsGuard each main() constructs right after flag parsing.  It also turns
+// an input error that escapes main (e.g. --buffer-ms=abc) into
+// "<id>: <message>" and exit 2.
 
 #pragma once
 
@@ -26,7 +26,6 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -94,10 +93,10 @@ inline cts::sim::ReplicationConfig bench_scale() {
 /// Flags; it (a) handles --help (prints the known-flag list and exits 0)
 /// and warns about unrecognised --flags with a did-you-mean suggestion,
 /// (b) enables span recording when --trace or --perf was passed,
-/// (c) honours --quiet, (d) arms the resource probe / hardware counters
-/// for --perf, (e) on destruction writes the --metrics run report,
-/// the --trace file and the --perf report, and (f) makes an
-/// InvalidArgument that escapes main exit 2 with "<id>: <message>".
+/// (c) honours --quiet, (d) arms the resource probe for --perf, (e) on
+/// destruction writes the --metrics run report, the --trace file and the
+/// --perf report, and (f) makes an InvalidArgument that escapes main exit 2
+/// with "<id>: <message>".
 class ObsGuard {
  public:
   /// Preferred constructor: a registered bench (see bench_suite.hpp);
@@ -156,8 +155,6 @@ class ObsGuard {
     if (flags_.has("perf")) {
       perf_path_ = flags_.get_string("perf", run_id_ + "_perf.json");
       probe_.emplace();
-      counters_ = std::make_unique<cts::obs::PerfCounterGroup>();
-      counters_->start();
     }
     if (flags_.has("profile")) {
       profile_path_ = flags_.get_string("profile", run_id_ + "_profile.json");
@@ -247,7 +244,6 @@ class ObsGuard {
       if (!kind_.empty()) report.info.emplace_back("bench_kind", kind_);
       if (!title_.empty()) report.info.emplace_back("bench_title", title_);
       report.resources = probe_->sample();
-      report.hw = counters_->stop();
       report.spans = cts::obs::spans_by_name(spans.paths());
       announce(report.write(perf_path_), "perf report", perf_path_);
     }
@@ -303,7 +299,6 @@ class ObsGuard {
   std::string profile_folded_path_;
   std::optional<cts::obs::ScopedSpan> main_span_;
   std::optional<cts::obs::ResourceProbe> probe_;
-  std::unique_ptr<cts::obs::PerfCounterGroup> counters_;
 };
 
 /// Prints the resolved scale line and, when the scale is sharded

@@ -4,7 +4,7 @@
 // print and the --port-file write), the event sink, the span profile written on
 // exit, the daemon.start / daemon.exit events, the shared counters (served, ok,
 // failed, retried, stats served, in flight), the metrics registry, the whole
-// cts.statsreq.v1 branch (cts.stats.v1 JSON or OpenMetrics text) and the
+// cts.statsreq.v1 branch (the cts.stats.v1 JSON reply) and the
 // served-budget stop.  A daemon passes in only what differs, as a Service: its
 // name and metric prefix, a handler that turns one request into a Reply, an
 // encoder for an {"ok":false} reply in its own schema, and optionally extra
@@ -80,8 +80,8 @@ struct Reply {
 /// What one daemon plugs into the runtime.
 struct Service {
   std::string name;           ///< "cts_cacd": worker id, banner, messages
-  std::string metric_prefix;  ///< "cacd": OpenMetrics liveness gauges
-  std::string unit;           ///< "request": "cacd.requests_in_flight"
+  std::string metric_prefix;  ///< "cacd": "cacd.threads", "cacd.recv_ms"
+  std::string unit;           ///< "request": "[served 3 request(s); ...]"
   /// Answers one request that is not a stats query.  Runs on the
   /// acceptor thread that took the connection, concurrently with other
   /// connections.  If it throws, the connection closes without a reply,

@@ -4,12 +4,11 @@
 //
 // Request (client -> cts_shardd):
 //
-//   {"schema":"cts.statsreq.v1"}                          // cts.stats.v1 JSON
-//   {"schema":"cts.statsreq.v1","format":"openmetrics"}   // OpenMetrics text
+//   {"schema":"cts.statsreq.v1"}
 //
-// With format "openmetrics" the reply frame is OpenMetrics 1.0 text (see
-// cts/obs/expfmt.hpp) instead of JSON, so a Prometheus-family scraper can
-// sit directly on the job port.  Omitted format means "json".
+// An optional "format" must be "json", the only reply encoding.  A server
+// answers a request with any other format in JSON all the same (and logs
+// stats.bad_format), so a monitor's own parser surfaces the mismatch.
 //
 // Reply (cts_shardd -> client):
 //
@@ -57,17 +56,11 @@ struct WorkerStats {
   std::vector<obs::SpanAgg> spans;   ///< span self-time table
 };
 
-/// Reply encoding a stats request asks for.
-enum class StatsFormat {
-  kJson,         ///< cts.stats.v1 JSON (default)
-  kOpenMetrics,  ///< OpenMetrics 1.0 text
-};
+std::string write_stats_request_json();
 
-std::string write_stats_request_json(StatsFormat format = StatsFormat::kJson);
-
-/// Validates a cts.statsreq.v1 document and returns the requested reply
-/// format; throws InvalidArgument on a wrong schema tag or unknown format.
-StatsFormat parse_stats_request(const std::string& text);
+/// Validates a cts.statsreq.v1 document; throws InvalidArgument on a wrong
+/// schema tag or a format other than "json".
+void parse_stats_request(const std::string& text);
 
 std::string write_stats_json(const WorkerStats& stats);
 
@@ -83,9 +76,5 @@ WorkerStats query_stats(const Endpoint& ep, double timeout_s);
 /// (for tools that re-emit the schema-valid document verbatim).
 WorkerStats query_stats(const Endpoint& ep, double timeout_s,
                         std::string* raw_reply);
-
-/// One-call OpenMetrics scrape: sends a format:"openmetrics" stats request
-/// and returns the reply text verbatim (exposition ends with "# EOF").
-std::string query_stats_openmetrics(const Endpoint& ep, double timeout_s);
 
 }  // namespace cts::net

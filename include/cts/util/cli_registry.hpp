@@ -36,7 +36,7 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"metrics", "PATH",
      "write the JSON run report (config echo + metrics registry)"},
     {"perf", "PATH",
-     "write the cts.perf.v1 report (rusage, hw counters, span self-times)"},
+     "write the cts.perf.v1 report (rusage, span self-times)"},
     {"profile", "PATH",
      "write a cts.profile.v1 span-path profile: exact wall and CPU self "
      "time per span path (default <run_id>_profile.json)"},
@@ -234,9 +234,6 @@ inline constexpr FlagDoc kObstopFlags[] = {
     {"json", "",
      "one-shot: print each worker's raw cts.stats.v1 reply (single worker: "
      "the object verbatim; several: a JSON array) and exit"},
-    {"openmetrics", "",
-     "one-shot: print one worker's OpenMetrics 1.0 exposition verbatim and "
-     "exit (exactly one worker)"},
     {"interval", "SECS", "poll period for the live table (default 2)"},
     {"iterations", "N",
      "stop the live table after N polls (default 0 = until interrupted)"},
@@ -248,8 +245,7 @@ inline constexpr FlagDoc kObstopFlags[] = {
      "one poll, then gate: exit 3 when any --slo objective is breached"},
     {"validate", "",
      "only validate the given files: .jsonl as cts.events.v1 lines, "
-     ".om/.prom/.openmetrics as OpenMetrics 1.0 text, anything else as one "
-     "strict RFC 8259 document (trace or stats)"},
+     "anything else as one strict RFC 8259 document (trace or stats)"},
     {"quiet", "", "suppress per-worker error lines on stderr"},
     {"help", "", "print usage and exit"},
 };

@@ -36,4 +36,9 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw InvalidArgument(message);
 }
 
+/// Same, for a literal message: a passing check builds no std::string.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw InvalidArgument(message);
+}
+
 }  // namespace cts::util

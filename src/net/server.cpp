@@ -7,13 +7,11 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "cts/net/socket.hpp"
 #include "cts/net/stats.hpp"
-#include "cts/obs/expfmt.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/span_stats.hpp"
 #include "cts/util/clock.hpp"
@@ -295,12 +293,11 @@ bool Server::serve_connection(Acceptor& self, Socket& sock,
 
 std::string Server::stats_reply(const std::string& request,
                                 const Service& service) {
-  StatsFormat format = StatsFormat::kJson;
   try {
-    format = parse_stats_request(request);
+    parse_stats_request(request);
   } catch (const util::Error& e) {
-    // Unknown format: answer in JSON rather than dropping the scrape; the
-    // monitor's own parser will surface the mismatch.
+    // Unknown format: answer in JSON, the only encoding, rather than
+    // dropping the query; the monitor's own parser surfaces the mismatch.
     obs::log_warn("stats.bad_format", {{"error", e.what()}});
   }
   WorkerStats stats;
@@ -323,21 +320,7 @@ std::string Server::stats_reply(const std::string& request,
                       static_cast<double>(threads));
   if (service.add_gauges) service.add_gauges(&stats.metrics);
   stats.spans = obs::spans_by_name(obs::SpanTable::global().paths());
-  if (format == StatsFormat::kJson) return write_stats_json(stats);
-
-  // Exposition view: the lossless snapshot plus the liveness fields that
-  // live outside the registry, labelled with the worker id.
-  obs::MetricsShard shard = stats.metrics;
-  const std::string& prefix = service.metric_prefix;
-  shard.gauge(prefix + ".uptime_s", stats.uptime_s);
-  shard.gauge(prefix + "." + service.unit + "s_in_flight",
-              static_cast<double>(stats.jobs_in_flight));
-  shard.add(prefix + ".stats_served", stats.stats_served);
-  obs::OpenMetricsOptions om;
-  om.labels = {{"worker", stats.worker}};
-  std::ostringstream os;
-  obs::write_openmetrics(os, shard, om);
-  return os.str();
+  return write_stats_json(stats);
 }
 
 void Server::start_acceptor_locked(const Service& service) {

@@ -10,19 +10,16 @@ namespace cts::net {
 namespace obs = cts::obs;
 namespace cu = cts::util;
 
-std::string write_stats_request_json(StatsFormat format) {
+std::string write_stats_request_json() {
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(kStatsRequestSchema);
-  if (format == StatsFormat::kOpenMetrics) {
-    w.key("format").value("openmetrics");
-  }
   w.end_object();
   return os.str();
 }
 
-StatsFormat parse_stats_request(const std::string& text) {
+void parse_stats_request(const std::string& text) {
   const obs::JsonValue doc = obs::json_parse(text);
   const obs::JsonValue* schema = doc.find("schema");
   cu::require(schema != nullptr && schema->is_string() &&
@@ -30,14 +27,11 @@ StatsFormat parse_stats_request(const std::string& text) {
               std::string("stats request: expected schema \"") +
                   kStatsRequestSchema + "\"");
   const obs::JsonValue* format = doc.find("format");
-  if (format == nullptr) return StatsFormat::kJson;
+  if (format == nullptr) return;
   cu::require(format->is_string(), "stats request: format must be a string");
   const std::string& name = format->as_string();
-  if (name == "json") return StatsFormat::kJson;
-  if (name == "openmetrics") return StatsFormat::kOpenMetrics;
-  cu::require(false, "stats request: format must be json|openmetrics, got '" +
-                         name + "'");
-  return StatsFormat::kJson;  // unreachable
+  cu::require(name == "json",
+              "stats request: format must be json, got '" + name + "'");
 }
 
 std::string write_stats_json(const WorkerStats& stats) {
@@ -126,13 +120,6 @@ WorkerStats query_stats(const Endpoint& ep, double timeout_s,
   WorkerStats stats = parse_stats(reply);
   if (raw_reply != nullptr) *raw_reply = reply;
   return stats;
-}
-
-std::string query_stats_openmetrics(const Endpoint& ep, double timeout_s) {
-  Socket sock = connect_to(ep, timeout_s);
-  send_frame(sock, write_stats_request_json(StatsFormat::kOpenMetrics),
-             timeout_s);
-  return recv_frame(sock, timeout_s);
 }
 
 }  // namespace cts::net

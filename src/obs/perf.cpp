@@ -1,8 +1,6 @@
 #include "cts/obs/perf.hpp"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 
 #include "cts/obs/json.hpp"
@@ -10,14 +8,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #define CTS_HAVE_GETRUSAGE 1
-#endif
-
-#if defined(__linux__) && __has_include(<linux/perf_event.h>)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#define CTS_HAVE_PERF_EVENT 1
 #endif
 
 namespace cts::obs {
@@ -80,231 +70,6 @@ ResourceUsage ResourceProbe::sample() const {
 }
 
 // ---------------------------------------------------------------------------
-// HwCounters
-
-double HwCounters::ipc() const noexcept {
-  const std::uint64_t cycles = value("cycles");
-  const std::uint64_t instructions = value("instructions");
-  if (cycles == 0 || instructions == 0) return 0.0;
-  return static_cast<double>(instructions) / static_cast<double>(cycles);
-}
-
-std::uint64_t HwCounters::value(const std::string& name) const noexcept {
-  for (const auto& [n, v] : values) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// Sampler backends
-
-namespace {
-
-#ifdef CTS_HAVE_PERF_EVENT
-
-int open_counter(std::uint32_t type, std::uint64_t config) {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.type = type;
-  attr.size = sizeof(attr);
-  attr.config = config;
-  attr.disabled = 1;
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
-  attr.inherit = 1;  // count threads spawned after open (replication pool)
-  return static_cast<int>(
-      syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
-}
-
-class PerfEventBackend final : public SamplerBackend {
- public:
-  PerfEventBackend() {
-    struct Wanted {
-      const char* name;
-      std::uint64_t config;
-    };
-    static constexpr Wanted kWanted[] = {
-        {"cycles", PERF_COUNT_HW_CPU_CYCLES},
-        {"instructions", PERF_COUNT_HW_INSTRUCTIONS},
-        {"cache_references", PERF_COUNT_HW_CACHE_REFERENCES},
-        {"cache_misses", PERF_COUNT_HW_CACHE_MISSES},
-        {"branches", PERF_COUNT_HW_BRANCH_INSTRUCTIONS},
-        {"branch_misses", PERF_COUNT_HW_BRANCH_MISSES},
-    };
-    int first_errno = 0;
-    for (const Wanted& w : kWanted) {
-      const int fd = open_counter(PERF_TYPE_HARDWARE, w.config);
-      if (fd >= 0) {
-        slots_.push_back({w.name, fd});
-      } else if (first_errno == 0) {
-        first_errno = errno;
-      }
-    }
-    if (slots_.empty()) {
-      reason_ = std::string("perf_event_open failed: ") +
-                std::strerror(first_errno);
-      if (first_errno == EACCES || first_errno == EPERM) {
-        reason_ += " (check /proc/sys/kernel/perf_event_paranoid)";
-      } else if (first_errno == ENOENT || first_errno == ENODEV) {
-        reason_ += " (hardware PMU not available, e.g. inside a VM)";
-      }
-    }
-  }
-
-  ~PerfEventBackend() override {
-    for (const Slot& s : slots_) close(s.fd);
-  }
-
-  const char* name() const noexcept override { return "perf_event"; }
-  bool available() const noexcept override { return !slots_.empty(); }
-  std::string unavailable_reason() const override { return reason_; }
-
-  void start() noexcept override {
-    for (const Slot& s : slots_) {
-      ioctl(s.fd, PERF_EVENT_IOC_RESET, 0);
-      ioctl(s.fd, PERF_EVENT_IOC_ENABLE, 0);
-    }
-  }
-
-  HwCounters stop() noexcept override {
-    HwCounters out;
-    out.available = available();
-    out.backend = out.available ? name() : "";
-    out.unavailable_reason = reason_;
-    for (const Slot& s : slots_) {
-      ioctl(s.fd, PERF_EVENT_IOC_DISABLE, 0);
-      std::uint64_t v = 0;
-      if (read(s.fd, &v, sizeof(v)) == static_cast<ssize_t>(sizeof(v))) {
-        out.values.emplace_back(s.name, v);
-      }
-    }
-    return out;
-  }
-
- private:
-  struct Slot {
-    const char* name;
-    int fd;
-  };
-  std::vector<Slot> slots_;
-  std::string reason_;
-};
-
-#else  // !CTS_HAVE_PERF_EVENT
-
-class PerfEventBackend final : public SamplerBackend {
- public:
-  const char* name() const noexcept override { return "perf_event"; }
-  bool available() const noexcept override { return false; }
-  std::string unavailable_reason() const override {
-    return "perf_event_open unavailable on this platform "
-           "(hardware counters are Linux-only)";
-  }
-  void start() noexcept override {}
-  HwCounters stop() noexcept override {
-    HwCounters out;
-    out.available = false;
-    out.unavailable_reason = unavailable_reason();
-    return out;
-  }
-};
-
-#endif  // CTS_HAVE_PERF_EVENT
-
-std::uint64_t read_cycle_ticks() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_ia32_rdtsc();
-#else
-  return static_cast<std::uint64_t>(monotonic_ns());
-#endif
-}
-
-const char* cycle_tick_note() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return "cycles are raw rdtsc ticks (constant-rate TSC, not core cycles)";
-#else
-  return "cycles are steady-clock nanoseconds (no cycle counter available)";
-#endif
-}
-
-/// Portable degraded backend: a tick delta reported as "cycles".  No
-/// instruction/cache/branch counts, so ipc() stays 0 — consumers that need
-/// full counters branch on HwCounters::backend.
-class TscBackend final : public SamplerBackend {
- public:
-  const char* name() const noexcept override { return "tsc"; }
-  bool available() const noexcept override { return true; }
-  std::string unavailable_reason() const override { return std::string(); }
-
-  void start() noexcept override { start_ticks_ = read_cycle_ticks(); }
-
-  HwCounters stop() noexcept override {
-    HwCounters out;
-    out.available = true;
-    out.backend = name();
-    out.note = cycle_tick_note();
-    out.values.emplace_back("cycles", read_cycle_ticks() - start_ticks_);
-    return out;
-  }
-
- private:
-  std::uint64_t start_ticks_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<SamplerBackend> make_perf_event_backend() {
-  return std::make_unique<PerfEventBackend>();
-}
-
-std::unique_ptr<SamplerBackend> make_tsc_backend() {
-  return std::make_unique<TscBackend>();
-}
-
-// ---------------------------------------------------------------------------
-// PerfCounterGroup
-
-PerfCounterGroup::PerfCounterGroup() {
-  auto perf = make_perf_event_backend();
-  if (perf->available()) {
-    backend_ = std::move(perf);
-  } else {
-    note_ = perf->unavailable_reason();
-    backend_ = make_tsc_backend();
-  }
-}
-
-PerfCounterGroup::~PerfCounterGroup() = default;
-
-bool PerfCounterGroup::available() const noexcept {
-  return backend_ != nullptr && backend_->available();
-}
-
-const char* PerfCounterGroup::backend_name() const noexcept {
-  return backend_ != nullptr ? backend_->name() : "";
-}
-
-void PerfCounterGroup::start() noexcept {
-  if (backend_ != nullptr) backend_->start();
-}
-
-HwCounters PerfCounterGroup::stop() noexcept {
-  if (backend_ == nullptr) {
-    HwCounters out;
-    out.unavailable_reason = reason_;
-    return out;
-  }
-  HwCounters out = backend_->stop();
-  if (out.available && !note_.empty()) {
-    // Record why the preferred backend was passed over, alongside what the
-    // degraded counter actually measures.
-    out.note = note_ + (out.note.empty() ? "" : "; " + out.note);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // PerfReport
 
 void PerfReport::write_json(std::ostream& os) const {
@@ -323,20 +88,6 @@ void PerfReport::write_json(std::ostream& os) const {
   w.key("max_rss_kb").value(resources.max_rss_kb);
   w.key("ctx_voluntary").value(resources.ctx_voluntary);
   w.key("ctx_involuntary").value(resources.ctx_involuntary);
-  w.end_object();
-
-  w.key("hw").begin_object();
-  w.key("available").value(hw.available);
-  if (hw.available) {
-    w.key("backend").value(hw.backend);
-    w.key("counters").begin_object();
-    for (const auto& [name, v] : hw.values) w.key(name).value(v);
-    w.end_object();
-    w.key("ipc").value(hw.ipc());
-    if (!hw.note.empty()) w.key("note").value(hw.note);
-  } else {
-    w.key("reason").value(hw.unavailable_reason);
-  }
   w.end_object();
 
   w.key("spans").begin_array();

@@ -25,6 +25,14 @@ TEST(StatsRequest, RoundTrips) {
   EXPECT_THROW(net::parse_stats_request(R"({"schema":"cts.job.v1"})"),
                cts::util::InvalidArgument);
   EXPECT_THROW(net::parse_stats_request("{}"), cts::util::InvalidArgument);
+  // "json" is the only format; any other one is refused.
+  EXPECT_NO_THROW(net::parse_stats_request(
+      R"({"schema":"cts.statsreq.v1","format":"json"})"));
+  for (const char* bad : {R"({"schema":"cts.statsreq.v1","format":"openmetrics"})",
+                          R"({"schema":"cts.statsreq.v1","format":1})"}) {
+    EXPECT_THROW(net::parse_stats_request(bad), cts::util::InvalidArgument)
+        << bad;
+  }
 }
 
 TEST(Stats, RoundTripsLosslessly) {

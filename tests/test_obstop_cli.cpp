@@ -2,7 +2,8 @@
 // malformed threshold must exit 2 with an error naming the entry and the
 // offending value.  Before the fix, std::stod silently accepted trailing
 // junk ("250abc" gated at 250 ms) -- a typo'd objective then passed or
-// failed CI on the wrong number.
+// failed CI on the wrong number.  Also pins that --openmetrics is not a
+// mode of the tool.
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,22 @@ TEST(ObstopCli, WellFormedSloPassesParsingAndFailsOnlyOnTheQuery) {
                        "--slo=shardd.job_wall_ms:p99:250 --check --quiet",
                        &err),
             1);
+}
+
+TEST(ObstopCli, OpenMetricsIsAnUnknownFlag) {
+  // JSON is the only stats encoding: --openmetrics is no mode, only the
+  // unknown-flag warning, and without --workers the call is a usage error.
+  std::string err;
+  EXPECT_EQ(run_obstop("--openmetrics", &err), 2);
+  EXPECT_NE(err.find("unknown flag --openmetrics"), std::string::npos) << err;
+
+  // With a worker it falls through to the live table: one poll of a port
+  // nothing listens on fails with the query exit code 1.
+  EXPECT_EQ(run_obstop("--workers=127.0.0.1:1 --openmetrics --iterations=1 "
+                       "--quiet",
+                       &err),
+            1);
+  EXPECT_NE(err.find("unknown flag --openmetrics"), std::string::npos) << err;
 }
 
 #endif  // CTS_TOOLS_BIN_DIR

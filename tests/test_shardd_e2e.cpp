@@ -366,8 +366,7 @@ TEST(ShardDE2E, AllWorkersDownFallsBackToLocalExecution) {
 // The profiling & SLO layer end to end: a loopback run with --profile on
 // both sides must still merge bit-identically to a single-process run
 // without it, the worker must answer latency-SLO queries (pass AND breach)
-// from its log-bucketed histograms, the OpenMetrics exposition must pass
-// the shipped strict validator, and both processes must emit
+// from its log-bucketed histograms, and both processes must emit
 // cts.profile.v1 documents on clean exit.
 TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
   const std::string dir = ::testing::TempDir() + "/shardd_profile";
@@ -375,7 +374,7 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
   const std::string single = reference_metrics(dir);
 
   // --max-jobs=2: one profiled job now, one later to drain the daemon —
-  // between them the daemon stays alive for the SLO and scrape queries.
+  // between them the daemon stays alive for the SLO queries.
   const std::string worker_profile = dir + "/w1_profile.json";
   const int p1 = start_worker(
       dir, "w1", "--max-jobs=2 --profile='" + worker_profile + "'");
@@ -412,22 +411,6 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
                   " --slo=shardd.job_wall_ms:p50:0.001 --check --quiet "
                   "> /dev/null 2>&1"),
             3);
-
-  // The OpenMetrics scrape: non-empty, mentions the job-latency summary
-  // with the worker label, and passes the shipped strict validator.
-  const std::string scrape = dir + "/scrape.om";
-  ASSERT_EQ(shell("'" + obstop() + "' --workers=" + worker +
-                  " --openmetrics > '" + scrape + "' 2>/dev/null"),
-            0);
-  const std::string text = cu::read_text_file(scrape);
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
-  EXPECT_NE(text.find("shardd_job_wall_ms"), std::string::npos);
-  EXPECT_NE(text.find("quantile="), std::string::npos);
-  EXPECT_NE(text.find("worker=\"cts_shardd:" + std::to_string(p1) + "\""),
-            std::string::npos);
-  EXPECT_EQ(shell("'" + obstop() + "' --validate '" + scrape +
-                  "' --quiet > /dev/null 2>&1"),
-            0);
 
   // Drain the worker's second job so the daemon exits and flushes its
   // profile.

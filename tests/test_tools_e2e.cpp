@@ -118,20 +118,8 @@ TEST(CtsBenchd, SmokeSuiteProducesValidBenchDocument) {
     }
     EXPECT_GT(metrics.at("wall_s").at("median").as_number(), 0.0);
     EXPECT_GT(metrics.at("max_rss_kb").at("median").as_number(), 0.0);
-    // Hardware counters either aggregated or degraded with a reason.  The
-    // perf_event backend carries full counters; the portable tsc fallback
-    // reports only a cycle tick, so assertions branch on the backend name.
-    const obs::JsonValue& hw = b.at("hw");
-    if (hw.at("available").as_bool()) {
-      EXPECT_NE(hw.at("counters").find("cycles"), nullptr);
-      if (hw.at("backend").as_string() == "perf_event") {
-        EXPECT_NE(hw.at("counters").find("instructions"), nullptr);
-      } else {
-        EXPECT_EQ(hw.at("backend").as_string(), "tsc");
-      }
-    } else {
-      EXPECT_FALSE(hw.at("reason").as_string().empty());
-    }
+    // No hardware-counter section in a new document.
+    EXPECT_EQ(b.find("hw"), nullptr);
     // Every bench has at least the "bench" root phase.
     const obs::JsonValue& phases = b.at("phases");
     ASSERT_GE(phases.size(), 1u);
@@ -212,6 +200,40 @@ TEST(CtsBenchd, CompareRefusesABaselineOfAnotherScale) {
       << text;
 }
 
+TEST(CtsBenchd, TrendGateReadsPastALegacyHwSection) {
+  // Committed baselines keep the hardware-counter section older documents
+  // carried; the gate never reads it, so a same-scale pair with and
+  // without one gates on the metrics alone.
+  const std::string dir = ::testing::TempDir();
+  const auto doc = [](double rss_median_kb, bool legacy_hw) {
+    std::ostringstream os;
+    os << R"({"schema":"cts.bench.v1","suite":"analytic",)"
+       << R"("scale":{"repro_reps":2,"repro_frames":2000},)"
+       << R"("benches":{"fig5_bop":{"metrics":{)"
+       << R"("max_rss_kb":{"median":)" << rss_median_kb
+       << R"(,"mad":1e-9}})";
+    if (legacy_hw) {
+      os << R"(,"hw":{"available":true,"backend":"tsc","counters":{)"
+         << R"("cycles":{"n":1,"median":651366,"mad":0}},"ipc_median":0})";
+    }
+    os << "}}}";
+    return os.str();
+  };
+  const std::string legacy = dir + "/trend_hw_a_legacy.json";
+  const std::string same = dir + "/trend_hw_b_same.json";
+  const std::string worse = dir + "/trend_hw_c_worse.json";
+  write_file(legacy, doc(1000.0, true));
+  write_file(same, doc(1000.0, false));
+  write_file(worse, doc(1e9, false));
+  const auto gate = [](const std::string& a, const std::string& b) {
+    return shell("'" + benchd() + "' trend --gate --window=1 '" + a + "' '" +
+                 b + "' --quiet >/dev/null 2>&1");
+  };
+  EXPECT_EQ(gate(legacy, same), 0);
+  // The metrics are still gated: a thousandfold RSS step regresses.
+  EXPECT_EQ(gate(legacy, worse), 1);
+}
+
 TEST(CtsBenchd, CompareRefusesAnOutThatIsTheBaseline) {
   // The document is written before the baseline is read, so --out naming
   // the baseline, under any spelling and whether or not it exists yet,
@@ -267,6 +289,8 @@ TEST(CtsBenchd, JsonLinesStreamsOneObjectPerRun) {
     EXPECT_EQ(run.at("schema").as_string(), "cts.benchrun.v1");
     EXPECT_EQ(run.at("bench").as_string(), "fig5_bop");
     EXPECT_GT(run.at("wall_s").as_number(), 0.0);
+    EXPECT_EQ(run.find("hw_available"), nullptr);
+    EXPECT_EQ(run.find("ipc"), nullptr);
     if (run.at("warmup").as_bool()) ++warmups;
     ++lines;
   }

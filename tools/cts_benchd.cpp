@@ -3,12 +3,11 @@
 // Runs a configurable suite of the figure/table benches (bench_suite.hpp)
 // with warmup + R measured repeats each.  Every measured run executes the
 // bench binary with --perf=<tmp>.json; the child's cts.perf.v1 report
-// (getrusage deltas, hardware counters when the kernel permits, span
-// self-time table) is parsed back and aggregated into median / MAD / 95%
-// CI per metric.  The result is one canonical, schema-versioned
-// cts.bench.v1 document — BENCH_<ISO-date>.json at the invocation
-// directory by default — that can be gated against a committed baseline
-// with noise-aware thresholds.
+// (getrusage deltas and span self-time table) is parsed back and
+// aggregated into median / MAD / 95% CI per metric.  The result is one
+// canonical, schema-versioned cts.bench.v1 document — BENCH_<ISO-date>.json
+// at the invocation directory by default — that can be gated against a
+// committed baseline with noise-aware thresholds.
 //
 //   cts_benchd --suite=smoke --repeats=5            # the usual call
 //   cts_benchd --suite=full --repeats=3 --warmup=1  # everything (slow)
@@ -84,10 +83,6 @@ constexpr const char* kMetricNames[] = {
     "wall_s",         "user_s",          "sys_s",
     "max_rss_kb",     "ctx_voluntary",   "ctx_involuntary",
 };
-constexpr const char* kHwCounterNames[] = {
-    "cycles",      "instructions",  "cache_references",
-    "cache_misses", "branches",     "branch_misses",
-};
 
 struct Options {
   std::string suite = "smoke";
@@ -117,10 +112,6 @@ struct GateArgs {
 /// One parsed per-run perf report, flattened for aggregation.
 struct RunSample {
   std::map<std::string, double> metrics;           ///< resources.*
-  std::map<std::string, double> hw;                ///< hw.counters.* + ipc
-  bool hw_available = false;
-  std::string hw_backend;                          ///< hw.backend when available
-  std::string hw_reason;
   std::map<std::string, double> phase_self_us;     ///< phases[].self_us
   std::map<std::string, double> phase_spans;       ///< phases[].spans
 };
@@ -379,17 +370,6 @@ bool run_once(const Options& opt, const bench::BenchSpec& spec,
     for (const char* name : kMetricNames) {
       out->metrics[name] = res.at(name).as_number();
     }
-    const obs::JsonValue& hw = doc.at("hw");
-    out->hw_available = hw.at("available").as_bool();
-    if (out->hw_available) {
-      out->hw_backend = hw.at("backend").as_string();
-      for (const auto& [name, v] : hw.at("counters").members) {
-        out->hw[name] = v.as_number();
-      }
-      out->hw["ipc"] = hw.at("ipc").as_number();
-    } else {
-      out->hw_reason = hw.at("reason").as_string();
-    }
     for (const obs::JsonValue& phase : doc.at("phases").items) {
       const std::string& name = phase.at("phase").as_string();
       out->phase_self_us[name] = phase.at("self_us").as_number();
@@ -417,11 +397,6 @@ void write_json_line(std::ostream& os, const bench::BenchSpec& spec,
   w.key("warmup").value(warmup);
   for (const char* name : kMetricNames) {
     w.key(name).value(s.metrics.at(name));
-  }
-  w.key("hw_available").value(s.hw_available);
-  if (s.hw_available) {
-    const auto ipc = s.hw.find("ipc");
-    if (ipc != s.hw.end()) w.key("ipc").value(ipc->second);
   }
   w.end_object();
   os << line.str() << '\n';
@@ -587,41 +562,6 @@ int run(const Options& opt, const GateArgs& gate_args) {
       values.reserve(samples.size());
       for (const RunSample& s : samples) values.push_back(s.metrics.at(name));
       write_summary(w.key(name), obs::robust_summary(values), values);
-    }
-    w.end_object();
-
-    const bool hw_ok = !samples.empty() &&
-                       std::all_of(samples.begin(), samples.end(),
-                                   [](const RunSample& s) {
-                                     return s.hw_available;
-                                   });
-    w.key("hw").begin_object();
-    w.key("available").value(hw_ok);
-    if (hw_ok) {
-      const bool same_backend =
-          std::all_of(samples.begin(), samples.end(),
-                      [&](const RunSample& s) {
-                        return s.hw_backend == samples.front().hw_backend;
-                      });
-      w.key("backend").value(same_backend ? samples.front().hw_backend
-                                          : std::string("mixed"));
-      w.key("counters").begin_object();
-      for (const char* name : kHwCounterNames) {
-        if (samples.front().hw.find(name) == samples.front().hw.end()) {
-          continue;
-        }
-        std::vector<double> values;
-        for (const RunSample& s : samples) values.push_back(s.hw.at(name));
-        write_summary(w.key(name), obs::robust_summary(values), values);
-      }
-      w.end_object();
-      std::vector<double> ipc;
-      for (const RunSample& s : samples) ipc.push_back(s.hw.at("ipc"));
-      w.key("ipc_median").value(obs::median_of(ipc));
-    } else {
-      w.key("reason").value(samples.front().hw_available
-                                ? "hardware counters flapped between runs"
-                                : samples.front().hw_reason);
     }
     w.end_object();
 

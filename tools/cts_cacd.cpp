@@ -27,8 +27,7 @@
 //     snapshot (requests in flight / ok / failed, the metrics registry
 //     including the cacd.query_wall_ms log-histogram, the runtime's
 //     cacd.recv_ms / handle_ms / send_ms stage histograms and cacd.threads
-//     gauge, the cacd.cache_* gauges, span self-times).  JSON by default,
-//     OpenMetrics on request.
+//     gauge, the cacd.cache_* gauges, span self-times).
 //
 // Each connection carries one request and is served by the pool thread
 // that accepted it; at most 64 are live, and one more gets a

@@ -3,8 +3,7 @@
 //   cts_obstop --workers=HOST:PORT,... [--interval=SECS] [--iterations=N]
 //              [--timeout=SECS] [--slo=METRIC:pQ:MS,...] [--check] [--quiet]
 //   cts_obstop --workers=HOST:PORT,... --json
-//   cts_obstop --workers=HOST:PORT --openmetrics
-//   cts_obstop --validate FILE.json... FILE.jsonl... FILE.om...
+//   cts_obstop --validate FILE.json... FILE.jsonl...
 //
 // Polls each worker's cts.statsreq.v1 endpoint (the job port — cts_shardd
 // answers stats concurrently with jobs, without touching the job budget)
@@ -24,16 +23,13 @@
 // --json is the scripting mode: query every worker once and print the raw
 // schema-valid cts.stats.v1 replies verbatim — a single worker's object as
 // is, several workers wrapped in a JSON array — then exit.  CI uses it to
-// probe live daemons.  --openmetrics asks one worker (exactly one — a
-// merged exposition would repeat TYPE lines) for the OpenMetrics 1.0 text
-// variant and prints it verbatim, scrape-style.
+// probe live daemons.
 //
 // --validate turns the tool into the strict checker for the observability
 // artifacts: each *.jsonl argument is checked line by line as cts.events.v1
 // (every line a strict RFC 8259 object with a "schema" string member),
-// *.om / *.prom / *.openmetrics as OpenMetrics 1.0 text (type lines,
-// cumulative bucket monotonicity, quantile ranges, single EOF), any other
-// file as one strict JSON document (a merged trace or a stats reply).
+// any other file as one strict JSON document (a merged trace or a stats
+// reply).
 //
 // Exit codes: 0 success, 1 a worker could not be queried (or a validated
 // file failed), 2 usage errors, 3 an SLO breached under --check.
@@ -52,7 +48,6 @@
 
 #include "cts/net/socket.hpp"
 #include "cts/net/stats.hpp"
-#include "cts/obs/expfmt.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/sim/scenario.hpp"
 #include "cts/sim/scenario_run.hpp"
@@ -74,19 +69,16 @@ void usage() {
       "                  [--iterations=N] [--timeout=SECS]\n"
       "                  [--slo=METRIC:pQ:MS,...] [--check] [--quiet]\n"
       "       cts_obstop --workers=HOST:PORT,... --json\n"
-      "       cts_obstop --workers=HOST:PORT --openmetrics\n"
-      "       cts_obstop --validate FILE.json... FILE.jsonl... FILE.om...\n\n"
+      "       cts_obstop --validate FILE.json... FILE.jsonl...\n\n"
       "Polls cts_shardd stats endpoints (cts.statsreq.v1 on the job port)\n"
       "and renders a live per-worker status table with p50/p95/p99/p999\n"
       "job latency columns.  --slo declares latency objectives against any\n"
       "exported log histogram (e.g. shardd.job_wall_ms:p99:250); breaching\n"
       "rows turn red, and with --check one poll is made and a breach exits\n"
       "3.  --json prints each worker's raw cts.stats.v1 reply once and\n"
-      "exits (scripting / CI); --openmetrics prints one worker's\n"
-      "OpenMetrics 1.0 exposition instead.  --validate strictly checks\n"
-      "observability artifacts: *.jsonl as cts.events.v1 lines, *.om /\n"
-      "*.prom / *.openmetrics as OpenMetrics 1.0 text, anything else as\n"
-      "one RFC 8259 document.\n"
+      "exits (scripting / CI).  --validate strictly checks observability\n"
+      "artifacts: *.jsonl as cts.events.v1 lines, anything else as one\n"
+      "RFC 8259 document.\n"
       "Exit codes: 0 success, 1 query/validation failure, 2 usage error,\n"
       "3 SLO breach under --check.\n");
 }
@@ -184,29 +176,6 @@ bool validate_json(const std::string& path) {
   return validate_scenario_schemas(path, buffer.str());
 }
 
-/// Checks one OpenMetrics 1.0 exposition with the strict validator from
-/// cts/obs/expfmt — type lines, cumulative buckets, EOF terminator.
-bool validate_openmetrics_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cts_obstop: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::vector<std::string> errors =
-      obs::validate_openmetrics(buffer.str());
-  for (const std::string& e : errors) {
-    std::fprintf(stderr, "cts_obstop: %s: %s\n", path.c_str(), e.c_str());
-  }
-  return errors.empty();
-}
-
-bool is_openmetrics_path(const std::string& path) {
-  return ends_with(path, ".om") || ends_with(path, ".prom") ||
-         ends_with(path, ".openmetrics");
-}
-
 int run_validate(const std::vector<std::string>& files, bool quiet) {
   if (files.empty()) {
     std::fprintf(stderr, "cts_obstop: --validate needs at least one file\n");
@@ -214,10 +183,8 @@ int run_validate(const std::vector<std::string>& files, bool quiet) {
   }
   bool all_ok = true;
   for (const std::string& path : files) {
-    const bool ok = ends_with(path, ".jsonl") ? validate_jsonl(path)
-                    : is_openmetrics_path(path)
-                        ? validate_openmetrics_file(path)
-                        : validate_json(path);
+    const bool ok =
+        ends_with(path, ".jsonl") ? validate_jsonl(path) : validate_json(path);
     if (ok && !quiet) std::printf("%s: OK\n", path.c_str());
     all_ok = all_ok && ok;
   }
@@ -258,32 +225,6 @@ int run_json(const std::vector<net::Endpoint>& workers, double timeout_s,
     std::printf("%s\n", out.c_str());
   }
   return all_ok ? 0 : 1;
-}
-
-// -------------------------------------------------------------------------
-// --openmetrics (one-shot scrape)
-
-int run_openmetrics(const std::vector<net::Endpoint>& workers,
-                    double timeout_s, bool quiet) {
-  if (workers.size() != 1) {
-    // A merged multi-worker exposition would repeat every # TYPE line and
-    // fail strict validation; scrapers poll one target per request anyway.
-    std::fprintf(stderr,
-                 "cts_obstop: --openmetrics takes exactly one worker\n");
-    return 2;
-  }
-  try {
-    const std::string text =
-        net::query_stats_openmetrics(workers.front(), timeout_s);
-    std::fputs(text.c_str(), stdout);
-    return 0;
-  } catch (const std::exception& e) {
-    if (!quiet) {
-      std::fprintf(stderr, "cts_obstop: %s: %s\n",
-                   workers.front().str().c_str(), e.what());
-    }
-    return 1;
-  }
 }
 
 // -------------------------------------------------------------------------
@@ -495,9 +436,6 @@ int main(int argc, char** argv) {
 
     if (flags.get_bool("json", false)) {
       return run_json(workers, timeout_s, quiet);
-    }
-    if (flags.get_bool("openmetrics", false)) {
-      return run_openmetrics(workers, timeout_s, quiet);
     }
 
     const std::vector<SloSpec> slos = parse_slos(flags.get_string("slo", ""));

@@ -114,9 +114,8 @@ void usage() {
       "the shard as a child process, and streams the cts.shard.v1 payload\n"
       "back with a per-job obs capture.  The same port answers\n"
       "cts.statsreq.v1 with a live cts.stats.v1 status snapshot (see\n"
-      "cts_obstop); send {\"format\":\"openmetrics\"} in the request to get\n"
-      "an OpenMetrics 1.0 text exposition instead of JSON.  Events go to\n"
-      "--log as cts.events.v1 JSONL (default: stderr unless --quiet).\n"
+      "cts_obstop).  Events go to --log as cts.events.v1 JSONL (default:\n"
+      "stderr unless --quiet).\n"
       "--profile writes the daemon's span-path self times as a\n"
       "cts.profile.v1 JSON document on clean exit\n"
       "(--profile-folded: collapsed-stack text).  --port=0 picks an\n"
