@@ -10,11 +10,10 @@
 // Observability (see the "Observability" and "Benchmarking" sections of
 // README.md): every bench accepts --trace=<path> (Chrome-trace span
 // timeline), --metrics=<path> (JSON run report: config echo + all registry
-// metrics), --perf=<path> (cts.perf.v1 report: getrusage and the per-phase
-// span self-time table — the file tools/cts_benchd aggregates into
-// BENCH_*.json), --profile=<path> (cts.profile.v1 span-path profile;
-// --profile-folded writes it as collapsed stacks), --quiet (suppress the
-// stderr progress line; CTS_QUIET=1 equivalent) and --help, via the
+// metrics), --perf=<path> (cts.perf.v2 report: getrusage, the span-path
+// table and the per-phase self-time table — the file tools/cts_benchd
+// aggregates into BENCH_*.json), --quiet (suppress the stderr progress
+// line; CTS_QUIET=1 equivalent) and --help, via the
 // ObsGuard each main() constructs right after flag parsing.  It also turns
 // an input error that escapes main (e.g. --buffer-ms=abc) into
 // "<id>: <message>" and exit 2.
@@ -36,7 +35,6 @@
 #include "cts/obs/perf.hpp"
 #include "cts/obs/progress.hpp"
 #include "cts/obs/run_report.hpp"
-#include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/sim/curves.hpp"
 #include "cts/sim/replication.hpp"
@@ -90,8 +88,9 @@ inline cts::sim::ReplicationConfig bench_scale() {
 }
 
 /// Per-bench observability harness.  Construct one right after parsing
-/// Flags; it (a) handles --help (prints the known-flag list and exits 0)
-/// and warns about unrecognised --flags with a did-you-mean suggestion,
+/// Flags; it (a) handles --help (prints the known-flag list and exits 0),
+/// rejects retired flags and warns about other unrecognised --flags with a
+/// did-you-mean suggestion,
 /// (b) enables span recording when --trace or --perf was passed,
 /// (c) honours --quiet, (d) arms the resource probe for --perf, (e) on
 /// destruction writes the --metrics run report, the --trace file and the
@@ -121,13 +120,13 @@ class ObsGuard {
       std::exit(0);
     }
     // No bench main catches, so an InvalidArgument that escapes one (a
-    // typed flag accessor, an env override, --shard) reaches
+    // retired flag, a typed flag accessor, an env override, --shard) reaches
     // std::terminate, which would abort with exit 134.
     escaped_id_ = run_id_;
     if (std::get_terminate() != &exit_on_escaped_input_error) {
       next_terminate_ = std::set_terminate(&exit_on_escaped_input_error);
     }
-    flags_.warn_unknown(std::cerr, known);
+    cts::util::cli::check_flags(flags_, known, std::cerr);
     if (flags_.get_bool("quiet", false)) cts::obs::force_quiet(true);
     if (flags_.has("shard") || flags_.has("shard-out")) {
       // --shard=I/N routes through the REPRO_SHARD environment override so
@@ -155,13 +154,6 @@ class ObsGuard {
     if (flags_.has("perf")) {
       perf_path_ = flags_.get_string("perf", run_id_ + "_perf.json");
       probe_.emplace();
-    }
-    if (flags_.has("profile")) {
-      profile_path_ = flags_.get_string("profile", run_id_ + "_profile.json");
-    }
-    if (flags_.has("profile-folded")) {
-      profile_folded_path_ =
-          flags_.get_string("profile-folded", run_id_ + "_profile.folded");
     }
     // Root span covering the bench body, so every bench — including the
     // purely analytic ones — has a phase table with at least "bench".
@@ -206,7 +198,6 @@ class ObsGuard {
 
   void write_reports() {
     main_span_.reset();
-    const cts::obs::SpanTable& spans = cts::obs::SpanTable::global();
     if (!metrics_path_.empty()) {
       cts::obs::RunReport report;
       report.set("run_id", run_id_);
@@ -239,21 +230,12 @@ class ObsGuard {
       shards.disable();
     }
     if (!perf_path_.empty()) {
-      cts::obs::PerfReport report;
-      report.info.emplace_back("run_id", run_id_);
-      if (!kind_.empty()) report.info.emplace_back("bench_kind", kind_);
-      if (!title_.empty()) report.info.emplace_back("bench_title", title_);
-      report.resources = probe_->sample();
-      report.spans = cts::obs::spans_by_name(spans.paths());
-      announce(report.write(perf_path_), "perf report", perf_path_);
-    }
-    if (!profile_path_.empty()) {
-      announce(spans.write_profile(profile_path_), "profile", profile_path_,
-               " (" + std::to_string(spans.spans()) + " spans)");
-    }
-    if (!profile_folded_path_.empty()) {
-      announce(spans.write_folded_file(profile_folded_path_),
-               "folded profile", profile_folded_path_);
+      std::vector<std::pair<std::string, std::string>> info = {
+          {"run_id", run_id_}};
+      if (!kind_.empty()) info.emplace_back("bench_kind", kind_);
+      if (!title_.empty()) info.emplace_back("bench_title", title_);
+      announce(cts::obs::write_perf_report(perf_path_, *probe_, info),
+               "perf report", perf_path_);
     }
   }
 
@@ -295,8 +277,6 @@ class ObsGuard {
   std::string metrics_path_;
   std::string perf_path_;
   std::string shard_path_;
-  std::string profile_path_;
-  std::string profile_folded_path_;
   std::optional<cts::obs::ScopedSpan> main_span_;
   std::optional<cts::obs::ResourceProbe> probe_;
 };

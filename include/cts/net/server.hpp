@@ -1,11 +1,11 @@
 // The one daemon runtime behind the cts TCP services (cts_cacd, cts_shardd).
 //
 // A Server owns everything those daemons have in common: the listener (the port
-// print and the --port-file write), the event sink, the span profile written on
-// exit, the daemon.start / daemon.exit events, the shared counters (served, ok,
-// failed, retried, stats served, in flight), the metrics registry, the whole
-// cts.statsreq.v1 branch (the cts.stats.v1 JSON reply) and the
-// served-budget stop.  A daemon passes in only what differs, as a Service: its
+// print and the --port-file write), the event sink, the cts.perf.v2 report
+// written on exit, the daemon.start / daemon.exit events, the shared counters
+// (served, ok, failed, retried, stats served, in flight), the metrics
+// registry, the whole cts.statsreq.v1 branch (the cts.stats.v1 JSON reply)
+// and the served-budget stop.  A daemon passes in only what differs, as a Service: its
 // name and metric prefix, a handler that turns one request into a Reply, an
 // encoder for an {"ok":false} reply in its own schema, and optionally extra
 // gauges for the stats snapshot.
@@ -59,14 +59,12 @@ struct ServerOptions {
   bool quiet = false;
   std::string log_path;     ///< cts.events.v1 sink; else stderr unless quiet
   obs::LogLevel log_level = obs::LogLevel::kInfo;
-  std::string profile_path;    ///< cts.profile.v1 JSON on clean exit
-  std::string profile_folded;  ///< collapsed-stack text on clean exit
+  std::string perf_path;    ///< cts.perf.v2 report on clean exit
 };
 
 /// Parses --port, --port-file, --<budget_flag>, --quiet, --log,
-/// --log-level and the --profile* flags.  Throws InvalidArgument on an
-/// out-of-range value: a port outside [0, 65535], a negative budget or an
-/// unknown log level.
+/// --log-level and --perf.  Throws InvalidArgument on an out-of-range value:
+/// a port outside [0, 65535], a negative budget or an unknown log level.
 ServerOptions parse_server_options(const util::Flags& flags,
                                    const std::string& budget_flag);
 

@@ -5,19 +5,17 @@
 // user/system CPU time, peak RSS and context switches to exactly the
 // measured region.
 //
-// PerfReport bundles one run's resources + span self-time table (see
-// span_stats.hpp) into the cts.perf.v1 JSON document written by the bench
-// harness for --perf=<path> and aggregated by tools/cts_benchd.
+// write_perf_report is the one span report: a probe's resources plus every
+// view of the span table (span_stats.hpp) as the cts.perf.v2 JSON document
+// that the benches, the daemons and the dispatcher write for --perf=<path>
+// and tools/cts_benchd aggregates.
 
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "cts/obs/span_stats.hpp"
 
 namespace cts::obs {
 
@@ -51,25 +49,24 @@ class ResourceProbe {
   std::int64_t invol_start_ = 0;
 };
 
-/// One run's perf telemetry, serialised as the cts.perf.v1 JSON schema:
+/// The schema tag of the document write_perf_report writes.
+inline constexpr const char* kPerfSchema = "cts.perf.v2";
+
+/// Writes this process's cts.perf.v2 report to `path`:
 ///
-///   {"schema":"cts.perf.v1","info":{...},
+///   {"schema":"cts.perf.v2","info":{...},
 ///    "resources":{"wall_s":...,"user_s":...,"sys_s":...,"max_rss_kb":...,
 ///                 "ctx_voluntary":...,"ctx_involuntary":...},
-///    "spans":[{"name":...,"count":...,"total_us":...,"self_us":...,
-///              "min_us":...,"max_us":...},...],
+///    "paths":[{"path":...,"count":...,"total_us":...,"self_us":...,
+///              "cpu_self_us":...,"min_us":...,"max_us":...},...],
 ///    "phases":[{"phase":...,"self_us":...,"spans":...},...]}
-struct PerfReport {
-  static constexpr const char* kSchema = "cts.perf.v1";
-
-  std::vector<std::pair<std::string, std::string>> info;  ///< config echo
-  ResourceUsage resources;
-  std::vector<SpanAgg> spans;
-
-  void write_json(std::ostream& os) const;
-
-  /// Writes the report to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
-};
+///
+/// `resources` is probe.sample(), `paths` is SpanTable::global().paths()
+/// and `phases` is phase_self_times(spans_by_name(paths)), all from one
+/// snapshot of the table; `info` is echoed as strings.  Logs one
+/// perf.write event.  Returns false on I/O failure.
+bool write_perf_report(
+    const std::string& path, const ResourceProbe& probe,
+    const std::vector<std::pair<std::string, std::string>>& info);
 
 }  // namespace cts::obs

@@ -16,20 +16,17 @@
 // never per frame.  The table grows with the number of distinct paths,
 // which the code fixes, not with how long a process runs.
 //
-// Readers:
-//   * the per-name roll-up (SpanAgg) behind the cts.stats.v1 span table and
-//     the --perf phase table, where a second roll-up groups names into
-//     coarse phases by their prefix before the first '.'
-//     ("fluid_mux.run" -> "fluid_mux");
-//   * the cts.profile.v1 document (--profile) and the collapsed-stack text
-//     (--profile-folded, flamegraph.pl / speedscope ready).
+// Readers: the cts.perf.v2 report (write_perf_report in perf.hpp, behind
+// --perf) carries the path table itself as "paths" and the phase table, a
+// roll-up of the per-name roll-up (SpanAgg) that groups names by their
+// prefix before the first '.' ("fluid_mux.run" -> "fluid_mux"); the
+// per-name roll-up is also the cts.stats.v1 span table.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -80,20 +77,6 @@ class SpanTable {
 
   /// Every path's totals, sorted by path.
   std::vector<SpanPathAgg> paths() const;
-
-  /// Spans folded since the last reset.
-  std::uint64_t spans() const;
-
-  /// cts.profile.v1 JSON: {"schema","backend":"spans","samples",
-  /// "stacks":[{"stack","count","cpu_us"},...]}, where "samples" is the
-  /// number of spans folded and each stack's "count" its wall self time in
-  /// microseconds.
-  void write_profile_json(std::ostream& os) const;
-  bool write_profile(const std::string& path) const;
-
-  /// Collapsed-stack text, one "path self_us" line per path.
-  void write_folded(std::ostream& os) const;
-  bool write_folded_file(const std::string& path) const;
 
   /// Drops every entry (tests; between phases).  Spans open across the
   /// reset fold into the emptied table when they close.

@@ -1,7 +1,7 @@
 // Single source of truth for the command-line surface of the harness.
 //
 // Every bench binary and every tool builds its known-flag list (the one
-// Flags::warn_unknown checks and --help prints) from these tables, and
+// check_flags checks and --help prints) from these tables, and
 // docs/cli.md documents the same tables — tests/test_cli_docs.cpp asserts
 // that every flag and environment variable registered here appears in the
 // doc, so the reference cannot drift silently when a flag is added: the
@@ -10,9 +10,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
+
+#include "cts/util/error.hpp"
+#include "cts/util/flags.hpp"
 
 namespace cts::util::cli {
 
@@ -36,12 +41,8 @@ inline constexpr FlagDoc kBenchSharedFlags[] = {
     {"metrics", "PATH",
      "write the JSON run report (config echo + metrics registry)"},
     {"perf", "PATH",
-     "write the cts.perf.v1 report (rusage, span self-times)"},
-    {"profile", "PATH",
-     "write a cts.profile.v1 span-path profile: exact wall and CPU self "
-     "time per span path (default <run_id>_profile.json)"},
-    {"profile-folded", "PATH",
-     "write the profile as collapsed-stack text (flamegraph.pl ready)"},
+     "write the cts.perf.v2 report: rusage, exact wall and CPU self time "
+     "per span path, per-phase self time (default <run_id>_perf.json)"},
     {"shard", "I/N",
      "run only replication shard I of N (REPRO_SHARD equivalent)"},
     {"shard-out", "PATH",
@@ -123,10 +124,8 @@ inline constexpr FlagDoc kSimdFlags[] = {
     {"trace", "PATH",
      "write a merged Chrome-trace timeline: dispatcher spans plus one "
      "clock-corrected lane per worker (from the jobs' obs captures)"},
-    {"profile", "PATH",
-     "write the dispatcher's cts.profile.v1 span-path profile"},
-    {"profile-folded", "PATH",
-     "write the dispatcher profile as collapsed-stack text"},
+    {"perf", "PATH",
+     "write the dispatcher's cts.perf.v2 report (rusage, span paths)"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events (dispatch lifecycle) to PATH"},
     {"log-level", "LEVEL",
@@ -148,10 +147,8 @@ inline constexpr FlagDoc kShardDFlags[] = {
     {"fault-exit-after", "N",
      "fault-injection hook: die abruptly (no reply) on the job after N "
      "served — simulates a worker killed mid-shard (default off)"},
-    {"profile", "PATH",
-     "write a cts.profile.v1 span-path profile on clean exit"},
-    {"profile-folded", "PATH",
-     "write the profile as collapsed-stack text on clean exit"},
+    {"perf", "PATH",
+     "write the cts.perf.v2 report (rusage, span paths) on clean exit"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events to PATH instead of stderr"},
     {"log-level", "LEVEL",
@@ -191,10 +188,9 @@ inline constexpr FlagDoc kCacdFlags[] = {
     {"request-file", "PATH",
      "query: send this file verbatim as the request instead of building "
      "one from flags"},
-    {"profile", "PATH",
-     "serve: write a cts.profile.v1 span-path profile on clean exit"},
-    {"profile-folded", "PATH",
-     "serve: write the profile as collapsed-stack text on clean exit"},
+    {"perf", "PATH",
+     "serve: write the cts.perf.v2 report (rusage, span paths) on clean "
+     "exit"},
     {"log", "PATH",
      "append cts.events.v1 JSONL events to PATH instead of stderr"},
     {"log-level", "LEVEL",
@@ -250,6 +246,22 @@ inline constexpr FlagDoc kObstopFlags[] = {
     {"help", "", "print usage and exit"},
 };
 
+/// A flag that was removed, and the flag that replaced it.
+struct RetiredFlag {
+  const char* name;         ///< without the leading "--"
+  const char* replacement;  ///< likewise
+};
+
+/// Retired flags.  In every tool or bench whose known-flag list has the
+/// replacement, passing the retired flag is a usage error (exit 2), not the
+/// unknown-flag warning: a script that still passes it would otherwise run
+/// on without the output it asked for.
+inline constexpr RetiredFlag kRetiredFlags[] = {
+    {"openmetrics", "json"},  // cts_obstop: cts.stats.v1 is the only format
+    {"profile", "perf"},      // the span table is the perf report's "paths"
+    {"profile-folded", "perf"},
+};
+
 /// Environment variables the harness honours.
 inline constexpr EnvDoc kEnvVars[] = {
     {"REPRO_FULL", "run at the paper scale (60 replications x 500k frames)"},
@@ -282,13 +294,31 @@ inline constexpr ToolDoc kTools[] = {
      sizeof(kObstopFlags) / sizeof(kObstopFlags[0])},
 };
 
-/// The names of `flags`, for Flags::warn_unknown known-lists.
+/// The names of `flags`, for check_flags known-lists.
 template <std::size_t N>
 inline std::vector<std::string> flag_names(const FlagDoc (&flags)[N]) {
   std::vector<std::string> names;
   names.reserve(N);
   for (const FlagDoc& flag : flags) names.emplace_back(flag.name);
   return names;
+}
+
+/// The flag check every tool and bench runs: throws InvalidArgument
+/// ("--profile was removed; use --perf", exit 2 in every main) for a
+/// retired flag whose replacement is in `known`, then warns about any
+/// other unknown flag on `os` (Flags::warn_unknown) and carries on.
+inline void check_flags(const Flags& flags,
+                        const std::vector<std::string>& known,
+                        std::ostream& os) {
+  for (const RetiredFlag& retired : kRetiredFlags) {
+    if (flags.has(retired.name) &&
+        std::find(known.begin(), known.end(), retired.replacement) !=
+            known.end()) {
+      throw InvalidArgument(std::string("--") + retired.name +
+                            " was removed; use --" + retired.replacement);
+    }
+  }
+  flags.warn_unknown(os, known);
 }
 
 }  // namespace cts::util::cli

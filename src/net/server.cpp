@@ -13,6 +13,7 @@
 #include "cts/net/socket.hpp"
 #include "cts/net/stats.hpp"
 #include "cts/obs/json.hpp"
+#include "cts/obs/perf.hpp"
 #include "cts/obs/span_stats.hpp"
 #include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
@@ -78,8 +79,7 @@ ServerOptions parse_server_options(const util::Flags& flags,
   opt.quiet = flags.get_bool("quiet", false);
   opt.log_path = flags.get_string("log", "");
   opt.log_level = obs::parse_log_level(flags.get_string("log-level", "info"));
-  opt.profile_path = flags.get_string("profile", "");
-  opt.profile_folded = flags.get_string("profile-folded", "");
+  opt.perf_path = flags.get_string("perf", "");
   return opt;
 }
 
@@ -94,6 +94,7 @@ long long Server::served() const {
 
 int Server::run(const Service& service) {
   start_s_ = util::monotonic_s();
+  const obs::ResourceProbe probe;
   // Event sink: --log beats stderr; --quiet silences the default stderr
   // sink but an explicit --log file still receives events.
   obs::EventLog& log = obs::EventLog::global();
@@ -131,22 +132,11 @@ int Server::run(const Service& service) {
   listener_.close();
   if (error_) std::rethrow_exception(error_);
 
-  if (!opt_.profile_path.empty() || !opt_.profile_folded.empty()) {
-    const obs::SpanTable& spans = obs::SpanTable::global();
-    if (!opt_.profile_path.empty() &&
-        !spans.write_profile(opt_.profile_path)) {
-      std::fprintf(stderr, "%s: cannot write profile %s\n",
-                   service.name.c_str(), opt_.profile_path.c_str());
-    }
-    if (!opt_.profile_folded.empty() &&
-        !spans.write_folded_file(opt_.profile_folded)) {
-      std::fprintf(stderr, "%s: cannot write folded profile %s\n",
-                   service.name.c_str(), opt_.profile_folded.c_str());
-    }
-    obs::log_info("profile.write",
-                  {{"samples", spans.spans()},
-                   {"path", opt_.profile_path.empty() ? opt_.profile_folded
-                                                      : opt_.profile_path}});
+  if (!opt_.perf_path.empty() &&
+      !obs::write_perf_report(opt_.perf_path, probe,
+                              {{"run_id", service.name}})) {
+    std::fprintf(stderr, "%s: cannot write perf report %s\n",
+                 service.name.c_str(), opt_.perf_path.c_str());
   }
   obs::log_info("daemon.exit", {{"served", static_cast<std::int64_t>(served_)},
                                 {"reason", opt_.budget_flag}});

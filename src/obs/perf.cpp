@@ -3,7 +3,9 @@
 #include <chrono>
 #include <fstream>
 
+#include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
+#include "cts/obs/span_stats.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -70,12 +72,18 @@ ResourceUsage ResourceProbe::sample() const {
 }
 
 // ---------------------------------------------------------------------------
-// PerfReport
+// The perf report
 
-void PerfReport::write_json(std::ostream& os) const {
-  JsonWriter w(os);
+bool write_perf_report(
+    const std::string& path, const ResourceProbe& probe,
+    const std::vector<std::pair<std::string, std::string>>& info) {
+  const ResourceUsage resources = probe.sample();
+  const std::vector<SpanPathAgg> paths = SpanTable::global().paths();
+  std::ofstream out(path);
+  if (!out) return false;
+  JsonWriter w(out);
   w.begin_object();
-  w.key("schema").value(kSchema);
+  w.key("schema").value(kPerfSchema);
 
   w.key("info").begin_object();
   for (const auto& [k, v] : info) w.key(k).value(v);
@@ -90,21 +98,24 @@ void PerfReport::write_json(std::ostream& os) const {
   w.key("ctx_involuntary").value(resources.ctx_involuntary);
   w.end_object();
 
-  w.key("spans").begin_array();
-  for (const SpanAgg& s : spans) {
+  std::uint64_t spans = 0;
+  w.key("paths").begin_array();
+  for (const SpanPathAgg& p : paths) {
     w.begin_object();
-    w.key("name").value(s.name);
-    w.key("count").value(s.count);
-    w.key("total_us").value(s.total_us);
-    w.key("self_us").value(s.self_us);
-    w.key("min_us").value(s.min_us);
-    w.key("max_us").value(s.max_us);
+    w.key("path").value(p.path);
+    w.key("count").value(p.count);
+    w.key("total_us").value(p.total_us);
+    w.key("self_us").value(p.self_us);
+    w.key("cpu_self_us").value(p.cpu_self_us);
+    w.key("min_us").value(p.min_us);
+    w.key("max_us").value(p.max_us);
     w.end_object();
+    spans += p.count;
   }
   w.end_array();
 
   w.key("phases").begin_array();
-  for (const PhaseSelfTime& p : phase_self_times(spans)) {
+  for (const PhaseSelfTime& p : phase_self_times(spans_by_name(paths))) {
     w.begin_object();
     w.key("phase").value(p.phase);
     w.key("self_us").value(p.self_us);
@@ -114,15 +125,11 @@ void PerfReport::write_json(std::ostream& os) const {
   w.end_array();
 
   w.end_object();
-}
-
-bool PerfReport::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_json(out);
   out.put('\n');
   out.flush();
-  return static_cast<bool>(out);
+  if (!out) return false;
+  log_info("perf.write", {{"spans", spans}, {"path", path}});
+  return true;
 }
 
 }  // namespace cts::obs

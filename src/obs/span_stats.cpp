@@ -1,30 +1,8 @@
 #include "cts/obs/span_stats.hpp"
 
 #include <algorithm>
-#include <fstream>
-
-#include "cts/obs/json.hpp"
 
 namespace cts::obs {
-
-namespace {
-
-std::uint64_t total_count(const std::vector<SpanPathAgg>& paths) {
-  std::uint64_t n = 0;
-  for (const SpanPathAgg& p : paths) n += p.count;
-  return n;
-}
-
-template <typename Write>
-bool write_file(const std::string& path, Write write) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write(out);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 SpanTable& SpanTable::global() {
   static SpanTable* instance = new SpanTable();
@@ -59,40 +37,6 @@ std::vector<SpanPathAgg> SpanTable::paths() const {
   out.reserve(paths_.size());
   for (const auto& [path, agg] : paths_) out.push_back(agg);
   return out;
-}
-
-std::uint64_t SpanTable::spans() const { return total_count(paths()); }
-
-void SpanTable::write_profile_json(std::ostream& os) const {
-  const std::vector<SpanPathAgg> snapshot = paths();
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("schema").value("cts.profile.v1");
-  w.key("backend").value("spans");
-  w.key("samples").value(total_count(snapshot));
-  w.key("stacks").begin_array();
-  for (const SpanPathAgg& p : snapshot) {
-    w.begin_object();
-    w.key("stack").value(p.path);
-    w.key("count").value(p.self_us);
-    w.key("cpu_us").value(p.cpu_self_us);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << "\n";
-}
-
-bool SpanTable::write_profile(const std::string& path) const {
-  return write_file(path, [this](std::ostream& os) { write_profile_json(os); });
-}
-
-void SpanTable::write_folded(std::ostream& os) const {
-  for (const SpanPathAgg& p : paths()) os << p.path << " " << p.self_us << "\n";
-}
-
-bool SpanTable::write_folded_file(const std::string& path) const {
-  return write_file(path, [this](std::ostream& os) { write_folded(os); });
 }
 
 void SpanTable::reset() {

@@ -9,6 +9,8 @@
 //   * the stats endpoint's counters match the requests sent;
 //   * the shared serve flags are parsed strictly;
 //   * request spans fold into the stats span table, with no raw span log;
+//   * a server built with a perf path writes its cts.perf.v2 report on a
+//     clean exit;
 //   * the acceptor pool: sequential clients reuse the same two threads,
 //     and a flood past the cap never grows the process by more than the
 //     pool's kMaxConnections + 1 threads.
@@ -36,6 +38,7 @@
 #include "cts/net/server.hpp"
 #include "cts/net/socket.hpp"
 #include "cts/net/stats.hpp"
+#include "cts/obs/json.hpp"
 #include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/util/clock.hpp"
@@ -65,11 +68,13 @@ using Handler = std::function<net::Reply(const std::string&, net::Server&)>;
 /// stands in for a daemon's request handler.
 class RunningServer {
  public:
-  RunningServer(const std::string& name, long long budget, Handler handle)
+  RunningServer(const std::string& name, long long budget, Handler handle,
+                std::string perf_path = "")
       : port_file_(::testing::TempDir() + "/" + name + ".port") {
     std::remove(port_file_.c_str());
     net::ServerOptions opt;
     opt.port_file = port_file_;
+    opt.perf_path = std::move(perf_path);
     opt.budget_flag = "max-requests";
     opt.max_served = budget;
     opt.quiet = true;
@@ -306,6 +311,8 @@ TEST(NetServer, ServeFlagsAreParsedStrictly) {
   const net::ServerOptions defaults = parse({});
   EXPECT_EQ(defaults.max_served, 0);
   EXPECT_EQ(parse({"--max-requests=3"}).max_served, 3);
+  EXPECT_EQ(defaults.perf_path, "");
+  EXPECT_EQ(parse({"--perf=p.json"}).perf_path, "p.json");
 
   EXPECT_THROW(parse({"--max-requests=-1"}), cu::InvalidArgument);
   EXPECT_THROW(parse({"--port=65536"}), cu::InvalidArgument);
@@ -341,6 +348,41 @@ TEST(NetServer, SpansFoldIntoTheStatsTableWithoutARawLog) {
   (void)round_trip(ep, "last");
   EXPECT_EQ(rs.join(), 0);
   EXPECT_EQ(cts::obs::TraceRecorder::global().event_count(), 0u);
+}
+
+// --perf: the report appears only once run() returns from a clean exit, with
+// the rusage since run() began and the request spans under their path.
+TEST(NetServer, PerfPathWritesTheReportOnCleanExit) {
+  cts::obs::SpanTable::global().reset();
+  const std::string perf = ::testing::TempDir() + "/server_perf.json";
+  std::remove(perf.c_str());
+  RunningServer rs(
+      "perf", 2,
+      [](const std::string&, net::Server&) {
+        cts::obs::ScopedSpan span("srv.request");
+        return ok_reply();
+      },
+      perf);
+  const net::Endpoint ep = rs.endpoint();
+  (void)round_trip(ep, "first");
+  EXPECT_FALSE(std::filesystem::exists(perf));
+  (void)round_trip(ep, "last");
+  EXPECT_EQ(rs.join(), 0);
+
+  const cts::obs::JsonValue doc =
+      cts::obs::json_parse(cu::read_text_file(perf));
+  EXPECT_EQ(doc.at("schema").as_string(), "cts.perf.v2");
+  EXPECT_EQ(doc.at("info").at("run_id").as_string(), "perf");
+  EXPECT_GT(doc.at("resources").at("wall_s").as_number(), 0.0);
+  bool request_path = false;
+  for (const cts::obs::JsonValue& entry : doc.at("paths").items) {
+    if (entry.at("path").as_string() != "srv.request") continue;
+    request_path = true;
+    EXPECT_EQ(entry.int_at("count"), 2);
+    EXPECT_GE(entry.int_at("cpu_self_us"), 0);
+  }
+  EXPECT_TRUE(request_path) << cu::read_text_file(perf);
+  cts::obs::SpanTable::global().reset();
 }
 
 TEST(NetServer, SequentialRoundTripsAreServedByAtMostTwoThreads) {

@@ -1,19 +1,21 @@
-// ResourceProbe / PerfReport: the probe must measure a busy region (wall
-// and CPU time move, RSS is positive) and the serialised cts.perf.v1
-// report must pass the strict JSON validator with exactly the info,
-// resources, spans and phases sections.
+// ResourceProbe / write_perf_report: the probe must measure a busy region
+// (wall and CPU time move, RSS is positive) and the cts.perf.v2 report must
+// pass the strict JSON validator with exactly the info, resources, paths
+// and phases sections.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
+#include "cts/obs/span_stats.hpp"
+#include "cts/util/file.hpp"
 
 namespace obs = cts::obs;
+namespace cu = cts::util;
 
 namespace {
 
@@ -47,30 +49,44 @@ TEST(ResourceProbe, RestartRearmsDeltas) {
 }
 
 TEST(PerfReport, SerialisesToValidJson) {
-  obs::PerfReport report;
-  report.info.emplace_back("run_id", "unit_test");
-  report.info.emplace_back("bench_kind", "sim");
+  obs::SpanTable& table = obs::SpanTable::global();
+  table.reset();
+  for (int i = 0; i < 4; ++i) {
+    table.fold("replication;fluid_mux.run", "fluid_mux.run", 250, 200, 150);
+  }
+  table.fold("replication", "replication", 1200, 200, 180);
   obs::ResourceProbe probe;
   busy_work();
-  report.resources = probe.sample();
-  report.spans.push_back({"fluid_mux.run", 4, 1000, 800, 100, 400});
-  report.spans.push_back({"replication", 2, 1200, 200, 500, 700});
 
-  std::ostringstream os;
-  report.write_json(os);
+  const std::string path = ::testing::TempDir() + "/perf_report.json";
+  ASSERT_TRUE(obs::write_perf_report(
+      path, probe, {{"run_id", "unit_test"}, {"bench_kind", "sim"}}));
+  table.reset();
+  const std::string text = cu::read_text_file(path);
   std::string error;
-  ASSERT_TRUE(obs::json_parse_check(os.str(), &error)) << error << os.str();
+  ASSERT_TRUE(obs::json_parse_check(text, &error)) << error << text;
 
-  const obs::JsonValue doc = obs::json_parse(os.str());
-  EXPECT_EQ(doc.at("schema").as_string(), "cts.perf.v1");
+  const obs::JsonValue doc = obs::json_parse(text);
+  EXPECT_EQ(doc.at("schema").as_string(), "cts.perf.v2");
   EXPECT_EQ(doc.at("info").at("run_id").as_string(), "unit_test");
   EXPECT_GT(doc.at("resources").at("wall_s").as_number(), 0.0);
   EXPECT_GT(doc.at("resources").at("max_rss_kb").as_number(), 0.0);
-  // No hardware-counter section: the report's top level is exactly this.
+  // No hardware-counter section and no by-name span array: the report's
+  // top level is exactly this.
   std::vector<std::string> keys;
   for (const auto& [key, value] : doc.members) keys.push_back(key);
   EXPECT_EQ(keys, (std::vector<std::string>{"schema", "info", "resources",
-                                            "spans", "phases"}));
+                                            "paths", "phases"}));
+  const obs::JsonValue& paths = doc.at("paths");
+  ASSERT_EQ(paths.size(), 2u);
+  const obs::JsonValue& mux = paths.at(std::size_t{1});
+  EXPECT_EQ(mux.at("path").as_string(), "replication;fluid_mux.run");
+  EXPECT_EQ(mux.int_at("count"), 4);
+  EXPECT_EQ(mux.int_at("total_us"), 1000);
+  EXPECT_EQ(mux.int_at("self_us"), 800);
+  EXPECT_EQ(mux.int_at("cpu_self_us"), 600);
+  EXPECT_EQ(mux.int_at("min_us"), 250);
+  EXPECT_EQ(mux.int_at("max_us"), 250);
   // Phase rollup: fluid_mux (self 800) sorts before replication (self 200).
   const obs::JsonValue& phases = doc.at("phases");
   ASSERT_EQ(phases.size(), 2u);
@@ -79,8 +95,8 @@ TEST(PerfReport, SerialisesToValidJson) {
 }
 
 TEST(PerfReport, WriteFailsGracefullyOnBadPath) {
-  obs::PerfReport report;
-  EXPECT_FALSE(report.write("/nonexistent_dir_cts_test/perf.json"));
+  EXPECT_FALSE(obs::write_perf_report("/nonexistent_dir_cts_test/perf.json",
+                                      obs::ResourceProbe(), {}));
 }
 
 }  // namespace

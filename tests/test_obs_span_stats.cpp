@@ -10,16 +10,18 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cts/obs/json.hpp"
+#include "cts/obs/perf.hpp"
 #include "cts/obs/span_stats.hpp"
 #include "cts/obs/trace.hpp"
+#include "cts/util/file.hpp"
 
 namespace obs = cts::obs;
+namespace cu = cts::util;
 
 namespace {
 
@@ -171,7 +173,6 @@ TEST_F(AggregateSpans, SortedBySelfTimeDescending) {
 
 TEST_F(AggregateSpans, EmptyInput) {
   EXPECT_TRUE(obs::SpanTable::global().paths().empty());
-  EXPECT_EQ(obs::SpanTable::global().spans(), 0u);
   EXPECT_TRUE(obs::spans_by_name({}).empty());
   EXPECT_TRUE(obs::phase_self_times({}).empty());
 }
@@ -203,6 +204,41 @@ TEST(PhaseSelfTimes, RollsUpByPrefix) {
   EXPECT_EQ(phases[1].self_us, 50);
 }
 
+/// The cts.perf.v2 report of the global table, written and parsed back.
+obs::JsonValue perf_report() {
+  const std::string path = ::testing::TempDir() + "/span_stats_perf.json";
+  EXPECT_TRUE(obs::write_perf_report(path, obs::ResourceProbe(), {}));
+  return obs::json_parse(cu::read_text_file(path));
+}
+
+/// The report's "paths" equal `paths` field for field, and its "phases"
+/// equal phase_self_times(spans_by_name(paths)).
+void expect_report_matches(const obs::JsonValue& doc,
+                           const std::vector<obs::SpanPathAgg>& paths) {
+  const obs::JsonValue& entries = doc.at("paths");
+  ASSERT_EQ(entries.size(), paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const obs::JsonValue& e = entries.at(i);
+    const obs::SpanPathAgg& p = paths[i];
+    EXPECT_EQ(e.at("path").as_string(), p.path);
+    EXPECT_EQ(e.int_at("count"), static_cast<std::int64_t>(p.count));
+    EXPECT_EQ(e.int_at("total_us"), p.total_us) << p.path;
+    EXPECT_EQ(e.int_at("self_us"), p.self_us) << p.path;
+    EXPECT_EQ(e.int_at("cpu_self_us"), p.cpu_self_us) << p.path;
+    EXPECT_EQ(e.int_at("min_us"), p.min_us) << p.path;
+    EXPECT_EQ(e.int_at("max_us"), p.max_us) << p.path;
+  }
+  const std::vector<obs::PhaseSelfTime> phases =
+      obs::phase_self_times(obs::spans_by_name(paths));
+  ASSERT_EQ(doc.at("phases").size(), phases.size());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const obs::JsonValue& e = doc.at("phases").at(i);
+    EXPECT_EQ(e.at("phase").as_string(), phases[i].phase);
+    EXPECT_EQ(e.int_at("self_us"), phases[i].self_us) << phases[i].phase;
+    EXPECT_EQ(e.int_at("spans"), static_cast<std::int64_t>(phases[i].spans));
+  }
+}
+
 /// One thread's workload: `rounds` root spans, each with nested children
 /// and a repeated child name under two parents.
 void nested_work(const char* root, const char* a, const char* b,
@@ -228,8 +264,8 @@ void nested_work(const char* root, const char* a, const char* b,
 
 // Two threads with nested spans at once: on each thread the folded wall
 // self times add up to the root spans' total exactly, the per-name
-// roll-up matches the paths it came from, and the collapsed-stack text
-// parses back into the cts.profile.v1 stacks.
+// roll-up matches the paths it came from, and the cts.perf.v2 report
+// carries every path and the phase roll-up of exactly that table.
 TEST_F(AggregateSpans, TwoThreadSelfTimesAddUpToRootWallExactly) {
   std::atomic<int> ready{0};
   auto run = [&ready](const char* root, const char* a, const char* b,
@@ -281,30 +317,16 @@ TEST_F(AggregateSpans, TwoThreadSelfTimesAddUpToRootWallExactly) {
   }
   EXPECT_EQ(find(aggs, "t1.b")->count, 100u);  // under t1.a and t1.c
 
-  std::ostringstream folded;
-  obs::SpanTable::global().write_folded(folded);
-  std::map<std::string, std::int64_t> from_text;
-  std::istringstream lines(folded.str());
-  for (std::string line; std::getline(lines, line);) {
-    const std::size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    from_text[line.substr(0, space)] = std::stoll(line.substr(space + 1));
-  }
-  std::ostringstream json;
-  obs::SpanTable::global().write_profile_json(json);
-  const obs::JsonValue doc = obs::json_parse(json.str());
-  std::map<std::string, std::int64_t> from_json;
-  for (const obs::JsonValue& stack : doc.at("stacks").items) {
-    from_json[stack.at("stack").as_string()] = stack.int_at("count");
-  }
-  EXPECT_EQ(from_text, from_json);
-  EXPECT_EQ(doc.int_at("samples"), 500);  // 5 spans x 50 rounds x 2
+  const obs::JsonValue doc = perf_report();
+  expect_report_matches(doc, paths);
+  std::int64_t spans = 0;
+  for (const obs::JsonValue& e : doc.at("paths").items) spans += e.int_at("count");
+  EXPECT_EQ(spans, 500);  // 5 spans x 50 rounds x 2
 }
 
 // ---------------------------------------------------------------------------
-// Span-path profiles (--profile / --profile-folded): the cts.profile.v1
-// document and the collapsed-stack text written from the span table, with
-// exact wall and thread-CPU self time per span path.
+// Span-path profiles: the span table behind the "paths" of the cts.perf.v2
+// report (--perf), with exact wall and thread-CPU self time per span path.
 
 // The span table and the recorder are process-wide state; every case
 // starts and leaves them empty.
@@ -379,7 +401,7 @@ TEST_F(ProfilerTest, StopMidSpanStaysBalanced) {
   EXPECT_EQ(stacks.count("fresh.span"), 1u);
 }
 
-TEST_F(ProfilerTest, FoldedTextAndJsonExports) {
+TEST_F(ProfilerTest, PerfReportPathsMatchTheSpanTable) {
   {
     obs::ScopedSpan span("export.work");
     spin_ms(2);
@@ -389,30 +411,13 @@ TEST_F(ProfilerTest, FoldedTextAndJsonExports) {
     }
   }
 
-  std::ostringstream folded_text;
-  obs::SpanTable::global().write_folded(folded_text);
-  EXPECT_NE(folded_text.str().find("export.work "), std::string::npos);
-  EXPECT_NE(folded_text.str().find("export.work;export.inner "),
-            std::string::npos);
-
-  std::ostringstream json;
-  obs::SpanTable::global().write_profile_json(json);
-  std::string error;
-  ASSERT_TRUE(obs::json_parse_check(json.str(), &error)) << error;
-  const obs::JsonValue doc = obs::json_parse(json.str());
-  EXPECT_EQ(doc.at("schema").as_string(), "cts.profile.v1");
-  EXPECT_EQ(doc.at("backend").as_string(), "spans");
-  EXPECT_EQ(doc.int_at("samples"), 2);
-  EXPECT_EQ(doc.find("hz"), nullptr);
-  EXPECT_EQ(doc.find("dropped"), nullptr);
-  const auto stacks = folded();
-  ASSERT_EQ(doc.at("stacks").size(), 2u);
-  for (const obs::JsonValue& entry : doc.at("stacks").items) {
-    const obs::SpanPathAgg& p = stacks.at(entry.at("stack").as_string());
-    EXPECT_EQ(entry.int_at("count"), p.self_us);
-    EXPECT_EQ(entry.int_at("cpu_us"), p.cpu_self_us);
-    EXPECT_GE(p.self_us, 2000) << p.path;
-  }
+  const obs::JsonValue doc = perf_report();
+  const std::vector<obs::SpanPathAgg> paths = obs::SpanTable::global().paths();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths[0].path, "export.work");
+  EXPECT_EQ(paths[1].path, "export.work;export.inner");
+  for (const obs::SpanPathAgg& p : paths) EXPECT_GE(p.self_us, 2000) << p.path;
+  expect_report_matches(doc, paths);
 }
 
 TEST_F(ProfilerTest, ProfilesWorkWithoutTracingEnabled) {

@@ -2,8 +2,8 @@
 // malformed threshold must exit 2 with an error naming the entry and the
 // offending value.  Before the fix, std::stod silently accepted trailing
 // junk ("250abc" gated at 250 ms) -- a typo'd objective then passed or
-// failed CI on the wrong number.  Also pins that --openmetrics is not a
-// mode of the tool.
+// failed CI on the wrong number.  Also pins that --openmetrics is a
+// retired flag, not a mode of the tool.
 
 #include <gtest/gtest.h>
 
@@ -84,19 +84,22 @@ TEST(ObstopCli, WellFormedSloPassesParsingAndFailsOnlyOnTheQuery) {
 }
 
 TEST(ObstopCli, OpenMetricsIsAnUnknownFlag) {
-  // JSON is the only stats encoding: --openmetrics is no mode, only the
-  // unknown-flag warning, and without --workers the call is a usage error.
+  // JSON is the only stats encoding: --openmetrics is a retired flag, a
+  // usage error naming --json, with or without --workers: with a worker, a
+  // warning alone would leave the live table polling until interrupted.
   std::string err;
   EXPECT_EQ(run_obstop("--openmetrics", &err), 2);
-  EXPECT_NE(err.find("unknown flag --openmetrics"), std::string::npos) << err;
+  EXPECT_NE(err.find("--openmetrics was removed; use --json"),
+            std::string::npos)
+      << err;
 
-  // With a worker it falls through to the live table: one poll of a port
-  // nothing listens on fails with the query exit code 1.
   EXPECT_EQ(run_obstop("--workers=127.0.0.1:1 --openmetrics --iterations=1 "
                        "--quiet",
                        &err),
-            1);
-  EXPECT_NE(err.find("unknown flag --openmetrics"), std::string::npos) << err;
+            2);
+  EXPECT_NE(err.find("--openmetrics was removed; use --json"),
+            std::string::npos)
+      << err;
 }
 
 #endif  // CTS_TOOLS_BIN_DIR

@@ -1,10 +1,14 @@
-// Seeded mutation test for the parsers that read files other processes
+// Seeded mutation test for the parsers that read what other processes
 // wrote: cts.shard.v1 (parse_shard_file), the metrics snapshot inside it
-// (metrics_snapshot_from_json) and cts.scenarioresult.v1
-// (parse_scenario_result).  Each seed document comes from the real
-// writers: a shard file recorded by run_replicated through the
-// ShardRecorder, and the committed result of
-// examples/scenarios/policed_smoothed.scn.  Every mutant must be accepted
+// (metrics_snapshot_from_json), cts.scenarioresult.v1
+// (parse_scenario_result) and the wire documents the daemons and their
+// clients exchange: cts.cac.v1 / cts.cacresult.v1 (parse_cac_request,
+// parse_cac_response), cts.job.v1 / cts.jobresult.v1 (parse_job,
+// parse_job_result) and cts.stats.v1 (parse_stats).  Each seed document
+// comes from the real writers: a shard file recorded by run_replicated
+// through the ShardRecorder, the committed result of
+// examples/scenarios/policed_smoothed.scn, and the net write_*_json
+// functions.  Every mutant must be accepted
 // or rejected with a cts::util::Error, never crash, hang or escape with
 // another exception type.  The run is deterministic (fixed seeds, fixed
 // iteration counts), so a failure reproduces exactly; under the sanitizer
@@ -20,6 +24,9 @@
 #include <string>
 
 #include "cts/fit/model_zoo.hpp"
+#include "cts/net/cac.hpp"
+#include "cts/net/job.hpp"
+#include "cts/net/stats.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
 #include "cts/sim/replication.hpp"
@@ -28,6 +35,7 @@
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 
+namespace net = cts::net;
 namespace obs = cts::obs;
 namespace sim = cts::sim;
 namespace cu = cts::util;
@@ -186,6 +194,123 @@ TEST(ParseMutation, ScenarioResultAcceptsOrRejectsWithCtsError) {
   fuzz(seed, 3, [](const std::string& text) {
     (void)sim::parse_scenario_result(text);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Wire documents
+
+/// A cts.cac.v1 batch with one query of each kind against `model`.
+std::string cac_request_seed(const net::CacModel& model) {
+  net::CacRequest request;
+  request.model = model;
+  request.deadline_s = 5;
+  net::CacQuery br;
+  br.kind = net::CacQueryKind::kAdmitBr;
+  br.capacity = 16140;
+  br.buffer = 4035;
+  br.log10_clr = -6;
+  net::CacQuery eb = br;
+  eb.kind = net::CacQueryKind::kAdmitEb;
+  net::CacQuery bop = br;
+  bop.kind = net::CacQueryKind::kBop;
+  bop.n = 50;
+  bop.interpolate = true;
+  request.queries = {br, eb, bop};
+  return net::write_cac_request_json(request);
+}
+
+// One named parse function for both seeds, not two identical lambdas: GCC
+// folds identical functions at -O2, and under ThreadSanitizer the folded
+// copy drops a shadow-stack entry on every throw through it, so the
+// runtime's memory grows without bound over the mutants.
+void parse_cac_request_text(const std::string& text) {
+  (void)net::parse_cac_request(text);
+}
+
+// A zoo model id and an inline lrd model take different model branches.
+TEST(ParseMutation, CacRequestAcceptsOrRejectsWithCtsError) {
+  net::CacModel zoo;
+  zoo.zoo_id = "za:0.9";
+  fuzz(cac_request_seed(zoo), 4, parse_cac_request_text);
+  net::CacModel lrd;
+  lrd.kind = "lrd";
+  lrd.mean = 500;
+  lrd.variance = 5000;
+  lrd.hurst = 0.9;
+  lrd.weight = 0.9;
+  fuzz(cac_request_seed(lrd), 5, parse_cac_request_text);
+}
+
+TEST(ParseMutation, CacResponseAcceptsOrRejectsWithCtsError) {
+  net::CacResponse response;
+  response.ok = true;
+  response.model_name = "Z^0.9";
+  response.elapsed_s = 0.012;
+  net::CacAnswer admit;
+  admit.ok = true;
+  admit.admissible = 30;
+  admit.log10_bop = -6.4;
+  net::CacAnswer failed;
+  failed.error = "asymptotic_variance_rate: diverges";
+  net::CacAnswer interp;
+  interp.ok = true;
+  interp.log10_bop = -5.9;
+  interp.interpolated = true;
+  response.answers = {admit, failed, interp};
+  fuzz(net::write_cac_response_json(response), 6,
+       [](const std::string& text) { (void)net::parse_cac_response(text); });
+}
+
+TEST(ParseMutation, JobAcceptsOrRejectsWithCtsError) {
+  net::JobRequest job;
+  job.bench_id = "fig9_sim_markov";
+  job.shard_index = 1;
+  job.shard_count = 4;
+  job.env = {{"REPRO_REPS", "3"}, {"REPRO_FRAMES", "500"}};
+  job.timeout_s = 300;
+  job.attempt = 2;
+  fuzz(net::write_job_json(job), 7,
+       [](const std::string& text) { (void)net::parse_job(text); });
+}
+
+TEST(ParseMutation, JobResultAcceptsOrRejectsWithCtsError) {
+  obs::MetricsRegistry registry;
+  net::JobResult result;
+  result.ok = true;
+  result.shard_json = recorded_shard_file(&registry);
+  result.elapsed_s = 1.25;
+  result.has_obs = true;
+  result.obs.recv_us = 1000;
+  result.obs.send_us = 251000;
+  result.obs.metrics.add("shardd.jobs", 1);
+  result.obs.metrics.add_sum("shardd.cells", 1234.5);
+  result.obs.metrics.gauge("shardd.peak", 7.5, obs::GaugeMode::kMax);
+  result.obs.metrics.observe_log("shardd.job_wall_ms", 250.0);
+  result.obs.spans = {{"shardd.job", 0, 1000, 250000},
+                      {"shardd.exec", 1, 2000, 240000}};
+  fuzz(net::write_job_result_json(result), 8,
+       [](const std::string& text) { (void)net::parse_job_result(text); });
+}
+
+TEST(ParseMutation, StatsAcceptsOrRejectsWithCtsError) {
+  net::WorkerStats stats;
+  stats.worker = "cts_shardd:9001";
+  stats.pid = 4242;
+  stats.uptime_s = 12.5;
+  stats.jobs_in_flight = 1;
+  stats.jobs_ok = 5;
+  stats.jobs_failed = 1;
+  stats.jobs_retried = 2;
+  stats.stats_served = 3;
+  stats.metrics.add("shardd.jobs_ok", 5);
+  stats.metrics.add_sum("shardd.busy_s", 3.25);
+  stats.metrics.gauge("shardd.threads", 3.0, obs::GaugeMode::kMax);
+  stats.metrics.observe_log("shardd.job_wall_ms", 120.0);
+  stats.metrics.observe_log("shardd.job_wall_ms", 900.0);
+  stats.spans = {{"shardd.exec", 5, 1000000, 900000, 150000, 250000},
+                 {"shardd.job", 6, 1100000, 100000, 1000, 260000}};
+  fuzz(net::write_stats_json(stats), 9,
+       [](const std::string& text) { (void)net::parse_stats(text); });
 }
 
 }  // namespace

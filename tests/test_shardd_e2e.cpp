@@ -363,11 +363,11 @@ TEST(ShardDE2E, AllWorkersDownFallsBackToLocalExecution) {
   EXPECT_EQ(counters.find("simd.net.jobs_ok"), nullptr);
 }
 
-// The profiling & SLO layer end to end: a loopback run with --profile on
+// The profiling & SLO layer end to end: a loopback run with --perf on
 // both sides must still merge bit-identically to a single-process run
 // without it, the worker must answer latency-SLO queries (pass AND breach)
-// from its log-bucketed histograms, and both processes must emit
-// cts.profile.v1 documents on clean exit.
+// from its log-bucketed histograms, and both processes must write
+// cts.perf.v2 reports on clean exit.
 TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
   const std::string dir = ::testing::TempDir() + "/shardd_profile";
   ASSERT_EQ(fresh_dir(dir), 0);
@@ -375,21 +375,19 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
 
   // --max-jobs=2: one profiled job now, one later to drain the daemon —
   // between them the daemon stays alive for the SLO queries.
-  const std::string worker_profile = dir + "/w1_profile.json";
-  const int p1 = start_worker(
-      dir, "w1", "--max-jobs=2 --profile='" + worker_profile + "'");
+  const std::string worker_perf = dir + "/w1_perf.json";
+  const int p1 =
+      start_worker(dir, "w1", "--max-jobs=2 --perf='" + worker_perf + "'");
   ASSERT_GT(p1, 0);
   const std::string worker = "127.0.0.1:" + std::to_string(p1);
 
   const std::string merged = dir + "/net_metrics.json";
-  const std::string dispatch_profile = dir + "/dispatch_profile.json";
-  const std::string dispatch_folded = dir + "/dispatch.folded";
+  const std::string dispatch_perf = dir + "/dispatch_perf.json";
   ASSERT_EQ(
       shell(kScale +
             ("'" + simd() + "' run " + kBench + " --workers=" + worker +
              " --shards=1 --out-dir='" + dir + "/net_out' --metrics='" +
-             merged + "' --profile='" + dispatch_profile +
-             "' --profile-folded='" + dispatch_folded + "' --bench-dir='" +
+             merged + "' --perf='" + dispatch_perf + "' --bench-dir='" +
              CTS_BENCH_BIN_DIR + "' --quiet > '" + dir + "/net.log' 2>&1")),
       0);
 
@@ -412,49 +410,48 @@ TEST(ShardDE2E, ProfiledRunWithSloGateEmitsValidArtifacts) {
                   "> /dev/null 2>&1"),
             3);
 
-  // Drain the worker's second job so the daemon exits and flushes its
-  // profile.
+  // Drain the worker's second job so the daemon exits and writes its
+  // perf report.
   EXPECT_EQ(shell(kScale + ("'" + simd() + "' run " + kBench +
                             " --workers=" + worker + " --shards=1 --out-dir='" +
                             dir + "/out2' --metrics='" + dir +
                             "/net2_metrics.json' --bench-dir='" +
                             CTS_BENCH_BIN_DIR + "' --quiet > /dev/null 2>&1")),
             0);
-  std::string profile_text;
+  std::string perf_text;
   for (int i = 0; i < 100; ++i) {
-    if (cu::read_text_file(worker_profile, &profile_text, nullptr) &&
-        !profile_text.empty()) {
+    if (cu::read_text_file(worker_perf, &perf_text, nullptr) &&
+        !perf_text.empty()) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-  ASSERT_FALSE(profile_text.empty()) << "worker never wrote its profile";
+  ASSERT_FALSE(perf_text.empty()) << "worker never wrote its perf report";
 
-  // Both profiles are strict-JSON cts.profile.v1 documents with folded
-  // spans in them; the worker's carries its job span.
-  for (const std::string& path : {worker_profile, dispatch_profile}) {
+  // Both reports are strict-JSON cts.perf.v2 documents with the process's
+  // rusage and its span paths; the worker's carries its job span.
+  for (const std::string& path : {worker_perf, dispatch_perf}) {
     const std::string doc_text = cu::read_text_file(path);
     std::string error;
     ASSERT_TRUE(obs::json_parse_check(doc_text, &error)) << path << ": "
                                                          << error;
     const obs::JsonValue doc = obs::json_parse(doc_text);
-    EXPECT_EQ(doc.at("schema").as_string(), "cts.profile.v1") << path;
-    EXPECT_GT(doc.at("samples").as_number(), 0.0) << path;
-    EXPECT_TRUE(doc.at("stacks").is_array()) << path;
+    EXPECT_EQ(doc.at("schema").as_string(), "cts.perf.v2") << path;
+    EXPECT_GT(doc.at("resources").at("wall_s").as_number(), 0.0) << path;
+    EXPECT_GT(doc.at("paths").size(), 0u) << path;
     EXPECT_EQ(shell("'" + obstop() + "' --validate '" + path +
                     "' --quiet > /dev/null 2>&1"),
               0);
   }
   const obs::JsonValue worker_doc =
-      obs::json_parse(cu::read_text_file(worker_profile));
-  bool job_stack = false;
-  for (const obs::JsonValue& stack : worker_doc.at("stacks").items) {
-    job_stack = job_stack || stack.at("stack").as_string() == "shardd.job";
+      obs::json_parse(cu::read_text_file(worker_perf));
+  bool job_path = false;
+  for (const obs::JsonValue& entry : worker_doc.at("paths").items) {
+    if (entry.at("path").as_string() != "shardd.job") continue;
+    job_path = true;
+    EXPECT_GE(entry.int_at("cpu_self_us"), 0);
   }
-  EXPECT_TRUE(job_stack) << cu::read_text_file(worker_profile);
-  // The dispatcher's folded export exists alongside the JSON document.
-  std::string folded_text;
-  EXPECT_TRUE(cu::read_text_file(dispatch_folded, &folded_text, nullptr));
+  EXPECT_TRUE(job_path) << cu::read_text_file(worker_perf);
 }
 
 TEST(ShardDE2E, DaemonRejectsAnUnknownBenchId) {
@@ -493,6 +490,25 @@ TEST(ShardDE2E, OutOfRangeServeFlagsExitTwoBeforeListening) {
               2)
         << flag;
     EXPECT_FALSE(cu::read_text_file(port_file, nullptr, nullptr)) << flag;
+  }
+}
+
+TEST(ShardDE2E, RetiredProfileFlagsExitTwoBeforeListening) {
+  const std::string dir = ::testing::TempDir() + "/shardd_retired";
+  ASSERT_EQ(fresh_dir(dir), 0);
+  const std::string port_file = dir + "/w.port";
+  const std::string log = dir + "/w.log";
+  for (const std::string flag : {"profile", "profile-folded"}) {
+    EXPECT_EQ(shell("timeout 10 '" + shardd() + "' --port=0 --port-file='" +
+                    port_file + "' --work-dir='" + dir + "/work' --" + flag +
+                    "='" + dir + "/p.json' > '" + log + "' 2>&1"),
+              2)
+        << flag;
+    EXPECT_FALSE(cu::read_text_file(port_file, nullptr, nullptr)) << flag;
+    EXPECT_NE(cu::read_text_file(log).find("cts_shardd: --" + flag +
+                                           " was removed; use --perf"),
+              std::string::npos)
+        << cu::read_text_file(log);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -405,6 +406,28 @@ TEST(BenchBinaries, MalformedFlagValueExitsTwo) {
                                   std::string(value) + "'"),
               std::string::npos)
         << read_file(log);
+  }
+}
+
+TEST(BenchBinaries, RetiredProfileFlagsExitTwoNamingPerf) {
+  // --perf carries the span-path table: the retired profile flags are a
+  // usage error, so a script that still passes one notices at once instead
+  // of getting no profile.
+  const std::string log = ::testing::TempDir() + "/bench_retired_flag.log";
+  const std::string profile = ::testing::TempDir() + "/bench_retired.json";
+  const std::string bench = std::string(CTS_BENCH_BIN_DIR) + "/bench_table1";
+  for (const char* flag : {"profile", "profile-folded"}) {
+    SCOPED_TRACE(flag);
+    std::remove(profile.c_str());
+    const cu::WaitOutcome outcome = run(
+        {bench, "--quiet", std::string("--") + flag + "=" + profile}, log);
+    EXPECT_EQ(outcome.kind, cu::WaitOutcome::Kind::kExited);
+    EXPECT_EQ(outcome.exit_code, 2);
+    EXPECT_NE(read_file(log).find("table1: --" + std::string(flag) +
+                                  " was removed; use --perf"),
+              std::string::npos)
+        << read_file(log);
+    EXPECT_FALSE(std::filesystem::exists(profile));
   }
 }
 

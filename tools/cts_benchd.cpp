@@ -2,7 +2,7 @@
 //
 // Runs a configurable suite of the figure/table benches (bench_suite.hpp)
 // with warmup + R measured repeats each.  Every measured run executes the
-// bench binary with --perf=<tmp>.json; the child's cts.perf.v1 report
+// bench binary with --perf=<tmp>.json; the child's cts.perf.v2 report
 // (getrusage deltas and span self-time table) is parsed back and
 // aggregated into median / MAD / 95% CI per metric.  The result is one
 // canonical, schema-versioned cts.bench.v1 document — BENCH_<ISO-date>.json
@@ -280,10 +280,10 @@ int gate_baselines(std::vector<obs::BaselineDoc> docs, const GateArgs& args) {
       write_report(reports.size() == 1 ? args.svg : tagged_path(args.svg, tag),
                    obs::trend_svg(report), args.quiet);
     }
+    drift = drift || report.has_drift();
+    if (!args.gate) continue;
     for (const obs::TrendSeries& series : report.series) {
-      if (!series.drift_regression) continue;
-      drift = true;
-      if (args.gate) {
+      if (series.drift_regression) {
         std::fprintf(stderr, "%s\n", obs::regression_line(series).c_str());
       }
     }
@@ -364,7 +364,7 @@ bool run_once(const Options& opt, const bench::BenchSpec& spec,
   if (!cu::read_text_file(perf_path, &text, error)) return false;
   try {
     const obs::JsonValue doc = obs::json_parse(text);
-    cu::require(doc.at("schema").as_string() == obs::PerfReport::kSchema,
+    cu::require(doc.at("schema").as_string() == obs::kPerfSchema,
                 "unexpected perf schema");
     const obs::JsonValue& res = doc.at("resources");
     for (const char* name : kMetricNames) {
@@ -655,7 +655,8 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kBenchdFlags));
+    cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kBenchdFlags),
+                         std::cerr);
 
     // Structured events are opt-in: --log appends cts.events.v1 JSONL with
     // the suite/bench lifecycle (stderr keeps the human progress lines).

@@ -2,7 +2,7 @@
 //
 //   cts_cacd [serve] [--port=N] [--port-file=PATH] [--max-requests=N]
 //            [--deadline=SECS] [--log=PATH] [--log-level=LEVEL] [--quiet]
-//            [--profile=PATH] [--profile-folded=PATH]
+//            [--perf=PATH]
 //   cts_cacd query --port=N [--host=H] [--model=ID] [--capacity=C]
 //            [--buffer=B] [--clr=L] [--kind=K,K,...] [--n=N] [--interp]
 //            [--deadline=SECS] [--timeout=SECS] [--request-file=PATH]
@@ -90,7 +90,7 @@ void usage() {
       "usage: cts_cacd [serve] [--port=N] [--port-file=PATH]\n"
       "                [--max-requests=N] [--deadline=SECS] [--log=PATH]\n"
       "                [--log-level=debug|info|warn|error] [--quiet]\n"
-      "                [--profile=PATH] [--profile-folded=PATH]\n"
+      "                [--perf=PATH]\n"
       "       cts_cacd query --port=N [--host=H] [--model=ID]\n"
       "                [--capacity=C] [--buffer=B] [--clr=L]\n"
       "                [--kind=admit_br,admit_eb,bop] [--n=N] [--interp]\n"
@@ -384,7 +384,8 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kCacdFlags));
+    cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kCacdFlags),
+                         std::cerr);
 
     std::string mode = "serve";
     if (argc > 1 && argv[1][0] != '-') mode = argv[1];

@@ -406,8 +406,8 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr,
-                       cu::cli::flag_names(cu::cli::kObstopFlags));
+    cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kObstopFlags),
+                         std::cerr);
     const bool quiet = flags.get_bool("quiet", false);
 
     if (flags.has("validate")) {

@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr, cli::flag_names(cli::kScenariodFlags));
+    cli::check_flags(flags, cli::flag_names(cli::kScenariodFlags), std::cerr);
     std::vector<std::string> args = flags.positionals();
     if (args.empty()) {
       usage();

@@ -108,7 +108,7 @@ void usage() {
       "                  [--work-dir=DIR] [--max-jobs=N]\n"
       "                  [--fault-exit-after=N] [--log=PATH]\n"
       "                  [--log-level=debug|info|warn|error] [--quiet]\n"
-      "                  [--profile=PATH] [--profile-folded=PATH]\n\n"
+      "                  [--perf=PATH]\n\n"
       "TCP worker for `cts_simd run --workers=`: accepts cts.job.v1 shard\n"
       "jobs (bench registry id + shard spec + REPRO_* env + deadline), runs\n"
       "the shard as a child process, and streams the cts.shard.v1 payload\n"
@@ -116,10 +116,9 @@ void usage() {
       "cts.statsreq.v1 with a live cts.stats.v1 status snapshot (see\n"
       "cts_obstop).  Events go to --log as cts.events.v1 JSONL (default:\n"
       "stderr unless --quiet).\n"
-      "--profile writes the daemon's span-path self times as a\n"
-      "cts.profile.v1 JSON document on clean exit\n"
-      "(--profile-folded: collapsed-stack text).  --port=0 picks an\n"
-      "ephemeral port (printed, and written to --port-file when given).\n"
+      "--perf writes the daemon's cts.perf.v2 report (rusage and span-path\n"
+      "self times) on clean exit.  --port=0 picks an ephemeral port\n"
+      "(printed, and written to --port-file when given).\n"
       "Exit codes: 0 clean shutdown (--max-jobs), 2 usage or setup error.\n");
 }
 
@@ -304,7 +303,8 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kShardDFlags));
+    cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kShardDFlags),
+                         std::cerr);
 
     net::ServerOptions options = net::parse_server_options(flags, "max-jobs");
     JobConfig cfg;

@@ -65,7 +65,7 @@
 #include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
-#include "cts/obs/span_stats.hpp"
+#include "cts/obs/perf.hpp"
 #include "cts/obs/run_report.hpp"
 #include "cts/obs/trace.hpp"
 #include "cts/obs/trace_merge.hpp"
@@ -96,7 +96,7 @@ void usage() {
       "                    [--job-timeout=SECS] [--retries=N] "
       "[--bench-dir=DIR]\n"
       "                    [--dispatch-metrics=PATH] [--trace=PATH]\n"
-      "                    [--profile=PATH] [--profile-folded=PATH]\n"
+      "                    [--perf=PATH]\n"
       "                    [--log=PATH] [--log-level=LEVEL] [...]\n"
       "       cts_simd merge SHARD.json... [--metrics=PATH] [--quiet]\n"
       "       cts_simd diff REPORT_A.json REPORT_B.json [--quiet]\n\n"
@@ -288,45 +288,34 @@ struct NetRunOptions {
   std::vector<net::Endpoint> workers;
   double job_timeout_s = 300;
   int retries = 3;
-  std::string profile_path;            ///< cts.profile.v1 JSON ("" = off)
-  std::string profile_folded;          ///< collapsed-stack text ("" = off)
+  std::string perf_path;               ///< cts.perf.v2 report ("" = off)
   bool keep_shards = false;
   bool quiet = false;
 };
 
-/// Writes the dispatcher's span profile on scope exit when
-/// --profile/--profile-folded asked for one, so the early error returns in
-/// run_networked still leave a usable profile behind.
-class DispatchProfile {
+/// Writes the dispatcher's cts.perf.v2 report on scope exit when --perf
+/// asked for one, so the early error returns in run_networked still leave
+/// a usable report behind.  The probe is armed at dispatch start.
+class DispatchPerf {
  public:
-  explicit DispatchProfile(const NetRunOptions& opt) : opt_(opt) {}
-  ~DispatchProfile() {
-    if (opt_.profile_path.empty() && opt_.profile_folded.empty()) return;
-    const obs::SpanTable& spans = obs::SpanTable::global();
-    if (!opt_.profile_path.empty() && !spans.write_profile(opt_.profile_path)) {
-      std::fprintf(stderr, "cts_simd: cannot write profile %s\n",
-                   opt_.profile_path.c_str());
-    }
-    if (!opt_.profile_folded.empty() &&
-        !spans.write_folded_file(opt_.profile_folded)) {
-      std::fprintf(stderr, "cts_simd: cannot write folded profile %s\n",
-                   opt_.profile_folded.c_str());
-    }
-    const std::string& path =
-        opt_.profile_path.empty() ? opt_.profile_folded : opt_.profile_path;
-    obs::log_info("profile.write",
-                  {{"samples", spans.spans()}, {"path", path}});
-    if (!opt_.quiet) {
-      std::printf("[profile (%llu spans) written to %s]\n",
-                  static_cast<unsigned long long>(spans.spans()),
-                  path.c_str());
+  explicit DispatchPerf(const NetRunOptions& opt) : opt_(opt) {}
+  ~DispatchPerf() {
+    if (opt_.perf_path.empty()) return;
+    if (!obs::write_perf_report(opt_.perf_path, probe_,
+                                {{"run_id", "cts_simd"},
+                                 {"bench", opt_.bench_id}})) {
+      std::fprintf(stderr, "cts_simd: cannot write perf report %s\n",
+                   opt_.perf_path.c_str());
+    } else if (!opt_.quiet) {
+      std::printf("[perf report written to %s]\n", opt_.perf_path.c_str());
     }
   }
-  DispatchProfile(const DispatchProfile&) = delete;
-  DispatchProfile& operator=(const DispatchProfile&) = delete;
+  DispatchPerf(const DispatchPerf&) = delete;
+  DispatchPerf& operator=(const DispatchPerf&) = delete;
 
  private:
   const NetRunOptions& opt_;
+  const obs::ResourceProbe probe_;
 };
 
 /// Consecutive failures after which a worker endpoint is declared down and
@@ -536,7 +525,7 @@ int run_networked(const NetRunOptions& opt) {
   (void)bench::spec(opt.bench_id);
   cu::make_dirs(opt.out_dir);
   if (!opt.trace_path.empty()) obs::TraceRecorder::global().enable();
-  DispatchProfile profile(opt);
+  DispatchPerf perf(opt);
   std::string worker_list;
   for (const net::Endpoint& ep : opt.workers) {
     if (!worker_list.empty()) worker_list += ",";
@@ -800,7 +789,8 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-    flags.warn_unknown(std::cerr, cu::cli::flag_names(cu::cli::kSimdFlags));
+    cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kSimdFlags),
+                         std::cerr);
     const bool quiet = flags.get_bool("quiet", false);
 
     // Structured events are opt-in for the orchestrator: --log appends
@@ -850,8 +840,7 @@ int main(int argc, char** argv) {
         opt.dispatch_metrics_path =
             flags.get_string("dispatch-metrics", "");
         opt.trace_path = flags.get_string("trace", "");
-        opt.profile_path = flags.get_string("profile", "");
-        opt.profile_folded = flags.get_string("profile-folded", "");
+        opt.perf_path = flags.get_string("perf", "");
         opt.bench_dir = bench::bench_dir(flags, argv[0]);
         return run_networked(opt);
       }
