@@ -5,6 +5,8 @@
 // generic exact-Gaussian sources at the unit-weight exact-LRD ACF, whose
 // inner loops are the SIMD Hosking and Davies-Harte kernels.
 
+#include <array>
+#include <cstdint>
 #include <memory>
 
 #include <benchmark/benchmark.h>
@@ -42,11 +44,24 @@ void BM_PoissonSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonSample)->Arg(5)->Arg(50)->Arg(250);
 
+/// Times one 256-frame fill, the block FluidMux reads from each source;
+/// items/s is frames/s.
+void time_row_fills(benchmark::State& state, cts::proc::FrameSource& source) {
+  std::array<double, 256> row{};
+  for (auto _ : state) {
+    source.fill(row.data(), row.size());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(row.size()));
+}
+
 void BM_Ar1Frame(benchmark::State& state) {
   cts::proc::Ar1Params p;
   p.phi = 0.8;
   cts::proc::Ar1Source source(p, 1);
-  for (auto _ : state) benchmark::DoNotOptimize(source.next_frame());
+  time_row_fills(state, source);
 }
 BENCHMARK(BM_Ar1Frame);
 
@@ -56,9 +71,9 @@ void BM_DarFrame(benchmark::State& state) {
   p.lag_probs.assign(static_cast<std::size_t>(state.range(0)), 0.0);
   for (auto& a : p.lag_probs) a = 1.0 / static_cast<double>(p.lag_probs.size());
   cts::proc::DarSource source(p, 1);
-  for (auto _ : state) benchmark::DoNotOptimize(source.next_frame());
+  time_row_fills(state, source);
 }
-BENCHMARK(BM_DarFrame)->Arg(1)->Arg(3);
+BENCHMARK(BM_DarFrame)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_FbndpFrame(benchmark::State& state) {
   cts::fit::FbndpTarget target;

@@ -44,6 +44,7 @@ class Ar1Source final : public FrameSource {
   Ar1Params params_;
   util::Xoshiro256pp rng_;
   util::NormalSampler normal_;
+  double innovation_sd_ = 0.0;  ///< sqrt((1 - phi^2) sigma^2)
   double state_;
 };
 

@@ -65,18 +65,37 @@ class DarSource final : public FrameSource {
 
   const DarParams& params() const noexcept { return params_; }
 
+  /// The integer form of a uniform01() compare.  A draw is u = k 2^-53
+  /// with k = rng() >> 11, so `u < x` holds exactly when
+  /// k < repeat_threshold(x), for x in [0, 1], and `u > c` exactly when
+  /// k > lag_threshold(c), for |c| < 2^10, negative c included.
+  static std::uint64_t repeat_threshold(double x) noexcept;
+  static std::int64_t lag_threshold(double c) noexcept;
+
+  /// lag_threshold of the running maximum of the cumulative lag
+  /// probabilities a_1 + ... + a_{j+1}, for j < p - 1.  The lag index is
+  /// the count of these a draw k exceeds, which equals the first j with
+  /// u <= a_1 + ... + a_{j+1} (else p - 1) even where validate()'s slack
+  /// for tiny negative a_i makes the cumulative sums dip.
+  static std::vector<std::int64_t> lag_thresholds(
+      const std::vector<double>& lag_probs);
+
  private:
   double sample_innovation();
+  /// Index j of the lag to repeat, S_{n-1-j}, for one generator output.
+  std::size_t lag_index(std::uint64_t draw) const noexcept;
 
   DarParams params_;
   std::shared_ptr<const MarginalDistribution> marginal_;  ///< may be null
   util::Xoshiro256pp rng_;
   util::NormalSampler normal_;
+  double innovation_sd_;  ///< sqrt(params_.variance)
   /// Ring buffer of the last p values (history_[head_] = S_{n-1}).
   std::vector<double> history_;
   std::size_t head_ = 0;
-  /// Cumulative lag-pick probabilities for inverse-CDF lag selection.
-  std::vector<double> lag_cdf_;
+  /// A repeat happens when rng() >> 11 < repeat_below_ (u < rho).
+  std::uint64_t repeat_below_ = 0;
+  std::vector<std::int64_t> lag_thresholds_;  ///< see lag_thresholds()
   std::uint64_t frames_generated_ = 0;
 };
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -83,7 +84,23 @@ class Xoshiro256pp {
 /// compared to std::normal_distribution on this generator.
 class NormalSampler {
  public:
-  double operator()(Xoshiro256pp& rng) noexcept;
+  /// Defined here so the per-frame loops of the Gaussian sources inline it.
+  double operator()(Xoshiro256pp& rng) noexcept {
+    if (has_cached_) {
+      has_cached_ = false;
+      return cached_;
+    }
+    double u, v, s;
+    do {
+      u = 2.0 * rng.uniform01() - 1.0;
+      v = 2.0 * rng.uniform01() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    cached_ = v * factor;
+    has_cached_ = true;
+    return u * factor;
+  }
 
  private:
   double cached_ = 0.0;

@@ -14,15 +14,15 @@ void Ar1Params::validate() const {
 Ar1Source::Ar1Source(const Ar1Params& params, std::uint64_t seed)
     : params_(params), rng_(seed), state_(0.0) {
   params_.validate();
+  innovation_sd_ =
+      std::sqrt(params_.variance * (1.0 - params_.phi * params_.phi));
   // Stationary start: X_0 ~ N(mu, sigma^2).
   state_ = params_.mean + std::sqrt(params_.variance) * normal_(rng_);
 }
 
 double Ar1Source::next_frame() {
-  const double innovation_sd =
-      std::sqrt(params_.variance * (1.0 - params_.phi * params_.phi));
   state_ = params_.mean + params_.phi * (state_ - params_.mean) +
-           innovation_sd * normal_(rng_);
+           innovation_sd_ * normal_(rng_);
   return state_;
 }
 

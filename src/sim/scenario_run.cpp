@@ -47,10 +47,15 @@ bool shaped(const ScenarioSource& group) {
   return group.smooth_window > 1 || group.aal5 || group.police_scr > 0.0;
 }
 
+/// Frames a source writes per FrameSource::fill call, the fluid
+/// multiplexer's block length.
+constexpr std::size_t kRowFrames = 256;
+
 /// One source instance's per-replication runtime state.
 struct SourceRuntime {
   std::size_t group = 0;
   std::unique_ptr<proc::FrameSource> source;
+  std::vector<double> row;  ///< the current block of frames
   std::optional<atm::FrameSmoother> smoother;
   std::optional<atm::Aal5Framer> framer;
   std::optional<atm::FramePolicer> policer;
@@ -101,6 +106,7 @@ ScenarioRepSample run_scenario_rep(
       SourceRuntime rt;
       rt.group = g;
       rt.source = models[g].make_source(seeder.next());
+      rt.row.resize(kRowFrames);
       if (group.smooth_window > 1) {
         rt.smoother.emplace(static_cast<std::size_t>(group.smooth_window));
       }
@@ -137,9 +143,17 @@ ScenarioRepSample run_scenario_rep(
     const bool measured = n >= sc.warmup;
     std::fill(ah.begin(), ah.end(), 0.0);
     std::fill(al.begin(), al.end(), 0.0);
+    // Each source writes its next row at a row boundary, exactly the
+    // frames left to run and no more, so its draws are unchanged.
+    const std::size_t in_row = static_cast<std::size_t>(n % kRowFrames);
+    if (in_row == 0) {
+      const auto rest = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kRowFrames, total - n));
+      for (SourceRuntime& rt : instances) rt.source->fill(rt.row.data(), rest);
+    }
 
     for (SourceRuntime& rt : instances) {
-      double x = std::max(rt.source->next_frame(), 0.0);
+      double x = std::max(rt.row[in_row], 0.0);
       if (rt.smoother) x = rt.smoother->push(x);
       if (rt.framer) x = rt.framer->add(x);
       if (rt.policer) {

@@ -19,23 +19,6 @@ Xoshiro256pp Xoshiro256pp::split() noexcept {
   return Xoshiro256pp(child_seed);
 }
 
-double NormalSampler::operator()(Xoshiro256pp& rng) noexcept {
-  if (has_cached_) {
-    has_cached_ = false;
-    return cached_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * rng.uniform01() - 1.0;
-    v = 2.0 * rng.uniform01() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_ = v * factor;
-  has_cached_ = true;
-  return u * factor;
-}
-
 namespace {
 
 // Inversion by sequential search; fine for mean <= 30.

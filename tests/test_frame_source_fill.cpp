@@ -33,18 +33,19 @@ namespace {
 using Factory = std::function<std::unique_ptr<cp::FrameSource>(std::uint64_t)>;
 
 /// Block lengths around the multiplexer's 256-frame chunk.
-const std::size_t kBlocks[] = {1, 255, 256, 257, 3, 1000};
+const std::vector<std::size_t> kBlocks = {1, 255, 256, 257, 3, 1000};
 
 /// Draws the same frames from two equally seeded sources, one through
 /// fill and one through next_frame, interleaving single next_frame calls
 /// on both so each path resumes where the other left off.
-void expect_fill_matches_next_frame(const Factory& make,
-                                    const std::string& what) {
+void expect_fill_matches_next_frame(
+    const Factory& make, const std::string& what,
+    const std::vector<std::size_t>& blocks = kBlocks) {
   SCOPED_TRACE(what);
   for (const std::uint64_t seed : {1ULL, 0x5EEDC0DEULL}) {
     const auto blocked = make(seed);
     const auto single = make(seed);
-    for (const std::size_t n : kBlocks) {
+    for (const std::size_t n : blocks) {
       std::vector<double> got(n);
       std::vector<double> want(n);
       blocked->fill(got.data(), n);
@@ -133,5 +134,23 @@ TEST(FrameSourceFill, EveryProcSourceFillsWhatNextFrameReturns) {
   };
   for (const auto& [name, make] : sources) {
     expect_fill_matches_next_frame(make, name);
+  }
+}
+
+TEST(FrameSourceFill, DarFillsInterleaveWithNextFrameForEveryOrder) {
+  // DarSource::fill reads its first p frames from the ring and the rest
+  // from the row, then rebuilds the ring; blocks shorter than p never
+  // leave the ring, so every hand-over is covered for p = 1..5.
+  for (std::size_t p = 1; p <= 5; ++p) {
+    cp::DarParams params;
+    params.rho = 0.9;
+    params.lag_probs.assign(p, 1.0 / static_cast<double>(p));
+    std::vector<std::size_t> blocks = {1, p + 1, 256, 2, 257};
+    if (p > 1) blocks.insert(blocks.begin() + 1, {p - 1, p});
+    expect_fill_matches_next_frame(
+        [&](std::uint64_t s) {
+          return std::make_unique<cp::DarSource>(params, s);
+        },
+        "DAR(" + std::to_string(p) + ")", blocks);
   }
 }
