@@ -103,6 +103,17 @@ ModelSpec make_dar_negbinom(double a, std::size_t p,
 ModelSpec model_from_id(const std::string& id,
                         const PaperConstants& constants = {});
 
+/// Builds an inline analytic model, the other form a CAC request or a
+/// scenario spec may name instead of a zoo id: `kind` "geometric"
+/// (GeometricAcf(a)), "white" (WhiteAcf) or "lrd" (ExactLrdAcf(hurst,
+/// weight)), with the given mean and variance in cells/frame.  The
+/// canonical name, e.g. "geometric(a=0.8,mu=500,var=5000)", encodes every
+/// parameter that shapes the analytics, so it doubles as a cache key.  No
+/// make_source: a caller that simulates adds its own factory.  Throws
+/// util::InvalidArgument on an unknown kind.
+ModelSpec inline_model(const std::string& kind, double mean, double variance,
+                       double a, double hurst, double weight);
+
 /// Parameters echoing Table 1 for reporting: the derived lambda (cells/s),
 /// T0 (msec), calibrated DAR coefficient, etc., for a mixture model.
 struct MixtureReport {

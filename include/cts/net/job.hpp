@@ -12,19 +12,16 @@
 // Reply (cts_shardd -> client):
 //
 //   {"schema":"cts.jobresult.v1","ok":true,"elapsed_s":1.2,
-//    "shard":"<the worker's verbatim cts.shard.v1 file text>",
-//    "obs":{"recv_us":...,"send_us":...,"metrics":{...},"spans":[...]}}
+//    "shard":"<the worker's verbatim cts.shard.v1 file text>"}
 //   {"schema":"cts.jobresult.v1","ok":false,"error":"..."}
 //
 // `attempt` (request) is the dispatcher's 1-based attempt counter for the
 // shard, so a worker can count retried jobs; absent means 0 (unknown), so
-// old clients interoperate.  `obs` (reply, optional) is the worker-side
-// observability capture for this one job: the job's metrics shard (NOT the
-// worker's cumulative registry — the dispatcher merges per-job shards
-// without double counting), its trace spans on the worker's own clock, and
-// the request-received / reply-sent timestamps (recv_us/send_us, same
-// clock as the spans) the dispatcher needs for NTP-style clock-offset
-// correction (see obs/trace_merge.hpp).
+// old clients interoperate.  A reply carries only its shard: the worker's
+// own observability (job metrics, spans) stays readable where it is
+// produced, through its cts.stats.v1 endpoint and its --perf report.
+// Unknown reply members are ignored, so the `obs` section older workers
+// still send parses as if it were absent.
 //
 // The shard payload travels as a JSON *string* (escaped), not a spliced
 // object, so the client writes back byte-for-byte what the worker's bench
@@ -38,13 +35,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "cts/obs/metrics.hpp"
-#include "cts/obs/trace.hpp"
 
 namespace cts::net {
 
@@ -71,23 +64,12 @@ std::string write_job_json(const JobRequest& job);
 /// wrong schema tag, malformed shard spec, or non-allowlisted env key.
 JobRequest parse_job(const std::string& text);
 
-/// Worker-side observability capture for one job (the optional "obs"
-/// section of cts.jobresult.v1).
-struct JobObs {
-  std::int64_t recv_us = 0;  ///< worker clock: request received
-  std::int64_t send_us = 0;  ///< worker clock: reply about to be sent
-  obs::MetricsShard metrics;           ///< this job's metrics shard
-  std::vector<obs::TraceEvent> spans;  ///< this job's spans, worker clock
-};
-
 /// One shard-execution reply.
 struct JobResult {
   bool ok = false;
   std::string error;       ///< when !ok
   std::string shard_json;  ///< verbatim cts.shard.v1 text when ok
   double elapsed_s = 0;
-  bool has_obs = false;    ///< reply carried an obs section
-  JobObs obs;
 };
 
 std::string write_job_result_json(const JobResult& result);

@@ -39,15 +39,15 @@
 
 namespace cts::sim {
 
-/// Configuration of a replication experiment.
-struct ReplicationConfig {
+/// Harness-level knobs of a generic sharded replication run: everything
+/// run_replicated needs that is not specific to the fluid-mux experiment.
+/// Shared by run_replicated and the scenario executor
+/// (cts/sim/scenario_run.hpp) so both inherit the same slice math, thread
+/// pool, config-echo gauges, progress wiring, and wall-time histogram.
+struct SliceDriverConfig {
   std::size_t replications = 12;  ///< GLOBAL replication count, all shards
   std::uint64_t frames_per_replication = 120000;
   std::uint64_t warmup_frames = 2000;
-  std::size_t n_sources = 30;
-  double capacity_cells = 16140.0;  ///< total C (cells/frame)
-  std::vector<double> buffer_sizes_cells;
-  std::vector<double> bop_thresholds_cells;
   std::uint64_t master_seed = 0x5EEDC0DEULL;
   unsigned threads = 0;  ///< 0 = hardware concurrency
   /// Process-level sharding: this worker runs global replication indices
@@ -60,6 +60,15 @@ struct ReplicationConfig {
   /// Progress reporting opt-out for library callers (the reporter itself
   /// additionally disables when stderr is not a TTY or CTS_QUIET is set).
   bool progress = true;
+};
+
+/// Configuration of a replication experiment: the harness knobs plus the
+/// fluid-mux geometry every replication shares.
+struct ReplicationConfig : SliceDriverConfig {
+  std::size_t n_sources = 30;
+  double capacity_cells = 16140.0;  ///< total C (cells/frame)
+  std::vector<double> buffer_sizes_cells;
+  std::vector<double> bop_thresholds_cells;
 };
 
 /// Aggregated outcome for one buffer size.
@@ -119,23 +128,6 @@ inline std::uint64_t replication_seed_root(std::uint64_t master_seed,
   return master_seed +
          0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(rep) + 1);
 }
-
-/// Harness-level knobs of a generic sharded replication run: everything
-/// run_replicated needs that is not specific to the fluid-mux experiment.
-/// Shared by run_replicated and the scenario executor
-/// (cts/sim/scenario_run.hpp) so both inherit the same slice math, thread
-/// pool, config-echo gauges, progress wiring, and wall-time histogram.
-struct SliceDriverConfig {
-  std::size_t replications = 1;  ///< GLOBAL replication count, all shards
-  std::uint64_t frames_per_replication = 0;
-  std::uint64_t warmup_frames = 0;
-  std::uint64_t master_seed = 0x5EEDC0DEULL;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::string progress_label;  ///< empty = "sim"
-  bool progress = true;
-};
 
 /// The body of a replication pool: runs global replication `rep` (`local`
 /// = rep - slice.lo).  `board` is the pool's task board; a body that hands

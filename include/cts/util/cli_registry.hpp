@@ -121,9 +121,7 @@ inline constexpr FlagDoc kSimdFlags[] = {
     {"dispatch-metrics", "PATH",
      "write the dispatcher's own cts::obs run report (jobs, retries, "
      "per-worker latency) — kept out of the merged report by design"},
-    {"trace", "PATH",
-     "write a merged Chrome-trace timeline: dispatcher spans plus one "
-     "clock-corrected lane per worker (from the jobs' obs captures)"},
+    {"trace", "PATH", "write the dispatcher's Chrome-trace span timeline"},
     {"perf", "PATH",
      "write the dispatcher's cts.perf.v2 report (rusage, span paths)"},
     {"log", "PATH",

@@ -420,4 +420,28 @@ ModelSpec model_from_id(const std::string& id,
       "unknown family (known: za, vv, dar, l, white, ar1, farima, mginf)");
 }
 
+ModelSpec inline_model(const std::string& kind, double mean, double variance,
+                       double a, double hurst, double weight) {
+  ModelSpec spec;
+  spec.mean = mean;
+  spec.variance = variance;
+  const std::string moments = "mu=" + util_name_number(mean) +
+                              ",var=" + util_name_number(variance);
+  if (kind == "geometric") {
+    spec.acf = std::make_shared<core::GeometricAcf>(a);
+    spec.name = "geometric(a=" + util_name_number(a) + "," + moments + ")";
+  } else if (kind == "white") {
+    spec.acf = std::make_shared<core::WhiteAcf>();
+    spec.name = "white(" + moments + ")";
+  } else if (kind == "lrd") {
+    spec.acf = std::make_shared<core::ExactLrdAcf>(hurst, weight);
+    spec.name = "lrd(H=" + util_name_number(hurst) +
+                ",w=" + util_name_number(weight) + "," + moments + ")";
+  } else {
+    throw util::InvalidArgument("unknown inline model kind '" + kind +
+                                "' (known: geometric, white, lrd)");
+  }
+  return spec;
+}
+
 }  // namespace cts::fit

@@ -1,6 +1,5 @@
 #include "cts/net/cac.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "cts/obs/json.hpp"
@@ -29,12 +28,6 @@ CacQueryKind kind_from_name(const std::string& name) {
   throw cu::InvalidArgument(
       "cac: unknown query kind '" + name +
       "' (known: admit_br, admit_eb, bop)");
-}
-
-std::string number_text(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", x);
-  return buf;
 }
 
 }  // namespace
@@ -150,31 +143,11 @@ CacRequest parse_cac_request(const std::string& text) {
 
 fit::ModelSpec resolve_cac_model(const CacModel& model) {
   if (!model.zoo_id.empty()) return fit::model_from_id(model.zoo_id);
-  fit::ModelSpec spec;
-  spec.mean = model.mean;
-  spec.variance = model.variance;
-  cu::require(spec.mean > 0.0, "cac: model mean must be > 0");
-  cu::require(spec.variance > 0.0, "cac: model variance must be > 0");
-  // The canonical name doubles as the admission cache key, so it must
-  // encode every parameter that shapes the analytics.
-  const std::string moments =
-      "mu=" + number_text(model.mean) + ",var=" + number_text(model.variance);
-  if (model.kind == "geometric") {
-    spec.acf = std::make_shared<core::GeometricAcf>(model.a);
-    spec.name = "geometric(a=" + number_text(model.a) + "," + moments + ")";
-  } else if (model.kind == "white") {
-    spec.acf = std::make_shared<core::WhiteAcf>();
-    spec.name = "white(" + moments + ")";
-  } else if (model.kind == "lrd") {
-    spec.acf = std::make_shared<core::ExactLrdAcf>(model.hurst, model.weight);
-    spec.name = "lrd(H=" + number_text(model.hurst) +
-                ",w=" + number_text(model.weight) + "," + moments + ")";
-  } else {
-    throw cu::InvalidArgument("cac: unknown model kind '" + model.kind + "'");
-  }
-  // Analytic-only model: admission control never simulates.
-  spec.make_source = nullptr;
-  return spec;
+  cu::require(model.mean > 0.0, "cac: model mean must be > 0");
+  cu::require(model.variance > 0.0, "cac: model variance must be > 0");
+  // Analytic-only: admission control never simulates, so no make_source.
+  return fit::inline_model(model.kind, model.mean, model.variance, model.a,
+                           model.hurst, model.weight);
 }
 
 std::string write_cac_response_json(const CacResponse& response) {

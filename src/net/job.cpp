@@ -1,10 +1,10 @@
 #include "cts/net/job.hpp"
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
 #include "cts/obs/json.hpp"
-#include "cts/obs/trace_merge.hpp"
 #include "cts/util/error.hpp"
 
 namespace cts::net {
@@ -87,16 +87,6 @@ std::string write_job_result_json(const JobResult& result) {
   } else {
     w.key("error").value(result.error);
   }
-  if (result.has_obs) {
-    w.key("obs").begin_object();
-    w.key("recv_us").value(result.obs.recv_us);
-    w.key("send_us").value(result.obs.send_us);
-    w.key("metrics");
-    obs::write_metrics_snapshot(w, result.obs.metrics);
-    w.key("spans");
-    obs::write_trace_events(w, result.obs.spans);
-    w.end_object();
-  }
   w.end_object();
   return os.str();
 }
@@ -118,18 +108,6 @@ JobResult parse_job_result(const std::string& text) {
     result.error = doc.at("error").as_string();
     cu::require(!result.error.empty(),
                 "job result: failed but no error message");
-  }
-  // Optional: a pre-obs worker's reply simply has no obs section.
-  const obs::JsonValue* job_obs = doc.find("obs");
-  if (job_obs != nullptr) {
-    cu::require(job_obs->is_object(), "job result: obs must be an object");
-    result.has_obs = true;
-    result.obs.recv_us = job_obs->int_at("recv_us");
-    result.obs.send_us = job_obs->int_at("send_us");
-    cu::require(result.obs.send_us >= result.obs.recv_us,
-                "job result: obs send_us before recv_us");
-    result.obs.metrics = obs::metrics_snapshot_from_json(job_obs->at("metrics"));
-    result.obs.spans = obs::trace_events_from_json(job_obs->at("spans"));
   }
   return result;
 }

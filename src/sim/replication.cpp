@@ -121,22 +121,11 @@ ReplicationResult run_replicated(const fit::ModelSpec& model,
   util::require(config.n_sources >= 1,
                 "run_replicated: need at least one source");
 
-  SliceDriverConfig driver;
-  driver.replications = config.replications;
-  driver.frames_per_replication = config.frames_per_replication;
-  driver.warmup_frames = config.warmup_frames;
-  driver.master_seed = config.master_seed;
-  driver.threads = config.threads;
-  driver.shard_index = config.shard_index;
-  driver.shard_count = config.shard_count;
-  driver.progress_label = config.progress_label;
-  driver.progress = config.progress;
-
   std::vector<FluidRunResult> per_rep(
       shard_slice(config.replications, config.shard_index, config.shard_count)
           .size());
   const ShardSliceRange range = run_replication_slice(
-      driver, [&](std::size_t rep, std::size_t local,
+      config, [&](std::size_t rep, std::size_t local,
                   obs::ProgressReporter& reporter, FillBoard& board) {
         // Deterministic per-replication seed, derived from the GLOBAL
         // replication index — independent of thread and shard layout.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -29,12 +28,6 @@ namespace cu = cts::util;
 namespace cts::sim {
 
 namespace {
-
-std::string number_text(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", x);
-  return buf;
-}
 
 /// Hosking recursion order for inline LRD sources: high enough that the
 /// AR approximation error is far below the CLRs a scenario resolves,
@@ -273,30 +266,11 @@ ScenarioRepSample run_scenario_rep(
 
 fit::ModelSpec resolve_scenario_model(const ScenarioModel& model) {
   if (!model.zoo_id.empty()) return fit::model_from_id(model.zoo_id);
-  fit::ModelSpec spec;
-  spec.mean = model.mean;
-  spec.variance = model.variance;
-  const std::string moments =
-      "mu=" + number_text(model.mean) + ",var=" + number_text(model.variance);
-  if (model.kind == "geometric") {
-    spec.acf = std::make_shared<core::GeometricAcf>(model.a);
-    spec.name = "geometric(a=" + number_text(model.a) + "," + moments + ")";
-    const proc::Ar1Params params{model.a, model.mean, model.variance};
-    spec.make_source = [params](std::uint64_t seed) {
-      return std::make_unique<proc::Ar1Source>(params, seed);
-    };
-  } else if (model.kind == "white") {
-    spec.acf = std::make_shared<core::WhiteAcf>();
-    spec.name = "white(" + moments + ")";
-    const proc::Ar1Params params{0.0, model.mean, model.variance};
-    spec.make_source = [params](std::uint64_t seed) {
-      return std::make_unique<proc::Ar1Source>(params, seed);
-    };
-  } else if (model.kind == "lrd") {
-    auto acf = std::make_shared<core::ExactLrdAcf>(model.hurst, model.weight);
-    spec.acf = acf;
-    spec.name = "lrd(H=" + number_text(model.hurst) +
-                ",w=" + number_text(model.weight) + "," + moments + ")";
+  fit::ModelSpec spec =
+      fit::inline_model(model.kind, model.mean, model.variance, model.a,
+                        model.hurst, model.weight);
+  if (model.kind == "lrd") {
+    const std::shared_ptr<const core::AcfModel> acf = spec.acf;
     const double mean = model.mean;
     const double variance = model.variance;
     spec.make_source = [acf, mean, variance](std::uint64_t seed) {
@@ -304,10 +278,12 @@ fit::ModelSpec resolve_scenario_model(const ScenarioModel& model) {
           acf, mean, variance, seed, kInlineLrdMaxOrder);
     };
   } else {
-    // The parser only admits the three kinds above; this guards direct
-    // programmatic construction.
-    throw cu::InvalidArgument("scenario: unknown model kind '" + model.kind +
-                              "'");
+    // Geometric is AR(1) with lag-1 correlation a; white is AR(0).
+    const double a = model.kind == "geometric" ? model.a : 0.0;
+    const proc::Ar1Params params{a, model.mean, model.variance};
+    spec.make_source = [params](std::uint64_t seed) {
+      return std::make_unique<proc::Ar1Source>(params, seed);
+    };
   }
   return spec;
 }

@@ -279,15 +279,6 @@ TEST(ParseMutation, JobResultAcceptsOrRejectsWithCtsError) {
   result.ok = true;
   result.shard_json = recorded_shard_file(&registry);
   result.elapsed_s = 1.25;
-  result.has_obs = true;
-  result.obs.recv_us = 1000;
-  result.obs.send_us = 251000;
-  result.obs.metrics.add("shardd.jobs", 1);
-  result.obs.metrics.add_sum("shardd.cells", 1234.5);
-  result.obs.metrics.gauge("shardd.peak", 7.5, obs::GaugeMode::kMax);
-  result.obs.metrics.observe_log("shardd.job_wall_ms", 250.0);
-  result.obs.spans = {{"shardd.job", 0, 1000, 250000},
-                      {"shardd.exec", 1, 2000, 240000}};
   fuzz(net::write_job_result_json(result), 8,
        [](const std::string& text) { (void)net::parse_job_result(text); });
 }

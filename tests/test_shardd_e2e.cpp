@@ -9,10 +9,10 @@
 //     retried on the other worker and the merged report still diff clean;
 //   * when every worker is down, the dispatcher falls back to local
 //     fork/exec and still completes;
-//   * --trace produces ONE merged Chrome trace with a named lane per
-//     worker whose clock-corrected job spans nest inside the dispatcher's
-//     dispatch windows, --log produces valid cts.events.v1 JSONL, and
-//     cts_obstop can query a live daemon's cts.stats.v1 endpoint.
+//   * --trace writes the dispatcher's own Chrome trace (one process, one
+//     simd.net.job span per dispatched shard), --log produces valid
+//     cts.events.v1 JSONL, and cts_obstop can query a live daemon's
+//     cts.stats.v1 endpoint.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/wait.h>
 
@@ -137,7 +136,7 @@ TEST(ShardDE2E, LoopbackTwoWorkerRunDiffsCleanAgainstSingleProcess) {
   EXPECT_EQ(counters.find("simd.net.local_fallback_shards"), nullptr);
 }
 
-TEST(ShardDE2E, MergedTraceHasClockCorrectedWorkerLanesAndValidEventLog) {
+TEST(ShardDE2E, DispatcherTraceAndEventLogAreValid) {
   const std::string dir = ::testing::TempDir() + "/shardd_trace";
   ASSERT_EQ(fresh_dir(dir), 0);
   const std::string single = reference_metrics(dir);
@@ -166,59 +165,24 @@ TEST(ShardDE2E, MergedTraceHasClockCorrectedWorkerLanesAndValidEventLog) {
       shell("'" + simd() + "' diff '" + single + "' '" + merged + "' --quiet"),
       0);
 
-  // One strict-JSON Chrome trace, one named lane per process: the
-  // dispatcher (pid 1) plus each worker (pids 2 and 3).
+  // One strict-JSON Chrome trace of one process, the dispatcher (pid 1),
+  // with one simd.net.job span per shard: no job failed, so none was
+  // dispatched twice.
   const std::string trace_text = cu::read_text_file(trace);
   std::string error;
   ASSERT_TRUE(obs::json_parse_check(trace_text, &error)) << error;
   const obs::JsonValue doc = obs::json_parse(trace_text);
   const obs::JsonValue& trace_events = doc.at("traceEvents");
-
-  std::set<double> lane_pids;
-  struct Window {
-    double start;
-    double end;
-  };
-  std::vector<Window> dispatch_windows;  // dispatcher "simd.net.job" spans
-  std::vector<Window> worker_spans;      // every span in a worker lane
-  std::set<double> worker_span_pids;
+  std::set<double> pids;
+  std::size_t job_spans = 0;
   for (std::size_t i = 0; i < trace_events.size(); ++i) {
     const obs::JsonValue& e = trace_events.at(i);
-    if (e.at("ph").as_string() == "M") {
-      EXPECT_EQ(e.at("name").as_string(), "process_name");
-      lane_pids.insert(e.at("pid").as_number());
-      continue;
-    }
     ASSERT_EQ(e.at("ph").as_string(), "X");
-    const double pid = e.at("pid").as_number();
-    const double ts = e.at("ts").as_number();
-    const double dur = e.at("dur").as_number();
-    if (pid == 1.0 && e.at("name").as_string() == "simd.net.job") {
-      dispatch_windows.push_back({ts, ts + dur});
-    } else if (pid >= 2.0) {
-      worker_spans.push_back({ts, ts + dur});
-      worker_span_pids.insert(pid);
-    }
+    pids.insert(e.at("pid").as_number());
+    if (e.at("name").as_string() == "simd.net.job") ++job_spans;
   }
-  EXPECT_EQ(lane_pids, (std::set<double>{1.0, 2.0, 3.0}));
-  ASSERT_EQ(dispatch_windows.size(), 2u);  // one dispatched job per shard
-  // Both workers served a job, so both lanes carry spans.
-  EXPECT_EQ(worker_span_pids, (std::set<double>{2.0, 3.0}));
-  ASSERT_FALSE(worker_spans.empty());
-
-  // The offset correction must map every worker span INSIDE one of the
-  // dispatcher's job windows.  The estimation error is bounded by half the
-  // loopback round-trip; 50 ms of slack is orders of magnitude above it.
-  const double slack_us = 50'000.0;
-  for (const Window& span : worker_spans) {
-    bool nested = false;
-    for (const Window& window : dispatch_windows) {
-      nested = nested || (span.start >= window.start - slack_us &&
-                          span.end <= window.end + slack_us);
-    }
-    EXPECT_TRUE(nested) << "worker span [" << span.start << ", " << span.end
-                        << "] outside every dispatch window";
-  }
+  EXPECT_EQ(pids, (std::set<double>{1.0}));
+  EXPECT_EQ(job_spans, 2u);
 
   // The event log: strict cts.events.v1 JSONL covering the run lifecycle.
   std::ifstream in(events);

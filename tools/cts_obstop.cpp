@@ -28,7 +28,7 @@
 // --validate turns the tool into the strict checker for the observability
 // artifacts: each *.jsonl argument is checked line by line as cts.events.v1
 // (every line a strict RFC 8259 object with a "schema" string member),
-// any other file as one strict JSON document (a merged trace or a stats
+// any other file as one strict JSON document (a Chrome trace or a stats
 // reply).
 //
 // Exit codes: 0 success, 1 a worker could not be queried (or a validated

@@ -15,10 +15,10 @@
 //     missing binary, child crash/signal/timeout).  Job children are
 //     serialized (one at a time) so a shard's timing is never polluted by
 //     a sibling; tools/cts_simd `run --workers=` is the dispatching
-//     client.  Every reply carries an `obs` section: the job's metrics
-//     shard, its trace spans on this daemon's clock, and the
-//     request-received / reply-sent timestamps the dispatcher uses for
-//     clock-offset correction when merging traces across workers.
+//     client.  A reply carries only the shard: each job's shardd.*
+//     metrics fold into this daemon's registry and its shardd.job / exec /
+//     validate spans into its span table, both served below and written
+//     by --perf.
 //   * cts.statsreq.v1 — answered by the runtime (concurrently with any
 //     running job) with a cts.stats.v1 snapshot: jobs in flight / ok /
 //     failed / retried, a lossless metrics-registry snapshot and the span
@@ -112,7 +112,7 @@ void usage() {
       "TCP worker for `cts_simd run --workers=`: accepts cts.job.v1 shard\n"
       "jobs (bench registry id + shard spec + REPRO_* env + deadline), runs\n"
       "the shard as a child process, and streams the cts.shard.v1 payload\n"
-      "back with a per-job obs capture.  The same port answers\n"
+      "back.  The same port answers\n"
       "cts.statsreq.v1 with a live cts.stats.v1 status snapshot (see\n"
       "cts_obstop).  Events go to --log as cts.events.v1 JSONL (default:\n"
       "stderr unless --quiet).\n"
@@ -122,25 +122,19 @@ void usage() {
       "Exit codes: 0 clean shutdown (--max-jobs), 2 usage or setup error.\n");
 }
 
-/// Runs one shard job to completion; fills in a cts.jobresult.v1 reply
-/// including the per-job obs capture.  Called with the job mutex held, so
-/// the raw spans recorded between entry and exit belong to this job alone;
-/// the recorder is on only meanwhile, so it never holds more than one job.
+/// Runs one shard job to completion, fills in its cts.jobresult.v1 reply
+/// and merges the job's shardd.* metrics into the daemon's registry.
+/// Called with the job mutex held.  `recv_s` is the cu::monotonic_s() at
+/// which the request arrived.
 net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
-                       long long job_index, std::int64_t recv_us,
+                       long long job_index, double recv_s,
                        obs::MetricsRegistry& metrics) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-  recorder.reset();
-  recorder.enable();
   net::JobResult result;
-  result.has_obs = true;
-  result.obs.recv_us = recv_us;
+  const double start = cu::monotonic_s();
   // Queue wait: request receipt to here — time spent behind the job_mu
   // serialization (and the request parse).  A hot SLO input: a fast worker
   // with a deep queue is slow from the dispatcher's seat.
-  const double queue_wait_ms =
-      static_cast<double>(recorder.now_us() - recv_us) / 1e3;
-  const double start = cu::monotonic_s();
+  const double queue_wait_ms = (start - recv_s) * 1e3;
   const std::string tag = std::to_string(job_index);
 
   {
@@ -213,21 +207,12 @@ net::JobResult run_job(const JobConfig& cfg, const net::JobRequest& job,
 
   result.elapsed_s = cu::monotonic_s() - start;
 
-  // Per-job metrics shard: shipped to the dispatcher as-is (it merges
-  // per-job deltas, never cumulative totals) and folded into the daemon's
-  // own registry for the stats endpoint.
   obs::MetricsShard job_metrics;
   job_metrics.add(result.ok ? "shardd.jobs_ok" : "shardd.jobs_failed");
   if (job.attempt > 1) job_metrics.add("shardd.jobs_retried");
   job_metrics.observe_log("shardd.job_wall_ms", result.elapsed_s * 1e3);
   job_metrics.observe_log("shardd.queue_wait_ms", queue_wait_ms);
   metrics.merge(job_metrics);
-  result.obs.metrics = std::move(job_metrics);
-
-  recorder.disable();
-  result.obs.spans = recorder.events();
-  recorder.reset();
-  result.obs.send_us = recorder.now_us();
   return result;
 }
 
@@ -247,7 +232,7 @@ int serve(net::ServerOptions options, const JobConfig& cfg) {
   service.metric_prefix = "shardd";
   service.unit = "job";
   service.handle = [&](const std::string& request) {
-    const std::int64_t recv_us = obs::TraceRecorder::global().now_us();
+    const double recv_s = cu::monotonic_s();
     if (cfg.fault_exit_after >= 0 &&
         server.served() >= cfg.fault_exit_after) {
       // Fault-injection hook: die abruptly mid-job, reply never sent.
@@ -268,7 +253,7 @@ int serve(net::ServerOptions options, const JobConfig& cfg) {
            {"attempt", job.attempt}});
       {
         const std::lock_guard<std::mutex> job_lock(job_mu);
-        result = run_job(cfg, job, job_index, recv_us, server.metrics());
+        result = run_job(cfg, job, job_index, recv_s, server.metrics());
       }
       // The per-job summary line: everything a post-mortem grep needs.
       obs::log_info(

@@ -25,6 +25,10 @@
 // (REPRO_FULL / REPRO_REPS / REPRO_FRAMES), which workers inherit via the
 // job env.  The merge path is identical in every mode — a loopback
 // multi-worker run is `cts_simd diff`-identical to a single-process run.
+// A worker's reply carries only its shard, so --trace is the dispatcher's
+// own timeline (simd.net.dispatch, one simd.net.job span per attempt);
+// each worker's job spans and metrics stay in its --perf report and its
+// cts.stats.v1 endpoint (cts_obstop).
 //
 // `merge` does the same for pre-written cts.shard.v1 files (e.g. collected
 // from separate machines).  `diff` compares the metrics sections of two
@@ -68,7 +72,6 @@
 #include "cts/obs/perf.hpp"
 #include "cts/obs/run_report.hpp"
 #include "cts/obs/trace.hpp"
-#include "cts/obs/trace_merge.hpp"
 #include "cts/sim/replication.hpp"
 #include "cts/sim/shard.hpp"
 #include "cts/util/cli_registry.hpp"
@@ -331,9 +334,6 @@ struct DispatchState {
   std::vector<int> last_failed_on;      ///< worker of the last failure, -1
   std::vector<std::string> payloads;    ///< per-shard cts.shard.v1 text
   std::vector<std::size_t> fallback;    ///< shards left for the local fallback
-  /// Per worker endpoint: that worker's job spans, already clock-corrected
-  /// onto the dispatcher timeline — the merged trace's per-worker lanes.
-  std::vector<std::vector<obs::TraceEvent>> worker_spans;
   std::size_t done = 0;
   std::size_t live_workers = 0;
 
@@ -354,43 +354,19 @@ struct DispatchState {
   }
 };
 
-/// The worker-side obs capture of one successful job, already mapped onto
-/// the dispatcher's clock.
-struct JobObsCapture {
-  bool has = false;
-  std::int64_t offset_us = 0;  ///< worker-minus-dispatcher clock offset
-  obs::MetricsShard metrics;   ///< the job's metrics delta
-  std::vector<obs::TraceEvent> spans;  ///< ts already offset-corrected
-};
-
-/// Runs one job against one worker; returns the shard payload via *out and
-/// the job's obs capture via *obs_out.  The send/receive timestamps around
-/// the exchange are the t0/t3 of the NTP-style offset estimate (see
-/// trace_merge.hpp); the worker supplies t1/t2 inside the reply.
+/// Runs one job against one worker; returns the shard payload via *out.
 bool dispatch_one(const net::Endpoint& ep, const net::JobRequest& job,
-                  double job_timeout_s, std::string* out, std::string* error,
-                  JobObsCapture* obs_out) {
+                  double job_timeout_s, std::string* out, std::string* error) {
   try {
     obs::ScopedSpan span("simd.net.job");
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     net::Socket sock =
         net::connect_to(ep, std::min(10.0, job_timeout_s));
-    const std::int64_t t0 = recorder.now_us();
     net::send_frame(sock, net::write_job_json(job), 30.0);
-    const std::string reply = net::recv_frame(sock, job_timeout_s);
-    const std::int64_t t3 = recorder.now_us();
-    const net::JobResult result = net::parse_job_result(reply);
+    const net::JobResult result =
+        net::parse_job_result(net::recv_frame(sock, job_timeout_s));
     if (!result.ok) {
       *error = ep.str() + ": " + result.error;
       return false;
-    }
-    if (result.has_obs) {
-      obs_out->has = true;
-      obs_out->offset_us = obs::estimate_clock_offset_us(
-          t0, result.obs.recv_us, result.obs.send_us, t3);
-      obs_out->metrics = result.obs.metrics;
-      obs_out->spans = result.obs.spans;
-      for (obs::TraceEvent& e : obs_out->spans) e.ts_us -= obs_out->offset_us;
     }
     *out = result.shard_json;
     return true;
@@ -442,22 +418,12 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
     const double start = cu::monotonic_s();
     std::string payload;
     std::string error;
-    JobObsCapture capture;
-    const bool ok =
-        dispatch_one(ep, job, opt.job_timeout_s, &payload, &error, &capture);
+    const bool ok = dispatch_one(ep, job, opt.job_timeout_s, &payload, &error);
     env = std::move(job.env);  // reused across this thread's jobs
     const double wall_ms = (cu::monotonic_s() - start) * 1e3;
     dispatch->observe_log("simd.net.job_wall_ms", wall_ms);
     dispatch->observe_log(wtag + ".wall_ms", wall_ms);
     dispatch->add("simd.net.jobs_dispatched");
-    if (capture.has) {
-      // The worker's per-job metrics delta joins the dispatch registry —
-      // never the global one, which must stay diff-identical to a
-      // single-process run.
-      dispatch->merge(capture.metrics);
-      dispatch->gauge(wtag + ".clock_offset_us",
-                      static_cast<double>(capture.offset_us));
-    }
 
     std::unique_lock<std::mutex> lk(st->mu);
     if (ok) {
@@ -466,18 +432,11 @@ void worker_thread(const net::Endpoint& ep, std::size_t worker_index,
       consecutive_failures = 0;
       dispatch->add("simd.net.jobs_ok");
       dispatch->add(wtag + ".ok");
-      if (capture.has) {
-        st->worker_spans[worker_index].insert(
-            st->worker_spans[worker_index].end(), capture.spans.begin(),
-            capture.spans.end());
-      }
       obs::log_info("job.ok",
                     {{"shard", static_cast<std::uint64_t>(shard)},
                      {"worker", ep.str()},
                      {"attempt", attempt},
-                     {"wall_ms", wall_ms},
-                     {"clock_offset_us",
-                      static_cast<std::int64_t>(capture.offset_us)}});
+                     {"wall_ms", wall_ms}});
       if (!opt.quiet) {
         std::printf("[shard %zu/%zu done on %s in %.0f ms]\n", shard,
                     opt.shards, ep.str().c_str(), wall_ms);
@@ -560,7 +519,6 @@ int run_networked(const NetRunOptions& opt) {
   st.attempts.assign(opt.shards, 0);
   st.last_failed_on.assign(opt.shards, -1);
   st.payloads.assign(opt.shards, std::string());
-  st.worker_spans.assign(opt.workers.size(), {});
   st.live_workers = opt.workers.size();
   for (std::size_t i = 0; i < opt.shards; ++i) st.queue.push_back(i);
 
@@ -648,28 +606,11 @@ int run_networked(const NetRunOptions& opt) {
     }
   }
   if (!opt.trace_path.empty()) {
-    // One merged Chrome trace: the dispatcher's own spans in lane pid 1,
-    // then one lane per worker with that worker's job spans, already
-    // clock-corrected onto the dispatcher timeline (per-job NTP offsets
-    // were applied at receive time, so every lane's offset here is 0).
-    std::vector<obs::ProcessTrace> lanes;
-    lanes.push_back(
-        {"cts_simd dispatcher", 1, 0, obs::TraceRecorder::global().events()});
-    for (std::size_t w = 0; w < opt.workers.size(); ++w) {
-      std::vector<obs::TraceEvent> spans;
-      {
-        std::lock_guard<std::mutex> lk(st.mu);
-        spans = st.worker_spans[w];
-      }
-      lanes.push_back({"worker " + opt.workers[w].str(),
-                       static_cast<int>(2 + w), 0, std::move(spans)});
-    }
-    if (!obs::write_merged_trace(opt.trace_path, lanes)) {
+    if (!obs::TraceRecorder::global().write(opt.trace_path)) {
       std::fprintf(stderr, "cts_simd: could not write trace to %s\n",
                    opt.trace_path.c_str());
     } else if (!opt.quiet) {
-      std::printf("[merged trace (%zu lane(s)) written to %s]\n",
-                  lanes.size(), opt.trace_path.c_str());
+      std::printf("[trace written to %s]\n", opt.trace_path.c_str());
     }
   }
   obs::log_info("run.done",
