@@ -21,8 +21,7 @@
 // regress against ONE baseline?" gate.  tools/cts_benchd builds every
 // trajectory through one gate function: `cts_benchd trend` over any
 // baselines, grouped by suite and scale, and `cts_benchd --compare` over
-// {baseline, fresh document}.  It renders each as a markdown table, a
-// CSV mirror and a self-contained SVG sparkline chart.
+// {baseline, fresh document}.  It renders each as a markdown table.
 
 #pragma once
 
@@ -126,9 +125,6 @@ TrendReport build_trend(const std::vector<BaselineDoc>& docs,
 /// per metric, plus the notes).
 std::string trend_markdown(const TrendReport& report,
                            const TrendOptions& options = {});
-
-/// Renders the report as CSV: one row per (metric, bench, baseline).
-std::string trend_csv(const TrendReport& report);
 
 /// One line naming a drifting series: "REGRESSION: <bench> <metric>
 /// <+x.x% | n/a> (median a -> b, excess e > band w)", last point against

@@ -1,7 +1,7 @@
 // Leveled structured event log (JSONL, schema cts.events.v1) plus a
 // fixed-size ring-buffer flight recorder.
 //
-// The daemons (cts_shardd, cts_simd, cts_benchd) emit one machine-parsable
+// The daemons (cts_shardd, cts_simd, cts_cacd) emit one machine-parsable
 // line per operational event — job accepted, job done, worker declared
 // down — so a distributed run can be reconstructed post-mortem with grep
 // and json_parse instead of regexes over free-form stderr:

@@ -58,40 +58,21 @@ inline constexpr FlagDoc kBenchdFlags[] = {
     {"filter", "SUBSTR", "only benches whose id contains SUBSTR"},
     {"repeats", "N", "measured runs per bench (default 5)"},
     {"warmup", "N", "unmeasured warmup runs per bench (default 1)"},
-    {"out", "PATH", "output document (default BENCH_<date>.json)"},
+    {"out", "PATH", "output document (default BENCH_<today UTC>.json)"},
     {"bench-dir", "DIR",
      "directory with the bench binaries (default: CTS_BENCH_DIR or the "
      "build-tree sibling bench/)"},
     {"reps", "N", "pin REPRO_REPS for every child (default 2)"},
     {"frames", "N", "pin REPRO_FRAMES for every child (default 2000)"},
-    {"date", "YYYY-MM-DD", "override the document date (default: today UTC)"},
     {"compare", "BASE.json",
      "one-shot gate: after writing the document, gate it against this "
      "baseline as `trend --gate --window=1` does (0 ok, 1 regression, 2 "
      "error)"},
-    {"k", "K", "gate noise band in MAD multiples (default 3)"},
-    {"pct", "P",
-     "gate relative band in percent of the first baseline (default 5)"},
-    {"metrics", "CSV",
-     "comma-separated metrics to gate and chart (default "
-     "wall_s,user_s,max_rss_kb)"},
     {"window", "N",
      "trend: trailing baselines that must all sit beyond the band to flag "
      "drift (default 2; --compare uses 1)"},
     {"gate", "", "trend: exit 1 when any series drifts toward worse"},
     {"md", "PATH", "trend / --compare: write the markdown report"},
-    {"csv", "PATH", "trend / --compare: write the CSV mirror"},
-    {"svg", "PATH",
-     "trend / --compare: write the SVG sparkline chart (<stem>_<suite>.svg "
-     "per group when several suites or scales are charted)"},
-    {"json-lines", "PATH",
-     "stream one RFC 8259 JSON object per run (cts.benchrun.v1) for soak "
-     "monitoring"},
-    {"log", "PATH",
-     "append cts.events.v1 JSONL events (suite/bench lifecycle) to PATH"},
-    {"log-level", "LEVEL",
-     "event-log sink threshold: debug|info|warn|error (default info)"},
-    {"keep-runs", "", "keep the per-run perf reports in the temp run dir"},
     {"list", "", "print the bench registry and exit"},
     {"quiet", "", "suppress progress on stderr and the report on stdout"},
     {"help", "", "print usage and exit"},
@@ -258,6 +239,8 @@ inline constexpr RetiredFlag kRetiredFlags[] = {
     {"openmetrics", "json"},  // cts_obstop: cts.stats.v1 is the only format
     {"profile", "perf"},      // the span table is the perf report's "paths"
     {"profile-folded", "perf"},
+    {"svg", "md"},  // cts_benchd: the markdown trend is the only rendering
+    {"csv", "md"},
 };
 
 /// Environment variables the harness honours.

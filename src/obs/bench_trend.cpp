@@ -23,17 +23,6 @@ std::string stem_of(const std::string& path) {
   return name;
 }
 
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 /// "+3.2%" for a relative delta; "-" when the reference median is zero.
 std::string rel_pct(double excess, double reference) {
   if (reference == 0.0) return "-";
@@ -322,31 +311,6 @@ std::string trend_markdown(const TrendReport& report,
     os << "\n";
     for (const std::string& note : report.notes) {
       os << "- note: " << note << "\n";
-    }
-  }
-  return os.str();
-}
-
-std::string trend_csv(const TrendReport& report) {
-  std::ostringstream os;
-  os << "metric,bench,index,baseline,generated,n,median,mad,ci95_lo,ci95_hi,"
-        "excess,band,beyond_band,slope_per_step,verdict\n";
-  char buf[64];
-  const auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  for (const TrendSeries& series : report.series) {
-    for (std::size_t i = 0; i < series.points.size(); ++i) {
-      const TrendPoint& point = series.points[i];
-      os << csv_quote(series.metric) << ',' << csv_quote(series.bench) << ','
-         << i << ',' << csv_quote(point.label) << ','
-         << csv_quote(point.generated) << ',' << point.n << ','
-         << num(point.median) << ',' << num(point.mad) << ','
-         << num(point.ci95_lo) << ',' << num(point.ci95_hi) << ','
-         << num(point.excess) << ',' << num(point.band) << ','
-         << (point.beyond_band ? 1 : 0) << ',' << num(series.slope) << ','
-         << series.verdict() << '\n';
     }
   }
   return os.str();

@@ -1,11 +1,13 @@
 // End-to-end tests of the bench gate, `cts_benchd trend` and `cts_benchd
 // validate`: a synthetic three-baseline chain with injected drift must
-// produce the markdown/CSV/SVG artefacts and trip the --gate exit code, a
-// stable chain must stay green, the two-file window-1 gate must fail only a
+// produce the markdown report and trip the --gate exit code, a stable
+// chain must stay green, the two-file window-1 gate must fail only a
 // regressed candidate, baselines of different scales must never be gated
 // against each other, validate must accept only cts.bench.v1 documents,
-// and bad gate flags must be usage errors; the CtsBenchcmp cases cover the
-// offline two-file validate/gate surface.
+// bad gate flags and the retired renderings must be usage errors, and the
+// committed docs/TREND.md must be what `trend` renders over the committed
+// baselines; the CtsBenchcmp cases cover the offline two-file
+// validate/gate surface.
 
 #include <gtest/gtest.h>
 
@@ -78,11 +80,8 @@ TEST(CtsBenchtrend, InjectedDriftProducesArtifactsAndTripsGate) {
   // Last two baselines +50% over the first: sustained drift.
   const std::string files = write_chain(dir + "/trend_drift", 1.0, 1.5, 1.55);
   const std::string md = dir + "/trend_drift.md";
-  const std::string csv = dir + "/trend_drift.csv";
-  const std::string svg = dir + "/trend_drift.svg";
   const std::string err = dir + "/trend_drift.err";
   const std::string cmd = benchd("trend ") + files + " --md='" + md +
-                          "' --csv='" + csv + "' --svg='" + svg +
                           "' --gate --quiet 2>'" + err + "'";
   EXPECT_EQ(shell(cmd), 1) << cmd;
   EXPECT_NE(read_file(err).find("REGRESSION: fig9_sim_markov wall_s +55.0%"),
@@ -93,15 +92,7 @@ TEST(CtsBenchtrend, InjectedDriftProducesArtifactsAndTripsGate) {
   EXPECT_NE(md_text.find("DRIFT"), std::string::npos);
   // Sorted oldest first despite shuffled argv order.
   EXPECT_LT(md_text.find("BENCH_2026-08-01"), md_text.find("BENCH_2026-08-03"));
-
-  const std::string csv_text = read_file(csv);
-  EXPECT_NE(csv_text.find("metric,bench,index"), std::string::npos);
-  EXPECT_NE(csv_text.find("fig9_sim_markov"), std::string::npos);
-
-  const std::string svg_text = read_file(svg);
-  EXPECT_EQ(svg_text.rfind("<svg", 0), 0u);
-  EXPECT_NE(svg_text.find("</svg>"), std::string::npos);
-  EXPECT_NE(svg_text.find("DRIFT"), std::string::npos);
+  EXPECT_NE(md_text.find("| fig9_sim_markov |"), std::string::npos);
 }
 
 TEST(CtsBenchtrend, StableChainStaysGreenEvenWithGate) {
@@ -197,25 +188,49 @@ TEST(CtsBenchtrend, UsageErrorsExitTwo) {
   EXPECT_EQ(shell("cd '" + empty + "' && " + benchd("trend 2>/dev/null")), 2);
   EXPECT_EQ(shell(benchd("--help >/dev/null")), 0);
   EXPECT_EQ(shell(benchd("bogus 2>/dev/null")), 2);
-  // Gate flags that would silently switch a gate off, or (for a negative
-  // window) mean "every point", are rejected with the flag and value.
+  // A window that would mean "every point" or no point is rejected with
+  // the flag and value, and the retired renderings name the markdown
+  // report that replaced them.
   const std::string other = dir + "/trend_lone2.json";
   write_file(other, baseline_doc("2026-08-02", 1.0));
   const std::string files = "'" + lone + "' '" + other + "'";
   const std::string err = dir + "/trend_usage.err";
+  const std::string chart = dir + "/trend_usage.svg";
   using FlagAndMessage = std::pair<std::string, std::string>;
   for (const auto& [flag, message] :
-       {FlagAndMessage{"--k=-1", "--k must be >= 0, got -1"},
-        {"--k=nan", "--k expects a number, got 'nan'"},
-        {"--pct=-5", "--pct must be >= 0, got -5"},
-        {"--window=-1", "--window must be >= 1, got -1"},
-        {"--window=0", "--window must be >= 1, got 0"}}) {
+       {FlagAndMessage{"--window=-1", "--window must be >= 1, got -1"},
+        {"--window=0", "--window must be >= 1, got 0"},
+        {"--svg='" + chart + "'", "--svg was removed; use --md"},
+        {"--csv='" + chart + "'", "--csv was removed; use --md"}}) {
     EXPECT_EQ(shell(benchd("trend ") + flag + " " + files + " --quiet 2>'" +
                     err + "'"),
               2)
         << flag;
     EXPECT_NE(read_file(err).find(message), std::string::npos) << flag;
   }
+  EXPECT_FALSE(std::filesystem::exists(chart));
+}
+
+TEST(CtsBenchtrend, DocsTrendMatchesTheCommittedBaselines) {
+  // docs/TREND.md is the trend over the committed BENCH_*.json: a baseline
+  // committed without regenerating it, or a renderer change, fails here.
+  std::string files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CTS_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) == 0 && entry.path().extension() == ".json") {
+      files += " '" + entry.path().string() + "'";
+    }
+  }
+  ASSERT_FALSE(files.empty());
+  const std::string md = ::testing::TempDir() + "/trend_docs.md";
+  EXPECT_EQ(shell(benchd("trend --md='") + md + "'" + files + " --quiet"), 0);
+  const std::string committed =
+      read_file(std::string(CTS_SOURCE_DIR) + "/docs/TREND.md");
+  ASSERT_FALSE(committed.empty());
+  EXPECT_TRUE(read_file(md) == committed)
+      << "docs/TREND.md is stale: regenerate it with `cts_benchd trend "
+         "--md=docs/TREND.md BENCH_*.json --quiet`";
 }
 
 // CtsBenchcmp: the offline two-file compare and validate surface

@@ -2,18 +2,16 @@
 // ordering, Theil-Sen slopes, sustained-drift gating (not
 // last-vs-previous), the two-point window-1 gate cts_benchd --compare
 // runs (CompareBench, plus exact band-edge ties and the per-metric
-// resolution floors), and the markdown / CSV / SVG renderers.
+// resolution floors), and the markdown renderer.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "cts/obs/bench_trend.hpp"
-#include "cts/obs/svg.hpp"
 #include "cts/util/error.hpp"
 
 namespace obs = cts::obs;
@@ -348,7 +346,7 @@ TEST(CompareBench, ResolutionFloorsAreKeyedByMetric) {
   EXPECT_DOUBLE_EQ(obs::metric_resolution("cycles"), 1e-4);
 }
 
-TEST(TrendRenderers, MarkdownCsvAndSvgCarryTheSeries) {
+TEST(TrendRenderers, MarkdownCarriesTheSeries) {
   const obs::TrendReport report =
       obs::build_trend(chain({1.0, 1.0, 1.5, 1.55}));
 
@@ -356,27 +354,6 @@ TEST(TrendRenderers, MarkdownCsvAndSvgCarryTheSeries) {
   EXPECT_NE(md.find("| fig9 |"), std::string::npos);
   EXPECT_NE(md.find("DRIFT"), std::string::npos);
   EXPECT_NE(md.find("‡"), std::string::npos);  // beyond-band marker
-
-  const std::string csv = obs::trend_csv(report);
-  // Header + one row per (bench, baseline) point.
-  EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 5);
-  EXPECT_NE(csv.find("metric,bench,index"), std::string::npos);
-  EXPECT_NE(csv.find("DRIFT"), std::string::npos);
-
-  const std::string svg = obs::trend_svg(report);
-  EXPECT_EQ(svg.rfind("<svg", 0), 0u);
-  EXPECT_NE(svg.find("</svg>"), std::string::npos);
-  EXPECT_NE(svg.find("polyline"), std::string::npos);
-  EXPECT_NE(svg.find("fig9"), std::string::npos);
-  EXPECT_NE(svg.find("DRIFT"), std::string::npos);
-  // Self-contained: no external references of any kind.
-  EXPECT_EQ(svg.find("http://www.w3.org/2000/svg"),
-            svg.rfind("http"));  // the xmlns is the only URL
-}
-
-TEST(TrendSvg, RejectsEmptyReport) {
-  obs::TrendReport empty;
-  EXPECT_THROW(obs::trend_svg(empty), cts::util::InvalidArgument);
 }
 
 }  // namespace

@@ -1,35 +1,44 @@
 // Seeded mutation test for the parsers that read what other processes
-// wrote: cts.shard.v1 (parse_shard_file), the metrics snapshot inside it
-// (metrics_snapshot_from_json), cts.scenarioresult.v1
-// (parse_scenario_result) and the wire documents the daemons and their
-// clients exchange: cts.cac.v1 / cts.cacresult.v1 (parse_cac_request,
+// or people wrote: cts.shard.v1 (parse_shard_file), the metrics snapshot
+// inside it (metrics_snapshot_from_json), cts.scenarioresult.v1
+// (parse_scenario_result), cts.scenario.v1 specs (parse_scenario),
+// cts.bench.v1 baselines (json_parse through parse_baseline and the
+// gate's build_trend), the wire documents the daemons and their clients
+// exchange: cts.cac.v1 / cts.cacresult.v1 (parse_cac_request,
 // parse_cac_response), cts.job.v1 / cts.jobresult.v1 (parse_job,
-// parse_job_result) and cts.stats.v1 (parse_stats).  Each seed document
-// comes from the real writers: a shard file recorded by run_replicated
+// parse_job_result) and cts.stats.v1 (parse_stats), and the length-prefixed
+// frames that carry them (net::FrameDecoder).  Each seed comes from the
+// real writers or the repository: a shard file recorded by run_replicated
 // through the ShardRecorder, the committed result of
-// examples/scenarios/policed_smoothed.scn, and the net write_*_json
-// functions.  Every mutant must be accepted
-// or rejected with a cts::util::Error, never crash, hang or escape with
-// another exception type.  The run is deterministic (fixed seeds, fixed
-// iteration counts), so a failure reproduces exactly; under the sanitizer
-// build a cast out of range or an overflow in a parser fails it too.
+// examples/scenarios/policed_smoothed.scn, the five example specs, a
+// committed BENCH_*.json, and the net write_*_json functions.  Every
+// mutant must be accepted or rejected with a cts::util::Error, never
+// crash, hang or escape with another exception type.  The run is
+// deterministic (fixed seeds, fixed iteration counts), so a failure
+// reproduces exactly; under the sanitizer build a cast out of range or an
+// overflow in a parser fails it too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cts/fit/model_zoo.hpp"
 #include "cts/net/cac.hpp"
+#include "cts/net/frame.hpp"
 #include "cts/net/job.hpp"
 #include "cts/net/stats.hpp"
+#include "cts/obs/bench_trend.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/metrics.hpp"
 #include "cts/sim/replication.hpp"
+#include "cts/sim/scenario.hpp"
 #include "cts/sim/scenario_run.hpp"
 #include "cts/sim/shard.hpp"
 #include "cts/util/error.hpp"
@@ -196,6 +205,32 @@ TEST(ParseMutation, ScenarioResultAcceptsOrRejectsWithCtsError) {
   });
 }
 
+TEST(ParseMutation, ScenarioSpecAcceptsOrRejectsWithCtsError) {
+  std::uint64_t rng_seed = 20;
+  for (const char* name : {"heterogeneous_mix", "paper_baseline",
+                           "policed_smoothed", "priority_two_class",
+                           "tandem_3hop"}) {
+    SCOPED_TRACE(name);
+    const std::string seed = cu::read_text_file(
+        std::string(CTS_SOURCE_DIR) + "/examples/scenarios/" + name + ".scn");
+    fuzz(seed, rng_seed++,
+         [](const std::string& text) { (void)sim::parse_scenario(text); });
+  }
+}
+
+TEST(ParseMutation, BenchBaselineAcceptsOrRejectsWithCtsError) {
+  // A committed baseline, read as the gate reads it: strict JSON, the
+  // cts.bench.v1 schema, then every bench's metric summaries in a
+  // trajectory against the unmutated document.
+  const std::string path =
+      std::string(CTS_SOURCE_DIR) + "/BENCH_2026-10-21_sim.json";
+  const std::string seed = cu::read_text_file(path);
+  const obs::BaselineDoc base = obs::parse_baseline(path, seed);
+  fuzz(seed, 10, [&](const std::string& text) {
+    (void)obs::build_trend({base, obs::parse_baseline(path, text)});
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Wire documents
 
@@ -302,6 +337,100 @@ TEST(ParseMutation, StatsAcceptsOrRejectsWithCtsError) {
                  {"shardd.job", 6, 1100000, 100000, 1000, 260000}};
   fuzz(net::write_stats_json(stats), 9,
        [](const std::string& text) { (void)net::parse_stats(text); });
+}
+
+// ---------------------------------------------------------------------------
+// Frames
+
+/// Feeds `stream` to a FrameDecoder in chunks cut at random points,
+/// draining it after every chunk into `*payloads`.  Ends in payloads, a
+/// frame not yet complete (bytes left buffered) or an InvalidArgument from
+/// a header above kMaxFrameBytes; it cannot loop, as every payload consumes
+/// its header.
+void decode_frames(const std::string& stream, std::mt19937_64* rng,
+                   std::vector<std::string>* payloads) {
+  net::FrameDecoder decoder;
+  std::string payload;
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(stream.size() - at, 1 + (*rng)() % 64);
+    decoder.feed(stream.data() + at, n);
+    at += n;
+    while (decoder.next(&payload)) payloads->push_back(payload);
+  }
+}
+
+/// Three wire documents and an empty payload, framed back to back.
+std::vector<std::string> frame_payloads() {
+  net::CacModel zoo;
+  zoo.zoo_id = "za:0.9";
+  net::JobRequest job;
+  job.bench_id = "fig9_sim_markov";
+  job.shard_count = 2;
+  net::WorkerStats stats;
+  stats.worker = "cts_shardd:9001";
+  return {cac_request_seed(zoo), net::write_job_json(job), "",
+          net::write_stats_json(stats)};
+}
+
+std::string frame_stream(const std::vector<std::string>& payloads) {
+  std::string stream;
+  for (const std::string& payload : payloads) {
+    stream += net::encode_frame(payload);
+  }
+  return stream;
+}
+
+TEST(ParseMutation, FrameStreamAcceptsOrRejectsWithCtsError) {
+  const std::vector<std::string> payloads = frame_payloads();
+  std::mt19937_64 rng(11);
+  fuzz(frame_stream(payloads), 12, [&rng](const std::string& text) {
+    std::vector<std::string> decoded;
+    decode_frames(text, &rng, &decoded);
+  });
+}
+
+TEST(ParseMutation, FrameHeadersAboveTheLimitAreRejected) {
+  // One frame's length header rewritten at a time: the frames before it
+  // still decode, a header above kMaxFrameBytes is refused when it is
+  // reached, and any other length is accepted there (a later header, read
+  // out of step, may still be refused).
+  const std::vector<std::string> payloads = frame_payloads();
+  const std::string stream = frame_stream(payloads);
+  std::mt19937_64 rng(13);
+  std::size_t header = 0;
+  for (std::size_t k = 0; k < payloads.size(); ++k) {
+    SCOPED_TRACE(k);
+    const std::uint64_t size = payloads[k].size();
+    for (const std::uint64_t length :
+         {std::uint64_t{0}, std::uint64_t{1}, size + 1, size + 100,
+          std::uint64_t{net::kMaxFrameBytes},
+          std::uint64_t{net::kMaxFrameBytes} + 1, std::uint64_t{0xffffffff},
+          (rng() & 0xffffffff) | 0x80000000}) {
+      SCOPED_TRACE(length);
+      std::string mutant = stream;
+      for (int byte = 0; byte < 4; ++byte) {
+        mutant[header + byte] =
+            static_cast<char>((length >> (24 - 8 * byte)) & 0xff);
+      }
+      std::vector<std::string> decoded;
+      bool refused = false;
+      try {
+        decode_frames(mutant, &rng, &decoded);
+      } catch (const cu::InvalidArgument&) {
+        refused = true;
+      }
+      ASSERT_GE(decoded.size(), k);
+      for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(decoded[i], payloads[i]);
+      if (length > net::kMaxFrameBytes) {
+        EXPECT_TRUE(refused);
+        EXPECT_EQ(decoded.size(), k);
+      } else if (refused) {
+        EXPECT_GT(decoded.size(), k);
+      }
+    }
+    header += 4 + payloads[k].size();
+  }
 }
 
 }  // namespace

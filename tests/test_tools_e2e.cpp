@@ -240,8 +240,10 @@ TEST(CtsBenchd, CompareRefusesAnOutThatIsTheBaseline) {
   // the baseline, under any spelling and whether or not it exists yet,
   // would gate the run against itself: exit 2 before any bench runs.
   const std::string dir = ::testing::TempDir() + "/compare_self";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  // A stub bench that leaves a marker shows whether any bench ran.
+  const std::string ran = dir + "/bench_ran";
+  const std::string bench_dir =
+      bench_dir_with_table1(dir, "", "touch '" + ran + "'");
   const std::string base = dir + "/base.json";
   const std::string text = R"({"schema":"cts.bench.v1","benches":{}})";
   write_file(base, text);
@@ -252,51 +254,16 @@ TEST(CtsBenchd, CompareRefusesAnOutThatIsTheBaseline) {
   for (const auto& [out, compare] : pairs) {
     SCOPED_TRACE(out);
     const std::string err = dir + "/self.err";
-    const std::string jsonl = dir + "/self.jsonl";
     const std::string cmd = "'" + benchd() +
-                            "' --suite=analytic --filter=fig5 --repeats=1 "
+                            "' --suite=analytic --filter=table1 --repeats=1 "
                             "--warmup=0 --reps=1 --quiet --bench-dir='" +
-                            CTS_BENCH_BIN_DIR + "' --out='" + out +
-                            "' --compare='" + compare + "' --json-lines='" +
-                            jsonl + "' >/dev/null 2>'" + err + "'";
+                            bench_dir + "' --out='" + out + "' --compare='" +
+                            compare + "' >/dev/null 2>'" + err + "'";
     EXPECT_EQ(shell(cmd), 2) << cmd;
     EXPECT_NE(read_file(err).find(out), std::string::npos) << read_file(err);
-    EXPECT_FALSE(fs::exists(jsonl)) << "a bench ran";
+    EXPECT_FALSE(fs::exists(ran)) << "a bench ran";
     EXPECT_EQ(read_file(base), text);
   }
-}
-
-TEST(CtsBenchd, JsonLinesStreamsOneObjectPerRun) {
-  const std::string dir = ::testing::TempDir();
-  const std::string jsonl = dir + "/runs.jsonl";
-  const std::string cmd = "'" + benchd() +
-                          "' --suite=analytic --filter=fig5 --repeats=2 "
-                          "--warmup=1 --quiet --bench-dir='" +
-                          CTS_BENCH_BIN_DIR + "' --out='" + dir +
-                          "/jsonl_out.json' --json-lines='" + jsonl + "'";
-  ASSERT_EQ(shell(cmd), 0) << cmd;
-
-  std::ifstream in(jsonl);
-  std::string line;
-  int lines = 0;
-  int warmups = 0;
-  while (std::getline(in, line)) {
-    SCOPED_TRACE(line);
-    ASSERT_FALSE(line.empty());
-    std::string error;
-    // Each line must be a complete RFC 8259 document on its own.
-    ASSERT_TRUE(obs::json_parse_check(line, &error)) << error;
-    const obs::JsonValue run = obs::json_parse(line);
-    EXPECT_EQ(run.at("schema").as_string(), "cts.benchrun.v1");
-    EXPECT_EQ(run.at("bench").as_string(), "fig5_bop");
-    EXPECT_GT(run.at("wall_s").as_number(), 0.0);
-    EXPECT_EQ(run.find("hw_available"), nullptr);
-    EXPECT_EQ(run.find("ipc"), nullptr);
-    if (run.at("warmup").as_bool()) ++warmups;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 3);  // 1 warmup + 2 measured
-  EXPECT_EQ(warmups, 1);
 }
 
 TEST(CtsBenchd, AnalyticBenchPhasesCarryNamedSpans) {
@@ -326,17 +293,24 @@ TEST(CtsBenchd, ListAndUsageModes) {
   EXPECT_NE(text.find("table1"), std::string::npos);
   EXPECT_EQ(shell("'" + benchd() + "' --suite=bogus 2>/dev/null >/dev/null"),
             2);
-  // A negative gate threshold would silently switch that gate off.
+  // The gate thresholds are fixed: a removed knob is only an unknown-flag
+  // warning (the retired renderings exit 2, see CtsBenchtrend).
   const std::string err = ::testing::TempDir() + "/benchd_usage.err";
   EXPECT_EQ(shell("'" + benchd() + "' --k=-1 --list >/dev/null 2>'" + err +
                   "'"),
-            2);
-  EXPECT_NE(read_file(err).find("--k must be >= 0, got -1"), std::string::npos);
-  EXPECT_EQ(shell("'" + benchd() + "' --pct=-5 --list >/dev/null 2>'" + err +
-                  "'"),
-            2);
-  EXPECT_NE(read_file(err).find("--pct must be >= 0, got -5"),
-            std::string::npos);
+            0);
+  EXPECT_NE(read_file(err).find("unknown flag --k"), std::string::npos)
+      << read_file(err);
+  // A bench knows no --md, so the retired cts_benchd --csv leaves its own
+  // --csv alone.
+  const std::string csv = ::testing::TempDir() + "/benchd_usage_table1.csv";
+  std::remove(csv.c_str());
+  EXPECT_EQ(run({std::string(CTS_BENCH_BIN_DIR) + "/bench_table1", "--quiet",
+                 "--csv=" + csv},
+                err)
+                .exit_code,
+            0);
+  EXPECT_FALSE(read_file(csv).empty());
 }
 
 std::vector<std::string> table1_run(const std::string& bench_dir,

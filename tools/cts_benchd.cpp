@@ -12,18 +12,17 @@
 //   cts_benchd --suite=smoke --repeats=5            # the usual call
 //   cts_benchd --suite=full --repeats=3 --warmup=1  # everything (slow)
 //   cts_benchd --compare=BENCH_base.json            # run + gate in one shot
-//   cts_benchd --json-lines=runs.jsonl              # per-run soak stream
 //   cts_benchd --list                               # show the registry
-//   cts_benchd trend --md=trend.md --svg=trend.svg  # ./BENCH_*.json report
+//   cts_benchd trend --md=trend.md                  # ./BENCH_*.json report
 //   cts_benchd trend --gate --window=1 BASE.json NEW.json  # offline gate
 //   cts_benchd validate BENCH_*.json                # schema check only
 //
 // `trend` orders the given baselines (default: ./BENCH_*.json) by date,
 // groups them by suite and scale — medians of different suites or scales
 // are not comparable — and builds one trajectory per group
-// (cts/obs/bench_trend.hpp): a markdown table on stdout and/or --md, a
-// CSV mirror (--csv) and an SVG sparkline chart (--svg, one per group
-// when several are charted).  --compare runs the suite, writes the
+// (cts/obs/bench_trend.hpp), rendered as a markdown table on stdout and/or
+// --md.  The gate thresholds are the TrendOptions defaults (3 MAD, 5%,
+// wall_s, user_s and max_rss_kb).  --compare runs the suite, writes the
 // document, then gates {BASE, document} with window 1 through the same
 // function as `trend --gate`, BASE first whatever the dates.  Exit codes:
 // 0 ok, 1 regression (with --gate or --compare) or a bench that failed to
@@ -47,7 +46,6 @@
 #include <cstdint>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -62,12 +60,9 @@
 #include "bench_suite.hpp"
 #include "cts/obs/bench_stats.hpp"
 #include "cts/obs/bench_trend.hpp"
-#include "cts/obs/event_log.hpp"
 #include "cts/obs/json.hpp"
 #include "cts/obs/perf.hpp"
-#include "cts/obs/svg.hpp"
 #include "cts/util/cli_registry.hpp"
-#include "cts/util/clock.hpp"
 #include "cts/util/error.hpp"
 #include "cts/util/file.hpp"
 #include "cts/util/flags.hpp"
@@ -89,22 +84,17 @@ struct Options {
   std::string filter;
   std::string out;
   std::string bench_dir;
-  std::string date;
-  std::string compare;     ///< baseline for the one-shot gate ("" = off)
-  std::string json_lines;  ///< per-run JSONL stream path ("" = off)
+  std::string compare;  ///< baseline for the one-shot gate ("" = off)
   long long repeats = 5;
   long long warmup = 1;
   long long repro_reps = 2;
   long long repro_frames = 2000;
-  bool keep_runs = false;
 };
 
 /// The gate's settings, shared by `trend` and --compare.
 struct GateArgs {
   obs::TrendOptions options;
-  std::string md;   ///< markdown report path ("" = stdout only)
-  std::string csv;  ///< CSV mirror path ("" = off)
-  std::string svg;  ///< SVG chart path ("" = off)
+  std::string md;  ///< markdown report path ("" = stdout only)
   bool gate = false;   ///< exit 1 on a regression drift
   bool quiet = false;  ///< no progress on stderr, no report on stdout
 };
@@ -130,65 +120,37 @@ void usage() {
       "usage: cts_benchd [--suite=smoke|sim|analytic|full] [--filter=SUBSTR]\n"
       "                  [--repeats=N] [--warmup=N] [--out=PATH]\n"
       "                  [--bench-dir=DIR] [--reps=N] [--frames=N]\n"
-      "                  [--date=YYYY-MM-DD] [--compare=BASE.json]\n"
-      "                  [--json-lines=PATH] [--keep-runs] [--quiet] "
-      "[--list]\n"
+      "                  [--compare=BASE.json [--md=PATH]] [--quiet] [--list]\n"
       "       cts_benchd trend [BENCH_*.json ...] [--gate] [--window=2]\n"
-      "       cts_benchd validate BENCH_*.json...\n"
-      "gate flags (trend and --compare): [--k=3] [--pct=5]\n"
-      "       [--metrics=wall_s,user_s,max_rss_kb] [--md=PATH] [--csv=PATH]\n"
-      "       [--svg=PATH]\n\n"
+      "                  [--md=PATH] [--quiet]\n"
+      "       cts_benchd validate BENCH_*.json... [--quiet]\n\n"
       "Runs the selected bench suite with warmup + N measured repeats per\n"
       "bench and writes a cts.bench.v1 document (default: "
-      "BENCH_<date>.json\n"
-      "in the current directory) with median/MAD/95%% CI per metric, peak\n"
-      "RSS, user/sys CPU time, hardware counters when available, and a\n"
+      "BENCH_<today UTC>.json\n"
+      "in the current directory) with median/MAD/95%% CI and every sample\n"
+      "of wall time, user/sys CPU time, peak RSS and context switches, and a\n"
       "per-phase span self-time table.  --compare=BASE.json then gates the\n"
       "fresh document against BASE in the same invocation, as\n"
-      "`trend --gate --window=1 BASE document` does;\n"
-      "--json-lines=PATH streams one cts.benchrun.v1 JSON object per run\n"
-      "for soak monitoring.  trend builds the perf trajectory per suite and\n"
-      "scale over >= 2 baselines (default ./BENCH_*.json); validate checks\n"
-      "each file against cts.bench.v1.  Exit codes: 0 ok, 1 regression\n"
-      "(--gate, --compare) or a failed bench, 2 usage/parse errors.\n");
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream ss(s);
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
+      "`trend --gate --window=1 BASE document` does.  trend builds the perf\n"
+      "trajectory per suite and scale over >= 2 baselines (default\n"
+      "./BENCH_*.json) as a markdown table; validate checks each file\n"
+      "against cts.bench.v1.  The gate flags a metric (wall_s, user_s,\n"
+      "max_rss_kb) whose last --window medians all exceed the first by more\n"
+      "than max(3 MAD, 5%%, the metric's resolution).  Exit codes: 0 ok,\n"
+      "1 regression (--gate, --compare) or a failed bench, 2 usage/parse\n"
+      "errors.\n");
 }
 
 /// The gate flags, parsed and checked once for `trend` and --compare.
 GateArgs parse_gate_args(const cu::Flags& flags) {
   GateArgs args;
-  obs::TrendOptions& options = args.options;
-  // A negative --k or --pct would silently switch its gate off, and a
-  // negative --window must not wrap to "every point".
-  options.k_mad = flags.get_double("k", options.k_mad);
-  cu::require(options.k_mad >= 0.0,
-              "--k must be >= 0, got " + flags.get_string("k", ""));
-  const double pct = flags.get_double("pct", options.min_rel * 100.0);
-  cu::require(pct >= 0.0,
-              "--pct must be >= 0, got " + flags.get_string("pct", ""));
-  options.min_rel = pct / 100.0;
-  const std::int64_t window =
-      flags.get_int("window", static_cast<std::int64_t>(options.window));
+  // A negative --window must not wrap to "every point".
+  const std::int64_t window = flags.get_int(
+      "window", static_cast<std::int64_t>(args.options.window));
   cu::require(window >= 1,
               "--window must be >= 1, got " + std::to_string(window));
-  options.window = static_cast<std::size_t>(window);
-  if (flags.has("metrics")) {
-    options.metrics = split_csv(flags.get_string("metrics", ""));
-    cu::require(!options.metrics.empty(),
-                "--metrics must name at least one metric");
-  }
+  args.options.window = static_cast<std::size_t>(window);
   args.md = flags.get_string("md", "");
-  args.csv = flags.get_string("csv", "");
-  args.svg = flags.get_string("svg", "");
   args.gate = flags.get_bool("gate", false);
   args.quiet = flags.get_bool("quiet", false);
   return args;
@@ -219,23 +181,10 @@ std::vector<obs::BaselineDoc> load_baselines(
   return docs;
 }
 
-/// "trend.svg" -> "trend_<tag>.svg".
-std::string tagged_path(const std::string& path, const std::string& tag) {
-  const std::size_t dot = path.find_last_of('.');
-  if (dot == std::string::npos) return path + "_" + tag;
-  return path.substr(0, dot) + "_" + tag + path.substr(dot);
-}
-
-void write_report(const std::string& path, const std::string& text,
-                  bool quiet) {
-  cu::write_text_file(path, text);
-  if (!quiet) std::fprintf(stderr, "[cts_benchd] wrote %s\n", path.c_str());
-}
-
 /// The one bench gate, behind both `trend` and --compare.  `docs` are
 /// ordered oldest (the reference) first and grouped by suite and scale;
 /// every group with >= 2 baselines gets a trajectory.  Returns 0 ok, 1 a
-/// regression drift under --gate, 2 when no group can be charted.
+/// regression drift under --gate, 2 when no group can be compared.
 int gate_baselines(std::vector<obs::BaselineDoc> docs, const GateArgs& args) {
   std::map<std::pair<std::string, std::string>,
            std::vector<obs::BaselineDoc>> groups;
@@ -263,23 +212,9 @@ int gate_baselines(std::vector<obs::BaselineDoc> docs, const GateArgs& args) {
   }
 
   std::string markdown;
-  std::string csv;
   bool drift = false;
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const obs::TrendReport& report = reports[i];
+  for (const obs::TrendReport& report : reports) {
     markdown += obs::trend_markdown(report, args.options) + "\n";
-    csv += obs::trend_csv(report);
-    if (!args.svg.empty()) {
-      // One chart per group, tagged by suite, plus the group's ordinal
-      // when a suite is charted at several scales.
-      const bool shared = (i > 0 && reports[i - 1].suite == report.suite) ||
-                          (i + 1 < reports.size() &&
-                           reports[i + 1].suite == report.suite);
-      const std::string tag =
-          report.suite + (shared ? "_" + std::to_string(i + 1) : "");
-      write_report(reports.size() == 1 ? args.svg : tagged_path(args.svg, tag),
-                   obs::trend_svg(report), args.quiet);
-    }
     drift = drift || report.has_drift();
     if (!args.gate) continue;
     for (const obs::TrendSeries& series : report.series) {
@@ -288,8 +223,12 @@ int gate_baselines(std::vector<obs::BaselineDoc> docs, const GateArgs& args) {
       }
     }
   }
-  if (!args.md.empty()) write_report(args.md, markdown, args.quiet);
-  if (!args.csv.empty()) write_report(args.csv, csv, args.quiet);
+  if (!args.md.empty()) {
+    cu::write_text_file(args.md, markdown);
+    if (!args.quiet) {
+      std::fprintf(stderr, "[cts_benchd] wrote %s\n", args.md.c_str());
+    }
+  }
   if (!args.quiet) std::fputs(markdown.c_str(), stdout);
   if (!args.gate) return 0;
   if (drift) return 1;
@@ -382,27 +321,6 @@ bool run_once(const Options& opt, const bench::BenchSpec& spec,
   return true;
 }
 
-/// One cts.benchrun.v1 line for the --json-lines stream: the flattened
-/// per-run sample, warmup runs included (flagged) so a soak monitor sees
-/// every execution as it happens.
-void write_json_line(std::ostream& os, const bench::BenchSpec& spec,
-                     long long run_index, bool warmup, const RunSample& s) {
-  std::ostringstream line;
-  obs::JsonWriter w(line);
-  w.begin_object();
-  w.key("schema").value("cts.benchrun.v1");
-  w.key("bench").value(spec.id);
-  w.key("kind").value(spec.kind);
-  w.key("run").value(static_cast<std::int64_t>(run_index));
-  w.key("warmup").value(warmup);
-  for (const char* name : kMetricNames) {
-    w.key(name).value(s.metrics.at(name));
-  }
-  w.end_object();
-  os << line.str() << '\n';
-  os.flush();  // a tailing soak monitor must see the line immediately
-}
-
 void write_summary(obs::JsonWriter& w, const obs::RobustSummary& s,
                    const std::vector<double>& samples) {
   w.begin_object();
@@ -448,7 +366,7 @@ int run(const Options& opt, const GateArgs& gate_args) {
     return 2;
   }
 
-  const std::string date = opt.date.empty() ? today_utc() : opt.date;
+  const std::string date = today_utc();
   const std::string out_path =
       opt.out.empty() ? "BENCH_" + date + ".json" : opt.out;
   // The document is written before the baseline is read, so an --out
@@ -470,16 +388,6 @@ int run(const Options& opt, const GateArgs& gate_args) {
     std::fprintf(stderr, "cts_benchd: cannot create run dir %s: %s\n",
                  run_dir.string().c_str(), ec.message().c_str());
     return 2;
-  }
-
-  std::ofstream jsonl;
-  if (!opt.json_lines.empty()) {
-    jsonl.open(opt.json_lines);
-    if (!jsonl) {
-      std::fprintf(stderr, "cts_benchd: cannot write %s\n",
-                   opt.json_lines.c_str());
-      return 2;
-    }
   }
 
   std::ostringstream body;
@@ -506,10 +414,6 @@ int run(const Options& opt, const GateArgs& gate_args) {
   w.end_object();
 
   int failures = 0;
-  obs::log_info("suite.start",
-                {{"suite", opt.suite},
-                 {"benches", static_cast<std::uint64_t>(selected.size())},
-                 {"repeats", static_cast<std::int64_t>(opt.repeats)}});
   w.key("benches").begin_object();
   for (const bench::BenchSpec* spec : selected) {
     if (!gate_args.quiet) {
@@ -519,7 +423,6 @@ int run(const Options& opt, const GateArgs& gate_args) {
     std::vector<RunSample> samples;
     std::string error;
     bool failed = false;
-    const double bench_start_s = cu::monotonic_s();
     const long long total_runs = opt.warmup + opt.repeats;
     for (long long i = 0; i < total_runs; ++i) {
       const std::string perf_path =
@@ -533,22 +436,12 @@ int run(const Options& opt, const GateArgs& gate_args) {
         failed = true;
         break;
       }
-      if (jsonl.is_open()) {
-        write_json_line(jsonl, *spec, i, i < opt.warmup, sample);
-      }
       if (i >= opt.warmup) samples.push_back(std::move(sample));
     }
     if (failed || samples.empty()) {
       ++failures;
-      obs::log_warn("bench.fail",
-                    {{"bench", spec->id},
-                     {"error", failed ? error : std::string("no samples")}});
       continue;
     }
-    obs::log_info("bench.done",
-                  {{"bench", spec->id},
-                   {"runs", static_cast<std::uint64_t>(samples.size())},
-                   {"wall_ms", (cu::monotonic_s() - bench_start_s) * 1e3}});
 
     w.key(spec->id).begin_object();
     w.key("binary").value(spec->binary);
@@ -598,7 +491,7 @@ int run(const Options& opt, const GateArgs& gate_args) {
   w.end_object();  // benches
   w.end_object();  // document
 
-  if (!opt.keep_runs) fs::remove_all(run_dir, ec);
+  fs::remove_all(run_dir, ec);
 
   // Self-check: the document we are about to commit to disk must satisfy
   // our own strict validator.
@@ -609,21 +502,10 @@ int run(const Options& opt, const GateArgs& gate_args) {
     return 2;
   }
   cu::write_text_file(out_path, body.str() + "\n");
-  obs::log_info("suite.done",
-                {{"suite", opt.suite},
-                 {"out", out_path},
-                 {"benches", static_cast<std::int64_t>(
-                                 static_cast<int>(selected.size()) -
-                                 failures)},
-                 {"failed", failures}});
   if (!gate_args.quiet) {
     std::fprintf(stderr, "[cts_benchd] wrote %s (%d benches, %d failed)\n",
                  out_path.c_str(),
                  static_cast<int>(selected.size()) - failures, failures);
-  }
-  if (opt.keep_runs && !gate_args.quiet) {
-    std::fprintf(stderr, "[cts_benchd] per-run reports kept in %s\n",
-                 run_dir.string().c_str());
   }
 
   // One-shot gate: `trend --gate --window=1 BASE document`, BASE first.
@@ -658,13 +540,6 @@ int main(int argc, char** argv) {
     cu::cli::check_flags(flags, cu::cli::flag_names(cu::cli::kBenchdFlags),
                          std::cerr);
 
-    // Structured events are opt-in: --log appends cts.events.v1 JSONL with
-    // the suite/bench lifecycle (stderr keeps the human progress lines).
-    const std::string log_path = flags.get_string("log", "");
-    if (!log_path.empty()) obs::EventLog::global().open(log_path);
-    obs::EventLog::global().set_min_level(
-        obs::parse_log_level(flags.get_string("log-level", "info")));
-
     const GateArgs gate_args = parse_gate_args(flags);
     std::vector<std::string> args = flags.positionals();
     if (!args.empty()) {
@@ -690,14 +565,11 @@ int main(int argc, char** argv) {
     }
     opt.filter = flags.get_string("filter", "");
     opt.out = flags.get_string("out", "");
-    opt.date = flags.get_string("date", "");
     opt.compare = flags.get_string("compare", "");
-    opt.json_lines = flags.get_string("json-lines", "");
     opt.repeats = flags.get_int("repeats", opt.repeats);
     opt.warmup = flags.get_int("warmup", opt.warmup);
     opt.repro_reps = flags.get_int("reps", opt.repro_reps);
     opt.repro_frames = flags.get_int("frames", opt.repro_frames);
-    opt.keep_runs = flags.get_bool("keep-runs", false);
     cu::require(opt.repeats >= 1, "cts_benchd: --repeats must be >= 1");
     cu::require(opt.warmup >= 0, "cts_benchd: --warmup must be >= 0");
 
